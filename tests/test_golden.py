@@ -1,0 +1,74 @@
+"""Golden sha256 hashes of the OBJ and CSV bytes the library writes.
+
+README promises byte-deterministic output; these hashes pin the actual
+bytes, so a rewrite of a serialiser or sampler that changes one byte fails
+here.  They were recorded with numpy 2.4 on x86-64 Linux: a platform whose
+libm or numpy SIMD kernels round sin/cos differently can shift the last
+digit of a coordinate.  Change a hash only for a deliberate format change,
+and record it in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from lorentz_cmc import SurfaceParams, patch_from_profile, patch_to_csv, profile_curve
+from lorentz_cmc.cli import EXIT_OK, main
+
+# figure id -> sha256 of figure<id>_profile.csv (257 samples, both sizes)
+FIGURE_CSV = {
+    1: "b657ed7c77b10d24e1a874390d7d3a346d6a35e8f59dac2a424fd58583a1b30b",
+    2: "a4d27d6e216cf3c99fb0d47b6a369943a6ba453074731dacf97e273a6683998b",
+    3: "ecfe9cc1732963773e883be8824abb11d2a4f1ff8ecda71bc8470fbfa973c446",
+    4: "67a5cb403bcf1ff1af8d57bf395b825cea710e5e001bdc81aca729c43fd2b074",
+}
+
+# (figure id, size flags) -> sha256 of figure<id>_surface.obj
+FIGURE_OBJ = {
+    (1, ()): "6bc89d8668dad8a041a6e8a7d558348f4dc997de96f71489ea9e10333cd1d10d",
+    (2, ()): "8b973357d2ac2808db5dcc05645a8aa0e7bab6a4d91486621c9da1ee11fb8b0e",
+    (3, ()): "df1801a7712bb22689ebf42459fb86a78f3755845147c4bdb4deb8d5c0205b72",
+    (4, ()): "b53f3e98caa5f072d2604a31b9ad5f002c37e4a5135e8888c4108a8e0f1244d4",
+    (1, ("--nt", "5", "--ntheta", "7")):
+        "385363ab406e127ea3e094cf2ae8d5aa610fc9e4843e4906a5d1e130b5a7f374",
+    (2, ("--nt", "5", "--ntheta", "7")):
+        "3e9ef5e87ac05f9b40be5d93f425d6c184d3f66231ff85cecb001b83a4a2274f",
+    (3, ("--nt", "5", "--ntheta", "7")):
+        "97351ec94f64bfdde358d6cbc7e9ae4f50700affec4835918b7fafc5e9cea7b3",
+    (4, ("--nt", "5", "--ntheta", "7")):
+        "b6867f48f6b8ba8e7b1e182c338610f674ae7f1cb77e7bddb3d1a1106f2f07a9",
+}
+
+LOG_MESH_OBJ = "f2de2770da985c16d81d02312ff027c4893169a9c7e645cefaeaac36057f36d0"
+HOLED_PATCH_CSV = "5699f500a884436a4f320b90afa7cdee38d67e75fac4bfb9307f381d2f0715ce"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("fig,sizes", sorted(FIGURE_OBJ))
+def test_figure_bytes(tmp_path, capsys, fig, sizes):
+    assert main(["figure", str(fig), "--out-dir", str(tmp_path), *sizes]) == EXIT_OK
+    capsys.readouterr()
+    assert sha256((tmp_path / f"figure{fig}_profile.csv").read_bytes()) == FIGURE_CSV[fig]
+    assert sha256((tmp_path / f"figure{fig}_surface.obj").read_bytes()) == \
+        FIGURE_OBJ[fig, sizes]
+
+
+def test_log_spaced_annulus_mesh_bytes(tmp_path, capsys):
+    out = tmp_path / "annulus.obj"
+    assert main(["mesh", "--H", "1", "--c", "3", "--t0", "0.5", "--t1", "4",
+                 "--nt", "9", "--ntheta", "11", "--t-spacing", "log",
+                 "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert sha256(out.read_bytes()) == LOG_MESH_OBJ
+
+
+def test_patch_with_masked_hole_bytes():
+    curve = profile_curve(SurfaceParams(1.0, 3.0), (1.0, 0.0))
+    xs = np.linspace(-2.0, 2.0, 17)
+    patch = patch_from_profile(curve, xs, xs, min_radius=0.75)
+    assert np.count_nonzero(~patch.mask) == 25
+    assert sha256(patch_to_csv(patch)) == HOLED_PATCH_CSV
