@@ -5,6 +5,7 @@ import pytest
 
 from lorentz_cmc import (
     NonPositiveRadius,
+    SurfaceMesh,
     SurfaceParams,
     closed_form_maximal,
     euler_characteristic,
@@ -162,3 +163,80 @@ class TestProfileCsv:
         curve = curve_of(1.0, 3.0)
         ts = np.linspace(0.0, 4.0, 9)
         assert export_profile_csv(curve, ts) == export_profile_csv(curve, ts)
+
+
+def reference_faces(n_rings, n_theta, apex):
+    """Per-face double loop the vectorised face builder must reproduce."""
+    offset = 1 if apex else 0
+
+    def vid(i, j):
+        return offset + i * n_theta + (j % n_theta)
+
+    faces = []
+    if apex:
+        for j in range(n_theta):
+            faces.append((0, vid(0, j), vid(0, j + 1)))
+    for i in range(n_rings - 1):
+        for j in range(n_theta):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
+            faces.append((v00, v10, v11))
+            faces.append((v00, v11, v01))
+    return np.asarray(faces, dtype=np.int64)
+
+
+def reference_euler(n_vertices, faces):
+    """V - E + F with the edges collected in a Python set."""
+    edges = set()
+    for i, j, k in faces.tolist():
+        for a, b in ((i, j), (j, k), (k, i)):
+            edges.add((min(a, b), max(a, b)))
+    return n_vertices - len(edges) + len(faces)
+
+
+class TestReferenceKernels:
+    @pytest.mark.parametrize("apex", [False, True])
+    @pytest.mark.parametrize("n_t", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n_theta", [3, 4, 7, 16])
+    def test_faces_and_euler_match_reference(self, n_t, n_theta, apex):
+        t_range = (0.0, 4.0) if apex else (1.0, 4.0)
+        mesh = sample_surface(curve_of(1.0, 3.0), t_range, n_t, n_theta)
+        n_rings = n_t - 1 if apex else n_t
+        expected = reference_faces(n_rings, n_theta, apex)
+        assert mesh.faces.dtype == np.int64
+        assert np.array_equal(mesh.faces, expected)
+        assert euler_characteristic(mesh) == \
+            reference_euler(mesh.vertices.shape[0], expected)
+
+    def test_euler_of_triangle_soup_matches_reference(self):
+        rng = np.random.default_rng(7)
+        for n_vertices, n_faces in ((3, 1), (5, 12), (40, 200), (1000, 50)):
+            faces = rng.integers(0, n_vertices, size=(n_faces, 3))
+            mesh = SurfaceMesh(vertices=np.zeros((n_vertices, 3)), faces=faces,
+                               ring_radii=np.zeros(0), n_theta=3)
+            assert euler_characteristic(mesh) == reference_euler(n_vertices, faces)
+
+
+class TestLoadObj:
+    def test_slash_faces_comments_normals_and_whitespace(self):
+        text = ("# header comment\r\n"
+                "v 1 2 3\r\n"
+                "\r\n"
+                "vn 0 0 1\r\n"
+                "vt 0.5 0.25\r\n"
+                "v\t4.5\t-5e-3\t6\r\n"
+                "   \r\n"
+                "v 7 8 9.25\r\n"
+                "f 1/2/3 2/3/1 3/1/2\r\n"
+                "f 1//1\t3//3 2//2\r\n")
+        for data in (text, text.encode("ascii")):
+            verts, faces = load_obj(data)
+            assert verts.dtype == np.float64 and faces.dtype == np.int64
+            assert verts.tolist() == [[1.0, 2.0, 3.0], [4.5, -5e-3, 6.0],
+                                      [7.0, 8.0, 9.25]]
+            assert faces.tolist() == [[0, 1, 2], [0, 2, 1]]
+
+    def test_empty_input(self):
+        for data in (b"", "", "# nothing but a comment\n\n"):
+            verts, faces = load_obj(data)
+            assert verts.shape == (0,) and faces.shape == (0,)
