@@ -98,26 +98,21 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
         vertices = ring_grid.reshape(-1, 3)
         offset = 0
 
-    def vid(i, j):
-        return offset + i * n_theta + (j % n_theta)
-
-    faces = []
+    # quad (i, j) joins rings i, i+1 and spokes j, j+1 (mod n_theta)
+    j = np.arange(n_theta, dtype=np.int64)
+    j_next = (j + 1) % n_theta
+    ring = offset + n_theta * np.arange(n_rings - 1, dtype=np.int64)[:, None]
+    v00, v01 = ring + j, ring + j_next
+    v10, v11 = v00 + n_theta, v01 + n_theta
+    faces = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
     if apex:
         # fan from the apex to the first ring, wound so normals lean +x3
-        for j in range(n_theta):
-            faces.append((0, vid(0, j), vid(0, j + 1)))
-    for i in range(n_rings - 1):
-        for j in range(n_theta):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v11 = vid(i + 1, j + 1)
-            v01 = vid(i, j + 1)
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
+        fan = np.stack([np.zeros_like(j), 1 + j, 1 + j_next], axis=-1)
+        faces = np.concatenate([fan, faces])
 
     return SurfaceMesh(
         vertices=vertices,
-        faces=np.asarray(faces, dtype=np.int64),
+        faces=faces,
         ring_radii=ring_ts,
         n_theta=n_theta,
         singular_vertex=singular_vertex,
@@ -138,37 +133,41 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
     Floats are written with shortest round-trip repr, so identical meshes
     serialize to identical bytes.
     """
-    out = io.StringIO()
-    for x, y, z in mesh.vertices:
-        out.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-    for i, j, k in mesh.faces:
-        out.write(f"f {i + 1} {j + 1} {k + 1}\n")
-    return out.getvalue().encode("ascii")
+    n_vertices, n_faces = len(mesh.vertices), len(mesh.faces)
+    v = ("v %r %r %r\n" * n_vertices) % tuple(mesh.vertices.ravel().tolist())
+    f = ("f %d %d %d\n" * n_faces) % tuple((mesh.faces + 1).ravel().tolist())
+    return (v + f).encode("ascii")
 
 
 def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
-    """Parse v/f records from OBJ bytes or text; returns (vertices, faces)."""
+    """Parse v/f records from OBJ bytes or text; returns (vertices, faces).
+
+    Reads the first three entries of each record (face entries up to any
+    '/'); a kind of record that is absent comes back with shape (0,).
+    """
     if isinstance(data, bytes):
         data = data.decode("ascii")
-    vertices, faces = [], []
-    for line in data.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            vertices.append([float(p) for p in parts[1:4]])
-        elif parts[0] == "f":
-            faces.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
-    return np.asarray(vertices, dtype=float), np.asarray(faces, dtype=np.int64)
+    tokens = {"v": [], "f": []}
+    for parts in map(str.split, data.splitlines()):
+        if parts and parts[0] in tokens:
+            if len(parts) < 4:
+                raise ValueError(f"OBJ record needs 3 entries: {' '.join(parts)!r}")
+            tokens[parts[0]] += parts[1:4]
+    vertices = np.array(tokens["v"], dtype=float)
+    faces = np.array([p.split("/", 1)[0] for p in tokens["f"]], dtype=np.int64) - 1
+    return (vertices.reshape(-1, 3) if vertices.size else vertices,
+            faces.reshape(-1, 3) if faces.size else faces)
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
     """V - E + F with edges counted once; 0 for a closed-seam annulus."""
-    edges = set()
-    for i, j, k in mesh.faces:
-        for a, b in ((i, j), (j, k), (k, i)):
-            edges.add((min(a, b), max(a, b)))
-    return int(mesh.vertices.shape[0]) - len(edges) + int(mesh.faces.shape[0])
+    n_vertices = int(mesh.vertices.shape[0])
+    # sort each edge (a, b) to lo <= hi, then count distinct lo*(V+1)+hi
+    # keys in sorted order (np.unique is far slower at these sizes)
+    edges = np.sort(np.stack([mesh.faces, np.roll(mesh.faces, -1, axis=1)], axis=-1))
+    keys = np.sort((edges[..., 0] * (n_vertices + 1) + edges[..., 1]).ravel())
+    n_edges = keys.size - np.count_nonzero(keys[1:] == keys[:-1])
+    return n_vertices - int(n_edges) + int(mesh.faces.shape[0])
 
 
 def export_profile_csv(curve: ProfileCurve, ts) -> bytes:

@@ -108,15 +108,12 @@ def patch_from_profile(curve: ProfileCurve, x1, x2, min_radius=None) -> GraphPat
 
 def patch_to_csv(patch: GraphPatch) -> bytes:
     """Serialize a patch as RFC-4180 CSV with header x1,x2,u (row-major)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["x1", "x2", "u"])
-    for i, xv in enumerate(patch.x1):
-        for j, yv in enumerate(patch.x2):
-            if patch.mask[i, j]:
-                writer.writerow([repr(float(xv)), repr(float(yv)),
-                                 repr(float(patch.values[i, j]))])
-    return buf.getvalue().encode("utf-8")
+    i, j = np.nonzero(patch.mask)
+    x1 = list(map(repr, np.asarray(patch.x1, dtype=float).tolist()))
+    x2 = list(map(repr, np.asarray(patch.x2, dtype=float).tolist()))
+    u = np.asarray(patch.values, dtype=float)[i, j].tolist()
+    rows = [f"{x1[a]},{x2[b]},{v!r}\r\n" for a, b, v in zip(i.tolist(), j.tolist(), u)]
+    return ("x1,x2,u\r\n" + "".join(rows)).encode("utf-8")
 
 
 def patch_from_csv(data) -> GraphPatch:
@@ -131,19 +128,19 @@ def patch_from_csv(data) -> GraphPatch:
     header = next(reader)
     if [h.strip() for h in header] != ["x1", "x2", "u"]:
         raise ValueError(f"expected header x1,x2,u, got {header}")
-    rows = [(float(x), float(y), float(u)) for x, y, u in reader if x]
-    if not rows:
+    cells = []
+    for x, y, u in reader:
+        if x:
+            cells += (x, y, u)
+    if not cells:
         raise ValueError("empty patch CSV")
-    xs = np.unique([row[0] for row in rows])
-    ys = np.unique([row[1] for row in rows])
+    x, y, u = np.array(cells, dtype=float).reshape(-1, 3).T
+    xs, i = np.unique(x, return_inverse=True)
+    ys, j = np.unique(y, return_inverse=True)
     values = np.zeros((xs.size, ys.size))
     mask = np.zeros((xs.size, ys.size), dtype=bool)
-    ix = {v: i for i, v in enumerate(xs)}
-    iy = {v: j for j, v in enumerate(ys)}
-    for x, y, u in rows:
-        i, j = ix[x], iy[y]
-        values[i, j] = u
-        mask[i, j] = True
+    values[i, j] = u
+    mask[i, j] = True
     return GraphPatch(x1=xs, x2=ys, values=values, mask=mask)
 
 
