@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,11 +65,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Smallest accepted grid sizes (sample_surface needs 2 rings and 3 spokes).
+_MIN_SIZE = {"nt": 2, "ntheta": 3, "samples": 1}
+
+
+def _tolerance(name, value):
+    """``value`` as a finite positive float, else a usage error naming it."""
+    try:
+        tol = float(value)
+    except ValueError:
+        raise _UsageError(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise _UsageError(f"{name} must be finite and positive, got {value!r}")
+    return tol
+
+
+def _check_sizes(**sizes):
+    for name, value in sizes.items():
+        if not isinstance(value, int) or value < _MIN_SIZE[name]:
+            raise _UsageError(
+                f"--{name} must be an integer >= {_MIN_SIZE[name]}, got {value!r}"
+            )
+
+
 def _default_tols():
     env = os.environ.get("LORENTZ_CMC_TOL")
     if env is None:
         return DEFAULT_QUAD_TOL, DEFAULT_ROOT_TOL
-    eps = float(env)
+    eps = _tolerance("LORENTZ_CMC_TOL", env)
     return eps, 10.0 * eps
 
 
@@ -220,8 +244,10 @@ def cmd_solve(args):
     effective = _resolve(args, config, ["r", "R", "a", "b", "H", "quad_tol", "root_tol"])
     _require(args, ["r", "R", "a", "b", "H"])
     _maybe_dump(args, effective)
-    quad_tol = args.quad_tol if args.quad_tol is not None else quad_default
-    root_tol = args.root_tol if args.root_tol is not None else root_default
+    quad_tol = (quad_default if args.quad_tol is None
+                else _tolerance("--quad-tol", args.quad_tol))
+    root_tol = (root_default if args.root_tol is None
+                else _tolerance("--root-tol", args.root_tol))
 
     sol = solve_two_ring(args.r, args.R, args.a, args.b, args.H,
                          root_tol=root_tol, quad_tol=quad_tol)
@@ -333,8 +359,9 @@ def cmd_mesh(args):
     _maybe_dump(args, effective)
     anchor_r = args.anchor_r if args.anchor_r is not None else 1.0
     anchor_a = args.anchor_a if args.anchor_a is not None else 0.0
-    nt = args.nt or 64
-    ntheta = args.ntheta or 64
+    nt = 64 if args.nt is None else args.nt
+    ntheta = 64 if args.ntheta is None else args.ntheta
+    _check_sizes(nt=nt, ntheta=ntheta)
     spacing = args.t_spacing or "uniform"
     curve = profile_curve(SurfaceParams(args.H, args.c), (anchor_r, anchor_a))
     mesh = sample_surface(curve, (args.t0, args.t1), nt, ntheta, spacing=spacing)
@@ -354,6 +381,7 @@ def cmd_figure(args):
     config = load_config(args.config) if args.config else {}
     effective = _resolve(args, config, ["out_dir", "samples", "nt", "ntheta"])
     _maybe_dump(args, effective)
+    _check_sizes(samples=args.samples, nt=args.nt, ntheta=args.ntheta)
     spec = _FIGURES[args.id]
     curve = profile_curve(SurfaceParams(spec["H"], spec["c"]), spec["anchor"])
     t_lo, t_hi = spec["t_range"]

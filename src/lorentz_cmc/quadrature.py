@@ -110,8 +110,11 @@ def integrate(fn, lo, hi, tol=1e-10, max_intervals=10_000):
     unattainable in float64, so the request is floored there.  Raises
     QuadratureFailure if ``max_intervals`` subintervals do not suffice, or
     if every remaining subinterval has collapsed to roundoff width while
-    the error estimate still exceeds the target.
+    the error estimate still exceeds the target.  Raises ValueError unless
+    ``tol`` is finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if lo == hi:
         return 0.0
     sign = 1.0

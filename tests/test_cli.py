@@ -170,6 +170,15 @@ class TestMesh:
         verts, faces = load_obj(out_path.read_bytes())
         assert verts.shape == (96, 3)
 
+    def test_zero_sizes_are_usage_errors(self, tmp_path, capsys):
+        out_path = tmp_path / "m.obj"
+        code, _, err = run(capsys, "mesh", "--H", "1", "--c", "3",
+                           "--t0", "1", "--t1", "4", "--nt", "0",
+                           "--ntheta", "0", "--out", str(out_path))
+        assert code == EXIT_USAGE
+        assert "--nt" in err
+        assert not out_path.exists()
+
 
 class TestFigures:
     def test_figure1_profile_matches_closed_form(self, tmp_path, capsys):
@@ -223,6 +232,12 @@ class TestFigures:
         assert t0 == 0.0
         assert fp0 == -1.0
         assert f0 > 0.0
+
+    def test_zero_rings_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "figure", "4", "--nt", "0",
+                           "--out-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "--nt" in err
 
     def test_figures_deterministic(self, tmp_path, capsys):
         run(capsys, "figure", "1", "--out-dir", str(tmp_path / "a"))
@@ -282,6 +297,22 @@ class TestEnvTolerance:
                            "--quad-tol", "1e-10", "--root-tol", "1e-9")
         assert code == EXIT_OK
         assert last_record(out)["residual"] <= 1e-9
+
+
+    @pytest.mark.parametrize("value", ["nan", "abc", "0", "-1e-6", "inf"])
+    def test_bad_env_tolerance_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LORENTZ_CMC_TOL", value)
+        code, out, err = run(capsys, "solve", "--r", "1", "--R", "2",
+                             "--a", "0", "--b", "0.5", "--H", "1")
+        assert code == EXIT_USAGE
+        assert "LORENTZ_CMC_TOL" in err and out == ""
+
+    @pytest.mark.parametrize("flag", ["--quad-tol", "--root-tol"])
+    def test_nan_tolerance_flag_is_usage_error(self, capsys, flag):
+        code, _, err = run(capsys, "solve", "--r", "1", "--R", "2",
+                           "--a", "0", "--b", "0.5", "--H", "1", flag, "nan")
+        assert code == EXIT_USAGE
+        assert flag in err
 
 
 class TestUsage:

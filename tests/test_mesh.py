@@ -236,6 +236,11 @@ class TestLoadObj:
                                       [7.0, 8.0, 9.25]]
             assert faces.tolist() == [[0, 1, 2], [0, 2, 1]]
 
+    @pytest.mark.parametrize("text", ["v 1 2\n", "v 1 2 3\nf 1 1\n", "f\n"])
+    def test_short_record_rejected(self, text):
+        with pytest.raises(ValueError):
+            load_obj(text)
+
     def test_empty_input(self):
         for data in (b"", "", "# nothing but a comment\n\n"):
             verts, faces = load_obj(data)

@@ -70,3 +70,10 @@ def test_panel_sums_matches_adaptive_on_smooth_segments():
     ref = integrate(fn, 0.2, 1.7, tol=1e-13)
     assert abs(total - ref) < 1e-12
     assert np.all(errs < 1e-10)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # a nan tol used to end refinement after the first pass
+    with pytest.raises(ValueError):
+        integrate(np.exp, 0.0, 1.0, tol=tol)
