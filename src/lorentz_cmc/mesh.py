@@ -133,18 +133,16 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
     Floats are written with shortest round-trip repr, so identical meshes
     serialize to identical bytes.
     """
-    n_vertices, n_faces = len(mesh.vertices), len(mesh.faces)
-    v = ("v %r %r %r\n" * n_vertices) % tuple(mesh.vertices.ravel().tolist())
-    f = ("f %d %d %d\n" * n_faces) % tuple((mesh.faces + 1).ravel().tolist())
+    coords = np.asarray(mesh.vertices, dtype=float).ravel().tolist()
+    indices = (np.asarray(mesh.faces) + 1).ravel().tolist()
+    v = ("v %r %r %r\n" * len(mesh.vertices)) % tuple(coords)
+    f = ("f %d %d %d\n" * len(mesh.faces)) % tuple(indices)
     return (v + f).encode("ascii")
 
 
 def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
-    """Parse v/f records from OBJ bytes or text; returns (vertices, faces).
-
-    Reads the first three entries of each record (face entries up to any
-    '/'); a kind of record that is absent comes back with shape (0,).
-    """
+    """Parse v/f records (first three entries; face entries up to any '/')
+    from OBJ bytes or text; returns (vertices, faces), each (0,) if absent."""
     if isinstance(data, bytes):
         data = data.decode("ascii")
     tokens = {"v": [], "f": []}
