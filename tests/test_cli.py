@@ -298,7 +298,6 @@ class TestEnvTolerance:
         assert code == EXIT_OK
         assert last_record(out)["residual"] <= 1e-9
 
-
     @pytest.mark.parametrize("value", ["nan", "abc", "0", "-1e-6", "inf"])
     def test_bad_env_tolerance_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("LORENTZ_CMC_TOL", value)

@@ -74,6 +74,7 @@ def test_panel_sums_matches_adaptive_on_smooth_segments():
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
 def test_tolerance_must_be_finite_and_positive(tol):
-    # a nan tol used to end refinement after the first pass
+    # with tol = nan, `err > max(tol, floor)` is False and refinement would
+    # stop after the first pass
     with pytest.raises(ValueError):
         integrate(np.exp, 0.0, 1.0, tol=tol)
