@@ -4,7 +4,8 @@ Given circles of radius r at height a and radius R at height b, a spacelike
 rotational CMC surface spanning both exists exactly when |a-b|/(R-r) < 1.
 For each admissible mean curvature H there is then a unique profile, found
 by shooting on the conserved constant c: the outer height f(R; H, c) is
-strictly decreasing in c, so bisection cannot miss.
+strictly decreasing in c, so a search kept inside a sign-change bracket
+cannot miss.
 
 The threshold H0 (the curvature of the hyperbolic cap through both rings)
 organizes the solutions: below it c < 0 and the profile rises monotonically,

@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .bvp import (
     PlateauProblem,
     PlateauSolution,
+    SolveDiagnostics,
     classify,
     solve_c,
     solve_two_ring,
@@ -91,7 +92,8 @@ __all__ = [
     "asymptotic_slope", "asymptotic_slope_estimate",
     "first_integral_residual", "slope_extremum_radius",
     # bvp
-    "PlateauProblem", "PlateauSolution", "threshold_H0", "classify",
+    "PlateauProblem", "PlateauSolution", "SolveDiagnostics", "threshold_H0",
+    "classify",
     "solve_c", "solve_two_ring",
     # flux
     "FluxResult", "flux_closed_form", "flux_numeric",

@@ -4,9 +4,16 @@ For fixed H >= 0 and anchor f(r) = a, the outer height f(R; H, c) is a
 strictly decreasing function of c (the slope formula is strictly decreasing
 in c at every radius) sweeping the open band (a - (R - r), a + (R - r)) as
 c runs from +inf to -inf.  Any admissible target b therefore has exactly
-one root, and sign-safe bisection with geometric bracket expansion finds it
-without any smoothness assumptions.  The map is cheap, so robustness beats
-speed here.
+one root.  Geometric bracket expansion finds a sign change first; a
+safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) then runs
+inside that bracket on the explicit c-sensitivity
+
+    df(R)/dc = -integral_r^R s^2 / (s^2 + (H s^2 - c)^2)^{3/2} ds < 0,
+
+taking the bracket midpoint whenever a Newton step would leave the bracket
+or fails to halve the step before last.  Every iterate shrinks the bracket,
+so the search keeps bisection's guarantee and needs far fewer adaptive
+integrals.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
@@ -19,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     Regime,
@@ -43,6 +52,7 @@ __all__ = [
     "DEFAULT_C_TOL",
     "PlateauProblem",
     "PlateauSolution",
+    "SolveDiagnostics",
     "classify",
     "solve_c",
     "solve_two_ring",
@@ -52,6 +62,11 @@ __all__ = [
 DEFAULT_ROOT_TOL = 1e-9
 DEFAULT_C_TOL = 1e-12
 _BRACKET_LIMIT = 1e15
+# The c-sensitivity only steers Newton (every iterate is checked through g),
+# so it is integrated to a relative tolerance of its last magnitude: a
+# tolerance tied to quad_tol would stall Newton once |c| is large and
+# df/dc is tiny.
+_DG_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,6 +86,30 @@ class PlateauProblem:
             raise ValueError(
                 f"H must be finite and >= 0 (canonicalize first), got {self.H}"
             )
+        for name in ("root_tol", "c_tol", "quad_tol"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+
+
+@dataclass(frozen=True)
+class SolveDiagnostics:
+    """Work done by one ``solve_c`` call.
+
+    ``g_evals`` counts adaptive integrals of the shooting map f(R; H, c)
+    (bracket, iterates, snap check) and ``dg_evals`` those of its
+    c-sensitivity.  ``newton_steps`` and ``bisection_fallbacks`` split the
+    iterates after the bracket by how they were chosen.
+    ``final_bracket_width`` is hi - lo when the search stopped (0.0 when
+    g vanished exactly at an evaluated point).
+    """
+
+    g_evals: int
+    dg_evals: int
+    bracket_expansions: int
+    newton_steps: int
+    bisection_fallbacks: int
+    final_bracket_width: float
 
 
 @dataclass(frozen=True)
@@ -88,6 +127,7 @@ class PlateauSolution:
     regime: Regime
     H0: float
     residual: float
+    diagnostics: SolveDiagnostics
 
 
 def threshold_H0(rings: ValidatedRingPair):
@@ -142,14 +182,47 @@ def _outer_height(H, c, rings, quad_tol):
     return rings.a + val
 
 
+def _outer_sensitivity(H, c, rings, tol):
+    """df(R; H, c)/dc = -integral_r^R s^2 / (s^2 + w^2)^{3/2} ds, w = H s^2 - c.
+
+    For 4 H c >= 1 the integrand is a spike of height 1/s* and width about
+    1/(2H) at s* = sqrt(c/H), narrower than s* itself, which a Kronrod panel
+    can step over without noticing.  There the integral is taken in the
+    slope angle phi = arctan(w/s), monotone in s for c > 0, where it is the
+    smooth -integral cos^2 phi / sqrt(sin^2 phi + 4 H c cos^2 phi) dphi.
+    """
+    if 4.0 * H * c >= 1.0:
+        k = 2.0 * math.sqrt(H * c)
+
+        def fn(phi):
+            cos = np.cos(phi)
+            return -(cos * cos) / np.hypot(np.sin(phi), k * cos)
+
+        lo = math.atan2(H * rings.r * rings.r - c, rings.r)
+        hi = math.atan2(H * rings.R * rings.R - c, rings.R)
+    else:
+
+        def fn(s):
+            w = H * s * s - c
+            h = np.hypot(s, w)
+            q = s / h
+            return -(q * q) / h
+
+        lo, hi = rings.r, rings.R
+    return integrate(fn, lo, hi, tol=tol, max_intervals=DEFAULT_MAX_INTERVALS)
+
+
 def solve_c(problem: PlateauProblem) -> PlateauSolution:
     """Find c with f(R; H, c) = b and package the solved profile.
 
     Descending data (b < a) is solved through the mirror (a, b) ->
-    (-a, -b) and un-reflected via the curve's parity.  Roots with
-    |c| < 1e-10 * max(1, H R^2) are snapped to exactly 0 (the regime split
-    is discontinuous there in floating point) whenever the snapped profile
-    still meets the outer ring within root_tol.
+    (-a, -b) and un-reflected via the curve's parity.  The search stops
+    once f(R) meets b within root_tol and the Newton correction or the
+    bracket is within c_tol * max(1, |c|), or when c cannot move by one
+    more ulp.  Roots with |c| < 1e-10 * max(1, H R^2) are snapped to
+    exactly 0 (the regime split is discontinuous there in floating point)
+    whenever the snapped profile still meets the outer ring within
+    root_tol.  ``diagnostics`` on the result counts the work done.
     """
     rings = problem.rings
     H = problem.H
@@ -157,8 +230,11 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     work = rings if not reflected else ValidatedRingPair(
         r=rings.r, R=rings.R, a=-rings.a, b=-rings.b, slope_bound=rings.slope_bound
     )
+    n_g = n_dg = n_expand = n_newton = n_bisect = 0
 
     def g(c):
+        nonlocal n_g
+        n_g += 1
         return _outer_height(H, c, work, problem.quad_tol) - work.b
 
     # g is strictly decreasing with g(-inf) > 0 > g(+inf); expand until the
@@ -169,37 +245,66 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         lo *= 2.0
         if abs(lo) > _BRACKET_LIMIT:
             raise RootBracketFailure(f"no sign change down to c={lo}")
+        n_expand += 1
         g_lo = g(lo)
     while g_hi > 0.0:
         hi *= 2.0
         if hi > _BRACKET_LIMIT:
             raise RootBracketFailure(f"no sign change up to c={hi}")
+        n_expand += 1
         g_hi = g(hi)
 
     if g_lo == 0.0:
-        c_hat = lo
+        c_hat, g_hat = lo, g_lo
     elif g_hi == 0.0:
-        c_hat = hi
+        c_hat, g_hat = hi, g_hi
     else:
-        while hi - lo > problem.c_tol:
-            mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                break
-            g_mid = g(mid)
-            if g_mid > 0.0:
-                lo = mid
-            elif g_mid < 0.0:
-                hi = mid
+        # start at the false-position point of the bracket, whose secant
+        # also sizes the first sensitivity tolerance
+        dg_scale = (g_lo - g_hi) / (hi - lo)
+        c_hat = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        if not lo < c_hat < hi:
+            c_hat = 0.5 * (lo + hi)
+        g_hat = g(c_hat)
+        step = step_before = hi - lo
+        while True:
+            if g_hat > 0.0:
+                lo = c_hat
+            elif g_hat < 0.0:
+                hi = c_hat
             else:
-                lo = hi = mid
-        c_hat = 0.5 * (lo + hi)
+                break
+            # |c| ~ 1e4 and |df/dc| ~ 1 already make c_tol * |c| worth 1e-8
+            # in f(R), so c_tol only ends the search once root_tol is met
+            c_tol = problem.c_tol * max(1.0, abs(c_hat))
+            met = abs(g_hat) <= problem.root_tol
+            if met and hi - lo <= c_tol:
+                break
+            dg = _outer_sensitivity(H, c_hat, work, _DG_RTOL * dg_scale)
+            n_dg += 1
+            dg_scale = abs(dg)
+            nxt = c_hat - g_hat / dg
+            if nxt == c_hat or (met and abs(nxt - c_hat) <= c_tol):
+                break  # the Newton correction is within tolerance (or an ulp)
+            if lo < nxt < hi and abs(2.0 * (c_hat - nxt)) <= abs(step_before):
+                n_newton += 1
+            else:
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:
+                    break
+                n_bisect += 1
+            step_before, step = step, c_hat - nxt
+            c_hat = nxt
+            g_hat = g(c_hat)
+    width = hi - lo if g_hat != 0.0 else 0.0
 
     snap = 1e-10 * max(1.0, H * work.R * work.R)
     if c_hat != 0.0 and abs(c_hat) < snap:
-        if abs(g(0.0)) <= problem.root_tol:
-            c_hat = 0.0
+        g_zero = g(0.0)
+        if abs(g_zero) <= problem.root_tol:
+            c_hat, g_hat = 0.0, g_zero
 
-    residual = abs(g(c_hat))
+    residual = abs(g_hat)
     if residual > problem.root_tol:
         raise LorentzCMCError(
             f"shooting residual {residual:.3e} exceeds root_tol "
@@ -218,6 +323,14 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         regime=classify_params(curve.params),
         H0=threshold_H0(work),
         residual=residual,
+        diagnostics=SolveDiagnostics(
+            g_evals=n_g,
+            dg_evals=n_dg,
+            bracket_expansions=n_expand,
+            newton_steps=n_newton,
+            bisection_fallbacks=n_bisect,
+            final_bracket_width=width,
+        ),
     )
 
 

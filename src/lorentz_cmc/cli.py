@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bvp import classify, solve_two_ring, threshold_H0
+from .bvp import DEFAULT_ROOT_TOL, classify, solve_two_ring, threshold_H0
 from .core import RingPair, SurfaceParams, validate_rings
 from .errors import (
     DegenerateRadii,
@@ -32,6 +32,7 @@ from .flux import flux_closed_form, flux_numeric
 from .mesh import euler_characteristic, export_obj, export_profile_csv, sample_surface
 from .oracle import mean_curvature_graph, patch_from_csv, patch_from_profile
 from .profile import (
+    DEFAULT_QUAD_TOL,
     profile_curve,
     singularity_report,
     slope_extremum_radius,
@@ -41,9 +42,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_UNSOLVABLE = 2
 EXIT_USAGE = 64
-
-DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_ROOT_TOL = 1e-9
 
 # Bundled demonstration profiles for the `figure` subcommand: a maximal
 # catenoid, a gently rising profile, and a convex dipping profile shown
@@ -67,6 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 # Smallest accepted grid sizes (sample_surface needs 2 rings and 3 spokes).
 _MIN_SIZE = {"nt": 2, "ntheta": 3, "samples": 1}
+
+# `figure` parameters that neither a flag nor --config set take these.
+_FIGURE_DEFAULTS = {"out_dir": ".", "samples": 257, "nt": 64, "ntheta": 64}
 
 
 def _tolerance(name, value):
@@ -125,13 +126,15 @@ def dump_config(values) -> str:
     return "".join(f"{key}={values[key]}\n" for key in sorted(values))
 
 
-def _resolve(args, config, names):
-    """Fill argparse None values from the config file, then report the
-    effective mapping."""
+def _resolve(args, config, names, defaults=None):
+    """Fill argparse None values from the config file, else from
+    ``defaults``, then report the effective mapping."""
+    defaults = defaults or {}
     effective = {}
     for name in names:
         cli_val = getattr(args, name)
-        effective[name] = cli_val if cli_val is not None else config.get(name)
+        effective[name] = (cli_val if cli_val is not None
+                           else config.get(name, defaults.get(name)))
         setattr(args, name, effective[name])
     return effective
 
@@ -228,10 +231,10 @@ def build_parser():
 
     p = sub.add_parser("figure", help="emit a bundled gallery profile + mesh")
     p.add_argument("id", type=int, choices=sorted(_FIGURES))
-    p.add_argument("--out-dir", dest="out_dir", default=".")
-    p.add_argument("--samples", type=int, default=257)
-    p.add_argument("--nt", type=int, default=64)
-    p.add_argument("--ntheta", type=int, default=64)
+    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--samples", type=int)
+    p.add_argument("--nt", type=int)
+    p.add_argument("--ntheta", type=int)
     _add_common(p)
     p.set_defaults(fn=cmd_figure)
 
@@ -379,7 +382,7 @@ def cmd_mesh(args):
 
 def cmd_figure(args):
     config = load_config(args.config) if args.config else {}
-    effective = _resolve(args, config, ["out_dir", "samples", "nt", "ntheta"])
+    effective = _resolve(args, config, list(_FIGURE_DEFAULTS), _FIGURE_DEFAULTS)
     _maybe_dump(args, effective)
     _check_sizes(samples=args.samples, nt=args.nt, ntheta=args.ntheta)
     spec = _FIGURES[args.id]

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (
     OrientationError,
     PlateauProblem,
     Regime,
     RingPair,
+    SurfaceParams,
+    ValidatedRingPair,
+    canonicalize,
     classify,
+    classify_params,
     closed_form_hyperbolic,
     height,
     solve_c,
@@ -16,7 +21,7 @@ from lorentz_cmc import (
     threshold_H0,
     validate_rings,
 )
-from lorentz_cmc.bvp import _outer_height
+from lorentz_cmc.bvp import _outer_height, _outer_sensitivity
 
 
 RINGS = validate_rings(RingPair(r=1.0, R=2.0, a=0.0, b=0.5))
@@ -187,6 +192,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             PlateauProblem(rings=RINGS, H=-1.0)
 
+    @pytest.mark.parametrize("name", ["root_tol", "c_tol", "quad_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-9])
+    def test_problem_rejects_bad_tolerance(self, name, value):
+        # a nan root_tol and c_tol used to return c = 0.5 with residual 0.23
+        with pytest.raises(ValueError, match=name):
+            PlateauProblem(rings=RINGS, H=1.0, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0, **{name: value})
+
 
 class TestShootingMap:
     def test_strictly_decreasing_in_c(self):
@@ -219,3 +233,162 @@ class TestShootingMap:
         star = math.sqrt(sol.c / 2.0)
         assert 1.0 < star < 2.0
         assert height(star, sol.curve) < min(0.0, 0.1)
+
+
+def _bisection_reference(problem):
+    """The bisection shooting loop solve_c used before safeguarded Newton.
+
+    Same bracket expansion and snap-to-zero rule, absolute c_tol, no
+    derivative; returns the canonical (c, regime).
+    """
+    rings, H = problem.rings, problem.H
+    reflected = rings.b < rings.a
+    work = rings if not reflected else ValidatedRingPair(
+        r=rings.r, R=rings.R, a=-rings.a, b=-rings.b, slope_bound=rings.slope_bound
+    )
+
+    def g(c):
+        return _outer_height(H, c, work, problem.quad_tol) - work.b
+
+    lo, hi = -1.0, 1.0
+    g_lo, g_hi = g(lo), g(hi)
+    while g_lo < 0.0:
+        lo *= 2.0
+        g_lo = g(lo)
+    while g_hi > 0.0:
+        hi *= 2.0
+        g_hi = g(hi)
+    if g_lo == 0.0:
+        c_hat = lo
+    elif g_hi == 0.0:
+        c_hat = hi
+    else:
+        while hi - lo > problem.c_tol:
+            mid = 0.5 * (lo + hi)
+            if not (lo < mid < hi):
+                break
+            g_mid = g(mid)
+            if g_mid > 0.0:
+                lo = mid
+            elif g_mid < 0.0:
+                hi = mid
+            else:
+                lo = hi = mid
+        c_hat = 0.5 * (lo + hi)
+    if c_hat != 0.0 and abs(c_hat) < 1e-10 * max(1.0, H * work.R * work.R):
+        if abs(g(0.0)) <= problem.root_tol:
+            c_hat = 0.0
+    params = SurfaceParams(-H, -c_hat) if reflected else SurfaceParams(H, c_hat)
+    canonical, _ = canonicalize(params)
+    return canonical.c, classify_params(canonical)
+
+
+def _reference_ring_pairs(n=60, seed=2005):
+    """Ring pairs over R/r in 1.05..1e3, |b-a|/(R-r) up to 0.99, H = 0,
+    H < H0, H = H0 and H0 < H <= 50, ascending and descending."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        # ten log-spaced strata of R/r, six cases each
+        ratio = 1.05 * (1e3 / 1.05) ** (((i // 6) % 10 + rng.uniform()) / 10)
+        q = 0.99 if i % 20 == 19 else rng.uniform(0.0, 0.99)
+        r = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        R = r * ratio
+        a = rng.uniform(-1.0, 1.0)
+        b = a + q * (R - r)
+        h0 = threshold_H0(validate_rings(RingPair(r=r, R=R, a=a, b=b)))
+        h_class = (i // 2) % 4
+        if h_class == 0:
+            H = 0.0
+        elif h_class == 1:
+            H = h0 * rng.uniform(0.05, 0.95)
+        elif h_class == 2:
+            H = h0
+        else:
+            H = 50.0 if i % 16 == 7 else math.exp(
+                rng.uniform(math.log(1.05 * h0 + 1e-3), math.log(50.0)))
+        if i % 2:
+            a, b = b, a
+        cases.append((r, R, a, b, H))
+    return cases
+
+
+class TestNewtonAgainstBisection:
+    @pytest.mark.parametrize("case", _reference_ring_pairs())
+    def test_same_root_and_regime(self, case):
+        r, R, a, b, H = case
+        problem = PlateauProblem(rings=validate_rings(RingPair(r=r, R=R, a=a, b=b)), H=H)
+        sol = solve_c(problem)
+        c_ref, regime_ref = _bisection_reference(problem)
+        assert abs(sol.c - c_ref) <= 1e-9 * max(1.0, abs(c_ref))
+        assert sol.regime is regime_ref
+
+    def test_large_c_terminates_in_few_integrals(self):
+        # an absolute 1e-12 on c is below one ulp here; the relative rule
+        # stops after a handful of Newton steps
+        problem = PlateauProblem(
+            rings=validate_rings(RingPair(r=1.0, R=50.0, a=0.0, b=0.5)), H=20.0)
+        sol = solve_c(problem)
+        assert sol.c >= 8192.0
+        d = sol.diagnostics
+        assert d.g_evals + d.dg_evals < 30
+        c_ref, regime_ref = _bisection_reference(problem)
+        assert abs(sol.c - c_ref) <= 1e-9 * abs(c_ref)
+        assert sol.regime is regime_ref
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e2, 1e4])
+    def test_scale_covariance(self, scale):
+        # radii, heights and c scale together and H inversely; at large
+        # scale c_tol * |c| alone would leave f(R) off by more than root_tol
+        for H in (0.0, 0.5, 2.0):
+            for q in (0.1, 0.5, 0.9):
+                unit = solve_two_ring(1.0, 2.0, 0.0, q, H)
+                sol = solve_two_ring(scale, 2.0 * scale, 0.0, q * scale, H / scale)
+                assert sol.residual <= 1e-9
+                assert sol.c == pytest.approx(unit.c * scale, rel=1e-6, abs=1e-9 * scale)
+                assert sol.regime is unit.regime
+
+    def test_readme_example_work_counts(self):
+        d = solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0).diagnostics
+        assert d.g_evals + d.dg_evals <= 20
+        assert d.bracket_expansions == 1  # c = 1.16: one doubling to hi = 2
+        assert d.newton_steps + d.bisection_fallbacks <= d.g_evals
+        assert d.final_bracket_width >= 0.0
+
+    def test_exact_root_on_bracket_end_needs_no_search(self):
+        # b = f(R; 0, -1) puts the root on the lower end of the first bracket
+        b = _outer_height(0.0, -1.0, RINGS, 1e-10)
+        sol = solve_two_ring(1.0, 2.0, 0.0, b, 0.0)
+        assert sol.c == -1.0
+        d = sol.diagnostics
+        assert (d.g_evals, d.dg_evals, d.newton_steps, d.final_bracket_width) == (
+            2, 0, 0, 0.0)
+
+
+class TestSensitivity:
+    @pytest.mark.parametrize("H, c, r, R", [
+        (0.0, 3.0, 1.0, 4.0),        # maximal, 4Hc < 1
+        (0.0, -2.0, 0.5, 300.0),
+        (0.7, -1.5, 1.0, 2.0),       # c < 0: no spike
+        (0.2, 1.0, 0.5, 300.0),      # 4Hc < 1: wide hump at sqrt(c/H)
+        (1.0, 3.0, 1.0, 4.0),        # 4Hc >= 1: slope-angle form
+        (50.0, 557268.34, 1.27, 578.8),  # spike of width ~1e-2 at s* ~ 106
+        (50.0, 1e5, 1.0, 1.05),      # s* outside [r, R], tiny derivative
+    ])
+    def test_matches_direct_integral(self, H, c, r, R):
+        rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=0.0))
+        star = math.sqrt(c / H) if H > 0.0 and c > 0.0 else None
+        ref, _ = scipy_quad(
+            lambda s: -s * s / (s * s + (H * s * s - c) ** 2) ** 1.5, r, R,
+            points=[star] if star is not None and r < star < R else None,
+            limit=500, epsabs=0.0, epsrel=1e-12)
+        ours = _outer_sensitivity(H, c, rings, 1e-9 * abs(ref))
+        assert ours < 0.0
+        assert ours == pytest.approx(ref, rel=1e-7)
+
+    def test_is_the_derivative_of_the_outer_height(self):
+        for H, c in ((0.0, 0.4), (0.3, -0.2), (1.0, 1.2)):
+            h = 1e-5
+            fd = (_outer_height(H, c + h, RINGS, 1e-13)
+                  - _outer_height(H, c - h, RINGS, 1e-13)) / (2 * h)
+            assert _outer_sensitivity(H, c, RINGS, 1e-12) == pytest.approx(fd, rel=1e-6)

@@ -275,6 +275,35 @@ class TestConfig:
         eff = load_config(dump)
         assert eff["H"] == 1.0 and eff["R"] == 2.0
 
+    def test_figure_reads_sizes_and_out_dir_from_config(self, tmp_path, capsys):
+        # these four used to keep their argparse defaults over the file
+        cfg = tmp_path / "figure.cfg"
+        out_dir = tmp_path / "from_config"
+        cfg.write_text(f"nt=5\nntheta=7\nsamples=3\nout_dir={out_dir}\n")
+        dump = tmp_path / "eff.cfg"
+        code, _, _ = run(capsys, "figure", "3", "--config", str(cfg),
+                         "--dump-config", str(dump))
+        assert code == EXIT_OK
+        verts, faces = load_obj((out_dir / "figure3_surface.obj").read_bytes())
+        assert verts.shape[0] == 5 * 7 and faces.shape[0] == 2 * 4 * 7
+        rows = (out_dir / "figure3_profile.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 3
+        eff = load_config(dump)
+        assert (eff["nt"], eff["ntheta"], eff["samples"]) == (5, 7, 3)
+        assert eff["out_dir"] == str(out_dir)
+
+    def test_figure_flags_override_config_and_defaults_fill_in(self, tmp_path, capsys):
+        cfg = tmp_path / "figure.cfg"
+        cfg.write_text("nt=5\n")
+        dump = tmp_path / "eff.cfg"
+        code, _, _ = run(capsys, "figure", "3", "--config", str(cfg), "--nt", "6",
+                         "--out-dir", str(tmp_path), "--dump-config", str(dump))
+        assert code == EXIT_OK
+        eff = load_config(dump)
+        assert (eff["nt"], eff["ntheta"], eff["samples"]) == (6, 64, 257)
+        verts, _ = load_obj((tmp_path / "figure3_surface.obj").read_bytes())
+        assert verts.shape[0] == 6 * 64
+
     def test_bad_config_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value pair\n")
