@@ -145,9 +145,11 @@ def threshold_H0(rings: ValidatedRingPair):
         )
     if d == 0.0:
         return 0.0
-    dr = rings.R - rings.r
-    sr = rings.R + rings.r
-    return 2.0 * d / math.sqrt((dr * dr - d * d) * (sr * sr - d * d))
+    # lengths in units of 2**e ~ R: the squares no longer underflow for
+    # rings far below 1, and a power-of-two scale changes no bit elsewhere
+    _, e = math.frexp(rings.R)
+    d, dr, sr = (math.ldexp(x, -e) for x in (d, rings.R - rings.r, rings.R + rings.r))
+    return math.ldexp(2.0 * d / math.sqrt((dr * dr - d * d) * (sr * sr - d * d)), -e)
 
 
 def classify(H, rings: ValidatedRingPair) -> Regime:
@@ -280,10 +282,15 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
             met = abs(g_hat) <= problem.root_tol
             if met and hi - lo <= c_tol:
                 break
-            dg = _outer_sensitivity(H, c_hat, work, _DG_RTOL * dg_scale)
-            n_dg += 1
-            dg_scale = abs(dg)
-            nxt = c_hat - g_hat / dg
+            # at radii far below 1, df/dc or its tolerance underflows to 0;
+            # then nxt is nan, which fails every test below and bisects
+            dg_tol = _DG_RTOL * dg_scale
+            dg = 0.0
+            if 0.0 < dg_tol < math.inf:
+                dg = _outer_sensitivity(H, c_hat, work, dg_tol)
+                n_dg += 1
+                dg_scale = abs(dg)
+            nxt = c_hat - g_hat / dg if dg != 0.0 and math.isfinite(dg) else math.nan
             if nxt == c_hat or (met and abs(nxt - c_hat) <= c_tol):
                 break  # the Newton correction is within tolerance (or an ulp)
             if lo < nxt < hi and abs(2.0 * (c_hat - nxt)) <= abs(step_before):

@@ -33,6 +33,7 @@ from .mesh import euler_characteristic, export_obj, export_profile_csv, sample_s
 from .oracle import mean_curvature_graph, patch_from_csv, patch_from_profile
 from .profile import (
     DEFAULT_QUAD_TOL,
+    asymptotic_slope,
     profile_curve,
     singularity_report,
     slope_extremum_radius,
@@ -271,7 +272,7 @@ def cmd_solve(args):
         "limit_slope": report.limit_slope,
         "singularity": report.kind.value,
         "cone_vertex_height": report.cone_vertex_height,
-        "asymptotic_slope": curve.parity * (1.0 if curve.params.H > 0.0 else 0.0),
+        "asymptotic_slope": curve.parity * asymptotic_slope(curve.params),
         "slope_extremum_radius": star,
     }
     _emit(record, args.human)

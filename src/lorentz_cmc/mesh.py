@@ -15,17 +15,14 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveRadius, SpacelikeViolation
-from .profile import (
-    ProfileCurve,
-    first_integral_residual,
-    heights,
-    singularity_report,
-)
+from ._text import float_reprs
+from .errors import NonPositiveRadius
+from .profile import ProfileCurve, heights, singularity_report
 
 __all__ = [
     "SurfaceMesh",
@@ -133,28 +130,68 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
     Floats are written with shortest round-trip repr, so identical meshes
     serialize to identical bytes.
     """
-    coords = np.asarray(mesh.vertices, dtype=float).ravel().tolist()
+    coords = float_reprs(mesh.vertices).tolist()
     indices = (np.asarray(mesh.faces) + 1).ravel().tolist()
-    v = ("v %r %r %r\n" * len(mesh.vertices)) % tuple(coords)
+    v = ("v %s %s %s\n" * len(mesh.vertices)) % tuple(coords)
     f = ("f %d %d %d\n" * len(mesh.faces)) % tuple(indices)
     return (v + f).encode("ascii")
+
+
+_OBJ_SEPARATORS = np.frombuffer(b" \t\r\n", dtype=np.uint8)
+
+
+def _obj_records(buf, starts, ends, tag):
+    """Text of every ``tag`` record after its tag, one line each, and their count.
+
+    A record is a line whose first byte is ``tag`` and whose second is
+    whitespace.  The lines are gathered with a boolean mask over the bytes:
+    an int64 index per byte would take eight times the size of the file.
+    """
+    tagged = buf[starts] == ord(tag)
+    first, last = starts[tagged], ends[tagged]
+    keep = np.isin(buf[first + 1], _OBJ_SEPARATORS)
+    first, last = first[keep], last[keep]
+    step = np.zeros(buf.size + 1, dtype=np.int8)
+    step[first + 1] = 1
+    step[last + 1] = -1
+    inside = np.cumsum(step[:-1], dtype=np.int8).view(bool)
+    return buf[inside].tobytes(), first.size
+
+
+def _obj_rows(text, count, tag, dtype):
+    """First three entries of each of ``count`` records, (count, 3), or (0,) if none."""
+    if count == 0:
+        return np.zeros(0, dtype=dtype)
+    # loadtxt skips a record with no entries (and warns if all are empty),
+    # so look for an entry first and count the rows after
+    if re.search(rb"(?m)^[ \t\r]*[^#\s]", text):
+        try:
+            rows = np.loadtxt(io.BytesIO(text), dtype=dtype, usecols=(0, 1, 2), ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"bad OBJ {tag} record: {exc}") from None
+        if rows.shape[0] == count:
+            return rows
+    raise ValueError(f"OBJ {tag} record needs 3 entries")
 
 
 def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
     """Parse v/f records (first three entries; face entries up to any '/')
     from OBJ bytes or text; returns (vertices, faces), each (0,) if absent."""
-    if isinstance(data, bytes):
-        data = data.decode("ascii")
-    tokens = {"v": [], "f": []}
-    for parts in map(str.split, data.splitlines()):
-        if parts and parts[0] in tokens:
-            if len(parts) < 4:
-                raise ValueError(f"OBJ record needs 3 entries: {' '.join(parts)!r}")
-            tokens[parts[0]] += parts[1:4]
-    vertices = np.array(tokens["v"], dtype=float)
-    faces = np.array([p.split("/", 1)[0] for p in tokens["f"]], dtype=np.int64) - 1
-    return (vertices.reshape(-1, 3) if vertices.size else vertices,
-            faces.reshape(-1, 3) if faces.size else faces)
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    if not data.endswith(b"\n"):
+        data = data + b"\n"
+    if data[:1] in (b" ", b"\t") or b"\n " in data or b"\n\t" in data:
+        data = re.sub(rb"(?m)^[ \t]+", b"", data)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    v_text, n_v = _obj_records(buf, starts, ends, "v")
+    f_text, n_f = _obj_records(buf, starts, ends, "f")
+    if b"/" in f_text:
+        f_text = re.sub(rb"/\S*", b"", f_text)
+    return (_obj_rows(v_text, n_v, "v", np.float64),
+            _obj_rows(f_text, n_f, "f", np.int64) - 1)
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
@@ -173,30 +210,29 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
 
     A sample at t = 0 is written with the limiting values from the
     singularity report (axis height, limiting slope, zero residual); all
-    other samples must be positive.  So close to a conical point that the
-    residual cannot be finite-differenced in float64, its column is nan.
+    other samples must be positive.  The residual is that of
+    ``first_integral_residual`` at the step min(1e-5 max(1, t), t/2), with
+    the heights at t +- step from one ``heights`` call; so close to a
+    conical point that the differenced slope reaches |f'| >= 1, it is nan.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
         raise NonPositiveRadius("profile samples must satisfy t >= 0")
     pos = ts > 0.0
-    hs = np.empty(ts.shape)
-    hs[pos] = heights(curve, ts[pos])
-    sl = np.empty(ts.shape)
-    sl[pos] = curve.slopes(ts[pos])
-    report = singularity_report(curve) if np.any(~pos) else None
-    out = io.StringIO()
-    out.write("t,f,f_prime,first_integral_residual\r\n")
-    for i, t in enumerate(ts):
-        if t == 0.0:
-            row = (0.0, report.cone_vertex_height, report.limit_slope, 0.0)
-        else:
-            # clamp the differencing step so rows near the axis stay valid
-            step = min(1e-5 * max(1.0, float(t)), 0.5 * float(t))
-            try:
-                residual = first_integral_residual(t, curve, fd_step=step)
-            except SpacelikeViolation:
-                residual = math.nan
-            row = (t, hs[i], sl[i], residual)
-        out.write(",".join(repr(float(v)) for v in row) + "\r\n")
-    return out.getvalue().encode("ascii")
+    t = ts[pos]
+    hs = heights(curve, t)
+    # clamp the differencing step so rows near the axis stay valid
+    step = np.minimum(1e-5 * np.maximum(1.0, t), 0.5 * t)
+    near = heights(curve, np.concatenate([t + step, t - step]))
+    s = (near[:t.size] - near[t.size:]) / (2.0 * step)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        residual = (curve.mean_curvature * t * t - t * s / np.sqrt(1.0 - s * s)
+                    - curve.first_integral)
+    residual[~(np.abs(s) < 1.0)] = math.nan
+    table = np.empty((ts.size, 4))
+    table[pos] = np.column_stack([t, hs, curve.slopes(t), residual])
+    if not np.all(pos):
+        report = singularity_report(curve)
+        table[~pos] = (0.0, report.cone_vertex_height, report.limit_slope, 0.0)
+    rows = ("%s,%s,%s,%s\r\n" * ts.size) % tuple(float_reprs(table).tolist())
+    return ("t,f,f_prime,first_integral_residual\r\n" + rows).encode("ascii")

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import float_reprs
 from .errors import NonPositiveRadius, NotMonotone, SpacelikeViolation
 from .profile import ProfileCurve, heights, slope_extremum_radius
 
@@ -109,11 +110,10 @@ def patch_from_profile(curve: ProfileCurve, x1, x2, min_radius=None) -> GraphPat
 def patch_to_csv(patch: GraphPatch) -> bytes:
     """Serialize a patch as RFC-4180 CSV with header x1,x2,u (row-major)."""
     i, j = np.nonzero(patch.mask)
-    x1 = list(map(repr, np.asarray(patch.x1, dtype=float).tolist()))
-    x2 = list(map(repr, np.asarray(patch.x2, dtype=float).tolist()))
-    u = np.asarray(patch.values, dtype=float)[i, j].tolist()
-    rows = [f"{x1[a]},{x2[b]},{v!r}\r\n" for a, b, v in zip(i.tolist(), j.tolist(), u)]
-    return ("x1,x2,u\r\n" + "".join(rows)).encode("utf-8")
+    cells = np.stack([float_reprs(patch.x1)[i], float_reprs(patch.x2)[j],
+                      float_reprs(np.asarray(patch.values, dtype=float)[i, j])], axis=1)
+    rows = ("%s,%s,%s\r\n" * i.size) % tuple(cells.ravel().tolist())
+    return ("x1,x2,u\r\n" + rows).encode("utf-8")
 
 
 def patch_from_csv(data) -> GraphPatch:
@@ -122,19 +122,19 @@ def patch_from_csv(data) -> GraphPatch:
     The lattice is reconstructed from the distinct coordinate values; rows
     may cover only part of it, in which case missing points are masked.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    reader = csv.reader(io.StringIO(data))
-    header = next(reader)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    head, _, body = data.partition(b"\n")
+    header = next(csv.reader([head.decode("utf-8")]), [])
     if [h.strip() for h in header] != ["x1", "x2", "u"]:
         raise ValueError(f"expected header x1,x2,u, got {header}")
-    cells = []
-    for x, y, u in reader:
-        if x:
-            cells += (x, y, u)
-    if not cells:
+    if not body or body.isspace():
         raise ValueError("empty patch CSV")
-    x, y, u = np.array(cells, dtype=float).reshape(-1, 3).T
+    cells = np.loadtxt(io.BytesIO(body), delimiter=",", quotechar='"', comments=None,
+                       ndmin=2)
+    if cells.shape[1] != 3:
+        raise ValueError(f"patch CSV rows need 3 fields, got {cells.shape[1]}")
+    x, y, u = cells.T
     xs, i = np.unique(x, return_inverse=True)
     ys, j = np.unique(y, return_inverse=True)
     values = np.zeros((xs.size, ys.size))

@@ -100,6 +100,13 @@ class ProfileCurve:
     quad_tol: float = DEFAULT_QUAD_TOL
     max_intervals: int = DEFAULT_MAX_INTERVALS
 
+    def __post_init__(self):
+        if not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
+            raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol!r}")
+        n = self.max_intervals
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_intervals must be an integer >= 1, got {n!r}")
+
     @property
     def mean_curvature(self):
         """H in the curve's own (as-built) orientation."""
@@ -329,7 +336,11 @@ def singularity_report(curve: ProfileCurve) -> SingularityReport:
         vertex = curve.parity * v_can
     elif curve.regime is Regime.MAXIMAL_CATENOID:
         a_can = curve.parity * curve.anchor_height
-        v_can = a_can + p.c * math.asinh(curve.anchor_radius / abs(p.c))
+        r, x = curve.anchor_radius, curve.anchor_radius / abs(p.c)
+        # r/|c| overflows for subnormal c; asinh(x) = log(2x) to float64 there
+        asinh = math.asinh(x) if math.isfinite(x) else \
+            math.log(2.0) + math.log(r) - math.log(abs(p.c))
+        v_can = a_can + p.c * asinh
         vertex = curve.parity * v_can
     else:
         down = integrate(

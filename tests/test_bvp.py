@@ -32,6 +32,12 @@ class TestThreshold:
     def test_reference_value(self):
         assert threshold_H0(RINGS) == pytest.approx(H0_RINGS, abs=1e-15)
 
+    def test_tiny_rings_do_not_underflow(self):
+        # the squared lengths underflowed to 0 below about 1e-108
+        unit = threshold_H0(validate_rings(RingPair(r=1.0, R=2.0, a=0.0, b=0.5)))
+        tiny = threshold_H0(validate_rings(RingPair(r=1e-110, R=2e-110, a=0.0, b=5e-111)))
+        assert tiny == pytest.approx(unit * 1e110, rel=1e-14)
+
     def test_zero_iff_flat(self):
         flat = validate_rings(RingPair(r=1.0, R=2.0, a=0.3, b=0.3))
         assert threshold_H0(flat) == 0.0
@@ -354,6 +360,17 @@ class TestNewtonAgainstBisection:
         assert d.bracket_expansions == 1  # c = 1.16: one doubling to hi = 2
         assert d.newton_steps + d.bisection_fallbacks <= d.g_evals
         assert d.final_bracket_width >= 0.0
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-30, 1e-50])
+    @pytest.mark.parametrize("H", [0.0, 1.0])
+    def test_tiny_radii_bisect_when_the_sensitivity_underflows(self, scale, H):
+        # df/dc underflows to 0 here; Newton divided by it
+        problem = PlateauProblem(
+            rings=validate_rings(RingPair(r=scale, R=2.0 * scale, a=0.0, b=0.5 * scale)),
+            H=H)
+        sol = solve_c(problem)
+        assert (sol.c, sol.regime) == _bisection_reference(problem)
+        assert sol.residual <= problem.root_tol
 
     def test_exact_root_on_bracket_end_needs_no_search(self):
         # b = f(R; 0, -1) puts the root on the lower end of the first bracket

@@ -64,6 +64,17 @@ class TestSolve:
         assert rec["c"] == 0.0
         assert rec["flux"] == 0.0
 
+    @pytest.mark.parametrize("a,b,H,text", [
+        ("0", "0.5", "1", '"asymptotic_slope": 1.0, "b": 0.5,'),
+        ("0.5", "0", "1", '"asymptotic_slope": -1.0, "b": 0.0,'),
+        ("0.5", "0", "0", '"asymptotic_slope": 0.0, "b": 0.0,'),
+    ])
+    def test_asymptotic_slope_in_oriented_record(self, capsys, a, b, H, text):
+        code, out, _ = run(capsys, "solve", "--r", "1", "--R", "2",
+                           "--a", a, "--b", b, "--H", H)
+        assert code == EXIT_OK
+        assert text in out
+
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "--r", "1", "--R", "2")
         assert code == EXIT_USAGE

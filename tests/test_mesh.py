@@ -1,16 +1,22 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+import lorentz_cmc.mesh as mesh_module
+import lorentz_cmc.profile as profile_module
 from lorentz_cmc import (
     NonPositiveRadius,
     SurfaceMesh,
+    SpacelikeViolation,
     SurfaceParams,
     closed_form_maximal,
     euler_characteristic,
     export_obj,
     export_profile_csv,
+    first_integral_residual,
+    heights,
     load_obj,
     profile_curve,
     sample_surface,
@@ -245,3 +251,170 @@ class TestLoadObj:
         for data in (b"", "", "# nothing but a comment\n\n"):
             verts, faces = load_obj(data)
             assert verts.shape == (0,) and faces.shape == (0,)
+
+
+def reference_export_obj(mesh):
+    """The writer export_obj replaced: one repr per coordinate."""
+    coords = np.asarray(mesh.vertices, dtype=float).ravel().tolist()
+    indices = (np.asarray(mesh.faces) + 1).ravel().tolist()
+    v = ("v %r %r %r\n" * len(mesh.vertices)) % tuple(coords)
+    f = ("f %d %d %d\n" * len(mesh.faces)) % tuple(indices)
+    return (v + f).encode("ascii")
+
+
+def reference_load_obj(data):
+    """The reader load_obj replaced: str.split and one float/int per token."""
+    if isinstance(data, bytes):
+        data = data.decode("ascii")
+    tokens = {"v": [], "f": []}
+    for parts in map(str.split, data.splitlines()):
+        if parts and parts[0] in tokens:
+            if len(parts) < 4:
+                raise ValueError(f"OBJ record needs 3 entries: {' '.join(parts)!r}")
+            tokens[parts[0]] += parts[1:4]
+    vertices = np.array(tokens["v"], dtype=float)
+    faces = np.array([p.split("/", 1)[0] for p in tokens["f"]], dtype=np.int64) - 1
+    return (vertices.reshape(-1, 3) if vertices.size else vertices,
+            faces.reshape(-1, 3) if faces.size else faces)
+
+
+def reference_profile_csv(curve, ts):
+    """The profile CSV writer before the residual column came from one
+    heights call: two scalar adaptive height integrals per row."""
+    ts = np.asarray(ts, dtype=float)
+    pos = ts > 0.0
+    hs = np.empty(ts.shape)
+    hs[pos] = heights(curve, ts[pos])
+    sl = np.empty(ts.shape)
+    sl[pos] = curve.slopes(ts[pos])
+    report = singularity_report(curve) if np.any(~pos) else None
+    out = io.StringIO()
+    out.write("t,f,f_prime,first_integral_residual\r\n")
+    for i, t in enumerate(ts):
+        if t == 0.0:
+            row = (0.0, report.cone_vertex_height, report.limit_slope, 0.0)
+        else:
+            step = min(1e-5 * max(1.0, float(t)), 0.5 * float(t))
+            try:
+                residual = first_integral_residual(t, curve, fd_step=step)
+            except SpacelikeViolation:
+                residual = math.nan
+            row = (t, hs[i], sl[i], residual)
+        out.write(",".join(repr(float(v)) for v in row) + "\r\n")
+    return out.getvalue().encode("ascii")
+
+
+def bits(a):
+    """int64 view, so that nan == nan and -0.0 != 0.0 under array_equal."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1.7976931348623157e308,
+           0.1, 1.0 / 3.0, -2.5, 1e22, 123456789.0]
+
+
+class TestSerialisersAgainstReference:
+    def test_special_values_through_obj(self):
+        rng = np.random.default_rng(3)
+        vertices = rng.choice(np.array(SPECIAL), size=(40, 3))
+        faces = rng.integers(0, 40, size=(25, 3))
+        mesh = SurfaceMesh(vertices=vertices, faces=faces, ring_radii=np.zeros(0), n_theta=3)
+        data = export_obj(mesh)
+        assert data == reference_export_obj(mesh)
+        verts, faces_back = load_obj(data)
+        ref_verts, ref_faces = reference_load_obj(data)
+        assert np.array_equal(bits(verts), bits(vertices))
+        assert np.array_equal(bits(verts), bits(ref_verts))
+        assert np.array_equal(faces_back, faces) and np.array_equal(faces_back, ref_faces)
+
+    @pytest.mark.parametrize("t_range,spacing", [((0.0, 4.0), "uniform"),
+                                                 ((0.5, 4.0), "log")])
+    def test_sampled_mesh_bytes_and_arrays_match_reference(self, t_range, spacing):
+        mesh = sample_surface(curve_of(1.0, 3.0), t_range, 17, 23, spacing=spacing)
+        data = export_obj(mesh)
+        assert data == reference_export_obj(mesh)
+        for got, want in zip(load_obj(data), reference_load_obj(data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_integer_vertices_are_written_as_floats(self):
+        mesh = SurfaceMesh(vertices=np.array([[0, 1, 2], [3, -4, 5]]),
+                           faces=np.array([[0, 1, 1]]), ring_radii=np.zeros(0), n_theta=3)
+        assert export_obj(mesh) == reference_export_obj(mesh) == \
+            b"v 0.0 1.0 2.0\nv 3.0 -4.0 5.0\nf 1 2 2\n"
+
+    @pytest.mark.parametrize("text", [
+        "v 1 2 3\n",  # a single record
+        "v 1 2 3\nv 4 5 6\nf 1 2 1",  # no final newline
+        "v 1 2 3",  # one line, no newline
+        "  v 1 2 3\n\tv 4 5 6\n f 1 2 1\n",  # indented records
+        "v 1 2 3 0.5\nv 4 5 6 # weight dropped, comment ignored\nf 1 2 1 2\n",
+        "vt 0 0\nvn 0 0 1\nv 1 2 3\nf 1 1 1\nv 7 8 9\nf 2/1 1/1/1 2//1\n",  # interleaved
+        "o name\ng group\ns 1\nusemtl m\nv nan -inf inf\nv -0.0 0.0 -0.0\n",
+        "# only comments\n#v 1 2 3\n",
+        "v 1 2 3\r\nf 1 1 1\r",  # CR before the end of data
+    ])
+    def test_parses_like_reference(self, text):
+        for data in (text, text.encode("ascii")):
+            got = load_obj(data)
+            want = reference_load_obj(data)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(bits(g) if g.dtype == float else g,
+                                      bits(w) if w.dtype == float else w)
+
+    @pytest.mark.parametrize("text", ["v\n", "v 1 2 3\nv\n", "v 1 2 3\nf\n",
+                                      "v # comment only\n", "v 1 2 #3\n", "f 1 2\n",
+                                      "v 1 x 3\n", "f 1.5 2 3\n"])
+    def test_malformed_records_rejected_like_reference(self, text):
+        with pytest.raises(ValueError):
+            reference_load_obj(text)
+        with pytest.raises(ValueError):
+            load_obj(text)
+
+
+FIGURE_CURVES = [((0.0, 3.0), (0.0, 7.0)), ((0.1, -0.25), (0.0, 4.0)),
+                 ((1.0, 3.0), (1.0, 4.0)), ((1.0, 3.0), (0.0, 4.0))]
+
+
+class TestProfileCsvResidualColumn:
+    @pytest.mark.parametrize("params,t_range", FIGURE_CURVES)
+    def test_matches_per_row_reference(self, params, t_range):
+        curve = curve_of(*params)
+        ts = np.linspace(*t_range, 257)
+        rows = [r.split(",") for r in export_profile_csv(curve, ts).decode().splitlines()]
+        ref = [r.split(",") for r in reference_profile_csv(curve, ts).decode().splitlines()]
+        assert rows[0] == ref[0] and len(rows) == len(ref)
+        # t, f and f_prime keep their bytes; the residual moves within the
+        # acceptance bound and is nan in exactly the same rows
+        assert [r[:3] for r in rows] == [r[:3] for r in ref]
+        got = np.array([float(r[3]) for r in rows[1:]])
+        want = np.array([float(r[3]) for r in ref[1:]])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got)) < 1e-5
+        assert np.nanmax(np.abs(got - want)) < 1e-5
+
+    def test_one_heights_call_for_the_residual_and_no_scalar_height(self, monkeypatch):
+        calls = {"heights": [], "height": 0, "residual": 0}
+
+        def counting_heights(curve, ts, method="auto"):
+            calls["heights"].append(np.size(ts))
+            return heights(curve, ts, method=method)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(mesh_module, "heights", counting_heights)
+        monkeypatch.setattr(profile_module, "height",
+                            counting("height", profile_module.height))
+        monkeypatch.setattr(profile_module, "first_integral_residual",
+                            counting("residual", profile_module.first_integral_residual))
+        ts = np.linspace(0.0, 4.0, 257)
+        export_profile_csv(curve_of(1.0, 3.0), ts)
+        # one call on the 256 positive samples for the f column (its own call,
+        # so that its bytes do not move), one on the t +- step grid for the
+        # residual column
+        assert calls["heights"] == [256, 2 * 256]
+        assert calls["height"] == 0 and calls["residual"] == 0

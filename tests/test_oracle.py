@@ -1,9 +1,12 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
 from lorentz_cmc import (
+    GraphPatch,
     NotMonotone,
     SpacelikeViolation,
     SurfaceParams,
@@ -113,6 +116,104 @@ class TestPatchCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             patch_from_csv(b"a,b,c\r\n1,2,3\r\n")
+
+
+def reference_patch_to_csv(patch):
+    """The writer patch_to_csv replaced: one repr per value, one f-string per row."""
+    i, j = np.nonzero(patch.mask)
+    x1 = list(map(repr, np.asarray(patch.x1, dtype=float).tolist()))
+    x2 = list(map(repr, np.asarray(patch.x2, dtype=float).tolist()))
+    u = np.asarray(patch.values, dtype=float)[i, j].tolist()
+    rows = [f"{x1[a]},{x2[b]},{v!r}\r\n" for a, b, v in zip(i.tolist(), j.tolist(), u)]
+    return ("x1,x2,u\r\n" + "".join(rows)).encode("utf-8")
+
+
+def reference_patch_from_csv(data):
+    """The reader patch_from_csv replaced: csv.reader and one float per cell."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    reader = csv.reader(io.StringIO(data))
+    header = next(reader)
+    if [h.strip() for h in header] != ["x1", "x2", "u"]:
+        raise ValueError(f"expected header x1,x2,u, got {header}")
+    cells = []
+    for x, y, u in reader:
+        if x:
+            cells += (x, y, u)
+    if not cells:
+        raise ValueError("empty patch CSV")
+    x, y, u = np.array(cells, dtype=float).reshape(-1, 3).T
+    xs, i = np.unique(x, return_inverse=True)
+    ys, j = np.unique(y, return_inverse=True)
+    values = np.zeros((xs.size, ys.size))
+    mask = np.zeros((xs.size, ys.size), dtype=bool)
+    values[i, j] = u
+    mask[i, j] = True
+    return GraphPatch(x1=xs, x2=ys, values=values, mask=mask)
+
+
+def bits(a):
+    """int64 view, so that nan == nan and -0.0 != 0.0 under array_equal."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def assert_same_patch(got, want):
+    assert np.array_equal(bits(got.x1), bits(want.x1))
+    assert np.array_equal(bits(got.x2), bits(want.x2))
+    assert np.array_equal(bits(got.values), bits(want.values))
+    assert np.array_equal(got.mask, want.mask)
+
+
+class TestPatchCsvAgainstReference:
+    def test_special_values_round_trip_exactly(self):
+        x1 = np.array([-1.0, -0.0, 0.5, 1e300])
+        x2 = np.array([-2.5, -0.0, 3.0])
+        values = np.array([[-0.0, np.nan, np.inf],
+                           [-np.inf, 0.0, 1e-310],
+                           [5e-324, -1.7976931348623157e308, 0.1],
+                           [1.0 / 3.0, -0.0, np.nan]])
+        mask = np.ones(values.shape, dtype=bool)
+        mask[1, 2] = False
+        patch = GraphPatch(x1=x1, x2=x2, values=values, mask=mask)
+        data = patch_to_csv(patch)
+        assert data == reference_patch_to_csv(patch)
+        again = patch_from_csv(data)
+        assert_same_patch(again, reference_patch_from_csv(data))
+        assert np.array_equal(bits(again.x1), bits(x1))
+        assert np.array_equal(bits(again.values[mask]), bits(values[mask]))
+
+    def test_profile_patch_bytes_and_values_match_reference(self):
+        curve = curve_of(1.0, 3.0)
+        xs = np.linspace(0.5, 2.5, 41)
+        patch = patch_from_profile(curve, xs, xs - 1.5, min_radius=1.0)
+        data = patch_to_csv(patch)
+        assert data == reference_patch_to_csv(patch)
+        assert_same_patch(patch_from_csv(data), reference_patch_from_csv(data))
+
+    @pytest.mark.parametrize("data", [
+        b'x1,x2,u\r\n"1.5",-2.0,"3.25"\r\n0.5,"-2.0",4.0\r\n',  # quoted fields
+        b'"x1","x2","u"\r\n1.0,2.0,3.0\r\n',  # quoted header
+        b"x1,x2,u\r\n1.0,2.0,3.0\r\n",  # a single row
+        b"x1,x2,u\r\n1.0,2.0,3.0\r\n1.0,3.0,-0.0",  # no final newline
+        b"x1,x2,u\n1.0,2.0,3.0\n2.0,2.0,nan\n",  # LF line ends
+        "x1,x2,u\r\n1.0,2.0,inf\r\n2.0,3.0,-inf\r\n",  # text input
+    ])
+    def test_parses_like_reference(self, data):
+        assert_same_patch(patch_from_csv(data), reference_patch_from_csv(data))
+
+    @pytest.mark.parametrize("data", [
+        b"x1,x2,u\r\n",  # no rows
+        b"x1,x2,u\r\n1.0,2.0\r\n",  # short row
+        b"x1,x2,u\r\n1.0,2.0,3.0,4.0\r\n",  # long row
+        b"x1,x2,u\r\n1.0,2.0,3.0\r\n1.0,2.0\r\n",  # ragged rows
+        b"x1,x2,u\r\n1.0,abc,3.0\r\n",  # not a number
+        b"x1,x2\r\n1.0,2.0\r\n",  # short header
+    ])
+    def test_malformed_rejected_like_reference(self, data):
+        with pytest.raises(ValueError):
+            reference_patch_from_csv(data)
+        with pytest.raises(ValueError):
+            patch_from_csv(data)
 
 
 class TestRotationalOracle:

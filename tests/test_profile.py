@@ -233,6 +233,12 @@ class TestSingularity:
         rep = singularity_report(profile_curve(params, (1.0, 0.0)))
         assert math.isfinite(rep.cone_vertex_height)
 
+    def test_vertex_finite_for_subnormal_c(self):
+        # r/|c| overflowed to inf and made the axis height inf
+        rep = singularity_report(profile_curve(SurfaceParams(0.0, 2.225073858507203e-309),
+                                               (1.0, 0.0)))
+        assert rep.cone_vertex_height == pytest.approx(0.0, abs=1e-300)
+
     def test_mirrored_curve_swaps_cone_kind(self):
         rep = singularity_report(curve_of(-1.0, -3.0))
         assert rep.kind is SingularityKind.CONICAL_UPPER
@@ -307,6 +313,18 @@ class TestCurveApi:
     def test_anchor_radius_must_be_positive(self):
         with pytest.raises(NonPositiveRadius):
             curve_of(1.0, 0.0, r=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_quad_tol_rejected(self, value):
+        # a nan quad_tol never triggered refinement: heights at t = 50 came
+        # out 0.1146 off without an error
+        with pytest.raises(ValueError, match="quad_tol"):
+            curve_of(1.0, 3.0, quad_tol=value)
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    def test_bad_max_intervals_rejected(self, value):
+        with pytest.raises(ValueError, match="max_intervals"):
+            curve_of(1.0, 3.0, max_intervals=value)
 
     def test_slopes_match_slope(self):
         curve = curve_of(1.0, 3.0)
