@@ -4,8 +4,10 @@ Output is one JSON object per line (machine-readable, sorted keys) unless
 --human is given.  Exit codes: 0 success, 2 boundary data rejected
 (DegenerateRadii / NotSpacelikeSolvable), 1 any other error, 64 usage
 errors.  Each subcommand accepts --config FILE with key=value lines
-(flags override the file) and --dump-config FILE to record the effective
-parameters; the environment variable LORENTZ_CMC_TOL=EPS sets the default
+(flags override the file; a key no subcommand knows is a usage error) and
+--dump-config FILE to record the effective parameters, defaults included.
+A value is converted by its parameter's type whether it comes from a flag
+or the file.  The environment variable LORENTZ_CMC_TOL=EPS sets the default
 quadrature tolerance to EPS and the shooting residual tolerance to 10*EPS.
 """
 
@@ -23,11 +25,7 @@ import numpy as np
 from . import __version__
 from .bvp import DEFAULT_ROOT_TOL, classify, solve_two_ring, threshold_H0
 from .core import RingPair, SurfaceParams, validate_rings
-from .errors import (
-    DegenerateRadii,
-    LorentzCMCError,
-    NotSpacelikeSolvable,
-)
+from .errors import DegenerateRadii, NotSpacelikeSolvable
 from .flux import flux_closed_form, flux_numeric
 from .mesh import euler_characteristic, export_obj, export_profile_csv, sample_surface
 from .oracle import mean_curvature_graph, patch_from_csv, patch_from_profile
@@ -64,43 +62,62 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Smallest accepted grid sizes (sample_surface needs 2 rings and 3 spokes).
-_MIN_SIZE = {"nt": 2, "ntheta": 3, "samples": 1}
-
-# `figure` parameters that neither a flag nor --config set take these.
-_FIGURE_DEFAULTS = {"out_dir": ".", "samples": 257, "nt": 64, "ntheta": 64}
-
-
-def _tolerance(name, value):
-    """``value`` as a finite positive float, else a usage error naming it."""
+def _number(text):
     try:
-        tol = float(value)
+        return float(text)
     except ValueError:
-        raise _UsageError(f"{name} must be a number, got {value!r}") from None
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise _UsageError(f"{name} must be finite and positive, got {value!r}")
-    return tol
+        raise ValueError("must be a number") from None
 
 
-def _check_sizes(**sizes):
-    for name, value in sizes.items():
-        if not isinstance(value, int) or value < _MIN_SIZE[name]:
-            raise _UsageError(
-                f"--{name} must be an integer >= {_MIN_SIZE[name]}, got {value!r}"
-            )
+def _positive(text):
+    value = _number(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("must be finite and positive")
+    return value
 
 
-def _default_tols():
+def _count(minimum):
+    """Converter to an integer >= ``minimum``."""
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}")
+        return value
+    return convert
+
+
+def _choice(*options):
+    def convert(text):
+        if text not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return text
+    return convert
+
+
+def _convert(name, convert, text):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise _UsageError(f"{name} {exc}, got {text!r}") from None
+
+
+def _env_tol(scale, default):
+    """``scale`` * LORENTZ_CMC_TOL if that is set, else ``default``."""
     env = os.environ.get("LORENTZ_CMC_TOL")
     if env is None:
-        return DEFAULT_QUAD_TOL, DEFAULT_ROOT_TOL
-    eps = _tolerance("LORENTZ_CMC_TOL", env)
-    return eps, 10.0 * eps
+        return default
+    return scale * _convert("LORENTZ_CMC_TOL", _positive, env)
 
 
-def load_config(path):
-    """Parse a key=value config file (''#'' comments, blank lines ok)."""
-    out = {}
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _config_items(path):
+    """(key, text) for each key=value line ('#' comments, blank lines ok)."""
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,8 +125,12 @@ def load_config(path):
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = _parse_value(value)
-    return out
+        yield key, value
+
+
+def load_config(path):
+    """Parse a key=value config file, reading each value as int, float or str."""
+    return {key: _parse_value(text) for key, text in _config_items(path)}
 
 
 def _parse_value(text):
@@ -127,27 +148,33 @@ def dump_config(values) -> str:
     return "".join(f"{key}={values[key]}\n" for key in sorted(values))
 
 
-def _resolve(args, config, names, defaults=None):
-    """Fill argparse None values from the config file, else from
-    ``defaults``, then report the effective mapping."""
-    defaults = defaults or {}
-    effective = {}
-    for name in names:
-        cli_val = getattr(args, name)
-        effective[name] = (cli_val if cli_val is not None
-                           else config.get(name, defaults.get(name)))
-        setattr(args, name, effective[name])
-    return effective
-
-
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n) is None]
+def _resolve(args):
+    """Effective parameters of ``args.command``: the flag, else the --config
+    value, else the default; flag and config text go through one converter."""
+    config = dict(_config_items(args.config)) if args.config else {}
+    unknown = sorted(set(config) - _KNOWN)
+    if unknown:
+        raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
+    _, _, table = _COMMANDS[args.command]
+    params, missing = {}, []
+    for name, convert, default, *_ in table:
+        if callable(default):
+            default = default()
+        text = getattr(args, name)
+        if text is None:
+            text = config.get(name)
+        if text is not None:
+            params[name] = _convert(_flag(name), convert, text)
+        elif default is _REQUIRED:
+            missing.append(name)
+        else:
+            params[name] = default
     if missing:
         raise _UsageError(f"missing required parameters: {', '.join(missing)}")
+    return params
 
 
 def _emit(record, human=False, stream=None):
-    stream = stream or sys.stdout
     if human:
         width = max(len(k) for k in record)
         for key in record:
@@ -156,118 +183,24 @@ def _emit(record, human=False, stream=None):
         print(json.dumps(record, sort_keys=True), file=stream)
 
 
-def _maybe_dump(args, effective):
-    if getattr(args, "dump_config", None):
-        Path(args.dump_config).write_text(
-            dump_config({k: v for k, v in effective.items() if v is not None})
-        )
-
-
-def _add_common(p):
-    p.add_argument("--human", action="store_true", help="tabular output")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--dump-config", dest="dump_config",
-                   help="write the effective parameters to this file")
-
-
-def _add_tols(p):
-    p.add_argument("--quad-tol", dest="quad_tol", type=float,
-                   help="absolute quadrature tolerance")
-    p.add_argument("--root-tol", dest="root_tol", type=float,
-                   help="shooting residual tolerance")
-
-
-def build_parser():
-    parser = _Parser(prog="lorentz-cmc", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve the two-ring problem for c")
-    for flag in ("--r", "--R", "--a", "--b", "--H"):
-        p.add_argument(flag, type=float)
-    _add_tols(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("classify", help="predict the regime without solving")
-    for flag in ("--r", "--R", "--a", "--b", "--H"):
-        p.add_argument(flag, type=float)
-    _add_common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("flux", help="flux of the circle of radius r")
-    for flag in ("--r", "--H", "--c"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--angular", action="store_true",
-                   help="validate with explicit angular quadrature")
-    _add_common(p)
-    p.set_defaults(fn=cmd_flux)
-
-    p = sub.add_parser("verify", help="recompute H on a sampled graph patch")
-    p.add_argument("--csv", help="GraphPatch CSV (header x1,x2,u)")
-    for flag in ("--H", "--c"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--anchor-r", dest="anchor_r", type=float)
-    p.add_argument("--anchor-a", dest="anchor_a", type=float)
-    p.add_argument("--extent", type=float, help="half-width of the sampled square")
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    p.add_argument("--min-radius", dest="min_radius", type=float)
-    p.add_argument("--mode", choices=("nondivergence", "divergence"))
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("mesh", help="sample a surface and write OBJ")
-    for flag in ("--H", "--c"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--anchor-r", dest="anchor_r", type=float)
-    p.add_argument("--anchor-a", dest="anchor_a", type=float)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--nt", type=int)
-    p.add_argument("--ntheta", type=int)
-    p.add_argument("--t-spacing", dest="t_spacing", choices=("uniform", "log"))
-    p.add_argument("--out", help="output OBJ path")
-    _add_common(p)
-    p.set_defaults(fn=cmd_mesh)
-
-    p = sub.add_parser("figure", help="emit a bundled gallery profile + mesh")
-    p.add_argument("id", type=int, choices=sorted(_FIGURES))
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--nt", type=int)
-    p.add_argument("--ntheta", type=int)
-    _add_common(p)
-    p.set_defaults(fn=cmd_figure)
-
-    return parser
-
-
-def cmd_solve(args):
-    quad_default, root_default = _default_tols()
-    config = load_config(args.config) if args.config else {}
-    effective = _resolve(args, config, ["r", "R", "a", "b", "H", "quad_tol", "root_tol"])
-    _require(args, ["r", "R", "a", "b", "H"])
-    _maybe_dump(args, effective)
-    quad_tol = (quad_default if args.quad_tol is None
-                else _tolerance("--quad-tol", args.quad_tol))
-    root_tol = (root_default if args.root_tol is None
-                else _tolerance("--root-tol", args.root_tol))
-
-    sol = solve_two_ring(args.r, args.R, args.a, args.b, args.H,
-                         root_tol=root_tol, quad_tol=quad_tol)
+# Each cmd_* takes the resolved parameters, plus the flags outside the table
+# (figure's id, flux's --angular), and returns the record to print.
+def cmd_solve(p):
+    sol = solve_two_ring(p["r"], p["R"], p["a"], p["b"], p["H"],
+                         root_tol=p["root_tol"], quad_tol=p["quad_tol"])
     curve = sol.curve
     report = singularity_report(curve)
     star = slope_extremum_radius(curve.params)
-    record = {
+    return {
         "event": "solution",
-        "r": args.r, "R": args.R, "a": args.a, "b": args.b, "H": args.H,
+        "r": p["r"], "R": p["R"], "a": p["a"], "b": p["b"], "H": p["H"],
         "c": sol.c,
         "c_oriented": curve.first_integral,
         "parity": curve.parity,
         "regime": sol.regime.value,
         "H0": sol.H0,
         "residual": sol.residual,
-        "flux": flux_closed_form(args.r, SurfaceParams(curve.mean_curvature,
+        "flux": flux_closed_form(p["r"], SurfaceParams(curve.mean_curvature,
                                                        curve.first_integral)).flux,
         "limit_slope": report.limit_slope,
         "singularity": report.kind.value,
@@ -275,133 +208,95 @@ def cmd_solve(args):
         "asymptotic_slope": curve.parity * asymptotic_slope(curve.params),
         "slope_extremum_radius": star,
     }
-    _emit(record, args.human)
 
 
-def cmd_classify(args):
-    config = load_config(args.config) if args.config else {}
-    effective = _resolve(args, config, ["r", "R", "a", "b", "H"])
-    _require(args, ["r", "R", "a", "b", "H"])
-    _maybe_dump(args, effective)
-    a, b, reflected = args.a, args.b, False
+def cmd_classify(p):
+    a, b, reflected = p["a"], p["b"], False
     if b < a:
-        a, b, reflected = -args.a, -args.b, True
-    rings = validate_rings(RingPair(r=args.r, R=args.R, a=a, b=b))
-    record = {
+        a, b, reflected = -a, -b, True
+    rings = validate_rings(RingPair(r=p["r"], R=p["R"], a=a, b=b))
+    return {
         "event": "classification",
         "slope_bound": rings.slope_bound,
         "H0": threshold_H0(rings),
-        "regime": classify(args.H, rings).value,
+        "regime": classify(p["H"], rings).value,
         "reflected": reflected,
     }
-    _emit(record, args.human)
 
 
-def cmd_flux(args):
-    config = load_config(args.config) if args.config else {}
-    effective = _resolve(args, config, ["r", "H", "c"])
-    _require(args, ["r", "H", "c"])
-    _maybe_dump(args, effective)
-    params = SurfaceParams(args.H, args.c)
-    closed = flux_closed_form(args.r, params)
-    curve = profile_curve(params, (args.r, 0.0))
-    numeric = flux_numeric(args.r, curve, angular=args.angular)
-    record = {
+def cmd_flux(p):
+    params = SurfaceParams(p["H"], p["c"])
+    closed = flux_closed_form(p["r"], params)
+    curve = profile_curve(params, (p["r"], 0.0))
+    numeric = flux_numeric(p["r"], curve, angular=p["angular"])
+    return {
         "event": "flux",
-        "r": args.r, "H": args.H, "c": args.c,
+        "r": p["r"], "H": p["H"], "c": p["c"],
         "flux": closed.flux,
         "area_term": closed.area_term,
         "conormal_term": closed.conormal_term,
         "numeric_flux": numeric.flux,
         "closed_numeric_gap": abs(closed.flux - numeric.flux),
     }
-    _emit(record, args.human)
 
 
-def cmd_verify(args):
-    config = load_config(args.config) if args.config else {}
-    effective = _resolve(args, config, [
-        "csv", "H", "c", "anchor_r", "anchor_a", "extent", "grid_step",
-        "min_radius", "mode",
-    ])
-    _maybe_dump(args, effective)
-    mode = args.mode or "nondivergence"
-    if args.csv:
-        patch = patch_from_csv(Path(args.csv).read_bytes())
-        source = args.csv
+def cmd_verify(p):
+    if p["csv"]:
+        patch = patch_from_csv(Path(p["csv"]).read_bytes())
+        source = p["csv"]
     else:
-        _require(args, ["H", "c"])
-        anchor_r = args.anchor_r if args.anchor_r is not None else 1.0
-        anchor_a = args.anchor_a if args.anchor_a is not None else 0.0
-        extent = args.extent if args.extent is not None else 2.0
-        step = args.grid_step if args.grid_step is not None else 1.0 / 32.0
-        curve = profile_curve(SurfaceParams(args.H, args.c), (anchor_r, anchor_a))
-        n = int(round(2 * extent / step)) + 1
-        xs = np.linspace(-extent, extent, n)
-        patch = patch_from_profile(curve, xs, xs, min_radius=args.min_radius)
-        source = f"profile(H={args.H}, c={args.c})"
-    report = mean_curvature_graph(patch, mode=mode)
-    record = {
+        if p["H"] is None or p["c"] is None:
+            raise _UsageError("missing required parameters: H and c (or csv)")
+        curve = profile_curve(SurfaceParams(p["H"], p["c"]),
+                              (p["anchor_r"], p["anchor_a"]))
+        n = int(round(2 * p["extent"] / p["grid_step"])) + 1
+        xs = np.linspace(-p["extent"], p["extent"], n)
+        patch = patch_from_profile(curve, xs, xs, min_radius=p["min_radius"])
+        source = f"profile(H={p['H']}, c={p['c']})"
+    report = mean_curvature_graph(patch, mode=p["mode"])
+    return {
         "event": "curvature_report",
         "source": source,
-        "mode": mode,
+        "mode": p["mode"],
         "H_mean": report.H_mean,
         "H_max_dev": report.H_max_dev,
         "spacelike_min_margin": report.spacelike_min_margin,
         "points_checked": report.points_checked,
     }
-    _emit(record, args.human)
 
 
-def cmd_mesh(args):
-    config = load_config(args.config) if args.config else {}
-    effective = _resolve(args, config, [
-        "H", "c", "anchor_r", "anchor_a", "t0", "t1", "nt", "ntheta",
-        "t_spacing", "out",
-    ])
-    _require(args, ["H", "c", "t0", "t1", "out"])
-    _maybe_dump(args, effective)
-    anchor_r = args.anchor_r if args.anchor_r is not None else 1.0
-    anchor_a = args.anchor_a if args.anchor_a is not None else 0.0
-    nt = 64 if args.nt is None else args.nt
-    ntheta = 64 if args.ntheta is None else args.ntheta
-    _check_sizes(nt=nt, ntheta=ntheta)
-    spacing = args.t_spacing or "uniform"
-    curve = profile_curve(SurfaceParams(args.H, args.c), (anchor_r, anchor_a))
-    mesh = sample_surface(curve, (args.t0, args.t1), nt, ntheta, spacing=spacing)
-    Path(args.out).write_bytes(export_obj(mesh))
-    record = {
+def cmd_mesh(p):
+    curve = profile_curve(SurfaceParams(p["H"], p["c"]), (p["anchor_r"], p["anchor_a"]))
+    mesh = sample_surface(curve, (p["t0"], p["t1"]), p["nt"], p["ntheta"],
+                          spacing=p["t_spacing"])
+    Path(p["out"]).write_bytes(export_obj(mesh))
+    return {
         "event": "mesh",
-        "path": args.out,
+        "path": p["out"],
         "vertices": int(mesh.vertices.shape[0]),
         "faces": int(mesh.faces.shape[0]),
         "euler_characteristic": euler_characteristic(mesh),
         "singular_vertex": mesh.singular_vertex,
     }
-    _emit(record, args.human)
 
 
-def cmd_figure(args):
-    config = load_config(args.config) if args.config else {}
-    effective = _resolve(args, config, list(_FIGURE_DEFAULTS), _FIGURE_DEFAULTS)
-    _maybe_dump(args, effective)
-    _check_sizes(samples=args.samples, nt=args.nt, ntheta=args.ntheta)
-    spec = _FIGURES[args.id]
+def cmd_figure(p):
+    spec = _FIGURES[p["id"]]
     curve = profile_curve(SurfaceParams(spec["H"], spec["c"]), spec["anchor"])
     t_lo, t_hi = spec["t_range"]
-    ts = np.linspace(t_lo, t_hi, args.samples)
-    out_dir = Path(args.out_dir)
+    ts = np.linspace(t_lo, t_hi, p["samples"])
+    out_dir = Path(p["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"figure{args.id}_profile.csv"
-    obj_path = out_dir / f"figure{args.id}_surface.obj"
+    csv_path = out_dir / f"figure{p['id']}_profile.csv"
+    obj_path = out_dir / f"figure{p['id']}_surface.obj"
     csv_path.write_bytes(export_profile_csv(curve, ts))
-    mesh = sample_surface(curve, (t_lo, t_hi), args.nt, args.ntheta)
+    mesh = sample_surface(curve, (t_lo, t_hi), p["nt"], p["ntheta"])
     obj_path.write_bytes(export_obj(mesh))
 
     star = slope_extremum_radius(curve.params)
-    record = {
+    return {
         "event": "figure",
-        "id": args.id,
+        "id": p["id"],
         "H": spec["H"], "c": spec["c"],
         "t_range": list(spec["t_range"]),
         "profile_csv": str(csv_path),
@@ -412,33 +307,86 @@ def cmd_figure(args):
             and t_lo < star < t_hi else None
         ),
     }
-    _emit(record, args.human)
+
+
+# Default of a parameter that has to be given.
+_REQUIRED = object()
+
+_RINGS = [(name, _number, _REQUIRED) for name in ("r", "R", "a", "b", "H")]
+_SURFACE = [("H", _number, _REQUIRED), ("c", _number, _REQUIRED)]
+_ANCHOR = [("anchor_r", _number, 1.0), ("anchor_a", _number, 0.0)]
+# sample_surface needs 2 rings and 3 spokes.
+_GRID = [("nt", _count(2), 64), ("ntheta", _count(3), 64)]
+
+# The one declaration of every settable parameter: subcommand -> (function,
+# help, [(name, converter, default[, help])]).  A name is the config key and,
+# with dashes for underscores, the flag.  A callable default is called on use.
+_COMMANDS = {
+    "solve": (cmd_solve, "solve the two-ring problem for c", _RINGS + [
+        ("quad_tol", _positive, lambda: _env_tol(1.0, DEFAULT_QUAD_TOL),
+         "absolute quadrature tolerance"),
+        ("root_tol", _positive, lambda: _env_tol(10.0, DEFAULT_ROOT_TOL),
+         "shooting residual tolerance"),
+    ]),
+    "classify": (cmd_classify, "predict the regime without solving", _RINGS),
+    "flux": (cmd_flux, "flux of the circle of radius r",
+             [("r", _number, _REQUIRED), *_SURFACE]),
+    "verify": (cmd_verify, "recompute H on a sampled graph patch", [
+        ("csv", str, None, "GraphPatch CSV (header x1,x2,u)"),
+        ("H", _number, None), ("c", _number, None), *_ANCHOR,
+        ("extent", _positive, 2.0, "half-width of the sampled square"),
+        ("grid_step", _positive, 1.0 / 32.0),
+        ("min_radius", _number, None),
+        ("mode", _choice("nondivergence", "divergence"), "nondivergence"),
+    ]),
+    "mesh": (cmd_mesh, "sample a surface and write OBJ", [
+        *_SURFACE, *_ANCHOR, ("t0", _number, _REQUIRED), ("t1", _number, _REQUIRED),
+        *_GRID, ("t_spacing", _choice("uniform", "log"), "uniform"),
+        ("out", str, _REQUIRED, "output OBJ path"),
+    ]),
+    "figure": (cmd_figure, "emit a bundled gallery profile + mesh", [
+        ("out_dir", str, "."), ("samples", _count(1), 257), *_GRID,
+    ]),
+}
+_KNOWN = {name for _, _, params in _COMMANDS.values() for name, *_ in params}
+
+
+def build_parser():
+    parser = _Parser(prog="lorentz-cmc", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (fn, help_text, params) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, _, _, *doc in params:
+            p.add_argument(_flag(name), dest=name, help=doc[0] if doc else None)
+        p.add_argument("--human", action="store_true", help="tabular output")
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--dump-config", dest="dump_config",
+                       help="write the effective parameters to this file")
+        p.set_defaults(fn=fn)
+    sub.choices["flux"].add_argument("--angular", action="store_true",
+                                     help="validate with explicit angular quadrature")
+    sub.choices["figure"].add_argument("id", type=int, choices=sorted(_FIGURES))
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args.fn(args)
+        args = build_parser().parse_args(argv)
+        params = _resolve(args)
+        if args.dump_config:
+            Path(args.dump_config).write_text(
+                dump_config({k: v for k, v in params.items() if v is not None}))
+        _emit(args.fn({**vars(args), **params}), args.human)
         return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateRadii, NotSpacelikeSolvable) as exc:
+    except Exception as exc:
         _emit({"event": "error", "type": type(exc).__name__, "message": str(exc)},
-              getattr(args, "human", False), stream=sys.stderr)
-        return EXIT_UNSOLVABLE
-    except LorentzCMCError as exc:
-        _emit({"event": "error", "type": type(exc).__name__, "message": str(exc)},
-              getattr(args, "human", False), stream=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
-        _emit({"event": "error", "type": type(exc).__name__, "message": str(exc)},
-              getattr(args, "human", False), stream=sys.stderr)
+              args.human, stream=sys.stderr)
+        if isinstance(exc, (DegenerateRadii, NotSpacelikeSolvable)):
+            return EXIT_UNSOLVABLE
         return EXIT_INTERNAL
 
 

@@ -171,8 +171,28 @@ def closed_form_maximal(t, c, anchor):
         raise ValueError("maximal closed form needs c != 0")
     r, a = anchor
     t = np.asarray(t, dtype=float)
-    out = a - c * (np.arcsinh(t / abs(c)) - math.asinh(r / abs(c)))
+    out = a - c * (_asinh_ratio(t, c) - _asinh_ratio(r, c))
     return float(out) if out.ndim == 0 else out
+
+
+def _asinh_ratio(t, c):
+    """asinh(t / |c|) for t >= 0: ``math`` for a float ``t``, numpy for an array.
+
+    t/|c| overflows for subnormal c; there asinh(x) = log(2x) to float64,
+    taken as log 2 + log t - log|c|.
+    """
+    if not isinstance(t, np.ndarray):
+        x = t / abs(c)
+        if math.isfinite(x):
+            return math.asinh(x)
+        return math.log(2.0) + math.log(t) - math.log(abs(c))
+    with np.errstate(over="ignore"):
+        x = t / abs(c)
+    big = np.isinf(x)
+    if not big.any():
+        return np.arcsinh(x)
+    with np.errstate(divide="ignore"):
+        return np.where(big, math.log(2.0) + np.log(t) - math.log(abs(c)), np.arcsinh(x))
 
 
 def closed_form_hyperbolic(t, H, anchor):
@@ -336,11 +356,7 @@ def singularity_report(curve: ProfileCurve) -> SingularityReport:
         vertex = curve.parity * v_can
     elif curve.regime is Regime.MAXIMAL_CATENOID:
         a_can = curve.parity * curve.anchor_height
-        r, x = curve.anchor_radius, curve.anchor_radius / abs(p.c)
-        # r/|c| overflows for subnormal c; asinh(x) = log(2x) to float64 there
-        asinh = math.asinh(x) if math.isfinite(x) else \
-            math.log(2.0) + math.log(r) - math.log(abs(p.c))
-        v_can = a_can + p.c * asinh
+        v_can = a_can + p.c * _asinh_ratio(curve.anchor_radius, p.c)
         vertex = curve.parity * v_can
     else:
         down = integrate(

@@ -158,6 +158,13 @@ class TestVerify:
         assert code == EXIT_OK
         assert last_record(out)["H_mean"] == pytest.approx(1.0, abs=2e-3)
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--extent", "--grid-step"])
+    def test_bad_grid_is_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--H", "1", "--c", "3", flag, value)
+        assert code == EXIT_USAGE
+        assert flag in err and out == ""
+
     def test_steep_patch_is_internal_error(self, tmp_path, capsys):
         xs = np.linspace(-1.0, 1.0, 17)
         patch = patch_from_function(lambda X1, X2: 1.5 * X1, xs, xs)
@@ -320,6 +327,93 @@ class TestConfig:
         cfg.write_text("this is not a key value pair\n")
         code, _, err = run(capsys, "solve", "--config", str(cfg))
         assert code == EXIT_INTERNAL
+
+    @pytest.mark.parametrize("argv,line,flag", [
+        (("solve",), "r=abc", "--r"),
+        (("verify",), "mode=foo", "--mode"),
+        (("mesh", "--t0", "1", "--t1", "4", "--out", "m.obj"), "t_spacing=foo",
+         "--t-spacing"),
+    ])
+    def test_config_value_checked_by_its_type(self, tmp_path, capsys, argv, line, flag):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"r=1\nR=2\na=0\nb=0.5\nH=1\nc=3\n{line}\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert flag in err and out == ""
+
+    def test_config_number_prints_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("r=1\nR=2\na=0\nb=0.5\nH=1\n")
+        _, from_config, _ = run(capsys, "solve", "--config", str(cfg))
+        _, from_flags, _ = run(capsys, "solve", "--r", "1", "--R", "2", "--a", "0",
+                               "--b", "0.5", "--H", "1")
+        assert '"r": 1.0,' in from_config
+        assert from_config == from_flags
+
+    def test_numeric_out_dir_from_config_is_a_directory(self, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "figure.cfg").write_text("out_dir=2024\nnt=5\nntheta=7\n")
+        code, out, _ = run(capsys, "figure", "1", "--config", "figure.cfg")
+        assert code == EXIT_OK
+        assert last_record(out)["surface_obj"] == "2024/figure1_surface.obj"
+        assert (tmp_path / "2024" / "figure1_profile.csv").is_file()
+
+    @pytest.mark.parametrize("typo", ["quad-tol=abc", "foo=1"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, typo):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"r=1\nR=2\na=0\nb=0.5\nH=1\n{typo}\n")
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert typo.split("=")[0] in err and out == ""
+
+    def test_one_config_serves_solve_and_classify(self, tmp_path, capsys):
+        # quad_tol and root_tol are solve parameters; classify ignores them
+        cfg = tmp_path / "rings.cfg"
+        cfg.write_text("r=1\nR=2\na=0\nb=0.5\nH=1\nquad_tol=1e-11\nroot_tol=1e-10\n")
+        for command in ("solve", "classify"):
+            code, out, _ = run(capsys, command, "--config", str(cfg))
+            assert code == EXIT_OK
+            assert last_record(out)["regime"] == "PositiveC"
+
+
+class TestDumpConfigRoundTrip:
+    """--dump-config of a flag-driven run, fed back as --config alone,
+    reproduces the stdout and every written file byte for byte."""
+
+    CASES = {
+        "solve": (["--r", "1", "--R", "2", "--a", "0.5", "--b", "0", "--H", "1"],
+                  {"quad_tol", "root_tol"}),
+        "classify": (["--r", "1", "--R", "2", "--a", "0", "--b", "0.5", "--H", "0.2"],
+                     set()),
+        "flux": (["--r", "2", "--H", "1", "--c", "3"], set()),
+        "verify": (["--H", "1", "--c", "3", "--extent", "2.4", "--grid-step", "0.05",
+                    "--min-radius", "0.8"], {"anchor_r", "anchor_a", "mode"}),
+        "mesh": (["--H", "1", "--c", "3", "--t0", "0.5", "--t1", "4", "--ntheta", "9",
+                  "--out", "OUT/m.obj"],
+                 {"anchor_r", "anchor_a", "nt", "t_spacing"}),
+        "figure": (["--out-dir", "OUT", "--nt", "5"], {"ntheta", "samples"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_round_trip(self, tmp_path, capsys, command):
+        flags, defaulted = self.CASES[command]
+        flags = [f.replace("OUT", str(tmp_path / "out")) for f in flags]
+        (tmp_path / "out").mkdir()
+        head = [command, "4"] if command == "figure" else [command]
+        dump = tmp_path / "eff.cfg"
+
+        def outputs(*argv):
+            for old in (tmp_path / "out").iterdir():
+                old.unlink()
+            code, out, _ = run(capsys, *head, *argv)
+            assert code == EXIT_OK
+            files = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}
+            return out, files
+
+        first = outputs(*flags, "--dump-config", str(dump))
+        assert defaulted <= set(load_config(dump))
+        assert outputs("--config", str(dump)) == first
 
 
 class TestEnvTolerance:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ class TestClosedForms:
         assert expected == pytest.approx(-1.6617703103468537, abs=1e-12)
         assert closed_form_maximal(3.0, 3.0, (1.0, 0.0)) == pytest.approx(expected, abs=1e-14)
         assert closed_form_maximal(3.0, -3.0, (1.0, 0.0)) == pytest.approx(-expected, abs=1e-14)
+
+    @pytest.mark.parametrize("c", [2.225073858507203e-309, -2.225073858507203e-309, 5e-324])
+    @pytest.mark.parametrize("t", [2.0, [1e-300, 0.5, 2.0, 7.0]])
+    def test_maximal_subnormal_c_is_finite(self, c, t):
+        # t/|c| overflows; asinh(x) - asinh(y) there is log(x/y) = log(t/r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = closed_form_maximal(t, c, (1.5, 0.0))
+            height_got = heights(profile_curve(SurfaceParams(0.0, c), (1.5, 0.0)), t)
+        expected = -c * np.log(np.asarray(t) / 1.5)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(height_got, got)
 
     def test_maximal_requires_nonzero_c(self):
         with pytest.raises(ValueError):
