@@ -80,12 +80,11 @@ def _count(minimum):
     """Converter to an integer >= ``minimum``."""
     def convert(text):
         try:
-            value = int(text)
+            if int(text) >= minimum:
+                return int(text)
         except ValueError:
-            value = None
-        if value is None or value < minimum:
-            raise ValueError(f"must be an integer >= {minimum}")
-        return value
+            pass
+        raise ValueError(f"must be an integer >= {minimum}")
     return convert
 
 
@@ -94,6 +93,7 @@ def _choice(*options):
         if text not in options:
             raise ValueError(f"must be one of {', '.join(options)}")
         return text
+    convert.metavar = "{" + ",".join(options) + "}"
     return convert
 
 
@@ -357,8 +357,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (fn, help_text, params) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for name, _, _, *doc in params:
-            p.add_argument(_flag(name), dest=name, help=doc[0] if doc else None)
+        for name, convert, _, *doc in params:
+            p.add_argument(_flag(name), dest=name, help=doc[0] if doc else None,
+                           metavar=getattr(convert, "metavar", None))
         p.add_argument("--human", action="store_true", help="tabular output")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--dump-config", dest="dump_config",

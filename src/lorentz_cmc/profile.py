@@ -188,11 +188,11 @@ def _asinh_ratio(t, c):
         return math.log(2.0) + math.log(t) - math.log(abs(c))
     with np.errstate(over="ignore"):
         x = t / abs(c)
-    big = np.isinf(x)
-    if not big.any():
-        return np.arcsinh(x)
-    with np.errstate(divide="ignore"):
-        return np.where(big, math.log(2.0) + np.log(t) - math.log(abs(c)), np.arcsinh(x))
+    # np.where keeps arcsinh's bits wherever x is finite; the log form's
+    # warnings (log 0, log of t < 0) are silenced, as it is discarded there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isinf(x), math.log(2.0) + np.log(t) - math.log(abs(c)),
+                        np.arcsinh(x))
 
 
 def closed_form_hyperbolic(t, H, anchor):

@@ -456,3 +456,13 @@ class TestUsage:
     def test_no_command(self, capsys):
         code, _, _ = run(capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command,choices", [
+        ("verify", "--mode {nondivergence,divergence}"),
+        ("mesh", "--t-spacing {uniform,log}"),
+    ])
+    def test_help_lists_choices(self, capsys, command, choices):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert choices in capsys.readouterr().out
