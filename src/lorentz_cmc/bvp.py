@@ -4,16 +4,18 @@ For fixed H >= 0 and anchor f(r) = a, the outer height f(R; H, c) is a
 strictly decreasing function of c (the slope formula is strictly decreasing
 in c at every radius) sweeping the open band (a - (R - r), a + (R - r)) as
 c runs from +inf to -inf.  Any admissible target b therefore has exactly
-one root.  Geometric bracket expansion finds a sign change first; a
-safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) then runs
-inside that bracket on the explicit c-sensitivity
+one root.  For b >= a it lies in a closed-form barrier bracket: with
+k = (b - a)/(R - r) and m = k/sqrt(1 - k^2), the slope is >= k on [r, R]
+at c = H r^2 - m R and <= k at c = H R^2 - m r.  A safeguarded Newton
+iteration (rtsafe, Numerical Recipes 9.4) runs inside that bracket on the
+explicit c-sensitivity
 
     df(R)/dc = -integral_r^R s^2 / (s^2 + (H s^2 - c)^2)^{3/2} ds < 0,
 
 taking the bracket midpoint whenever a Newton step would leave the bracket
 or fails to halve the step before last.  Every iterate shrinks the bracket,
 so the search keeps bisection's guarantee and needs far fewer adaptive
-integrals.
+integrals.  The bracket and the tolerances scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
@@ -61,7 +63,6 @@ __all__ = [
 
 DEFAULT_ROOT_TOL = 1e-9
 DEFAULT_C_TOL = 1e-12
-_BRACKET_LIMIT = 1e15
 # The c-sensitivity only steers Newton (every iterate is checked through g),
 # so it is integrated to a relative tolerance of its last magnitude: a
 # tolerance tied to quad_tol would stall Newton once |c| is large and
@@ -97,7 +98,7 @@ class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
     ``g_evals`` counts adaptive integrals of the shooting map f(R; H, c)
-    (bracket, iterates, snap check) and ``dg_evals`` those of its
+    (both bracket ends, iterates, snap check) and ``dg_evals`` those of its
     c-sensitivity.  ``newton_steps`` and ``bisection_fallbacks`` split the
     iterates after the bracket by how they were chosen.
     ``final_bracket_width`` is hi - lo when the search stopped (0.0 when
@@ -106,7 +107,6 @@ class SolveDiagnostics:
 
     g_evals: int
     dg_evals: int
-    bracket_expansions: int
     newton_steps: int
     bisection_fallbacks: int
     final_bracket_width: float
@@ -218,13 +218,16 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     """Find c with f(R; H, c) = b and package the solved profile.
 
     Descending data (b < a) is solved through the mirror (a, b) ->
-    (-a, -b) and un-reflected via the curve's parity.  The search stops
-    once f(R) meets b within root_tol and the Newton correction or the
-    bracket is within c_tol * max(1, |c|), or when c cannot move by one
-    more ulp.  Roots with |c| < 1e-10 * max(1, H R^2) are snapped to
-    exactly 0 (the regime split is discontinuous there in floating point)
-    whenever the snapped profile still meets the outer ring within
-    root_tol.  ``diagnostics`` on the result counts the work done.
+    (-a, -b) and un-reflected via the curve's parity.  Tolerances are in
+    the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e): g and the curve use
+    quad_tol * u, and root_tol * u is floored at 64 ulp(2^e).  The search
+    runs inside the barrier bracket and stops once f(R) meets b within
+    root_tol and the Newton correction or the bracket is within
+    c_tol * max(u, |c|), or when c cannot move by one more ulp.  Roots with
+    |c| < 1e-10 * max(u, H R^2) are snapped to exactly 0 (the regime split
+    is discontinuous there in floating point) whenever the snapped profile
+    still meets the outer ring within root_tol.  ``diagnostics`` on the
+    result counts the work done.
     """
     rings = problem.rings
     H = problem.H
@@ -232,33 +235,32 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     work = rings if not reflected else ValidatedRingPair(
         r=rings.r, R=rings.R, a=-rings.a, b=-rings.b, slope_bound=rings.slope_bound
     )
-    n_g = n_dg = n_expand = n_newton = n_bisect = 0
+    # a power of two keeps the scale symmetry (lengths x 2^j, H / 2^j) exact
+    scale = math.ldexp(1.0, math.frexp(work.R)[1])
+    unit = min(1.0, scale)
+    root_tol = max(problem.root_tol * unit, 64.0 * math.ulp(scale))
+    quad_tol = problem.quad_tol * unit
+    n_g = n_dg = n_newton = n_bisect = 0
 
     def g(c):
         nonlocal n_g
         n_g += 1
-        return _outer_height(H, c, work, problem.quad_tol) - work.b
+        return _outer_height(H, c, work, quad_tol) - work.b
 
-    # g is strictly decreasing with g(-inf) > 0 > g(+inf); expand until the
-    # signs confirm it.
-    lo, hi = -1.0, 1.0
+    # g is strictly decreasing; the barrier ends bound its root, so only
+    # quadrature noise can give them the wrong sign
+    k = work.slope_bound
+    m = k / math.sqrt((1.0 - k) * (1.0 + k))
+    lo = H * work.r * work.r - m * work.R
+    hi = H * work.R * work.R - m * work.r
     g_lo, g_hi = g(lo), g(hi)
-    while g_lo < 0.0:
-        lo *= 2.0
-        if abs(lo) > _BRACKET_LIMIT:
-            raise RootBracketFailure(f"no sign change down to c={lo}")
-        n_expand += 1
-        g_lo = g(lo)
-    while g_hi > 0.0:
-        hi *= 2.0
-        if hi > _BRACKET_LIMIT:
-            raise RootBracketFailure(f"no sign change up to c={hi}")
-        n_expand += 1
-        g_hi = g(hi)
+    if g_lo < -root_tol or g_hi > root_tol:
+        raise RootBracketFailure(f"barrier bracket [{lo!r}, {hi!r}] gives f(R) - b = "
+                                 f"[{g_lo:.3e}, {g_hi:.3e}], beyond root_tol {root_tol:.3e}")
 
-    if g_lo == 0.0:
+    if g_lo <= 0.0:
         c_hat, g_hat = lo, g_lo
-    elif g_hi == 0.0:
+    elif g_hi >= 0.0:
         c_hat, g_hat = hi, g_hi
     else:
         # start at the false-position point of the bracket, whose secant
@@ -278,12 +280,12 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
                 break
             # |c| ~ 1e4 and |df/dc| ~ 1 already make c_tol * |c| worth 1e-8
             # in f(R), so c_tol only ends the search once root_tol is met
-            c_tol = problem.c_tol * max(1.0, abs(c_hat))
-            met = abs(g_hat) <= problem.root_tol
+            c_tol = problem.c_tol * max(unit, abs(c_hat))
+            met = abs(g_hat) <= root_tol
             if met and hi - lo <= c_tol:
                 break
-            # at radii far below 1, df/dc or its tolerance underflows to 0;
-            # then nxt is nan, which fails every test below and bisects
+            # where df/dc or its tolerance under- or overflows, nxt is nan,
+            # which fails every test below and bisects
             dg_tol = _DG_RTOL * dg_scale
             dg = 0.0
             if 0.0 < dg_tol < math.inf:
@@ -305,25 +307,21 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
             g_hat = g(c_hat)
     width = hi - lo if g_hat != 0.0 else 0.0
 
-    snap = 1e-10 * max(1.0, H * work.R * work.R)
+    snap = 1e-10 * max(unit, H * work.R * work.R)
     if c_hat != 0.0 and abs(c_hat) < snap:
         g_zero = g(0.0)
-        if abs(g_zero) <= problem.root_tol:
+        if abs(g_zero) <= root_tol:
             c_hat, g_hat = 0.0, g_zero
 
     residual = abs(g_hat)
-    if residual > problem.root_tol:
+    if residual > root_tol:
         raise LorentzCMCError(
-            f"shooting residual {residual:.3e} exceeds root_tol "
-            f"{problem.root_tol:.3e}; quad_tol may be too loose for this target"
+            f"shooting residual {residual:.3e} exceeds root_tol {root_tol:.3e} "
+            "(scaled to the rings); quad_tol may be too loose for this target"
         )
 
-    if reflected:
-        user_params = SurfaceParams(-H, -c_hat)
-    else:
-        user_params = SurfaceParams(H, c_hat)
-    curve = profile_curve(user_params, (rings.r, rings.a),
-                          quad_tol=problem.quad_tol)
+    user_params = SurfaceParams(-H, -c_hat) if reflected else SurfaceParams(H, c_hat)
+    curve = profile_curve(user_params, (rings.r, rings.a), quad_tol=quad_tol)
     return PlateauSolution(
         curve=curve,
         c=curve.params.c,
@@ -333,7 +331,6 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         diagnostics=SolveDiagnostics(
             g_evals=n_g,
             dg_evals=n_dg,
-            bracket_expansions=n_expand,
             newton_steps=n_newton,
             bisection_fallbacks=n_bisect,
             final_bracket_width=width,

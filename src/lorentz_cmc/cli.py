@@ -64,15 +64,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _number(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError("must be a number") from None
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
 
 
 def _positive(text):
     value = _number(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError("must be finite and positive")
+    if not value > 0.0:
+        raise ValueError("must be positive")
     return value
 
 

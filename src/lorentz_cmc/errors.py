@@ -31,7 +31,8 @@ class SpacelikeViolation(LorentzCMCError):
 
 
 class RootBracketFailure(LorentzCMCError):
-    """Bracket expansion for the shooting constant found no sign change."""
+    """An end of the closed-form barrier bracket for the shooting constant
+    has the wrong sign by more than root_tol."""
 
 
 class OrientationError(LorentzCMCError):

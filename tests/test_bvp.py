@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (
+    LorentzCMCError,
     OrientationError,
     PlateauProblem,
     Regime,
     RingPair,
+    RootBracketFailure,
     SurfaceParams,
     ValidatedRingPair,
     canonicalize,
@@ -21,7 +24,13 @@ from lorentz_cmc import (
     threshold_H0,
     validate_rings,
 )
-from lorentz_cmc.bvp import _outer_height, _outer_sensitivity
+from lorentz_cmc.bvp import (
+    DEFAULT_C_TOL,
+    DEFAULT_ROOT_TOL,
+    _outer_height,
+    _outer_sensitivity,
+)
+from lorentz_cmc.profile import DEFAULT_QUAD_TOL
 
 
 RINGS = validate_rings(RingPair(r=1.0, R=2.0, a=0.0, b=0.5))
@@ -244,7 +253,8 @@ class TestShootingMap:
 def _bisection_reference(problem):
     """The bisection shooting loop solve_c used before safeguarded Newton.
 
-    Same bracket expansion and snap-to-zero rule, absolute c_tol, no
+    Doubling bracket expansion from [-1, 1], snap threshold
+    1e-10 * max(1, H R^2), the problem's tolerances taken as absolute, no
     derivative; returns the canonical (c, regime).
     """
     rings, H = problem.rings, problem.H
@@ -357,29 +367,122 @@ class TestNewtonAgainstBisection:
     def test_readme_example_work_counts(self):
         d = solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0).diagnostics
         assert d.g_evals + d.dg_evals <= 20
-        assert d.bracket_expansions == 1  # c = 1.16: one doubling to hi = 2
         assert d.newton_steps + d.bisection_fallbacks <= d.g_evals
         assert d.final_bracket_width >= 0.0
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-30, 1e-50])
     @pytest.mark.parametrize("H", [0.0, 1.0])
-    def test_tiny_radii_bisect_when_the_sensitivity_underflows(self, scale, H):
-        # df/dc underflows to 0 here; Newton divided by it
-        problem = PlateauProblem(
-            rings=validate_rings(RingPair(r=scale, R=2.0 * scale, a=0.0, b=0.5 * scale)),
-            H=H)
-        sol = solve_c(problem)
-        assert (sol.c, sol.regime) == _bisection_reference(problem)
-        assert sol.residual <= problem.root_tol
+    def test_tiny_radii_match_bisection_in_ring_units(self, scale, H):
+        # absolute tolerances once accepted c = 0 here, missing the outer
+        # ring by 100%; the reference gets the same tolerances in ring units
+        rings = validate_rings(RingPair(r=scale, R=2.0 * scale, a=0.0, b=0.5 * scale))
+        sol = solve_c(PlateauProblem(rings=rings, H=H))
+        unit = math.ldexp(1.0, math.frexp(rings.R)[1])
+        scaled = PlateauProblem(rings=rings, H=H, root_tol=DEFAULT_ROOT_TOL * unit,
+                                c_tol=DEFAULT_C_TOL * unit, quad_tol=DEFAULT_QUAD_TOL * unit)
+        c_ref, regime_ref = _bisection_reference(scaled)
+        assert abs(sol.c - c_ref) <= 1e-9 * max(unit, abs(c_ref))
+        assert sol.regime is regime_ref
+        assert sol.regime is (Regime.NEGATIVE_C if H else Regime.MAXIMAL_CATENOID)
+        assert sol.residual <= DEFAULT_ROOT_TOL * unit
 
     def test_exact_root_on_bracket_end_needs_no_search(self):
-        # b = f(R; 0, -1) puts the root on the lower end of the first bracket
-        b = _outer_height(0.0, -1.0, RINGS, 1e-10)
-        sol = solve_two_ring(1.0, 2.0, 0.0, b, 0.0)
-        assert sol.c == -1.0
+        # flat rings at H = 0: both barrier ends are c = 0, the plane
+        sol = solve_two_ring(1.0, 2.0, 0.25, 0.25, 0.0)
+        assert sol.c == 0.0
         d = sol.diagnostics
         assert (d.g_evals, d.dg_evals, d.newton_steps, d.final_bracket_width) == (
             2, 0, 0, 0.0)
+
+
+def _barrier_bracket(rings, H):
+    """The closed-form ends lo <= hi of solve_c's bracket (ascending rings)."""
+    k = rings.slope_bound
+    m = k / math.sqrt((1.0 - k) * (1.0 + k))
+    return H * rings.r * rings.r - m * rings.R, H * rings.R * rings.R - m * rings.r
+
+
+def _wide_ring_pairs(n=400, seed=2005):
+    """Ring pairs with R over 1e-8..1e11, R/r in 1.05..1e3, heights of the
+    size of R, |b-a|/(R-r) up to 0.99, H = 0, H < H0, H = H0 and
+    H0 < H <= 1e3 H0, ascending and descending."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        R = 10.0 ** rng.uniform(-8.0, 11.0)
+        r = R / 10.0 ** rng.uniform(math.log10(1.05), 3.0)
+        a = rng.uniform(-1.0, 1.0) * R
+        b = a + rng.uniform(0.0, 0.99) * (R - r)
+        h0 = threshold_H0(validate_rings(RingPair(r=r, R=R, a=a, b=b)))
+        H = (0.0, h0 * rng.uniform(0.05, 0.95), h0,
+             h0 * math.exp(rng.uniform(math.log(1.05), math.log(1e3))))[i % 4]
+        if i % 2:
+            a, b = b, a
+        cases.append((r, R, a, b, H))
+    return cases
+
+
+class TestRingScale:
+    # a subnormal k underflows the slope itself: see the noise test below
+    @settings(max_examples=200, deadline=None)
+    @given(log_R=st.floats(-8.0, 8.0), log_ratio=st.floats(0.01, 3.0),
+           k=st.floats(0.0, 0.999, allow_subnormal=False), h=st.floats(0.0, 1e3))
+    def test_barrier_ends_bracket_the_root(self, log_R, log_ratio, k, h):
+        R = 10.0 ** log_R
+        r = R / 10.0 ** log_ratio
+        rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=k * (R - r)))
+        H = h * threshold_H0(rings)
+        lo, hi = _barrier_bracket(rings, H)
+        assert lo <= hi
+        assert _outer_height(H, lo, rings, 1e-10 * min(1.0, R)) - rings.b >= 0.0
+        assert _outer_height(H, hi, rings, 1e-10 * min(1.0, R)) - rings.b <= 0.0
+
+    def test_bracket_end_with_noise_sign_is_the_root(self):
+        # b = 5e-324: the slope at lo = -5e-324 underflows, so g(lo) = -b
+        # has the wrong sign, within root_tol; lo is then snapped to 0
+        sol = solve_two_ring(0.5, 1.0, 0.0, 5e-324, 0.0)
+        assert sol.c == 0.0
+        assert sol.diagnostics.g_evals == 3  # both ends and the snap check
+        assert sol.residual == 5e-324
+
+    def test_wrong_sign_beyond_root_tol_raises(self, monkeypatch):
+        # f(R) = 1 > b at both ends: the upper end is wrong by 0.5
+        monkeypatch.setattr("lorentz_cmc.bvp._outer_height", lambda H, c, rings, tol: 1.0)
+        with pytest.raises(RootBracketFailure, match="barrier bracket"):
+            solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
+
+    def test_wide_radii_all_solve_in_the_predicted_regime(self):
+        failures = []
+        for r, R, a, b, H in _wide_ring_pairs():
+            up = validate_rings(RingPair(r=r, R=R, a=min(a, b), b=max(a, b)))
+            try:
+                sol = solve_two_ring(r, R, a, b, H)
+            except LorentzCMCError as exc:
+                failures.append(((r, R, a, b, H), str(exc)))
+                continue
+            if sol.regime is not classify(H, up):
+                failures.append(((r, R, a, b, H), sol.regime))
+        assert failures == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_R=st.floats(-4.0, -1.0), log_ratio=st.floats(0.02, 3.0),
+           k=st.floats(0.0, 0.99), h=st.floats(0.0, 20.0), j=st.integers(-100, 0),
+           descending=st.booleans())
+    def test_power_of_two_scaling_is_exact_below_half(self, log_R, log_ratio, k, h,
+                                                      j, descending):
+        # (r, R, a, b, H, c) -> (2^j r, 2^j R, 2^j a, 2^j b, H / 2^j, 2^j c)
+        # rounds the same at every step once the ring unit is 2^e itself
+        R = 10.0 ** log_R
+        r = R / 10.0 ** log_ratio
+        d = k * (R - r)
+        a, b = (d, 0.0) if descending else (0.0, d)
+        H = h * threshold_H0(validate_rings(RingPair(r=r, R=R, a=0.0, b=d)))
+        base = solve_two_ring(r, R, a, b, H)
+        lam = math.ldexp(1.0, j)
+        scaled = solve_two_ring(lam * r, lam * R, lam * a, lam * b, H / lam)
+        assert scaled.c == lam * base.c
+        assert scaled.residual == lam * base.residual
+        assert scaled.regime is base.regime
 
 
 class TestSensitivity:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +450,28 @@ class TestEnvTolerance:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv,name,value", [
+        (("flux", "--H", "1", "--c", "3"), "r", "inf"),
+        (("flux", "--r", "1", "--c", "3"), "H", "-inf"),
+        (("solve", "--r", "1", "--R", "2", "--a", "0", "--b", "0.5"), "H", "nan"),
+        (("classify", "--R", "2", "--a", "0", "--b", "0.5", "--H", "1"), "r", "nan"),
+        (("mesh", "--c", "3", "--t0", "1", "--t1", "4", "--out", "m.obj"), "H", "nan"),
+    ])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                              argv, name, value, via_config):
+        # flux used to print NaN/Infinity, and the rest to fail with exit 1
+        monkeypatch.chdir(tmp_path)
+        if via_config:
+            Path("job.cfg").write_text(f"{name}={value}\n")
+            extra = ("--config", "job.cfg")
+        else:
+            extra = (f"--{name}={value}",)
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == EXIT_USAGE
+        assert f"--{name} must be a finite number" in err and out == ""
+        assert not Path("m.obj").exists()
+
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == EXIT_USAGE
