@@ -6,16 +6,14 @@ in c at every radius) sweeping the open band (a - (R - r), a + (R - r)) as
 c runs from +inf to -inf.  Any admissible target b therefore has exactly
 one root.  For b >= a it lies in a closed-form barrier bracket: with
 k = (b - a)/(R - r) and m = k/sqrt(1 - k^2), the slope is >= k on [r, R]
-at c = H r^2 - m R and <= k at c = H R^2 - m r.  A safeguarded Newton
-iteration (rtsafe, Numerical Recipes 9.4) runs inside that bracket on the
-explicit c-sensitivity
-
-    df(R)/dc = -integral_r^R s^2 / (s^2 + (H s^2 - c)^2)^{3/2} ds < 0,
-
-taking the bracket midpoint whenever a Newton step would leave the bracket
-or fails to halve the step before last.  Every iterate shrinks the bracket,
-so the search keeps bisection's guarantee and needs far fewer adaptive
-integrals.  The bracket and the tolerances scale with the rings.
+at c = H r^2 - m R and <= k at c = H R^2 - m r.  The search runs inside
+that bracket on the values of g(c) = f(R; H, c) - b alone: each step is
+inverse quadratic interpolation through the last three iterates, or the
+secant through the last two (Brent 1973, ch. 4; zbrent in Numerical
+Recipes 9.3), and the bracket midpoint whenever that step would leave the
+bracket or fails to halve the step before last.  Every iterate shrinks the
+bracket, so the search keeps bisection's guarantee and needs far fewer
+adaptive integrals.  The bracket and the tolerances scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
@@ -29,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     Regime,
     RingPair,
@@ -40,14 +36,8 @@ from .core import (
     validate_rings,
 )
 from .errors import OrientationError, RootBracketFailure, LorentzCMCError
-from .profile import (
-    DEFAULT_MAX_INTERVALS,
-    DEFAULT_QUAD_TOL,
-    ProfileCurve,
-    _slope_raw,
-    profile_curve,
-)
-from .quadrature import integrate
+from .profile import ProfileCurve, _slope_raw, profile_curve
+from .quadrature import DEFAULT_QUAD_TOL, integrate
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
@@ -63,11 +53,6 @@ __all__ = [
 
 DEFAULT_ROOT_TOL = 1e-9
 DEFAULT_C_TOL = 1e-12
-# The c-sensitivity only steers Newton (every iterate is checked through g),
-# so it is integrated to a relative tolerance of its last magnitude: a
-# tolerance tied to quad_tol would stall Newton once |c| is large and
-# df/dc is tiny.
-_DG_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,16 +83,15 @@ class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
     ``g_evals`` counts adaptive integrals of the shooting map f(R; H, c)
-    (both bracket ends, iterates, snap check) and ``dg_evals`` those of its
-    c-sensitivity.  ``newton_steps`` and ``bisection_fallbacks`` split the
+    (both bracket ends, iterates, snap check), the only integrals a solve
+    takes.  ``interpolation_steps`` and ``bisection_fallbacks`` split the
     iterates after the bracket by how they were chosen.
     ``final_bracket_width`` is hi - lo when the search stopped (0.0 when
     g vanished exactly at an evaluated point).
     """
 
     g_evals: int
-    dg_evals: int
-    newton_steps: int
+    interpolation_steps: int
     bisection_fallbacks: int
     final_bracket_width: float
 
@@ -174,44 +158,26 @@ def classify(H, rings: ValidatedRingPair) -> Regime:
 
 def _outer_height(H, c, rings, quad_tol):
     """f(R; H, c) anchored at f(r) = a, by quadrature."""
-    val = integrate(
-        lambda s: _slope_raw(s, H, c),
-        rings.r,
-        rings.R,
-        tol=quad_tol,
-        max_intervals=DEFAULT_MAX_INTERVALS,
-    )
+    val = integrate(lambda s: _slope_raw(s, H, c), rings.r, rings.R, tol=quad_tol)
     return rings.a + val
 
 
-def _outer_sensitivity(H, c, rings, tol):
-    """df(R; H, c)/dc = -integral_r^R s^2 / (s^2 + w^2)^{3/2} ds, w = H s^2 - c.
+def _interpolation_step(c0, g0, c1, g1, c2, g2):
+    """Zero of the inverse interpolant of g through the last iterates.
 
-    For 4 H c >= 1 the integrand is a spike of height 1/s* and width about
-    1/(2H) at s* = sqrt(c/H), narrower than s* itself, which a Kronrod panel
-    can step over without noticing.  There the integral is taken in the
-    slope angle phi = arctan(w/s), monotone in s for c > 0, where it is the
-    smooth -integral cos^2 phi / sqrt(sin^2 phi + 4 H c cos^2 phi) dphi.
+    Quadratic through (g0, c0), (g1, c1), (g2, c2) when the three g differ,
+    else the secant through the first two.  The weights are taken on the
+    ratios p = g1/g0 and q = g2/g0 (g0 != 0), which keep their size at every
+    ring scale; a zero or non-finite denominator gives nan.
     """
-    if 4.0 * H * c >= 1.0:
-        k = 2.0 * math.sqrt(H * c)
-
-        def fn(phi):
-            cos = np.cos(phi)
-            return -(cos * cos) / np.hypot(np.sin(phi), k * cos)
-
-        lo = math.atan2(H * rings.r * rings.r - c, rings.r)
-        hi = math.atan2(H * rings.R * rings.R - c, rings.R)
-    else:
-
-        def fn(s):
-            w = H * s * s - c
-            h = np.hypot(s, w)
-            q = s / h
-            return -(q * q) / h
-
-        lo, hi = rings.r, rings.R
-    return integrate(fn, lo, hi, tol=tol, max_intervals=DEFAULT_MAX_INTERVALS)
+    p, q = g1 / g0, g2 / g0
+    if q != p and q != 1.0:
+        d1, d2 = (p - 1.0) * (p - q), (q - 1.0) * (q - p)
+        if 0.0 < abs(d1) < math.inf and 0.0 < abs(d2) < math.inf:
+            return c0 + q / d1 * (c1 - c0) + p / d2 * (c2 - c0)
+        return math.nan
+    d = 1.0 - p
+    return c0 + (c1 - c0) / d if 0.0 < abs(d) < math.inf else math.nan
 
 
 def solve_c(problem: PlateauProblem) -> PlateauSolution:
@@ -221,55 +187,58 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     (-a, -b) and un-reflected via the curve's parity.  Tolerances are in
     the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e): g and the curve use
     quad_tol * u, and root_tol * u is floored at 64 ulp(2^e).  The search
-    runs inside the barrier bracket and stops once f(R) meets b within
-    root_tol and the Newton correction or the bracket is within
-    c_tol * max(u, |c|), or when c cannot move by one more ulp.  Roots with
-    |c| < 1e-10 * max(u, H R^2) are snapped to exactly 0 (the regime split
-    is discontinuous there in floating point) whenever the snapped profile
-    still meets the outer ring within root_tol.  ``diagnostics`` on the
-    result counts the work done.
+    runs on lengths divided by u, a power of two, so rings scaled by 2^j
+    (both R < 1/2) take the same steps to the bit, even where their steps
+    in c would be subnormal.  It runs inside the barrier bracket and stops
+    once f(R) meets b within root_tol and the interpolation step or the
+    bracket is within c_tol * max(u, |c|), or when c cannot move by one
+    more ulp.  Roots with |c| < 1e-10 * max(u, H R^2) are snapped to
+    exactly 0 (the regime split is discontinuous there in floating point)
+    whenever the snapped profile still meets the outer ring within
+    root_tol.  ``diagnostics`` on the result counts the work done.
     """
     rings = problem.rings
-    H = problem.H
-    reflected = rings.b < rings.a
-    work = rings if not reflected else ValidatedRingPair(
-        r=rings.r, R=rings.R, a=-rings.a, b=-rings.b, slope_bound=rings.slope_bound
-    )
-    # a power of two keeps the scale symmetry (lengths x 2^j, H / 2^j) exact
-    scale = math.ldexp(1.0, math.frexp(work.R)[1])
-    unit = min(1.0, scale)
-    root_tol = max(problem.root_tol * unit, 64.0 * math.ulp(scale))
-    quad_tol = problem.quad_tol * unit
-    n_g = n_dg = n_newton = n_bisect = 0
+    sign = -1.0 if rings.b < rings.a else 1.0
+    # from here on lengths are in the ring unit u = 2^e_u and H in 1/u
+    e_u = min(0, math.frexp(rings.R)[1])
+    r, R, a, b = (math.ldexp(x, -e_u)
+                  for x in (rings.r, rings.R, sign * rings.a, sign * rings.b))
+    work = ValidatedRingPair(r=r, R=R, a=a, b=b, slope_bound=rings.slope_bound)
+    H = math.ldexp(problem.H, e_u)
+    root_tol = max(problem.root_tol, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1])))
+    n_g = n_interp = n_bisect = 0
 
     def g(c):
         nonlocal n_g
         n_g += 1
-        return _outer_height(H, c, work, quad_tol) - work.b
+        return _outer_height(H, c, work, problem.quad_tol) - b
 
     # g is strictly decreasing; the barrier ends bound its root, so only
     # quadrature noise can give them the wrong sign
     k = work.slope_bound
     m = k / math.sqrt((1.0 - k) * (1.0 + k))
-    lo = H * work.r * work.r - m * work.R
-    hi = H * work.R * work.R - m * work.r
+    lo = H * r * r - m * R
+    hi = H * R * R - m * r
     g_lo, g_hi = g(lo), g(hi)
     if g_lo < -root_tol or g_hi > root_tol:
         raise RootBracketFailure(f"barrier bracket [{lo!r}, {hi!r}] gives f(R) - b = "
-                                 f"[{g_lo:.3e}, {g_hi:.3e}], beyond root_tol {root_tol:.3e}")
+                                 f"[{g_lo:.3e}, {g_hi:.3e}], beyond root_tol {root_tol:.3e} "
+                                 f"(lengths in units of {math.ldexp(1.0, e_u)!r})")
 
     if g_lo <= 0.0:
         c_hat, g_hat = lo, g_lo
     elif g_hi >= 0.0:
         c_hat, g_hat = hi, g_hi
     else:
-        # start at the false-position point of the bracket, whose secant
-        # also sizes the first sensitivity tolerance
-        dg_scale = (g_lo - g_hi) / (hi - lo)
+        # start at the false-position point of the bracket; the end across
+        # the root from it is the first secant partner, given twice so
+        # that the first step is a secant
         c_hat = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
         if not lo < c_hat < hi:
             c_hat = 0.5 * (lo + hi)
         g_hat = g(c_hat)
+        c_1, g_1 = (hi, g_hi) if g_hat > 0.0 else (lo, g_lo)
+        c_2, g_2 = c_1, g_1
         step = step_before = hi - lo
         while True:
             if g_hat > 0.0:
@@ -280,60 +249,55 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
                 break
             # |c| ~ 1e4 and |df/dc| ~ 1 already make c_tol * |c| worth 1e-8
             # in f(R), so c_tol only ends the search once root_tol is met
-            c_tol = problem.c_tol * max(unit, abs(c_hat))
+            c_tol = problem.c_tol * max(1.0, abs(c_hat))
             met = abs(g_hat) <= root_tol
             if met and hi - lo <= c_tol:
                 break
-            # where df/dc or its tolerance under- or overflows, nxt is nan,
-            # which fails every test below and bisects
-            dg_tol = _DG_RTOL * dg_scale
-            dg = 0.0
-            if 0.0 < dg_tol < math.inf:
-                dg = _outer_sensitivity(H, c_hat, work, dg_tol)
-                n_dg += 1
-                dg_scale = abs(dg)
-            nxt = c_hat - g_hat / dg if dg != 0.0 and math.isfinite(dg) else math.nan
+            # nan fails every test below and bisects
+            nxt = _interpolation_step(c_hat, g_hat, c_1, g_1, c_2, g_2)
             if nxt == c_hat or (met and abs(nxt - c_hat) <= c_tol):
-                break  # the Newton correction is within tolerance (or an ulp)
+                break  # the interpolation step is within tolerance (or an ulp)
             if lo < nxt < hi and abs(2.0 * (c_hat - nxt)) <= abs(step_before):
-                n_newton += 1
+                n_interp += 1
             else:
                 nxt = 0.5 * (lo + hi)
                 if not lo < nxt < hi:
                     break
                 n_bisect += 1
             step_before, step = step, c_hat - nxt
+            c_2, g_2, c_1, g_1 = c_1, g_1, c_hat, g_hat
             c_hat = nxt
             g_hat = g(c_hat)
     width = hi - lo if g_hat != 0.0 else 0.0
 
-    snap = 1e-10 * max(unit, H * work.R * work.R)
+    snap = 1e-10 * max(1.0, H * R * R)
     if c_hat != 0.0 and abs(c_hat) < snap:
         g_zero = g(0.0)
         if abs(g_zero) <= root_tol:
             c_hat, g_hat = 0.0, g_zero
 
-    residual = abs(g_hat)
-    if residual > root_tol:
+    residual = math.ldexp(abs(g_hat), e_u)
+    if abs(g_hat) > root_tol:
         raise LorentzCMCError(
-            f"shooting residual {residual:.3e} exceeds root_tol {root_tol:.3e} "
-            "(scaled to the rings); quad_tol may be too loose for this target"
+            f"shooting residual {residual:.3e} exceeds root_tol "
+            f"{math.ldexp(root_tol, e_u):.3e} (scaled to the rings); quad_tol may be "
+            "too loose for this target"
         )
 
-    user_params = SurfaceParams(-H, -c_hat) if reflected else SurfaceParams(H, c_hat)
-    curve = profile_curve(user_params, (rings.r, rings.a), quad_tol=quad_tol)
+    user_params = SurfaceParams(sign * problem.H, sign * math.ldexp(c_hat, e_u))
+    curve = profile_curve(user_params, (rings.r, rings.a),
+                          quad_tol=math.ldexp(problem.quad_tol, e_u))
     return PlateauSolution(
         curve=curve,
         c=curve.params.c,
         regime=classify_params(curve.params),
-        H0=threshold_H0(work),
+        H0=math.ldexp(threshold_H0(work), -e_u),
         residual=residual,
         diagnostics=SolveDiagnostics(
             g_evals=n_g,
-            dg_evals=n_dg,
-            newton_steps=n_newton,
+            interpolation_steps=n_interp,
             bisection_fallbacks=n_bisect,
-            final_bracket_width=width,
+            final_bracket_width=math.ldexp(width, e_u),
         ),
     )
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SurfaceParams
-from .errors import NonPositiveRadius
-from .profile import ProfileCurve
+from .profile import ProfileCurve, _radius
 
 __all__ = ["FluxResult", "flux_closed_form", "flux_numeric"]
 
@@ -43,8 +42,7 @@ def flux_closed_form(r, params: SurfaceParams) -> FluxResult:
     area_term = 2 pi H r^2, conormal_term = -2 pi (H r^2 - c), and their
     sum 2 pi c.  Zero exactly when c = 0 (plane, hyperbolic cap).
     """
-    if r <= 0.0:
-        raise NonPositiveRadius(f"flux requires r > 0, got r={r}")
+    r = _radius(r, "flux")
     area = 2.0 * math.pi * params.H * r * r
     conormal = -2.0 * math.pi * (params.H * r * r - params.c)
     return FluxResult(flux=area + conormal, area_term=area, conormal_term=conormal)
@@ -58,8 +56,7 @@ def flux_numeric(r, curve: ProfileCurve, angular=False, n_theta=720) -> FluxResu
     circumference.  ``angular=True`` instead samples theta and applies the
     (here exact) trapezoid rule over the period, as a convention check.
     """
-    if r <= 0.0:
-        raise NonPositiveRadius(f"flux requires r > 0, got r={r}")
+    r = _radius(r, "flux")
     s = curve.slope(r)
     H = curve.mean_curvature
     # (1-s)(1+s) keeps a few extra bits over 1 - s^2; the roundoff of s

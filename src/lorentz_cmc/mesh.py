@@ -56,8 +56,8 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
     always uniform.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    if t_lo < 0.0 or not t_lo < t_hi:
-        raise ValueError(f"need 0 <= t_lo < t_hi, got ({t_lo}, {t_hi})")
+    if t_lo < 0.0 or not t_lo < t_hi < math.inf:
+        raise ValueError(f"need 0 <= t_lo < t_hi < inf, got ({t_lo}, {t_hi})")
     if n_t < 2:
         raise ValueError("need at least 2 rings")
     if n_theta < 3:
@@ -210,12 +210,14 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
 
     A sample at t = 0 is written with the limiting values from the
     singularity report (axis height, limiting slope, zero residual); all
-    other samples must be positive.  The residual is that of
+    other samples must be positive and finite.  The residual is that of
     ``first_integral_residual`` at the step min(1e-5 max(1, t), t/2), with
     the heights at t +- step from one ``heights`` call; so close to a
     conical point that the differenced slope reaches |f'| >= 1, it is nan.
     """
     ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("profile samples must be finite")
     if np.any(ts < 0.0):
         raise NonPositiveRadius("profile samples must satisfy t >= 0")
     pos = ts > 0.0

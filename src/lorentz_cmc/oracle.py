@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import float_reprs
-from .errors import NonPositiveRadius, NotMonotone, SpacelikeViolation
-from .profile import ProfileCurve, heights, slope_extremum_radius
+from .errors import NotMonotone, SpacelikeViolation
+from .profile import ProfileCurve, _fd_step, _radius, heights, slope_extremum_radius
 
 __all__ = [
     "CurvatureReport",
@@ -237,13 +237,11 @@ def mean_curvature_rotational(t, curve: ProfileCurve, fd_step=None):
         H = (t f'' + (1 - f'^2) f') / (2 t (1 - f'^2)^(3/2)),
 
     with f' from the exact slope and f'' by central differences of it, so
-    exactly one differentiation is numerical.  Error is O(fd_step^2).
+    exactly one differentiation is numerical.  Error is O(fd_step^2).  The
+    default step is 1e-5 max(1, t); a given one must be finite and positive.
     """
-    t = float(t)
-    if t <= 0.0:
-        raise NonPositiveRadius(f"curvature requires t > 0, got t={t}")
-    if fd_step is None:
-        fd_step = 1e-5 * max(1.0, t)
+    t = _radius(t, "curvature")
+    fd_step = _fd_step(t, fd_step)
     if t - fd_step <= 0.0:
         raise SpacelikeViolation(
             f"fd_step={fd_step} crosses the axis from t={t}"

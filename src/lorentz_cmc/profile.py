@@ -27,9 +27,10 @@ import numpy as np
 
 from .core import Regime, SurfaceParams, canonicalize, classify_params
 from .errors import NonPositiveRadius, SpacelikeViolation
-from .quadrature import integrate, panel_sums
+from .quadrature import DEFAULT_MAX_INTERVALS, DEFAULT_QUAD_TOL, integrate, panel_sums
 
 __all__ = [
+    "DEFAULT_MAX_INTERVALS",
     "DEFAULT_QUAD_TOL",
     "ProfileCurve",
     "SingularityKind",
@@ -48,8 +49,34 @@ __all__ = [
     "slope_extremum_radius",
 ]
 
-DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_MAX_INTERVALS = 10_000
+
+def _radius(t, what):
+    """``t`` as a float; ValueError unless finite, NonPositiveRadius unless > 0."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"{what} requires a finite radius, got t={t}")
+    if t <= 0.0:
+        raise NonPositiveRadius(f"{what} requires t > 0, got t={t}")
+    return t
+
+
+def _radii(ts, what):
+    """``ts`` as a float array; ValueError unless finite, NonPositiveRadius unless > 0."""
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"{what} require finite radii")
+    if np.any(ts <= 0.0):
+        raise NonPositiveRadius(f"{what} require all t > 0")
+    return ts
+
+
+def _fd_step(t, fd_step):
+    """Central-difference step at t: 1e-5 max(1, t), or ``fd_step`` if finite and > 0."""
+    if fd_step is None:
+        return 1e-5 * max(1.0, t)
+    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise ValueError(f"fd_step must be finite and positive, got {fd_step!r}")
+    return fd_step
 
 
 def _slope_raw(ts, H, c):
@@ -65,9 +92,7 @@ def slope(t, params: SurfaceParams):
     Always strictly inside (-1, 1): the surface is spacelike at every
     radius.  No quadrature is involved.
     """
-    if t <= 0.0:
-        raise NonPositiveRadius(f"slope requires t > 0, got t={t}")
-    return float(_slope_raw(t, params.H, params.c))
+    return float(_slope_raw(_radius(t, "slope"), params.H, params.c))
 
 
 def slope_extremum_radius(params: SurfaceParams):
@@ -118,14 +143,11 @@ class ProfileCurve:
         return self.parity * self.params.c
 
     def slope(self, t):
-        if t <= 0.0:
-            raise NonPositiveRadius(f"slope requires t > 0, got t={t}")
+        t = _radius(t, "slope")
         return self.parity * float(_slope_raw(t, self.params.H, self.params.c))
 
     def slopes(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts <= 0.0):
-            raise NonPositiveRadius("slopes require all t > 0")
+        ts = _radii(ts, "slopes")
         return self.parity * _slope_raw(ts, self.params.H, self.params.c)
 
     def height(self, t, method="auto"):
@@ -140,9 +162,11 @@ def profile_curve(params: SurfaceParams, anchor, quad_tol=DEFAULT_QUAD_TOL,
     """Build a ProfileCurve through ``anchor = (r, a)`` with f(r) = a.
 
     ``params`` may have H < 0; it is canonicalized and the flip is recorded
-    in the curve's parity.
+    in the curve's parity.  Raises ValueError for a non-finite anchor.
     """
     r, a = float(anchor[0]), float(anchor[1])
+    if not (math.isfinite(r) and math.isfinite(a)):
+        raise ValueError(f"anchor must be finite, got ({r}, {a})")
     if r <= 0.0:
         raise NonPositiveRadius(f"anchor radius must be positive, got {r}")
     canon, parity = canonicalize(params)
@@ -247,9 +271,7 @@ def height(t, curve: ProfileCurve, method="auto"):
     "auto" (closed form when the regime has one, quadrature otherwise),
     "quadrature", or "closed_form".
     """
-    t = float(t)
-    if t <= 0.0:
-        raise NonPositiveRadius(f"height requires t > 0, got t={t}")
+    t = _radius(t, "height")
     use_closed = curve.regime in _HAS_CLOSED_FORM
     if method == "closed_form" and not use_closed:
         raise ValueError(f"regime {curve.regime} has no closed form")
@@ -279,9 +301,7 @@ def heights(curve: ProfileCurve, ts, method="auto"):
     integrand instead of one full integral per point.  Per-point accuracy
     is at the curve's quad_tol scale.
     """
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0.0):
-        raise NonPositiveRadius("heights require all t > 0")
+    ts = _radii(ts, "heights")
     use_closed = curve.regime in _HAS_CLOSED_FORM
     if method == "closed_form" and not use_closed:
         raise ValueError(f"regime {curve.regime} has no closed form")
@@ -402,17 +422,13 @@ def first_integral_residual(t, curve: ProfileCurve, fd_step=None):
     plus O(quad_tol / fd_step) quadrature noise, amplified by
     t (1 - f'^2)^(-3/2) close to the light cone.
 
-    Default step is 1e-5 * max(1, t).  Raises SpacelikeViolation when the
+    Default step is 1e-5 * max(1, t); a given one must be finite and
+    positive (else ValueError).  Raises SpacelikeViolation when the
     differencing window crosses the axis or the estimated slope reaches
     |f'| >= 1 (step too coarse near a conical point).
     """
-    t = float(t)
-    if t <= 0.0:
-        raise NonPositiveRadius(f"residual requires t > 0, got t={t}")
-    if fd_step is None:
-        fd_step = 1e-5 * max(1.0, t)
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
+    t = _radius(t, "residual")
+    fd_step = _fd_step(t, fd_step)
     if t - fd_step <= 0.0:
         raise SpacelikeViolation(
             f"fd_step={fd_step} reaches the axis from t={t}; "

@@ -20,7 +20,10 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["integrate", "panel_sums"]
+__all__ = ["DEFAULT_MAX_INTERVALS", "DEFAULT_QUAD_TOL", "integrate", "panel_sums"]
+
+DEFAULT_QUAD_TOL = 1e-10
+DEFAULT_MAX_INTERVALS = 10_000
 
 # Kronrod-15 abscissae (positive half, descending) and weights; the odd
 # entries are the embedded Gauss-7 nodes.
@@ -99,7 +102,7 @@ def _initial_cuts(lo, hi):
     return []
 
 
-def integrate(fn, lo, hi, tol=1e-10, max_intervals=10_000):
+def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL, max_intervals=DEFAULT_MAX_INTERVALS):
     """Integrate ``fn`` over [lo, hi] to absolute tolerance ``tol``.
 
     ``fn`` must accept and return numpy arrays.  Bounds may be given in

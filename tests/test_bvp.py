@@ -2,8 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad as scipy_quad
+from hypothesis import assume, given, settings, strategies as st
 
 from lorentz_cmc import (
     LorentzCMCError,
@@ -24,12 +23,7 @@ from lorentz_cmc import (
     threshold_H0,
     validate_rings,
 )
-from lorentz_cmc.bvp import (
-    DEFAULT_C_TOL,
-    DEFAULT_ROOT_TOL,
-    _outer_height,
-    _outer_sensitivity,
-)
+from lorentz_cmc.bvp import DEFAULT_C_TOL, DEFAULT_ROOT_TOL, _outer_height
 from lorentz_cmc.profile import DEFAULT_QUAD_TOL
 
 
@@ -341,13 +335,13 @@ class TestNewtonAgainstBisection:
 
     def test_large_c_terminates_in_few_integrals(self):
         # an absolute 1e-12 on c is below one ulp here; the relative rule
-        # stops after a handful of Newton steps
+        # stops after a handful of interpolation steps
         problem = PlateauProblem(
             rings=validate_rings(RingPair(r=1.0, R=50.0, a=0.0, b=0.5)), H=20.0)
         sol = solve_c(problem)
         assert sol.c >= 8192.0
         d = sol.diagnostics
-        assert d.g_evals + d.dg_evals < 30
+        assert d.g_evals <= 10
         c_ref, regime_ref = _bisection_reference(problem)
         assert abs(sol.c - c_ref) <= 1e-9 * abs(c_ref)
         assert sol.regime is regime_ref
@@ -366,8 +360,8 @@ class TestNewtonAgainstBisection:
 
     def test_readme_example_work_counts(self):
         d = solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0).diagnostics
-        assert d.g_evals + d.dg_evals <= 20
-        assert d.newton_steps + d.bisection_fallbacks <= d.g_evals
+        assert d.g_evals <= 10
+        assert d.interpolation_steps + d.bisection_fallbacks <= d.g_evals
         assert d.final_bracket_width >= 0.0
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-30, 1e-50])
@@ -391,8 +385,7 @@ class TestNewtonAgainstBisection:
         sol = solve_two_ring(1.0, 2.0, 0.25, 0.25, 0.0)
         assert sol.c == 0.0
         d = sol.diagnostics
-        assert (d.g_evals, d.dg_evals, d.newton_steps, d.final_bracket_width) == (
-            2, 0, 0, 0.0)
+        assert (d.g_evals, d.interpolation_steps, d.final_bracket_width) == (2, 0, 0.0)
 
 
 def _barrier_bracket(rings, H):
@@ -464,9 +457,13 @@ class TestRingScale:
                 failures.append(((r, R, a, b, H), sol.regime))
         assert failures == []
 
+    def test_wide_radii_take_under_ten_integrals_on_average(self):
+        evals = [solve_two_ring(*case).diagnostics.g_evals for case in _wide_ring_pairs()]
+        assert sum(evals) / len(evals) < 10.0
+
     @settings(max_examples=40, deadline=None)
     @given(log_R=st.floats(-4.0, -1.0), log_ratio=st.floats(0.02, 3.0),
-           k=st.floats(0.0, 0.99), h=st.floats(0.0, 20.0), j=st.integers(-100, 0),
+           k=st.floats(0.0, 0.99), h=st.floats(0.0, 20.0), j=st.integers(-1000, 0),
            descending=st.booleans())
     def test_power_of_two_scaling_is_exact_below_half(self, log_R, log_ratio, k, h,
                                                       j, descending):
@@ -477,38 +474,13 @@ class TestRingScale:
         d = k * (R - r)
         a, b = (d, 0.0) if descending else (0.0, d)
         H = h * threshold_H0(validate_rings(RingPair(r=r, R=R, a=0.0, b=d)))
-        base = solve_two_ring(r, R, a, b, H)
         lam = math.ldexp(1.0, j)
+        # only exactly scaled data has this symmetry: a length scaled into
+        # the subnormals rounds
+        assume(all(math.ldexp(lam * x, -j) == x for x in (r, R, d)))
+        base = solve_two_ring(r, R, a, b, H)
         scaled = solve_two_ring(lam * r, lam * R, lam * a, lam * b, H / lam)
         assert scaled.c == lam * base.c
         assert scaled.residual == lam * base.residual
         assert scaled.regime is base.regime
 
-
-class TestSensitivity:
-    @pytest.mark.parametrize("H, c, r, R", [
-        (0.0, 3.0, 1.0, 4.0),        # maximal, 4Hc < 1
-        (0.0, -2.0, 0.5, 300.0),
-        (0.7, -1.5, 1.0, 2.0),       # c < 0: no spike
-        (0.2, 1.0, 0.5, 300.0),      # 4Hc < 1: wide hump at sqrt(c/H)
-        (1.0, 3.0, 1.0, 4.0),        # 4Hc >= 1: slope-angle form
-        (50.0, 557268.34, 1.27, 578.8),  # spike of width ~1e-2 at s* ~ 106
-        (50.0, 1e5, 1.0, 1.05),      # s* outside [r, R], tiny derivative
-    ])
-    def test_matches_direct_integral(self, H, c, r, R):
-        rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=0.0))
-        star = math.sqrt(c / H) if H > 0.0 and c > 0.0 else None
-        ref, _ = scipy_quad(
-            lambda s: -s * s / (s * s + (H * s * s - c) ** 2) ** 1.5, r, R,
-            points=[star] if star is not None and r < star < R else None,
-            limit=500, epsabs=0.0, epsrel=1e-12)
-        ours = _outer_sensitivity(H, c, rings, 1e-9 * abs(ref))
-        assert ours < 0.0
-        assert ours == pytest.approx(ref, rel=1e-7)
-
-    def test_is_the_derivative_of_the_outer_height(self):
-        for H, c in ((0.0, 0.4), (0.3, -0.2), (1.0, 1.2)):
-            h = 1e-5
-            fd = (_outer_height(H, c + h, RINGS, 1e-13)
-                  - _outer_height(H, c - h, RINGS, 1e-13)) / (2 * h)
-            assert _outer_sensitivity(H, c, RINGS, 1e-12) == pytest.approx(fd, rel=1e-6)

@@ -42,8 +42,19 @@ class TestClosedForm:
         with pytest.raises(NonPositiveRadius):
             flux_closed_form(0.0, SurfaceParams(1.0, 1.0))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, r):
+        # a nan radius once gave a nan flux
+        with pytest.raises(ValueError):
+            flux_closed_form(r, SurfaceParams(1.0, 1.0))
+
 
 class TestNumeric:
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, r):
+        with pytest.raises(ValueError):
+            flux_numeric(r, curve_of(1.0, 3.0))
+
     def test_matches_closed_form(self):
         curve = curve_of(1.0, 3.0)
         res = flux_numeric(2.0, curve)

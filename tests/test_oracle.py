@@ -236,6 +236,12 @@ class TestRotationalOracle:
         with pytest.raises(SpacelikeViolation):
             mean_curvature_rotational(1e-5, curve_of(1.0, 3.0), fd_step=1e-4)
 
+    @pytest.mark.parametrize("fd_step", [0.0, math.nan, math.inf, -1e-4])
+    def test_step_must_be_finite_and_positive(self, fd_step):
+        # a zero step raised ZeroDivisionError and a nan one returned nan
+        with pytest.raises(ValueError, match="fd_step"):
+            mean_curvature_rotational(2.0, curve_of(1.0, 3.0), fd_step=fd_step)
+
     def test_second_order_in_step(self):
         coarse = abs(mean_curvature_rotational(2.0, curve_of(0.5, -2.0), fd_step=1e-2) - 0.5)
         fine = abs(mean_curvature_rotational(2.0, curve_of(0.5, -2.0), fd_step=1e-3) - 0.5)

@@ -15,11 +15,13 @@ from lorentz_cmc import (
     asymptotic_slope_estimate,
     closed_form_hyperbolic,
     closed_form_maximal,
+    export_profile_csv,
     first_integral_residual,
     height,
     heights,
     hyperbolic_center_height,
     profile_curve,
+    sample_surface,
     singularity_report,
     slope,
     slope_extremum_radius,
@@ -299,6 +301,12 @@ class TestFirstIntegralResidual:
         with pytest.raises(SpacelikeViolation):
             first_integral_residual(1e-6, curve_of(1.0, 3.0), fd_step=5e-7)
 
+    @pytest.mark.parametrize("fd_step", [math.nan, math.inf, 0.0, -1e-5])
+    def test_step_must_be_finite_and_positive(self, fd_step):
+        # a nan step once raised a misleading QuadratureFailure
+        with pytest.raises(ValueError, match="fd_step"):
+            first_integral_residual(2.0, curve_of(1.0, 3.0), fd_step=fd_step)
+
     def test_nonpositive_radius(self):
         with pytest.raises(NonPositiveRadius):
             first_integral_residual(-1.0, curve_of(1.0, 3.0))
@@ -344,3 +352,31 @@ class TestCurveApi:
         curve = curve_of(1.0, 3.0)
         ts = np.geomspace(0.1, 10.0, 17)
         assert np.allclose(curve.slopes(ts), [curve.slope(t) for t in ts], atol=1e-15)
+
+
+_CURVE = curve_of(1.0, 3.0)
+
+
+class TestNonFiniteRadii:
+    # each of these once ran with another meaning: a nan sample written as
+    # the axis row, a nan curve, a bare OverflowError, nan heights or mesh
+    @pytest.mark.parametrize("call", [
+        lambda: export_profile_csv(_CURVE, [math.nan]),
+        lambda: export_profile_csv(_CURVE, [1.0, math.inf]),
+        lambda: profile_curve(SurfaceParams(1.0, 3.0), (math.nan, 0.0)),
+        lambda: profile_curve(SurfaceParams(1.0, 3.0), (math.inf, 0.0)),
+        lambda: profile_curve(SurfaceParams(1.0, 3.0), (1.0, math.nan)),
+        lambda: height(math.inf, _CURVE),
+        lambda: height(math.nan, _CURVE),
+        lambda: heights(_CURVE, [2.0, math.inf]),
+        lambda: heights(_CURVE, [2.0, math.nan]),
+        lambda: sample_surface(_CURVE, (1.0, math.inf), 3, 4),
+        lambda: slope(math.inf, SurfaceParams(1.0, 3.0)),
+        lambda: _CURVE.slopes([1.0, math.nan]),
+        lambda: first_integral_residual(math.inf, _CURVE),
+    ], ids=["csv-nan", "csv-inf", "anchor-r-nan", "anchor-r-inf", "anchor-a-nan",
+            "height-inf", "height-nan", "heights-inf", "heights-nan", "mesh-inf",
+            "slope-inf", "slopes-nan", "residual-inf"])
+    def test_rejected_with_value_error(self, call):
+        with pytest.raises(ValueError):
+            call()
