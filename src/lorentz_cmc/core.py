@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateRadii, NotSpacelikeSolvable
@@ -114,10 +115,12 @@ def classify_params(params: SurfaceParams) -> Regime:
 def validate_rings(rings: RingPair | ValidatedRingPair) -> ValidatedRingPair:
     """Check that the rings can bound a spacelike annulus of revolution.
 
-    Requires 0 < r < R and a slope bound |a - b| / (R - r) strictly below 1;
-    the latter is necessary and sufficient for a spacelike rotational graph
-    spanning both rings to exist.  Comparisons are exact: the solvability
-    inequality is open, so boundary data sitting on it fails loudly.
+    Requires 0 < r < R, R normal (at least sys.float_info.min, so the
+    solver's 1/R scales stay finite) and a slope bound |a - b| / (R - r)
+    strictly below 1; the latter is necessary and sufficient for a
+    spacelike rotational graph spanning both rings to exist.  Comparisons
+    are exact: the solvability inequality is open, so boundary data
+    sitting on it fails loudly.
 
     Raises DegenerateRadii or NotSpacelikeSolvable; idempotent on already
     validated pairs.
@@ -125,6 +128,11 @@ def validate_rings(rings: RingPair | ValidatedRingPair) -> ValidatedRingPair:
     r, R, a, b = rings.r, rings.R, rings.a, rings.b
     if not (0.0 < r < R):
         raise DegenerateRadii(f"need 0 < r < R, got r={r}, R={R}")
+    if R < sys.float_info.min:
+        raise DegenerateRadii(
+            f"outer radius R={R} is subnormal (below {sys.float_info.min}): "
+            "1/R overflows and tolerances in ring units underflow"
+        )
     slope_bound = abs(a - b) / (R - r)
     if not slope_bound < 1.0:
         raise NotSpacelikeSolvable(

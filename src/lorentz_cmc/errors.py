@@ -6,7 +6,8 @@ class LorentzCMCError(Exception):
 
 
 class DegenerateRadii(LorentzCMCError):
-    """Ring radii do not bound an annulus (requires 0 < r < R)."""
+    """Ring radii do not bound an annulus (requires 0 < r < R), or the
+    outer radius R is subnormal (below sys.float_info.min)."""
 
 
 class NotSpacelikeSolvable(LorentzCMCError):

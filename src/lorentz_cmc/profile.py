@@ -126,6 +126,11 @@ class ProfileCurve:
     max_intervals: int = DEFAULT_MAX_INTERVALS
 
     def __post_init__(self):
+        r, a = self.anchor_radius, self.anchor_height
+        if not (math.isfinite(r) and math.isfinite(a)):
+            raise ValueError(f"anchor must be finite, got ({r}, {a})")
+        if r <= 0.0:
+            raise NonPositiveRadius(f"anchor radius must be positive, got {r}")
         if not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
             raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol!r}")
         n = self.max_intervals
@@ -162,13 +167,10 @@ def profile_curve(params: SurfaceParams, anchor, quad_tol=DEFAULT_QUAD_TOL,
     """Build a ProfileCurve through ``anchor = (r, a)`` with f(r) = a.
 
     ``params`` may have H < 0; it is canonicalized and the flip is recorded
-    in the curve's parity.  Raises ValueError for a non-finite anchor.
+    in the curve's parity.  Raises ValueError for a non-finite anchor and
+    NonPositiveRadius for an anchor radius <= 0.
     """
     r, a = float(anchor[0]), float(anchor[1])
-    if not (math.isfinite(r) and math.isfinite(a)):
-        raise ValueError(f"anchor must be finite, got ({r}, {a})")
-    if r <= 0.0:
-        raise NonPositiveRadius(f"anchor radius must be positive, got {r}")
     canon, parity = canonicalize(params)
     return ProfileCurve(
         params=canon,
@@ -246,22 +248,55 @@ def hyperbolic_center_height(H, anchor):
     return a - math.sqrt(1.0 + (H * r) ** 2) / H
 
 
-def _closed_form_canonical(curve: ProfileCurve, ts):
-    """Closed-form height of the canonical profile at the canonical anchor."""
-    r = curve.anchor_radius
-    a_can = curve.parity * curve.anchor_height
-    p = curve.params
-    if curve.regime is Regime.PLANE:
-        ts = np.asarray(ts, dtype=float)
-        return np.full(ts.shape, a_can) if ts.ndim else a_can
-    if curve.regime is Regime.MAXIMAL_CATENOID:
-        return closed_form_maximal(ts, p.c, (r, a_can))
-    if curve.regime is Regime.HYPERBOLIC_CAP:
-        return closed_form_hyperbolic(ts, p.H, (r, a_can))
-    raise ValueError(f"no closed form for regime {curve.regime}")
+# (ts, canonical params, canonical anchor) -> canonical heights at ts
+_CLOSED_FORMS = {
+    Regime.PLANE: lambda ts, p, anc: np.full(ts.shape, anc[1]),
+    Regime.MAXIMAL_CATENOID: lambda ts, p, anc: closed_form_maximal(ts, p.c, anc),
+    Regime.HYPERBOLIC_CAP: lambda ts, p, anc: closed_form_hyperbolic(ts, p.H, anc),
+}
 
 
-_HAS_CLOSED_FORM = (Regime.PLANE, Regime.MAXIMAL_CATENOID, Regime.HYPERBOLIC_CAP)
+def _heights(curve: ProfileCurve, ts, method="auto"):
+    """Heights at a float array of radii ``ts >= 0``; t = 0 gives the axis limit f(0+).
+
+    The one height engine behind ``height``, ``heights`` and
+    ``singularity_report``.  Closed-form regimes evaluate their formula on
+    the canonical profile.  Otherwise the sorted radii and the anchor cut
+    [min, max] into segments, each integrated by one Kronrod panel; a
+    segment whose panel misses quad_tol / segments, or that spans more than
+    three decades (where ``integrate`` pre-splits), is integrated
+    adaptively to that tolerance.  A cumulative sum zeroed at the anchor
+    gives every height.
+    """
+    closed = _CLOSED_FORMS.get(curve.regime)
+    if method == "closed_form" and closed is None:
+        raise ValueError(f"regime {curve.regime} has no closed form")
+    if method == "quadrature":
+        closed = None
+    elif method not in ("auto", "closed_form"):
+        raise ValueError(f"unknown method {method!r}")
+
+    p, r = curve.params, curve.anchor_radius
+    if closed is not None:
+        a_can = curve.parity * curve.anchor_height
+        return curve.parity * np.asarray(closed(ts, p, (r, a_can)), dtype=float)
+
+    fn = lambda s: _slope_raw(s, p.H, p.c)
+    uniq, inverse = np.unique(ts.ravel(), return_inverse=True)
+    edges = np.unique(np.append(uniq, r))
+    vals, errs = panel_sums(fn, edges[:-1], edges[1:])
+    seg_tol = curve.quad_tol / max(len(vals), 1)
+    with np.errstate(divide="ignore"):
+        wide = edges[1:] / edges[:-1] > 1e3
+    # a nan estimate fails "<=" and goes to integrate too
+    for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
+        vals[i] = integrate(fn, edges[i], edges[i + 1], tol=seg_tol,
+                            max_intervals=curve.max_intervals)
+    # antiderivative at every edge, zeroed at the anchor
+    F = np.concatenate([[0.0], np.cumsum(vals)])
+    F -= F[np.searchsorted(edges, r)]
+    out = curve.anchor_height + curve.parity * F[np.searchsorted(edges, uniq)][inverse]
+    return out.reshape(ts.shape)
 
 
 def height(t, curve: ProfileCurve, method="auto"):
@@ -271,64 +306,18 @@ def height(t, curve: ProfileCurve, method="auto"):
     "auto" (closed form when the regime has one, quadrature otherwise),
     "quadrature", or "closed_form".
     """
-    t = _radius(t, "height")
-    use_closed = curve.regime in _HAS_CLOSED_FORM
-    if method == "closed_form" and not use_closed:
-        raise ValueError(f"regime {curve.regime} has no closed form")
-    if method == "quadrature":
-        use_closed = False
-    elif method not in ("auto", "closed_form"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if use_closed:
-        return curve.parity * float(_closed_form_canonical(curve, t))
-    p = curve.params
-    val = integrate(
-        lambda s: _slope_raw(s, p.H, p.c),
-        curve.anchor_radius,
-        t,
-        tol=curve.quad_tol,
-        max_intervals=curve.max_intervals,
-    )
-    return curve.anchor_height + curve.parity * val
+    return float(_heights(curve, np.array([_radius(t, "height")]), method)[0])
 
 
 def heights(curve: ProfileCurve, ts, method="auto"):
-    """Vectorized height evaluation.
+    """Vectorized height evaluation; ``method`` as for ``height``.
 
     Quadrature regimes integrate segment-by-segment between consecutive
     sample radii and accumulate, so dense grids cost one pass over the
     integrand instead of one full integral per point.  Per-point accuracy
     is at the curve's quad_tol scale.
     """
-    ts = _radii(ts, "heights")
-    use_closed = curve.regime in _HAS_CLOSED_FORM
-    if method == "closed_form" and not use_closed:
-        raise ValueError(f"regime {curve.regime} has no closed form")
-    if method == "quadrature":
-        use_closed = False
-    elif method not in ("auto", "closed_form"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if use_closed:
-        return curve.parity * np.asarray(_closed_form_canonical(curve, ts), dtype=float)
-
-    p = curve.params
-    fn = lambda s: _slope_raw(s, p.H, p.c)
-    uniq, inverse = np.unique(ts.ravel(), return_inverse=True)
-    edges = np.unique(np.append(uniq, curve.anchor_radius))
-    vals, errs = panel_sums(fn, edges[:-1], edges[1:])
-    seg_tol = max(curve.quad_tol / max(len(vals), 1), 1e-15)
-    for i in np.nonzero(errs > seg_tol)[0]:
-        vals[i] = integrate(fn, edges[i], edges[i + 1], tol=seg_tol,
-                            max_intervals=curve.max_intervals)
-    # antiderivative at every edge, zeroed at the anchor
-    F = np.concatenate([[0.0], np.cumsum(vals)])
-    i_anchor = int(np.searchsorted(edges, curve.anchor_radius))
-    F -= F[i_anchor]
-    F_at_uniq = F[np.searchsorted(edges, uniq)]
-    out = curve.anchor_height + curve.parity * F_at_uniq[inverse]
-    return out.reshape(ts.shape)
+    return _heights(curve, _radii(ts, "heights"), method)
 
 
 class SingularityKind(enum.Enum):
@@ -367,26 +356,7 @@ def singularity_report(curve: ProfileCurve) -> SingularityReport:
     else:
         limit, kind = 0.0, SingularityKind.REGULAR_HYPERBOLIC
 
-    p = curve.params
-    if curve.regime is Regime.PLANE:
-        vertex = curve.anchor_height
-    elif curve.regime is Regime.HYPERBOLIC_CAP:
-        a_can = curve.parity * curve.anchor_height
-        v_can = a_can + (1.0 - math.sqrt(1.0 + (p.H * curve.anchor_radius) ** 2)) / p.H
-        vertex = curve.parity * v_can
-    elif curve.regime is Regime.MAXIMAL_CATENOID:
-        a_can = curve.parity * curve.anchor_height
-        v_can = a_can + p.c * _asinh_ratio(curve.anchor_radius, p.c)
-        vertex = curve.parity * v_can
-    else:
-        down = integrate(
-            lambda s: _slope_raw(s, p.H, p.c),
-            0.0,
-            curve.anchor_radius,
-            tol=curve.quad_tol,
-            max_intervals=curve.max_intervals,
-        )
-        vertex = curve.anchor_height - curve.parity * down
+    vertex = float(_heights(curve, np.zeros(1))[0])
     return SingularityReport(limit_slope=limit, kind=kind, cone_vertex_height=vertex)
 
 

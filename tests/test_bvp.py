@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (
     LorentzCMCError,
@@ -18,6 +19,7 @@ from lorentz_cmc import (
     classify_params,
     closed_form_hyperbolic,
     height,
+    heights,
     solve_c,
     solve_two_ring,
     threshold_H0,
@@ -484,3 +486,30 @@ class TestRingScale:
         assert scaled.residual == lam * base.residual
         assert scaled.regime is base.regime
 
+    def test_solved_tiny_ring_heights_keep_the_ring_unit_tolerance(self):
+        # heights floored its segment tolerance at 1e-15, far above
+        # quad_tol u = 1.46e-21 here, and missed b by 1.29e-20
+        r, R, a, b = 1e-12, 1.2e-11, 0.0, 5.5e-12
+        H = 1.5 * threshold_H0(validate_rings(RingPair(r=r, R=R, a=a, b=b)))
+        curve = solve_two_ring(r, R, a, b, H).curve
+        p = curve.params
+
+        def ref(t):
+            # scipy on lengths in units of R, so its absolute floor is R-relative
+            w = lambda x: p.H * (x * R) ** 2 - p.c
+            val, _ = scipy_quad(lambda x: w(x) / math.hypot(x * R, w(x)), r / R, t / R,
+                                epsabs=1e-15, epsrel=1e-13)
+            return a + curve.parity * R * val
+
+        for t in (R, 0.5 * R, 2.0 * r):
+            assert abs(heights(curve, [t])[0] - ref(t)) <= curve.quad_tol
+        assert abs(heights(curve, [R])[0] - b) <= curve.quad_tol
+
+    @pytest.mark.parametrize("r,R", [(1e-309, 2.3e-308), (1e-309, 3e-308), (1e-320, 1e-300)])
+    @pytest.mark.parametrize("h", [0.0, 1.5])
+    def test_normal_outer_radius_solves_with_subnormal_inner(self, r, R, h):
+        # validate_rings rejects a subnormal R only; these still solve
+        rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=0.4 * R))
+        sol = solve_c(PlateauProblem(rings=rings, H=h * threshold_H0(rings)))
+        unit = math.ldexp(1.0, math.frexp(R)[1])
+        assert sol.residual <= DEFAULT_ROOT_TOL * unit

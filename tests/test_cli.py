@@ -56,6 +56,14 @@ class TestSolve:
         assert code == EXIT_UNSOLVABLE
         assert json.loads(err.strip())["type"] == "DegenerateRadii"
 
+    @pytest.mark.parametrize("r,R", [("5e-311", "1e-310"), ("1e-321", "1e-320")])
+    def test_subnormal_outer_radius_exits_2(self, capsys, r, R):
+        # exited 1 with a bare OverflowError or a quad_tol ValueError
+        code, _, err = run(capsys, "solve", "--r", r, "--R", R,
+                           "--a", "0", "--b", "0", "--H", "0")
+        assert code == EXIT_UNSOLVABLE
+        assert json.loads(err.strip())["type"] == "DegenerateRadii"
+
     def test_plane_solution(self, capsys):
         code, out, _ = run(capsys, "solve", "--r", "1", "--R", "2",
                            "--a", "0", "--b", "0", "--H", "0")

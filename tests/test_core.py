@@ -32,7 +32,10 @@ class TestValidateRings:
         with pytest.raises(DegenerateRadii):
             validate_rings(RingPair(r=2.0, R=1.0, a=0.0, b=0.0))
 
-    @pytest.mark.parametrize("r,R", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0)])
+    # a subnormal R once raised a bare OverflowError (1/R) or a quad_tol
+    # ValueError (tolerances in ring units underflow to 0) from the solver
+    @pytest.mark.parametrize("r,R", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0),
+                                     (5e-311, 1e-310), (1e-317, 1e-316), (1e-321, 1e-320)])
     def test_degenerate_radii_rejected(self, r, R):
         with pytest.raises(DegenerateRadii):
             validate_rings(RingPair(r=r, R=R, a=0.0, b=0.0))

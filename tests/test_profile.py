@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorentz_cmc import (
     NonPositiveRadius,
+    ProfileCurve,
     Regime,
     SingularityKind,
     SpacelikeViolation,
@@ -20,6 +21,7 @@ from lorentz_cmc import (
     height,
     heights,
     hyperbolic_center_height,
+    integrate,
     profile_curve,
     sample_surface,
     singularity_report,
@@ -36,6 +38,25 @@ params_st = st.builds(
 
 def curve_of(H, c, r=1.0, a=0.0, **kw):
     return profile_curve(SurfaceParams(H, c), (r, a), **kw)
+
+
+@st.composite
+def regime_curves(draw):
+    """A curve in any regime and either parity, lengths of size 2^[-30, 10]."""
+    scale = math.ldexp(1.0, draw(st.integers(-30, 10)))
+    regime = draw(st.sampled_from(list(Regime)))
+    H = draw(st.floats(0.05, 5.0)) / scale if regime in (
+        Regime.HYPERBOLIC_CAP, Regime.NEGATIVE_C, Regime.POSITIVE_C) else 0.0
+    sign = {Regime.NEGATIVE_C: -1.0, Regime.POSITIVE_C: 1.0,
+            Regime.MAXIMAL_CATENOID: draw(st.sampled_from([-1.0, 1.0]))}.get(regime, 0.0)
+    c = sign * draw(st.floats(0.05, 3.0)) * scale
+    parity = draw(st.sampled_from([-1.0, 1.0]))
+    r = scale * 10.0 ** draw(st.floats(-1.0, 1.0))
+    a = scale * draw(st.floats(-1.0, 1.0))
+    quad_tol = 10.0 ** draw(st.floats(-14.0, -8.0)) * min(1.0, scale)
+    curve = curve_of(parity * H, parity * c, r=r, a=a, quad_tol=quad_tol)
+    assert curve.regime is regime
+    return curve
 
 
 class TestSlope:
@@ -191,6 +212,13 @@ class TestHeight:
         single = np.array([height(t, curve) for t in ts])
         assert np.max(np.abs(batch - single)) < 5e-10
 
+    @settings(max_examples=100, deadline=None)
+    @given(curve=regime_curves(), log_ratio=st.floats(-6.0, 6.0),
+           method=st.sampled_from(["auto", "quadrature"]))
+    def test_height_is_one_point_of_heights_bitwise(self, curve, log_ratio, method):
+        t = curve.anchor_radius * 10.0 ** log_ratio
+        assert height(t, curve, method) == heights(curve, [t], method)[0]
+
     def test_oddness_under_parameter_mirror(self):
         # f(t; -H, -c) anchored at -a equals -f(t; H, c) anchored at a
         plus = curve_of(1.0, 3.0, a=0.7)
@@ -255,10 +283,43 @@ class TestSingularity:
                                                (1.0, 0.0)))
         assert rep.cone_vertex_height == pytest.approx(0.0, abs=1e-300)
 
+    @settings(max_examples=100, deadline=None)
+    @given(curve=regime_curves())
+    def test_vertex_matches_per_regime_formulas(self, curve):
+        old = _vertex_by_regime(curve)
+        new = singularity_report(curve).cone_vertex_height
+        if curve.regime is not Regime.HYPERBOLIC_CAP:
+            assert new == old
+        elif curve.params.H * curve.anchor_radius >= 0.1:
+            # the cap now takes the difference-of-roots form; the old
+            # 1 - sqrt(1 + (H r)^2) cancels for small H r
+            assert abs(new - old) <= 1e-14 * max(abs(old), abs(curve.anchor_height),
+                                                 curve.anchor_radius)
+
     def test_mirrored_curve_swaps_cone_kind(self):
         rep = singularity_report(curve_of(-1.0, -3.0))
         assert rep.kind is SingularityKind.CONICAL_UPPER
         assert rep.limit_slope == 1.0
+
+
+def _vertex_by_regime(curve):
+    """Axis height f(0+) as singularity_report took it with one branch per
+    regime, before it shared the height engine (test-only reference)."""
+    p, r, parity = curve.params, curve.anchor_radius, curve.parity
+    a_can = parity * curve.anchor_height
+    if curve.regime is Regime.PLANE:
+        return curve.anchor_height
+    if curve.regime is Regime.HYPERBOLIC_CAP:
+        return parity * (a_can + (1.0 - math.sqrt(1.0 + (p.H * r) ** 2)) / p.H)
+    if curve.regime is Regime.MAXIMAL_CATENOID:
+        return parity * (a_can + p.c * math.asinh(r / abs(p.c)))
+
+    def fn(s):
+        w = p.H * s * s - p.c
+        return w / np.hypot(s, w)
+
+    down = integrate(fn, 0.0, r, tol=curve.quad_tol, max_intervals=curve.max_intervals)
+    return curve.anchor_height - parity * down
 
 
 class TestAsymptotics:
@@ -335,6 +396,17 @@ class TestCurveApi:
     def test_anchor_radius_must_be_positive(self):
         with pytest.raises(NonPositiveRadius):
             curve_of(1.0, 0.0, r=0.0)
+
+    # a curve built directly once took these: nan or inf heights, and
+    # finite heights through an anchor at r = -1
+    @pytest.mark.parametrize("r,a,error", [
+        (math.nan, 0.0, ValueError), (math.inf, 0.0, ValueError),
+        (1.0, math.nan, ValueError), (1.0, -math.inf, ValueError),
+        (-1.0, 0.0, NonPositiveRadius), (0.0, 0.0, NonPositiveRadius),
+    ])
+    def test_bad_anchor_rejected_when_built_directly(self, r, a, error):
+        with pytest.raises(error, match="anchor"):
+            ProfileCurve(SurfaceParams(1.0, 3.0), r, a, 1, Regime.POSITIVE_C)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_quad_tol_rejected(self, value):
