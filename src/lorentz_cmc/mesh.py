@@ -22,7 +22,7 @@ import numpy as np
 
 from ._text import float_reprs
 from .errors import NonPositiveRadius
-from .profile import ProfileCurve, heights, singularity_report
+from .profile import ProfileCurve, _default_step, _residuals, heights, singularity_report
 
 __all__ = [
     "SurfaceMesh",
@@ -211,9 +211,9 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     A sample at t = 0 is written with the limiting values from the
     singularity report (axis height, limiting slope, zero residual); all
     other samples must be positive and finite.  The residual is that of
-    ``first_integral_residual`` at the step min(1e-5 max(1, t), t/2), with
-    the heights at t +- step from one ``heights`` call; so close to a
-    conical point that the differenced slope reaches |f'| >= 1, it is nan.
+    ``first_integral_residual`` with the step clamped to at most t/2, and with
+    the heights at t +- step from one ``heights`` call; where
+    ``first_integral_residual`` would raise on the differenced slope, it is nan.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts)):
@@ -224,13 +224,8 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     t = ts[pos]
     hs = heights(curve, t)
     # clamp the differencing step so rows near the axis stay valid
-    step = np.minimum(1e-5 * np.maximum(1.0, t), 0.5 * t)
-    near = heights(curve, np.concatenate([t + step, t - step]))
-    s = (near[:t.size] - near[t.size:]) / (2.0 * step)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        residual = (curve.mean_curvature * t * t - t * s / np.sqrt(1.0 - s * s)
-                    - curve.first_integral)
-    residual[~(np.abs(s) < 1.0)] = math.nan
+    step = np.minimum(_default_step(t), 0.5 * t)
+    residual = _residuals(curve, t, step, heights(curve, np.concatenate([t + step, t - step])))
     table = np.empty((ts.size, 4))
     table[pos] = np.column_stack([t, hs, curve.slopes(t), residual])
     if not np.all(pos):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,55 +172,39 @@ def mean_curvature_graph(patch: GraphPatch, mode="nondivergence") -> CurvatureRe
     spacelike margin 1 - |Du|^2 is non-positive anywhere checked.
     """
     hx, hy = patch.spacing
-    u = patch.values
-    if mode == "nondivergence":
-        valid = _erode(patch.mask, 1)
-        c = np.s_[1:-1]
-        u1 = (u[2:, c] - u[:-2, c]) / (2 * hx)
-        u2 = (u[c, 2:] - u[c, :-2]) / (2 * hy)
-        u11 = (u[2:, c] - 2 * u[c, c] + u[:-2, c]) / hx**2
-        u22 = (u[c, 2:] - 2 * u[c, c] + u[c, :-2]) / hy**2
-        u12 = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * hx * hy)
-        sel = valid[1:-1, 1:-1]
-        margin = 1.0 - (u1**2 + u2**2)
-        if np.any(sel) and np.min(margin[sel]) <= 0.0:
-            raise SpacelikeViolation(
-                f"discrete spacelike margin reached {np.min(margin[sel])}"
-            )
-        lhs = margin * (u11 + u22) + u1**2 * u11 + 2 * u1 * u2 * u12 + u2**2 * u22
-        with np.errstate(invalid="ignore"):
-            H = lhs / (2.0 * margin**1.5)
-        H_sel = H[sel]
-        margin_min = float(np.min(margin[sel])) if np.any(sel) else math.nan
-    elif mode == "divergence":
-        valid = _erode(patch.mask, 2)
-        c = np.s_[1:-1]
-        u1 = np.full(u.shape, np.nan)
-        u2 = np.full(u.shape, np.nan)
-        u1[c, :] = (u[2:, :] - u[:-2, :]) / (2 * hx)
-        u2[:, c] = (u[:, 2:] - u[:, :-2]) / (2 * hy)
-        margin_full = 1.0 - (u1**2 + u2**2)
-        sel = valid[2:-2, 2:-2]
-        inner_margin = margin_full[2:-2, 2:-2]
-        if np.any(sel) and np.nanmin(inner_margin[sel]) <= 0.0:
-            raise SpacelikeViolation(
-                f"discrete spacelike margin reached {np.nanmin(inner_margin[sel])}"
-            )
-        with np.errstate(invalid="ignore"):
-            root = np.sqrt(margin_full)
-            F1 = u1 / root
-            F2 = u2 / root
-        cc = np.s_[2:-2]
-        div = (F1[3:-1, cc] - F1[1:-3, cc]) / (2 * hx) \
-            + (F2[cc, 3:-1] - F2[cc, 1:-3]) / (2 * hy)
-        H = div / 2.0
-        H_sel = H[sel]
-        margin_min = float(np.nanmin(inner_margin[sel])) if np.any(sel) else math.nan
-    else:
+    if mode not in ("nondivergence", "divergence"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    if H_sel.size == 0:
+    # first differences and the spacelike margin, nan on the border
+    u = patch.values
+    c = np.s_[1:-1]
+    u1, u2 = np.full((2,) + u.shape, np.nan)
+    u1[c, :] = (u[2:, :] - u[:-2, :]) / (2 * hx)
+    u2[:, c] = (u[:, 2:] - u[:, :-2]) / (2 * hy)
+    margin = 1.0 - (u1**2 + u2**2)
+    # each stencil reaches one point (nondivergence) or two (divergence) out
+    valid = _erode(patch.mask, 1 if mode == "nondivergence" else 2)
+    if not np.any(valid):
         raise ValueError("no interior points left after mask erosion")
+    margin_min = float(np.min(margin[valid]))
+    if margin_min <= 0.0:
+        raise SpacelikeViolation(f"discrete spacelike margin reached {margin_min}")
+
+    H = np.full(u.shape, np.nan)
+    with np.errstate(invalid="ignore"):
+        if mode == "nondivergence":
+            u11 = (u[2:, c] - 2 * u[c, c] + u[:-2, c]) / hx**2
+            u22 = (u[c, 2:] - 2 * u[c, c] + u[c, :-2]) / hy**2
+            u12 = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * hx * hy)
+            m, p, q = margin[c, c], u1[c, c], u2[c, c]
+            lhs = m * (u11 + u22) + p**2 * u11 + 2 * p * q * u12 + q**2 * u22
+            H[c, c] = lhs / (2.0 * m**1.5)
+        else:
+            root = np.sqrt(margin)
+            F1, F2 = u1 / root, u2 / root
+            cc = np.s_[2:-2]
+            H[cc, cc] = ((F1[3:-1, cc] - F1[1:-3, cc]) / (2 * hx)
+                         + (F2[cc, 3:-1] - F2[cc, 1:-3]) / (2 * hy)) / 2.0
+    H_sel = H[valid]
     H_mean = float(np.mean(H_sel))
     return CurvatureReport(
         H_mean=H_mean,
@@ -242,10 +225,6 @@ def mean_curvature_rotational(t, curve: ProfileCurve, fd_step=None):
     """
     t = _radius(t, "curvature")
     fd_step = _fd_step(t, fd_step)
-    if t - fd_step <= 0.0:
-        raise SpacelikeViolation(
-            f"fd_step={fd_step} crosses the axis from t={t}"
-        )
     s = curve.slope(t)
     f2 = (curve.slope(t + fd_step) - curve.slope(t - fd_step)) / (2.0 * fd_step)
     one_m = 1.0 - s * s

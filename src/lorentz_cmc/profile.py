@@ -27,7 +27,8 @@ import numpy as np
 
 from .core import Regime, SurfaceParams, canonicalize, classify_params
 from .errors import NonPositiveRadius, SpacelikeViolation
-from .quadrature import DEFAULT_MAX_INTERVALS, DEFAULT_QUAD_TOL, integrate, panel_sums
+from .quadrature import (DEFAULT_MAX_INTERVALS, DEFAULT_QUAD_TOL, PRESPLIT_RATIO, integrate,
+                         panel_sums)
 
 __all__ = [
     "DEFAULT_MAX_INTERVALS",
@@ -70,13 +71,38 @@ def _radii(ts, what):
     return ts
 
 
+def _default_step(t):
+    """The default central-difference step 1e-5 max(1, t), at a radius or an array of radii."""
+    return 1e-5 * np.maximum(1.0, t)
+
+
 def _fd_step(t, fd_step):
-    """Central-difference step at t: 1e-5 max(1, t), or ``fd_step`` if finite and > 0."""
+    """Step at t: ``fd_step`` if finite and > 0 (else ValueError), the default if None;
+    SpacelikeViolation if t - step reaches the axis, where |f'| -> 1 cannot be differenced."""
     if fd_step is None:
-        return 1e-5 * max(1.0, t)
-    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        fd_step = float(_default_step(t))
+    elif not (math.isfinite(fd_step) and fd_step > 0.0):
         raise ValueError(f"fd_step must be finite and positive, got {fd_step!r}")
+    if t - fd_step <= 0.0:
+        raise SpacelikeViolation(f"fd_step={fd_step} reaches the axis from t={t}")
     return fd_step
+
+
+def _residuals(curve, t, step, near):
+    """Conservation-law residuals H t^2 - t s / sqrt(1 - s^2) - c at the radii ``t``.
+
+    ``near`` holds the heights at t + step, then at t - step, and
+    s = (f(t + step) - f(t - step)) / (2 step).  The heights carry an error
+    of up to quad_tol, so s is known only to quad_tol / step; where
+    |s| >= 1 - quad_tol / step it may have crossed the light cone and the
+    residual is nan.
+    """
+    s = (near[:t.size] - near[t.size:]) / (2.0 * step)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = (curve.mean_curvature * t * t - t * s / np.sqrt(1.0 - s * s)
+               - curve.first_integral)
+    out[~(np.abs(s) < 1.0 - curve.quad_tol / step)] = math.nan
+    return out
 
 
 def _slope_raw(ts, H, c):
@@ -287,7 +313,7 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
     vals, errs = panel_sums(fn, edges[:-1], edges[1:])
     seg_tol = curve.quad_tol / max(len(vals), 1)
     with np.errstate(divide="ignore"):
-        wide = edges[1:] / edges[:-1] > 1e3
+        wide = edges[1:] / edges[:-1] > PRESPLIT_RATIO
     # a nan estimate fails "<=" and goes to integrate too
     for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
         vals[i] = integrate(fn, edges[i], edges[i + 1], tol=seg_tol,
@@ -383,8 +409,8 @@ def asymptotic_slope_estimate(curve: ProfileCurve, T=1e6):
 def first_integral_residual(t, curve: ProfileCurve, fd_step=None):
     """Conservation-law residual with the slope re-estimated from heights.
 
-    Central differences of height() give an f' that is independent of the
-    slope formula; the returned value is
+    Central differences of the heights at t +- fd_step, from one ``heights``
+    call, give an f' independent of the slope formula; the returned value is
 
         H t^2 - t f'_fd / sqrt(1 - f'_fd^2) - c
 
@@ -394,22 +420,17 @@ def first_integral_residual(t, curve: ProfileCurve, fd_step=None):
 
     Default step is 1e-5 * max(1, t); a given one must be finite and
     positive (else ValueError).  Raises SpacelikeViolation when the
-    differencing window crosses the axis or the estimated slope reaches
-    |f'| >= 1 (step too coarse near a conical point).
+    differencing window reaches the axis, or when the estimated slope comes
+    within quad_tol / fd_step (the heights' error over the window) of
+    |f'| = 1, where that noise may have carried it across the light cone.
     """
     t = _radius(t, "residual")
-    fd_step = _fd_step(t, fd_step)
-    if t - fd_step <= 0.0:
+    step = _fd_step(t, fd_step)
+    near = heights(curve, np.array([t + step, t - step]))
+    residual = float(_residuals(curve, np.array([t]), step, near)[0])
+    if math.isnan(residual):
         raise SpacelikeViolation(
-            f"fd_step={fd_step} reaches the axis from t={t}; "
-            "the one-sided cone limit |f'| -> 1 cannot be differenced across"
+            f"finite-difference slope at t={t} is within quad_tol/fd_step of |f'| = 1; "
+            "coarsen fd_step, tighten quad_tol or move away from the conical point"
         )
-    s = (height(t + fd_step, curve) - height(t - fd_step, curve)) / (2.0 * fd_step)
-    if abs(s) >= 1.0:
-        raise SpacelikeViolation(
-            f"finite-difference slope {s} reached |f'| >= 1 at t={t}; "
-            "reduce fd_step or move away from the conical point"
-        )
-    H_user = curve.mean_curvature
-    c_user = curve.first_integral
-    return H_user * t * t - t * s / math.sqrt(1.0 - s * s) - c_user
+    return residual

@@ -24,6 +24,8 @@ __all__ = ["DEFAULT_MAX_INTERVALS", "DEFAULT_QUAD_TOL", "integrate", "panel_sums
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_MAX_INTERVALS = 10_000
+# ``integrate`` splits an interval geometrically when hi / lo exceeds this
+PRESPLIT_RATIO = 1e3
 
 # Kronrod-15 abscissae (positive half, descending) and weights; the odd
 # entries are the embedded Gauss-7 nodes.
@@ -95,7 +97,7 @@ def _panel(fn, lo, hi):
 def _initial_cuts(lo, hi):
     # Geometric pre-split for very wide positive intervals, so the first
     # error estimates are informative before refinement starts.
-    if lo > 0.0 and hi / lo > 1e3:
+    if lo > 0.0 and hi / lo > PRESPLIT_RATIO:
         n = math.ceil(math.log10(hi / lo))
         ratio = (hi / lo) ** (1.0 / n)
         return [lo * ratio**k for k in range(1, n)]

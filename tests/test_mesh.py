@@ -393,6 +393,35 @@ class TestProfileCsvResidualColumn:
         assert np.nanmax(np.abs(got)) < 1e-5
         assert np.nanmax(np.abs(got - want)) < 1e-5
 
+    @pytest.mark.parametrize("params", [(1.0, 3.0), (0.5, -2.0), (0.1, -0.25), (0.0, 3.0),
+                                        (1.0, 0.0), (-1.0, -3.0)])
+    def test_one_row_equals_the_scalar_residual(self, params):
+        # the scalar takes the same two heights in one call, so a one-row
+        # CSV holds its value bit for bit, and nan exactly where it raises
+        curve = curve_of(*params)
+        for t in np.geomspace(1e-9, 4.0, 60).tolist():
+            row = export_profile_csv(curve, [t]).decode().splitlines()[1].split(",")
+            # below t = 2e-5 the CSV holds its step to t/2, where the scalar's
+            # default step would reach the axis
+            step = 1e-5 * max(1.0, t)
+            kw = {} if step < 0.5 * t else {"fd_step": 0.5 * t}
+            try:
+                want = first_integral_residual(t, curve, **kw)
+            except SpacelikeViolation:
+                assert math.isnan(float(row[3])), t
+            else:
+                assert bits(float(row[3])) == bits(want), t
+
+    @pytest.mark.parametrize("params", [(1.0, 3.0), (0.5, -2.0)])
+    def test_no_finite_garbage_deep_in_a_conical_point(self, params):
+        # quadrature noise over 2 step once wrote finite values up to 9.3 here
+        ts = np.geomspace(1e-9, 4.0, 300)
+        rows = export_profile_csv(curve_of(*params), ts).decode().splitlines()[1:]
+        residual = np.array([float(r.split(",")[3]) for r in rows])
+        finite = residual[np.isfinite(residual)]
+        assert finite.size > 50
+        assert np.max(np.abs(finite)) < 1e-5
+
     def test_one_heights_call_for_the_residual_and_no_scalar_height(self, monkeypatch):
         calls = {"heights": [], "height": 0, "residual": 0}
 

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorentz_cmc import (
+    CurvatureReport,
     GraphPatch,
     NotMonotone,
     SpacelikeViolation,
@@ -19,6 +21,7 @@ from lorentz_cmc import (
     profile_curve,
     variational_residual,
 )
+from lorentz_cmc.oracle import _erode
 
 
 def curve_of(H, c, r=1.0, a=0.0, **kw):
@@ -214,6 +217,172 @@ class TestPatchCsvAgainstReference:
             reference_patch_from_csv(data)
         with pytest.raises(ValueError):
             patch_from_csv(data)
+
+
+def reference_mean_curvature_graph(patch, mode="nondivergence"):
+    """The graph oracle as two full branches, one per mode, each with its
+    own differencing, erosion, margin check and report."""
+    hx, hy = patch.spacing
+    u = patch.values
+    if mode == "nondivergence":
+        valid = _erode(patch.mask, 1)
+        c = np.s_[1:-1]
+        u1 = (u[2:, c] - u[:-2, c]) / (2 * hx)
+        u2 = (u[c, 2:] - u[c, :-2]) / (2 * hy)
+        u11 = (u[2:, c] - 2 * u[c, c] + u[:-2, c]) / hx**2
+        u22 = (u[c, 2:] - 2 * u[c, c] + u[c, :-2]) / hy**2
+        u12 = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * hx * hy)
+        sel = valid[1:-1, 1:-1]
+        margin = 1.0 - (u1**2 + u2**2)
+        if np.any(sel) and np.min(margin[sel]) <= 0.0:
+            raise SpacelikeViolation(
+                f"discrete spacelike margin reached {np.min(margin[sel])}"
+            )
+        lhs = margin * (u11 + u22) + u1**2 * u11 + 2 * u1 * u2 * u12 + u2**2 * u22
+        with np.errstate(invalid="ignore"):
+            H = lhs / (2.0 * margin**1.5)
+        H_sel = H[sel]
+        margin_min = float(np.min(margin[sel])) if np.any(sel) else math.nan
+    elif mode == "divergence":
+        valid = _erode(patch.mask, 2)
+        c = np.s_[1:-1]
+        u1 = np.full(u.shape, np.nan)
+        u2 = np.full(u.shape, np.nan)
+        u1[c, :] = (u[2:, :] - u[:-2, :]) / (2 * hx)
+        u2[:, c] = (u[:, 2:] - u[:, :-2]) / (2 * hy)
+        margin_full = 1.0 - (u1**2 + u2**2)
+        sel = valid[2:-2, 2:-2]
+        inner_margin = margin_full[2:-2, 2:-2]
+        if np.any(sel) and np.nanmin(inner_margin[sel]) <= 0.0:
+            raise SpacelikeViolation(
+                f"discrete spacelike margin reached {np.nanmin(inner_margin[sel])}"
+            )
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt(margin_full)
+            F1 = u1 / root
+            F2 = u2 / root
+        cc = np.s_[2:-2]
+        div = (F1[3:-1, cc] - F1[1:-3, cc]) / (2 * hx) \
+            + (F2[cc, 3:-1] - F2[cc, 1:-3]) / (2 * hy)
+        H = div / 2.0
+        H_sel = H[sel]
+        margin_min = float(np.nanmin(inner_margin[sel])) if np.any(sel) else math.nan
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    if H_sel.size == 0:
+        raise ValueError("no interior points left after mask erosion")
+    H_mean = float(np.mean(H_sel))
+    return CurvatureReport(
+        H_mean=H_mean,
+        H_max_dev=float(np.max(np.abs(H_sel - H_mean))),
+        spacelike_min_margin=margin_min,
+        points_checked=int(H_sel.size),
+    )
+
+
+def random_patch(seed, n=65):
+    """A smooth spacelike graph on an n x n lattice with random holes.
+
+    The mask cuts a disk (an axis puncture) and a few rectangles; the
+    masked values are nan or arbitrary, as neither may reach a checked
+    stencil.
+    """
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-1.0, 1.0, n) * rng.uniform(0.5, 2.0)
+    ys = np.linspace(-1.0, 1.0, n) * rng.uniform(0.5, 2.0) + rng.uniform(-1.0, 1.0)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    k = rng.uniform(0.5, 4.0, size=2)
+    amp = rng.uniform(0.0, 0.15)
+    a, b = rng.uniform(-0.3, 0.3, size=2)
+    values = amp * np.sin(k[0] * X + k[1] * Y) + a * X + b * Y \
+        + rng.uniform(-0.1, 0.1) * (X**2 + Y**2)
+    mask = np.hypot(X - rng.uniform(-1, 1), Y - ys.mean()) >= rng.uniform(0.0, 0.6)
+    for _ in range(rng.integers(0, 4)):
+        i, j = rng.integers(0, n, size=2)
+        mask[i:i + rng.integers(1, 12), j:j + rng.integers(1, 12)] = False
+    fill = rng.choice([np.nan, 0.0, 1e3])
+    values[~mask] = fill
+    return GraphPatch(x1=xs, x2=ys, values=values, mask=mask)
+
+
+def assert_same_report(got, want):
+    assert got.points_checked == want.points_checked
+    for name in ("H_mean", "H_max_dev", "spacelike_min_margin"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, SpacelikeViolation) as exc:
+        return type(exc)
+
+
+def assert_like_reference(patch, mode):
+    """Same report bit for bit, or the same exception type."""
+    got = outcome(mean_curvature_graph, patch, mode)
+    want = outcome(reference_mean_curvature_graph, patch, mode)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert_same_report(got, want)
+
+
+MODES = ["nondivergence", "divergence"]
+
+
+class TestGraphOracleAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(MODES))
+    def test_random_masked_patches_bitwise(self, seed, mode):
+        assert_like_reference(random_patch(seed), mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_profile_patch_around_the_axis_bitwise(self, mode):
+        xs = np.linspace(-2.0, 2.0, 65)
+        patch = patch_from_profile(curve_of(1.0, 3.0), xs, xs, min_radius=0.6)
+        assert_same_report(mean_curvature_graph(patch, mode),
+                           reference_mean_curvature_graph(patch, mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_steep_patch_raises_like_reference(self, mode):
+        xs = np.linspace(-1.0, 1.0, 17)
+        patch = patch_from_function(lambda X1, X2: 0.6 * X1 + 0.9 * X2, xs, xs)
+        for fn in (mean_curvature_graph, reference_mean_curvature_graph):
+            with pytest.raises(SpacelikeViolation, match="margin"):
+                fn(patch, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_steep_only_where_masked_is_checked_like_reference(self, mode):
+        xs = np.linspace(-1.0, 1.0, 33)
+        steep = np.where(np.arange(33)[:, None] < 8, 3.0, 0.2)
+        mask = np.broadcast_to(np.arange(33)[:, None] >= 8, (33, 33))
+        patch = patch_from_function(lambda X1, X2: steep * X1, xs, xs, mask=mask)
+        assert_same_report(mean_curvature_graph(patch, mode),
+                           reference_mean_curvature_graph(patch, mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n,keep", [(17, False), (2, True)])
+    def test_nothing_left_raises_like_reference(self, mode, n, keep):
+        xs = np.linspace(-1.0, 1.0, n)
+        mask = np.full((n, n), keep)
+        patch = patch_from_function(lambda X1, X2: 0.1 * X1, xs, xs, mask=mask)
+        for fn in (mean_curvature_graph, reference_mean_curvature_graph):
+            with pytest.raises(ValueError, match="no interior points"):
+                fn(patch, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_small_patches_like_reference(self, mode, n):
+        # a 4 x 4 patch has interior points for one stencil width only
+        assert_like_reference(cap_patch(2.0 / (n - 1)), mode)
+
+    def test_unknown_mode_raises_like_reference(self):
+        patch = cap_patch(0.25)
+        for fn in (mean_curvature_graph, reference_mean_curvature_graph):
+            with pytest.raises(ValueError, match="unknown mode"):
+                fn(patch, "laplacian")
 
 
 class TestRotationalOracle:

@@ -362,6 +362,17 @@ class TestFirstIntegralResidual:
         with pytest.raises(SpacelikeViolation):
             first_integral_residual(1e-6, curve_of(1.0, 3.0), fd_step=5e-7)
 
+    @pytest.mark.parametrize("t", [2e-5, 1e-4, 1e-3, 1e-2])
+    def test_slope_within_quadrature_noise_of_the_cone_raises(self, t):
+        # 1 - |f'| ~ (t/c)^2 / 2 is below quad_tol / fd_step = 1e-5 here, where
+        # the heights' error can carry the differenced slope across the cone
+        with pytest.raises(SpacelikeViolation, match="quad_tol/fd_step"):
+            first_integral_residual(t, curve_of(1.0, 3.0))
+
+    def test_tighter_quad_tol_clears_the_noise_bound(self):
+        res = first_integral_residual(1e-2, curve_of(1.0, 3.0, quad_tol=1e-13))
+        assert abs(res) < 1e-5
+
     @pytest.mark.parametrize("fd_step", [math.nan, math.inf, 0.0, -1e-5])
     def test_step_must_be_finite_and_positive(self, fd_step):
         # a nan step once raised a misleading QuadratureFailure
