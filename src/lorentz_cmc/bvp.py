@@ -7,13 +7,14 @@ c runs from +inf to -inf.  Any admissible target b therefore has exactly
 one root.  For b >= a it lies in a closed-form barrier bracket: with
 k = (b - a)/(R - r) and m = k/sqrt(1 - k^2), the slope is >= k on [r, R]
 at c = H r^2 - m R and <= k at c = H R^2 - m r.  The search runs inside
-that bracket on the values of g(c) = f(R; H, c) - b alone: each step is
-inverse quadratic interpolation through the last three iterates, or the
-secant through the last two (Brent 1973, ch. 4; zbrent in Numerical
-Recipes 9.3), and the bracket midpoint whenever that step would leave the
-bracket or fails to halve the step before last.  Every iterate shrinks the
-bracket, so the search keeps bisection's guarantee and needs far fewer
-adaptive integrals.  The bracket and the tolerances scale with the rings.
+that bracket on the values of g(c) = f(R; H, c) - b alone, by
+Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
+145-149): it keeps the newest iterate, the end across the root from it and
+the end dropped last, and steps by inverse quadratic interpolation through
+these three points where that interpolant is monotone on the bracket, by
+bisection otherwise.  Every iterate shrinks the bracket, so the search keeps
+bisection's guarantee and needs far fewer adaptive integrals.  The
+bracket and the tolerances scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
@@ -85,7 +86,8 @@ class SolveDiagnostics:
     ``g_evals`` counts adaptive integrals of the shooting map f(R; H, c)
     (both bracket ends, iterates, snap check), the only integrals a solve
     takes.  ``interpolation_steps`` and ``bisection_fallbacks`` split the
-    iterates after the bracket by how they were chosen.
+    iterates after the bracket by how they were chosen (the false-position
+    start counts as interpolation).
     ``final_bracket_width`` is hi - lo when the search stopped (0.0 when
     g vanished exactly at an evaluated point).
     """
@@ -162,24 +164,6 @@ def _outer_height(H, c, rings, quad_tol):
     return rings.a + val
 
 
-def _interpolation_step(c0, g0, c1, g1, c2, g2):
-    """Zero of the inverse interpolant of g through the last iterates.
-
-    Quadratic through (g0, c0), (g1, c1), (g2, c2) when the three g differ,
-    else the secant through the first two.  The weights are taken on the
-    ratios p = g1/g0 and q = g2/g0 (g0 != 0), which keep their size at every
-    ring scale; a zero or non-finite denominator gives nan.
-    """
-    p, q = g1 / g0, g2 / g0
-    if q != p and q != 1.0:
-        d1, d2 = (p - 1.0) * (p - q), (q - 1.0) * (q - p)
-        if 0.0 < abs(d1) < math.inf and 0.0 < abs(d2) < math.inf:
-            return c0 + q / d1 * (c1 - c0) + p / d2 * (c2 - c0)
-        return math.nan
-    d = 1.0 - p
-    return c0 + (c1 - c0) / d if 0.0 < abs(d) < math.inf else math.nan
-
-
 def solve_c(problem: PlateauProblem) -> PlateauSolution:
     """Find c with f(R; H, c) = b and package the solved profile.
 
@@ -189,13 +173,16 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     quad_tol * u, and root_tol * u is floored at 64 ulp(2^e).  The search
     runs on lengths divided by u, a power of two, so rings scaled by 2^j
     (both R < 1/2) take the same steps to the bit, even where their steps
-    in c would be subnormal.  It runs inside the barrier bracket and stops
-    once f(R) meets b within root_tol and the interpolation step or the
-    bracket is within c_tol * max(u, |c|), or when c cannot move by one
-    more ulp.  Roots with |c| < 1e-10 * max(u, H R^2) are snapped to
-    exactly 0 (the regime split is discontinuous there in floating point)
-    whenever the snapped profile still meets the outer ring within
-    root_tol.  ``diagnostics`` on the result counts the work done.
+    in c would be subnormal.  Chandrupatla's iteration runs inside the
+    barrier bracket from its false-position point, each iterate 4 ulp or
+    more from both bracket ends (c_tol * max(u, |c|) once f(R) meets b
+    within root_tol).  It stops once f(R) meets b within root_tol and the
+    next step (so also the bracket) is within c_tol * max(u, |c|), or when
+    no iterate fits that far inside the bracket (c cannot move by an ulp).
+    Roots with |c| < 1e-10 * max(u, H R^2) are snapped to exactly 0 (the
+    regime split is discontinuous there in floating point) whenever the
+    snapped profile still meets the outer ring within root_tol.
+    ``diagnostics`` on the result counts the work done.
     """
     rings = problem.rings
     sign = -1.0 if rings.b < rings.a else 1.0
@@ -226,49 +213,46 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
                                  f"(lengths in units of {math.ldexp(1.0, e_u)!r})")
 
     if g_lo <= 0.0:
-        c_hat, g_hat = lo, g_lo
+        c_hat, g_hat, x2 = lo, g_lo, hi
     elif g_hi >= 0.0:
-        c_hat, g_hat = hi, g_hi
+        c_hat, g_hat, x2 = hi, g_hi, lo
     else:
-        # start at the false-position point of the bracket; the end across
-        # the root from it is the first secant partner, given twice so
-        # that the first step is a secant
-        c_hat = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-        if not lo < c_hat < hi:
-            c_hat = 0.5 * (lo + hi)
-        g_hat = g(c_hat)
-        c_1, g_1 = (hi, g_hi) if g_hat > 0.0 else (lo, g_lo)
-        c_2, g_2 = c_1, g_1
-        step = step_before = hi - lo
+        # Chandrupatla's iteration: c_hat is the newest iterate, [c_hat, x2]
+        # brackets the root, x3 is the end dropped last, and the next
+        # iterate is c_hat + t (x2 - c_hat), the first at false position
+        c_hat, g_hat, x2, g2 = lo, g_lo, hi, g_hi
+        t, c_tol, interpolated = g_lo / (g_lo - g_hi), 0.0, True
         while True:
-            if g_hat > 0.0:
-                lo = c_hat
-            elif g_hat < 0.0:
-                hi = c_hat
+            # each iterate keeps 4 ulp (c_tol once root_tol is met) from both ends
+            t_lim = max(c_tol, 4.0 * math.ulp(max(abs(c_hat), abs(x2)))) / abs(x2 - c_hat)
+            if t_lim >= 0.5:
+                break  # c cannot move by an ulp
+            n_interp += interpolated
+            n_bisect += not interpolated
+            c_new = c_hat + min(max(t, t_lim), 1.0 - t_lim) * (x2 - c_hat)
+            g_new = g(c_new)
+            if (g_new > 0.0) == (g_hat > 0.0):
+                x3, g3 = c_hat, g_hat
             else:
+                x3, g3, x2, g2 = x2, g2, c_hat, g_hat
+            c_hat, g_hat = c_new, g_new
+            if g_hat == 0.0:
                 break
+            # inverse quadratic interpolation where it is monotone on the
+            # bracket, else bisection
+            xi = (c_hat - x2) / (x3 - x2)
+            phi = (g_hat - g2) / (g3 - g2)
+            interpolated = 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi)
+            t = (g_hat / (g2 - g_hat) * g3 / (g2 - g3)
+                 + (x3 - c_hat) / (x2 - c_hat) * g_hat / (g3 - g_hat) * g2 / (g3 - g2)
+                 if interpolated else 0.5)
             # |c| ~ 1e4 and |df/dc| ~ 1 already make c_tol * |c| worth 1e-8
-            # in f(R), so c_tol only ends the search once root_tol is met
-            c_tol = problem.c_tol * max(1.0, abs(c_hat))
+            # in f(R), so c_tol only counts once root_tol is met
             met = abs(g_hat) <= root_tol
-            if met and hi - lo <= c_tol:
-                break
-            # nan fails every test below and bisects
-            nxt = _interpolation_step(c_hat, g_hat, c_1, g_1, c_2, g_2)
-            if nxt == c_hat or (met and abs(nxt - c_hat) <= c_tol):
-                break  # the interpolation step is within tolerance (or an ulp)
-            if lo < nxt < hi and abs(2.0 * (c_hat - nxt)) <= abs(step_before):
-                n_interp += 1
-            else:
-                nxt = 0.5 * (lo + hi)
-                if not lo < nxt < hi:
-                    break
-                n_bisect += 1
-            step_before, step = step, c_hat - nxt
-            c_2, g_2, c_1, g_1 = c_1, g_1, c_hat, g_hat
-            c_hat = nxt
-            g_hat = g(c_hat)
-    width = hi - lo if g_hat != 0.0 else 0.0
+            c_tol = problem.c_tol * max(1.0, abs(c_hat)) if met else 0.0
+            if met and t * abs(x2 - c_hat) <= c_tol:
+                break  # the next step, and so the bracket, is within c_tol
+    width = abs(x2 - c_hat) if g_hat != 0.0 else 0.0
 
     snap = 1e-10 * max(1.0, H * R * R)
     if c_hat != 0.0 and abs(c_hat) < snap:

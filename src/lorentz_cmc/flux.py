@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import SurfaceParams
 from .profile import ProfileCurve, _radius
+from .quadrature import _require_count
 
 __all__ = ["FluxResult", "flux_closed_form", "flux_numeric"]
 
@@ -55,8 +56,10 @@ def flux_numeric(r, curve: ProfileCurve, angular=False, n_theta=720) -> FluxResu
     so the default path multiplies the pointwise values by the
     circumference.  ``angular=True`` instead samples theta and applies the
     (here exact) trapezoid rule over the period, as a convention check.
+    ``n_theta`` must be an integer >= 1.
     """
     r = _radius(r, "flux")
+    _require_count("n_theta", n_theta)
     s = curve.slope(r)
     H = curve.mean_curvature
     # (1-s)(1+s) keeps a few extra bits over 1 - s^2; the roundoff of s

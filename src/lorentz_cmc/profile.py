@@ -27,8 +27,8 @@ import numpy as np
 
 from .core import Regime, SurfaceParams, canonicalize, classify_params
 from .errors import NonPositiveRadius, SpacelikeViolation
-from .quadrature import (DEFAULT_MAX_INTERVALS, DEFAULT_QUAD_TOL, PRESPLIT_RATIO, integrate,
-                         panel_sums)
+from .quadrature import (DEFAULT_MAX_INTERVALS, DEFAULT_QUAD_TOL, PRESPLIT_RATIO,
+                         _require_count, integrate, panel_sums)
 
 __all__ = [
     "DEFAULT_MAX_INTERVALS",
@@ -159,9 +159,7 @@ class ProfileCurve:
             raise NonPositiveRadius(f"anchor radius must be positive, got {r}")
         if not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
             raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol!r}")
-        n = self.max_intervals
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_intervals must be an integer >= 1, got {n!r}")
+        _require_count("max_intervals", self.max_intervals)
 
     @property
     def mean_curvature(self):

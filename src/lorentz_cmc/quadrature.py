@@ -66,6 +66,12 @@ for _i, _w in zip((1, 3, 5), _WG[:3]):
 _WG_FULL[7] = _WG[3]
 
 
+def _require_count(name, n):
+    """Raise ValueError unless ``n`` is an integer >= 1 (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+
+
 def panel_sums(fn, los, his):
     """Kronrod values and |K15 - G7| error estimates for a batch of panels.
 
@@ -116,10 +122,11 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL, max_intervals=DEFAULT_MAX_INTERV
     QuadratureFailure if ``max_intervals`` subintervals do not suffice, or
     if every remaining subinterval has collapsed to roundoff width while
     the error estimate still exceeds the target.  Raises ValueError unless
-    ``tol`` is finite and positive.
+    ``tol`` is finite and positive and ``max_intervals`` is an integer >= 1.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _require_count("max_intervals", max_intervals)
     if lo == hi:
         return 0.0
     sign = 1.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -446,6 +447,43 @@ class TestRingScale:
         with pytest.raises(RootBracketFailure, match="barrier bracket"):
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
 
+    def test_every_iterate_is_counted_once(self):
+        # both bracket ends, then one integral per iterate; the
+        # false-position start counts as an interpolation step
+        for case in ((1.0, 2.0, 0.0, 0.5, 1.0), (1.0, 50.0, 0.0, 0.5, 20.0),
+                     (0.5, 4.0, 0.0, 1.0, 0.5)):
+            d = solve_two_ring(*case).diagnostics
+            assert d.g_evals == 2 + d.interpolation_steps + d.bisection_fallbacks
+
+    def test_jump_in_g_raises_naming_root_tol(self, monkeypatch):
+        # f(R) jumps from b + 0.5 to b - 0.5 at c = 0.1: the bracket closes
+        # on the jump until c cannot move, and the residual check raises
+        monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
+                            lambda H, c, rings, tol: rings.b + (0.5 if c < 0.1 else -0.5))
+        with pytest.raises(LorentzCMCError, match="root_tol") as info:
+            solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
+        assert not isinstance(info.value, RootBracketFailure)
+
+    def test_root_within_root_tol_at_upper_end_needs_no_search(self, monkeypatch):
+        # g = 1e-12 > 0 everywhere: the upper end is the root within root_tol
+        monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
+                            lambda H, c, rings, tol: rings.b + 1e-12)
+        sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
+        assert sol.c == _barrier_bracket(RINGS, 1.0)[1]
+        assert sol.diagnostics.g_evals == 2
+        assert sol.residual == pytest.approx(1e-12, rel=1e-3)
+
+    def test_c_tol_below_an_ulp_stops_when_c_cannot_move(self, monkeypatch):
+        # g = (2.3 - c)^3 + 1e-300 vanishes at no float, and c_tol * |c| is
+        # far below one ulp of c, so only the ulp rule can end the search
+        monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
+                            lambda H, c, rings, tol: rings.b + (2.3 - c) ** 3 + 1e-300)
+        sol = solve_two_ring(1.0, 2.0, 0.0, 0.0, 1.0, c_tol=1e-300)
+        ulp = math.ulp(2.3)
+        assert abs(sol.c - 2.3) <= 8.0 * ulp
+        assert 0.0 < sol.diagnostics.final_bracket_width <= 8.0 * ulp
+        assert sol.diagnostics.g_evals <= 64
+
     def test_wide_radii_all_solve_in_the_predicted_regime(self):
         failures = []
         for r, R, a, b, H in _wide_ring_pairs():
@@ -513,3 +551,33 @@ class TestRingScale:
         sol = solve_c(PlateauProblem(rings=rings, H=h * threshold_H0(rings)))
         unit = math.ldexp(1.0, math.frexp(R)[1])
         assert sol.residual <= DEFAULT_ROOT_TOL * unit
+
+
+# k = 0.999999, R <= 1 and (R/r, H/H0) in {(10, 1000), (1e3, 100), (1e3, 1000)}:
+# quadrature of g steps over the slope's turn near sqrt(c/H) and the solve
+# raises (the open `FOUND:` on `bvp._outer_height` in CHANGES.md)
+_OUTER_HEIGHT_TURN = {(R, ratio, 0.999999, h) for R in (1e-8, 1e-4, 1.0)
+                      for ratio, h in ((10.0, 1000.0), (1e3, 100.0), (1e3, 1000.0))}
+
+
+def _light_cone_grid():
+    """R in 1e-8..1e8, R/r in 1.05..1e6, k up to 0.999999 and H/H0 in
+    0..1000, with a = 0 and b = k (R - r); the known failures xfail."""
+    for case in itertools.product((1e-8, 1e-4, 1.0, 1e4, 1e8), (1.05, 10.0, 1e3, 1e6),
+                                  (0.5, 0.999, 0.999999),
+                                  (0.0, 0.5, 1.0, 10.0, 100.0, 1000.0)):
+        marks = ()
+        if case in _OUTER_HEIGHT_TURN:
+            marks = pytest.mark.xfail(strict=True, raises=LorentzCMCError,
+                                      reason="g by quadrature misses the slope's turn")
+        yield pytest.param(*case, marks=marks)
+
+
+class TestLightConeGrid:
+    @pytest.mark.parametrize("R,ratio,k,h", _light_cone_grid())
+    def test_solves_in_the_predicted_regime(self, R, ratio, k, h):
+        r = R / ratio
+        rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=k * (R - r)))
+        H = h * threshold_H0(rings)
+        sol = solve_c(PlateauProblem(rings=rings, H=H))
+        assert sol.regime is classify(H, rings)

@@ -78,3 +78,11 @@ def test_tolerance_must_be_finite_and_positive(tol):
     # stop after the first pass
     with pytest.raises(ValueError):
         integrate(np.exp, 0.0, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("n", [math.nan, 0, -1, 2.5, True])
+def test_max_intervals_must_be_a_positive_integer(n):
+    # with max_intervals = nan, `n_panels >= nan` is False and the budget
+    # was ignored: 1/sqrt(x) on [0, 1] came out 2.0 instead of raising
+    with pytest.raises(ValueError, match="max_intervals"):
+        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-14, max_intervals=n)
