@@ -28,14 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    Regime,
-    RingPair,
-    SurfaceParams,
-    ValidatedRingPair,
-    classify_params,
-    validate_rings,
-)
+from .core import Regime, SurfaceParams, ValidatedRingPair
 from .errors import OrientationError, RootBracketFailure, LorentzCMCError
 from .profile import ProfileCurve, _slope_raw, profile_curve
 from .quadrature import DEFAULT_QUAD_TOL, integrate
@@ -68,7 +61,7 @@ class PlateauProblem:
 
     def __post_init__(self):
         if not isinstance(self.rings, ValidatedRingPair):
-            raise TypeError("rings must pass validate_rings first")
+            raise TypeError("rings must be a ValidatedRingPair")
         if not math.isfinite(self.H) or self.H < 0.0:
             raise ValueError(
                 f"H must be finite and >= 0 (canonicalize first), got {self.H}"
@@ -104,7 +97,7 @@ class PlateauSolution:
 
     ``c`` and ``regime`` describe the canonical (H >= 0) representative,
     i.e. ``curve.params``; for descending boundary data (b < a) the curve
-    carries parity -1 and ``curve.first_integral`` gives the as-built sign.
+    is built with (-H, -c), and ``curve.first_integral`` gives that sign.
     ``H0`` is the cap threshold of the ascending orientation of the rings.
     """
 
@@ -168,10 +161,11 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     """Find c with f(R; H, c) = b and package the solved profile.
 
     Descending data (b < a) is solved through the mirror (a, b) ->
-    (-a, -b) and un-reflected via the curve's parity.  Tolerances are in
-    the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e): g and the curve use
-    quad_tol * u, and root_tol * u is floored at 64 ulp(2^e).  The search
-    runs on lengths divided by u, a power of two, so rings scaled by 2^j
+    (-a, -b), and the curve is built with the mirrored (-H, -c).
+    Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
+    g and the curve use quad_tol * u, and root_tol * u is floored at
+    64 ulp(2^e).  The search runs on lengths divided by u, a power of two,
+    so rings scaled by 2^j
     (both R < 1/2) take the same steps to the bit, even where their steps
     in c would be subnormal.  Chandrupatla's iteration runs inside the
     barrier bracket from its false-position point, each iterate 4 ulp or
@@ -190,7 +184,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     e_u = min(0, math.frexp(rings.R)[1])
     r, R, a, b = (math.ldexp(x, -e_u)
                   for x in (rings.r, rings.R, sign * rings.a, sign * rings.b))
-    work = ValidatedRingPair(r=r, R=R, a=a, b=b, slope_bound=rings.slope_bound)
+    work = ValidatedRingPair(r, R, a, b)
     H = math.ldexp(problem.H, e_u)
     root_tol = max(problem.root_tol, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1])))
     n_g = n_interp = n_bisect = 0
@@ -274,7 +268,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     return PlateauSolution(
         curve=curve,
         c=curve.params.c,
-        regime=classify_params(curve.params),
+        regime=curve.regime,
         H0=math.ldexp(threshold_H0(work), -e_u),
         residual=residual,
         diagnostics=SolveDiagnostics(
@@ -289,7 +283,6 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
 def solve_two_ring(r, R, a, b, H, root_tol=DEFAULT_ROOT_TOL,
                    c_tol=DEFAULT_C_TOL, quad_tol=DEFAULT_QUAD_TOL) -> PlateauSolution:
     """Validate raw ring data and solve in one call."""
-    rings = validate_rings(RingPair(r=r, R=R, a=a, b=b))
-    problem = PlateauProblem(rings=rings, H=H, root_tol=root_tol,
+    problem = PlateauProblem(rings=ValidatedRingPair(r, R, a, b), H=H, root_tol=root_tol,
                              c_tol=c_tol, quad_tol=quad_tol)
     return solve_c(problem)

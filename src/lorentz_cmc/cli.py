@@ -96,8 +96,19 @@ def _choice(*options):
         if text not in options:
             raise ValueError(f"must be one of {', '.join(options)}")
         return text
-    convert.metavar = "{" + ",".join(options) + "}"
+    convert.argparse = {"metavar": "{" + ",".join(options) + "}"}
     return convert
+
+
+def _switch(text):
+    """Converter for an on/off parameter; its flag takes no value and means on."""
+    value = {"1": True, "true": True, "0": False, "false": False}.get(text.lower())
+    if value is None:
+        raise ValueError("must be one of 1, 0, true, false")
+    return value
+
+
+_switch.argparse = {"action": "store_const", "const": "1"}
 
 
 def _convert(name, convert, text):
@@ -186,8 +197,8 @@ def _emit(record, human=False, stream=None):
         print(json.dumps(record, sort_keys=True), file=stream)
 
 
-# Each cmd_* takes the resolved parameters, plus the flags outside the table
-# (figure's id, flux's --angular), and returns the record to print.
+# Each cmd_* takes the resolved parameters, plus figure's id (the one argument
+# outside the table), and returns the record to print.
 def cmd_solve(p):
     sol = solve_two_ring(p["r"], p["R"], p["a"], p["b"], p["H"],
                          root_tol=p["root_tol"], quad_tol=p["quad_tol"])
@@ -332,8 +343,10 @@ _COMMANDS = {
          "shooting residual tolerance"),
     ]),
     "classify": (cmd_classify, "predict the regime without solving", _RINGS),
-    "flux": (cmd_flux, "flux of the circle of radius r",
-             [("r", _number, _REQUIRED), *_SURFACE]),
+    "flux": (cmd_flux, "flux of the circle of radius r", [
+        ("r", _number, _REQUIRED), *_SURFACE,
+        ("angular", _switch, False, "validate with explicit angular quadrature"),
+    ]),
     "verify": (cmd_verify, "recompute H on a sampled graph patch", [
         ("csv", str, None, "GraphPatch CSV (header x1,x2,u)"),
         ("H", _number, None), ("c", _number, None), *_ANCHOR,
@@ -362,14 +375,12 @@ def build_parser():
         p = sub.add_parser(command, help=help_text)
         for name, convert, _, *doc in params:
             p.add_argument(_flag(name), dest=name, help=doc[0] if doc else None,
-                           metavar=getattr(convert, "metavar", None))
+                           **getattr(convert, "argparse", {}))
         p.add_argument("--human", action="store_true", help="tabular output")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--dump-config", dest="dump_config",
                        help="write the effective parameters to this file")
         p.set_defaults(fn=fn)
-    sub.choices["flux"].add_argument("--angular", action="store_true",
-                                     help="validate with explicit angular quadrature")
     sub.choices["figure"].add_argument("id", type=int, choices=sorted(_FIGURES))
     return parser
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegenerateRadii, NotSpacelikeSolvable
 
@@ -64,14 +64,37 @@ class RingPair:
 
 
 @dataclass(frozen=True)
-class ValidatedRingPair:
-    """A RingPair that passed validate_rings, with its slope bound attached."""
+class ValidatedRingPair(RingPair):
+    """Rings that can bound a spacelike annulus of revolution, with their slope bound.
 
-    r: float
-    R: float
-    a: float
-    b: float
-    slope_bound: float
+    Requires 0 < r < R, R normal (at least sys.float_info.min, so the
+    solver's 1/R scales stay finite) and a slope bound |a - b| / (R - r)
+    strictly below 1; the latter is necessary and sufficient for a
+    spacelike rotational graph spanning both rings to exist.  Comparisons
+    are exact: the solvability inequality is open, so boundary data
+    sitting on it fails loudly.  Raises ValueError for a non-finite field,
+    else DegenerateRadii or NotSpacelikeSolvable.
+    """
+
+    slope_bound: float = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        r, R = self.r, self.R
+        if not (0.0 < r < R):
+            raise DegenerateRadii(f"need 0 < r < R, got r={r}, R={R}")
+        if R < sys.float_info.min:
+            raise DegenerateRadii(
+                f"outer radius R={R} is subnormal (below {sys.float_info.min}): "
+                "1/R overflows and tolerances in ring units underflow"
+            )
+        slope_bound = abs(self.a - self.b) / (R - r)
+        if not slope_bound < 1.0:
+            raise NotSpacelikeSolvable(
+                f"slope bound |a-b|/(R-r) = {slope_bound} is not < 1; "
+                "no spacelike annulus spans these rings"
+            )
+        object.__setattr__(self, "slope_bound", slope_bound)
 
 
 class Regime(enum.Enum):
@@ -112,31 +135,6 @@ def classify_params(params: SurfaceParams) -> Regime:
     return Regime.NEGATIVE_C if p.c < 0.0 else Regime.POSITIVE_C
 
 
-def validate_rings(rings: RingPair | ValidatedRingPair) -> ValidatedRingPair:
-    """Check that the rings can bound a spacelike annulus of revolution.
-
-    Requires 0 < r < R, R normal (at least sys.float_info.min, so the
-    solver's 1/R scales stay finite) and a slope bound |a - b| / (R - r)
-    strictly below 1; the latter is necessary and sufficient for a
-    spacelike rotational graph spanning both rings to exist.  Comparisons
-    are exact: the solvability inequality is open, so boundary data
-    sitting on it fails loudly.
-
-    Raises DegenerateRadii or NotSpacelikeSolvable; idempotent on already
-    validated pairs.
-    """
-    r, R, a, b = rings.r, rings.R, rings.a, rings.b
-    if not (0.0 < r < R):
-        raise DegenerateRadii(f"need 0 < r < R, got r={r}, R={R}")
-    if R < sys.float_info.min:
-        raise DegenerateRadii(
-            f"outer radius R={R} is subnormal (below {sys.float_info.min}): "
-            "1/R overflows and tolerances in ring units underflow"
-        )
-    slope_bound = abs(a - b) / (R - r)
-    if not slope_bound < 1.0:
-        raise NotSpacelikeSolvable(
-            f"slope bound |a-b|/(R-r) = {slope_bound} is not < 1; "
-            "no spacelike annulus spans these rings"
-        )
-    return ValidatedRingPair(r=r, R=R, a=a, b=b, slope_bound=slope_bound)
+def validate_rings(rings: RingPair) -> ValidatedRingPair:
+    """The rings as a ValidatedRingPair; idempotent on already validated pairs."""
+    return ValidatedRingPair(rings.r, rings.R, rings.a, rings.b)

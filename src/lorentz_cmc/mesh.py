@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceMesh:
     """Triangulated sample of a surface of revolution."""
 
@@ -43,7 +43,6 @@ class SurfaceMesh:
     ring_radii: np.ndarray
     n_theta: int
     singular_vertex: int | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
@@ -113,14 +112,6 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
         ring_radii=ring_ts,
         n_theta=n_theta,
         singular_vertex=singular_vertex,
-        metadata={
-            "H": curve.mean_curvature,
-            "c": curve.first_integral,
-            "regime": curve.regime.value,
-            "anchor": (curve.anchor_radius, curve.anchor_height),
-            "t_range": (t_lo, t_hi),
-            "spacing": spacing,
-        },
     )
 
 

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Regime, SurfaceParams, canonicalize, classify_params
 from .errors import NonPositiveRadius, SpacelikeViolation
 from .quadrature import (DEFAULT_MAX_INTERVALS, DEFAULT_QUAD_TOL, PRESPLIT_RATIO,
-                         _require_count, integrate, panel_sums)
+                         integrate, panel_sums)
 
 __all__ = [
     "DEFAULT_MAX_INTERVALS",
@@ -92,16 +92,23 @@ def _residuals(curve, t, step, near):
     """Conservation-law residuals H t^2 - t s / sqrt(1 - s^2) - c at the radii ``t``.
 
     ``near`` holds the heights at t + step, then at t - step, and
-    s = (f(t + step) - f(t - step)) / (2 step).  The heights carry an error
-    of up to quad_tol, so s is known only to quad_tol / step; where
-    |s| >= 1 - quad_tol / step it may have crossed the light cone and the
+    s = (f(t + step) - f(t - step)) / (2 step).  A height at t is off by up
+    to the largest of quad_tol, the floor 50 eps sum|panel| that
+    ``integrate`` puts on it (sum|panel| <= |t - r| as |f'| < 1) and its
+    roundoff eps |f|, so s is known only to that bound over step; where
+    |s| >= 1 - bound / step it may have crossed the light cone and the
     residual is nan.
     """
-    s = (near[:t.size] - near[t.size:]) / (2.0 * step)
+    up, down = near[:t.size], near[t.size:]
+    s = (up - down) / (2.0 * step)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = (curve.mean_curvature * t * t - t * s / np.sqrt(1.0 - s * s)
                - curve.first_integral)
-    out[~(np.abs(s) < 1.0 - curve.quad_tol / step)] = math.nan
+    eps = np.finfo(float).eps
+    floor = 50.0 * eps * np.abs(t - curve.anchor_radius)
+    bound = np.maximum(np.maximum(curve.quad_tol, floor),
+                       eps * np.maximum(np.abs(up), np.abs(down)))
+    out[~(np.abs(s) < 1.0 - bound / step)] = math.nan
     return out
 
 
@@ -138,46 +145,48 @@ def slope_extremum_radius(params: SurfaceParams):
 class ProfileCurve:
     """A profile f solved through the anchor f(anchor_radius) = anchor_height.
 
-    ``params`` is the canonical (H >= 0) representative; ``parity`` records
-    the mirror flip f(t; -H, -c) = -f(t; H, c), so evaluated heights and
-    slopes are always in the orientation the curve was built with.
+    ``surface`` is (H, c) as built, either sign of H; heights and slopes
+    evaluate it directly.  ``params`` (the canonical H >= 0 representative),
+    ``parity`` (-1 iff H < 0, the mirror f(t; -H, -c) = -f(t; H, c)) and
+    ``regime`` (of ``params``) are derived from it and cannot be set.
     """
 
-    params: SurfaceParams
+    surface: SurfaceParams
     anchor_radius: float
     anchor_height: float
-    parity: int
-    regime: Regime
     quad_tol: float = DEFAULT_QUAD_TOL
-    max_intervals: int = DEFAULT_MAX_INTERVALS
+    params: SurfaceParams = field(init=False)
+    parity: int = field(init=False)
+    regime: Regime = field(init=False)
 
     def __post_init__(self):
-        r, a = self.anchor_radius, self.anchor_height
+        r, a = float(self.anchor_radius), float(self.anchor_height)
         if not (math.isfinite(r) and math.isfinite(a)):
             raise ValueError(f"anchor must be finite, got ({r}, {a})")
         if r <= 0.0:
             raise NonPositiveRadius(f"anchor radius must be positive, got {r}")
         if not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
             raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol!r}")
-        _require_count("max_intervals", self.max_intervals)
+        canon, parity = canonicalize(self.surface)
+        for name, value in (("anchor_radius", r), ("anchor_height", a), ("params", canon),
+                            ("parity", parity), ("regime", classify_params(canon))):
+            object.__setattr__(self, name, value)
 
     @property
     def mean_curvature(self):
         """H in the curve's own (as-built) orientation."""
-        return self.parity * self.params.H
+        return self.surface.H
 
     @property
     def first_integral(self):
         """c in the curve's own (as-built) orientation."""
-        return self.parity * self.params.c
+        return self.surface.c
 
     def slope(self, t):
-        t = _radius(t, "slope")
-        return self.parity * float(_slope_raw(t, self.params.H, self.params.c))
+        return slope(t, self.surface)
 
     def slopes(self, ts):
-        ts = _radii(ts, "slopes")
-        return self.parity * _slope_raw(ts, self.params.H, self.params.c)
+        return _slope_raw(_radii(ts, "slopes"), self.surface.H, self.surface.c)
 
     def height(self, t, method="auto"):
         return height(t, self, method=method)
@@ -186,25 +195,13 @@ class ProfileCurve:
         return heights(self, ts, method=method)
 
 
-def profile_curve(params: SurfaceParams, anchor, quad_tol=DEFAULT_QUAD_TOL,
-                  max_intervals=DEFAULT_MAX_INTERVALS) -> ProfileCurve:
+def profile_curve(params: SurfaceParams, anchor, quad_tol=DEFAULT_QUAD_TOL) -> ProfileCurve:
     """Build a ProfileCurve through ``anchor = (r, a)`` with f(r) = a.
 
-    ``params`` may have H < 0; it is canonicalized and the flip is recorded
-    in the curve's parity.  Raises ValueError for a non-finite anchor and
-    NonPositiveRadius for an anchor radius <= 0.
+    ``params`` may have H < 0.  Raises ValueError for a non-finite anchor
+    and NonPositiveRadius for an anchor radius <= 0.
     """
-    r, a = float(anchor[0]), float(anchor[1])
-    canon, parity = canonicalize(params)
-    return ProfileCurve(
-        params=canon,
-        anchor_radius=r,
-        anchor_height=a,
-        parity=parity,
-        regime=classify_params(canon),
-        quad_tol=quad_tol,
-        max_intervals=max_intervals,
-    )
+    return ProfileCurve(params, anchor[0], anchor[1], quad_tol)
 
 
 def closed_form_maximal(t, c, anchor):
@@ -246,15 +243,16 @@ def _asinh_ratio(t, c):
 
 
 def closed_form_hyperbolic(t, H, anchor):
-    """Height of the hyperbolic cap (c = 0, H > 0) through ``anchor``.
+    """Height of the hyperbolic cap (c = 0, H != 0) through ``anchor``.
 
-    f(t) = a + (sqrt(1 + H^2 t^2) - sqrt(1 + H^2 r^2)) / H.  The point set
-    lies on the hyperbolic plane <x - p, x - p> = -1/H^2 centered at
-    p = (0, 0, a - sqrt(1 + H^2 r^2) / H); equivalently
-    t^2 - (f(t) - p3)^2 + 1/H^2 = 0 at every radius.
+    f(t) = a + (sqrt(1 + H^2 t^2) - sqrt(1 + H^2 r^2)) / H.  For H > 0 the
+    point set lies on the hyperbolic plane <x - p, x - p> = -1/H^2 centered
+    at p = (0, 0, a - sqrt(1 + H^2 r^2) / H); equivalently
+    t^2 - (f(t) - p3)^2 + 1/H^2 = 0 at every radius.  H < 0 gives the
+    mirrored cap, exactly the negated heights of (-H, -a).
     """
-    if H <= 0.0:
-        raise ValueError("hyperbolic cap closed form needs H > 0")
+    if H == 0.0:
+        raise ValueError("hyperbolic cap closed form needs H != 0")
     r, a = anchor
     t = np.asarray(t, dtype=float)
     # difference-of-roots form, stable for t near r and immune to overflow
@@ -272,7 +270,7 @@ def hyperbolic_center_height(H, anchor):
     return a - math.sqrt(1.0 + (H * r) ** 2) / H
 
 
-# (ts, canonical params, canonical anchor) -> canonical heights at ts
+# (ts, params, anchor) -> heights at ts
 _CLOSED_FORMS = {
     Regime.PLANE: lambda ts, p, anc: np.full(ts.shape, anc[1]),
     Regime.MAXIMAL_CATENOID: lambda ts, p, anc: closed_form_maximal(ts, p.c, anc),
@@ -284,8 +282,10 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
     """Heights at a float array of radii ``ts >= 0``; t = 0 gives the axis limit f(0+).
 
     The one height engine behind ``height``, ``heights`` and
-    ``singularity_report``.  Closed-form regimes evaluate their formula on
-    the canonical profile.  Otherwise the sorted radii and the anchor cut
+    ``singularity_report``.  Both branches evaluate the as-built (H, c):
+    every operation on the way is odd under (H, c, a) -> (-H, -c, -a), so
+    a mirrored curve gives exactly the negated heights.  Closed-form regimes
+    evaluate their formula.  Otherwise the sorted radii and the anchor cut
     [min, max] into segments, each integrated by one Kronrod panel; a
     segment whose panel misses quad_tol / segments, or that spans more than
     three decades (where ``integrate`` pre-splits), is integrated
@@ -300,10 +300,9 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
     elif method not in ("auto", "closed_form"):
         raise ValueError(f"unknown method {method!r}")
 
-    p, r = curve.params, curve.anchor_radius
+    p, r = curve.surface, curve.anchor_radius
     if closed is not None:
-        a_can = curve.parity * curve.anchor_height
-        return curve.parity * np.asarray(closed(ts, p, (r, a_can)), dtype=float)
+        return np.asarray(closed(ts, p, (r, curve.anchor_height)), dtype=float)
 
     fn = lambda s: _slope_raw(s, p.H, p.c)
     uniq, inverse = np.unique(ts.ravel(), return_inverse=True)
@@ -315,11 +314,11 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
     # a nan estimate fails "<=" and goes to integrate too
     for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
         vals[i] = integrate(fn, edges[i], edges[i + 1], tol=seg_tol,
-                            max_intervals=curve.max_intervals)
+                            max_intervals=DEFAULT_MAX_INTERVALS)
     # antiderivative at every edge, zeroed at the anchor
     F = np.concatenate([[0.0], np.cumsum(vals)])
     F -= F[np.searchsorted(edges, r)]
-    out = curve.anchor_height + curve.parity * F[np.searchsorted(edges, uniq)][inverse]
+    out = curve.anchor_height + F[np.searchsorted(edges, uniq)][inverse]
     return out.reshape(ts.shape)
 
 
@@ -413,14 +412,15 @@ def first_integral_residual(t, curve: ProfileCurve, fd_step=None):
         H t^2 - t f'_fd / sqrt(1 - f'_fd^2) - c
 
     in the curve's own orientation.  Magnitude is O(fd_step^2) truncation
-    plus O(quad_tol / fd_step) quadrature noise, amplified by
+    plus O(err / fd_step) noise, err the heights' error (quad_tol, or their
+    roundoff floor where quad_tol is below it), amplified by
     t (1 - f'^2)^(-3/2) close to the light cone.
 
     Default step is 1e-5 * max(1, t); a given one must be finite and
     positive (else ValueError).  Raises SpacelikeViolation when the
     differencing window reaches the axis, or when the estimated slope comes
-    within quad_tol / fd_step (the heights' error over the window) of
-    |f'| = 1, where that noise may have carried it across the light cone.
+    within err / fd_step of |f'| = 1, where that noise may have carried it
+    across the light cone.
     """
     t = _radius(t, "residual")
     step = _fd_step(t, fd_step)
@@ -428,7 +428,8 @@ def first_integral_residual(t, curve: ProfileCurve, fd_step=None):
     residual = float(_residuals(curve, np.array([t]), step, near)[0])
     if math.isnan(residual):
         raise SpacelikeViolation(
-            f"finite-difference slope at t={t} is within quad_tol/fd_step of |f'| = 1; "
+            f"finite-difference slope at t={t} is within quad_tol/fd_step (or the "
+            "heights' roundoff over fd_step) of |f'| = 1; "
             "coarsen fd_step, tighten quad_tol or move away from the conical point"
         )
     return residual

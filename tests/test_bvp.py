@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (
+    DegenerateRadii,
     LorentzCMCError,
+    NotSpacelikeSolvable,
     OrientationError,
     PlateauProblem,
     Regime,
@@ -32,6 +34,26 @@ from lorentz_cmc.profile import DEFAULT_QUAD_TOL
 
 RINGS = validate_rings(RingPair(r=1.0, R=2.0, a=0.0, b=0.5))
 H0_RINGS = 1.0 / math.sqrt(6.5625)  # hand-reduced threshold formula for RINGS
+
+
+class TestRingsValidateThemselves:
+    # with slope_bound=0.5 passed in, these rings once ran: solve_c gave
+    # c = 3.42 for r > R, and with b = 1.5 solve_c raised RootBracketFailure
+    # and threshold_H0 a bare "math domain error"
+    def test_swapped_radii_raise(self):
+        with pytest.raises(DegenerateRadii):
+            solve_c(PlateauProblem(ValidatedRingPair(r=2.0, R=1.0, a=0.0, b=0.5), H=1.0))
+
+    @pytest.mark.parametrize("use", [lambda rings: solve_c(PlateauProblem(rings, H=1.0)),
+                                     threshold_H0], ids=["solve_c", "threshold_H0"])
+    def test_steep_rings_raise(self, use):
+        with pytest.raises(NotSpacelikeSolvable):
+            use(ValidatedRingPair(r=1.0, R=2.0, a=0.0, b=1.5))
+
+    def test_slope_bound_is_derived(self):
+        with pytest.raises(TypeError):
+            ValidatedRingPair(r=1.0, R=2.0, a=0.0, b=0.5, slope_bound=0.5)
+        assert ValidatedRingPair(r=1.0, R=2.0, a=0.0, b=0.5).slope_bound == 0.5
 
 
 class TestThreshold:
@@ -257,7 +279,7 @@ def _bisection_reference(problem):
     rings, H = problem.rings, problem.H
     reflected = rings.b < rings.a
     work = rings if not reflected else ValidatedRingPair(
-        r=rings.r, R=rings.R, a=-rings.a, b=-rings.b, slope_bound=rings.slope_bound
+        r=rings.r, R=rings.R, a=-rings.a, b=-rings.b
     )
 
     def g(c):

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lorentz_cmc.cli as cli_module
 from lorentz_cmc import (
     closed_form_maximal,
+    flux_numeric,
     load_obj,
     patch_to_csv,
     patch_from_function,
@@ -128,6 +130,32 @@ class TestFlux:
                            "--angular")
         assert code == EXIT_OK
         assert last_record(out)["closed_numeric_gap"] < 1e-10
+
+    def test_angular_dump_replays_the_angular_run(self, tmp_path, capsys, monkeypatch):
+        # the dump once left angular out, and angular=1 in a config exited 64
+        seen = []
+
+        def recording(r, curve, angular=False):
+            seen.append(angular)
+            return flux_numeric(r, curve, angular=angular)
+
+        monkeypatch.setattr(cli_module, "flux_numeric", recording)
+        dump = tmp_path / "eff.cfg"
+        code, first, _ = run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3",
+                             "--angular", "--dump-config", str(dump))
+        assert code == EXIT_OK and load_config(dump)["angular"] == "True"
+        assert run(capsys, "flux", "--config", str(dump)) == (EXIT_OK, first, "")
+        cfg = tmp_path / "angular.cfg"
+        cfg.write_text("r=2\nH=1\nc=3\nangular=1\n")
+        assert run(capsys, "flux", "--config", str(cfg)) == (EXIT_OK, first, "")
+        run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3")
+        assert seen == [True, True, True, False]
+
+    def test_angular_config_value_is_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "angular.cfg"
+        cfg.write_text("r=2\nH=1\nc=3\nangular=maybe\n")
+        code, out, err = run(capsys, "flux", "--config", str(cfg))
+        assert code == EXIT_USAGE and "--angular" in err and out == ""
 
 
 class TestVerify:

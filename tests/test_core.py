@@ -9,6 +9,7 @@ from lorentz_cmc import (
     Regime,
     RingPair,
     SurfaceParams,
+    ValidatedRingPair,
     canonicalize,
     classify_params,
     validate_rings,
@@ -51,6 +52,16 @@ class TestValidateRings:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             RingPair(r=1.0, R=2.0, a=math.nan, b=0.0)
+        with pytest.raises(ValueError):
+            ValidatedRingPair(r=1.0, R=2.0, a=math.nan, b=0.0)
+
+    def test_validated_pair_checks_its_own_fields(self):
+        assert ValidatedRingPair(1.0, 3.0, -1.0, 0.2) == validate_rings(
+            RingPair(r=1.0, R=3.0, a=-1.0, b=0.2))
+        with pytest.raises(DegenerateRadii):
+            ValidatedRingPair(r=2.0, R=1.0, a=0.0, b=0.5)
+        with pytest.raises(NotSpacelikeSolvable):
+            ValidatedRingPair(r=1.0, R=2.0, a=0.0, b=1.5)
 
     @given(
         r=st.floats(0.01, 10.0),

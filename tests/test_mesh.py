@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -61,6 +62,12 @@ class TestSampling:
         radii = np.hypot(mesh.vertices[1:, 0], mesh.vertices[1:, 1])
         expected = closed_form_maximal(radii, 3.0, (1.0, 0.0))
         assert np.max(np.abs(mesh.vertices[1:, 2] - expected)) < 1e-9
+
+    def test_mesh_is_frozen(self):
+        mesh = sample_surface(curve_of(1.0, 3.0), (1.0, 4.0), 3, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.n_theta = 5
+        assert not hasattr(mesh, "metadata")
 
     def test_apex_fan_for_window_starting_at_axis(self):
         curve = curve_of(1.0, 3.0)
@@ -421,6 +428,30 @@ class TestProfileCsvResidualColumn:
         finite = residual[np.isfinite(residual)]
         assert finite.size > 50
         assert np.max(np.abs(finite)) < 1e-5
+
+    @pytest.mark.parametrize("quad_tol", [1e-15, 1e-13])
+    @pytest.mark.parametrize("params", [(1.0, 3.0), (0.5, -2.0), (0.0, 3.0)])
+    def test_tight_quad_tol_keeps_roundoff_out(self, params, quad_tol):
+        # with the heights' error taken as quad_tol alone, quad_tol = 1e-15 let
+        # their roundoff through as finite values up to 0.026, 0.039 and 0.087.
+        # What stays finite next to the nan rows is the differenced slope's
+        # roundoff and truncation, amplified by t (1 - f'^2)^(-3/2); a light-cone
+        # rule does not bound it: up to 7.7e-4 at 1e-13, where quad_tol rules
+        curve = profile_curve(SurfaceParams(*params), (1.0, 0.0), quad_tol=quad_tol)
+        rows = export_profile_csv(curve, np.geomspace(1e-9, 4.0, 300)).decode().splitlines()
+        residual = np.array([float(r.split(",")[3]) for r in rows[1:]])
+        finite = residual[np.isfinite(residual)]
+        assert finite.size > 50
+        assert np.max(np.abs(finite)) < 0.02
+
+    def test_quad_tol_below_roundoff_changes_no_byte(self):
+        # a closed-form profile: the heights do not depend on quad_tol, and
+        # neither does the nan rule once quad_tol is below the heights' roundoff
+        ts = np.geomspace(1e-9, 4.0, 300)
+        first, *rest = (export_profile_csv(profile_curve(SurfaceParams(0.0, 3.0), (1.0, 0.0),
+                                                         quad_tol=tol), ts)
+                        for tol in (1e-15, 1e-18, 1e-300))
+        assert all(out == first for out in rest)
 
     def test_one_heights_call_for_the_residual_and_no_scalar_height(self, monkeypatch):
         calls = {"heights": [], "height": 0, "residual": 0}

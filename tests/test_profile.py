@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -150,6 +151,14 @@ class TestClosedForms:
         expected = math.sqrt(5.0) - math.sqrt(2.0)
         assert closed_form_hyperbolic(2.0, 1.0, (1.0, 0.0)) == pytest.approx(expected, abs=1e-14)
 
+    def test_hyperbolic_mirror_is_exact_and_flat_cap_rejected(self):
+        ts = np.geomspace(0.01, 100.0, 41)
+        up = closed_form_hyperbolic(ts, 0.7, (1.3, -0.4))
+        down = closed_form_hyperbolic(ts, -0.7, (1.3, 0.4))
+        assert np.negative(up).tobytes() == down.tobytes()
+        with pytest.raises(ValueError, match="H != 0"):
+            closed_form_hyperbolic(2.0, 0.0, (1.0, 0.0))
+
     def test_hyperboloid_residual_identity(self):
         # the cap lies on <x - p, x - p> = -1/H^2
         H, anchor = 0.7, (1.3, -0.4)
@@ -198,12 +207,12 @@ class TestHeight:
         with pytest.raises(NonPositiveRadius):
             height(0.0, curve_of(1.0, 3.0))
 
-    def test_exhausted_budget_raises(self):
-        from lorentz_cmc import QuadratureFailure
+    def test_exhausted_budget_raises(self, monkeypatch):
+        from lorentz_cmc import QuadratureFailure, profile
 
-        starved = curve_of(1.0, 3.0, quad_tol=1e-14, max_intervals=2)
+        monkeypatch.setattr(profile, "DEFAULT_MAX_INTERVALS", 2)
         with pytest.raises(QuadratureFailure):
-            height(100.0, starved, method="quadrature")
+            height(100.0, curve_of(1.0, 3.0, quad_tol=1e-14), method="quadrature")
 
     def test_heights_matches_pointwise_height(self):
         curve = curve_of(1.0, 3.0)
@@ -318,7 +327,7 @@ def _vertex_by_regime(curve):
         w = p.H * s * s - p.c
         return w / np.hypot(s, w)
 
-    down = integrate(fn, 0.0, r, tol=curve.quad_tol, max_intervals=curve.max_intervals)
+    down = integrate(fn, 0.0, r, tol=curve.quad_tol)
     return curve.anchor_height - parity * down
 
 
@@ -417,7 +426,7 @@ class TestCurveApi:
     ])
     def test_bad_anchor_rejected_when_built_directly(self, r, a, error):
         with pytest.raises(error, match="anchor"):
-            ProfileCurve(SurfaceParams(1.0, 3.0), r, a, 1, Regime.POSITIVE_C)
+            ProfileCurve(SurfaceParams(1.0, 3.0), r, a)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_quad_tol_rejected(self, value):
@@ -426,10 +435,51 @@ class TestCurveApi:
         with pytest.raises(ValueError, match="quad_tol"):
             curve_of(1.0, 3.0, quad_tol=value)
 
-    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
-    def test_bad_max_intervals_rejected(self, value):
-        with pytest.raises(ValueError, match="max_intervals"):
-            curve_of(1.0, 3.0, max_intervals=value)
+    def test_orientation_fields_cannot_be_set(self):
+        # parity and regime were init fields: PLANE gave heights 0 for (1, 3)
+        # and parity=7 scaled every height by 7
+        with pytest.raises(TypeError):
+            ProfileCurve(SurfaceParams(1.0, 3.0), 1.0, 0.0, 1, Regime.PLANE)
+        with pytest.raises(TypeError):
+            ProfileCurve(SurfaceParams(1.0, 3.0), 1.0, 0.0, parity=7)
+        curve = ProfileCurve(SurfaceParams(1.0, 3.0), 1.0, 0.0)
+        assert curve.heights([2.0, 3.0]) == pytest.approx([-0.352, 0.403], abs=1e-3)
+
+    def test_replace_derives_the_orientation_again(self):
+        curve = curve_of(1.0, 3.0, a=0.5)
+        flipped = dataclasses.replace(curve, surface=SurfaceParams(-1.0, -3.0))
+        assert (flipped.params, flipped.parity, flipped.regime) == (
+            SurfaceParams(1.0, 3.0), -1, Regime.POSITIVE_C)
+        capped = dataclasses.replace(curve, surface=SurfaceParams(1.0, 0.0))
+        assert (capped.parity, capped.regime) == (1, Regime.HYPERBOLIC_CAP)
+        with pytest.raises(ValueError):
+            dataclasses.replace(curve, parity=-1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve=regime_curves())
+    def test_built_directly_equals_profile_curve(self, curve):
+        args = (curve.surface, curve.anchor_radius, curve.anchor_height, curve.quad_tol)
+        assert ProfileCurve(*args) == profile_curve(args[0], args[1:3], args[3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve=regime_curves(), log_ratios=st.lists(st.floats(-6.0, 6.0), min_size=1,
+                                                    max_size=8))
+    def test_mirrored_curve_negates_heights_and_slopes_bitwise(self, curve, log_ratios):
+        # (H, c, a) -> (-H, -c, -a) is odd in every operation of the height
+        # and slope paths, so the mirror holds to the bit, the axis included;
+        # only a zero keeps its sign, as x + (-x) is +0 in both orientations
+        def bits(x):
+            return (np.asarray(x, dtype=float) + 0.0).tobytes()
+
+        mirror = ProfileCurve(SurfaceParams(-curve.surface.H, -curve.surface.c),
+                              curve.anchor_radius, -curve.anchor_height, curve.quad_tol)
+        assert mirror.regime is curve.regime
+        ts = curve.anchor_radius * 10.0 ** np.array(log_ratios)
+        for method in ("auto", "quadrature"):
+            assert bits(-curve.heights(ts, method)) == bits(mirror.heights(ts, method))
+        assert bits(-curve.slopes(ts)) == bits(mirror.slopes(ts))
+        assert bits(-singularity_report(curve).cone_vertex_height) == \
+            bits(singularity_report(mirror).cone_vertex_height)
 
     def test_slopes_match_slope(self):
         curve = curve_of(1.0, 3.0)
