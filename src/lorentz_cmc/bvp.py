@@ -13,7 +13,8 @@ Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
 the end dropped last, and steps by inverse quadratic interpolation through
 these three points where that interpolant is monotone on the bracket, by
 bisection otherwise.  Every iterate shrinks the bracket, so the search keeps
-bisection's guarantee and needs far fewer adaptive integrals.  The
+bisection's guarantee.  Each g is closed form: the cap or catenoid formula
+at c = 0 or H = 0, else Carlson's R_F and R_D (``elliptic.rise``).  The
 bracket and the tolerances scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
@@ -30,8 +31,9 @@ from dataclasses import dataclass
 
 from .core import Regime, SurfaceParams, ValidatedRingPair
 from .errors import OrientationError, RootBracketFailure, LorentzCMCError
-from .profile import ProfileCurve, _slope_raw, profile_curve
-from .quadrature import DEFAULT_QUAD_TOL, integrate
+from .elliptic import rise
+from .profile import (DEFAULT_QUAD_TOL, ProfileCurve, closed_form_hyperbolic,
+                      closed_form_maximal, profile_curve)
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
@@ -76,11 +78,11 @@ class PlateauProblem:
 class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
-    ``g_evals`` counts adaptive integrals of the shooting map f(R; H, c)
-    (both bracket ends, iterates, snap check), the only integrals a solve
-    takes.  ``interpolation_steps`` and ``bisection_fallbacks`` split the
-    iterates after the bracket by how they were chosen (the false-position
-    start counts as interpolation).
+    ``g_evals`` counts closed-form evaluations of the shooting map
+    f(R; H, c) (both bracket ends, iterates, snap check).
+    ``interpolation_steps`` and ``bisection_fallbacks`` split the iterates
+    after the bracket by how they were chosen (the false-position start
+    counts as interpolation).
     ``final_bracket_width`` is hi - lo when the search stopped (0.0 when
     g vanished exactly at an evaluated point).
     """
@@ -151,10 +153,14 @@ def classify(H, rings: ValidatedRingPair) -> Regime:
     return Regime.POSITIVE_C
 
 
-def _outer_height(H, c, rings, quad_tol):
-    """f(R; H, c) anchored at f(r) = a, by quadrature."""
-    val = integrate(lambda s: _slope_raw(s, H, c), rings.r, rings.R, tol=quad_tol)
-    return rings.a + val
+def _outer_height(H, c, rings):
+    """f(R; H, c) anchored at f(r) = a, H >= 0, in closed form."""
+    r, R, a = rings.r, rings.R, rings.a
+    if c == 0.0:
+        return closed_form_hyperbolic(R, H, (r, a)) if H else a
+    if H == 0.0:
+        return closed_form_maximal(R, c, (r, a))
+    return a + rise(H, c, r, R)
 
 
 def solve_c(problem: PlateauProblem) -> PlateauSolution:
@@ -163,19 +169,14 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     Descending data (b < a) is solved through the mirror (a, b) ->
     (-a, -b), and the curve is built with the mirrored (-H, -c).
     Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
-    g and the curve use quad_tol * u, and root_tol * u is floored at
-    64 ulp(2^e).  The search runs on lengths divided by u, a power of two,
-    so rings scaled by 2^j
-    (both R < 1/2) take the same steps to the bit, even where their steps
-    in c would be subnormal.  Chandrupatla's iteration runs inside the
-    barrier bracket from its false-position point, each iterate 4 ulp or
-    more from both bracket ends (c_tol * max(u, |c|) once f(R) meets b
-    within root_tol).  It stops once f(R) meets b within root_tol and the
-    next step (so also the bracket) is within c_tol * max(u, |c|), or when
-    no iterate fits that far inside the bracket (c cannot move by an ulp).
-    Roots with |c| < 1e-10 * max(u, H R^2) are snapped to exactly 0 (the
-    regime split is discontinuous there in floating point) whenever the
-    snapped profile still meets the outer ring within root_tol.
+    root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets the
+    returned curve's heights.  The search runs on lengths divided by u, a
+    power of two, so rings scaled by 2^j (both R < 1/2) take the same steps
+    to the bit.  It stops once f(R) meets b within root_tol and the next
+    step (so also the bracket) is within c_tol * max(u, |c|), or when c
+    cannot move by an ulp.  The root snaps to exactly 0 (the regime split
+    is discontinuous there in floating point) when g(0) meets root_tol,
+    tried where a secant of g puts 0 within root_tol of the root.
     ``diagnostics`` on the result counts the work done.
     """
     rings = problem.rings
@@ -192,10 +193,10 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     def g(c):
         nonlocal n_g
         n_g += 1
-        return _outer_height(H, c, work, problem.quad_tol) - b
+        return _outer_height(H, c, work) - b
 
     # g is strictly decreasing; the barrier ends bound its root, so only
-    # quadrature noise can give them the wrong sign
+    # roundoff can give them the wrong sign
     k = work.slope_bound
     m = k / math.sqrt((1.0 - k) * (1.0 + k))
     lo = H * r * r - m * R
@@ -206,15 +207,13 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
                                  f"[{g_lo:.3e}, {g_hi:.3e}], beyond root_tol {root_tol:.3e} "
                                  f"(lengths in units of {math.ldexp(1.0, e_u)!r})")
 
-    if g_lo <= 0.0:
-        c_hat, g_hat, x2 = lo, g_lo, hi
-    elif g_hi >= 0.0:
-        c_hat, g_hat, x2 = hi, g_hi, lo
-    else:
+    c_hat, g_hat, x2, g2 = lo, g_lo, hi, g_hi
+    if g_lo > 0.0 and g_hi >= 0.0:
+        c_hat, g_hat, x2, g2 = hi, g_hi, lo, g_lo
+    elif g_lo > 0.0:
         # Chandrupatla's iteration: c_hat is the newest iterate, [c_hat, x2]
         # brackets the root, x3 is the end dropped last, and the next
         # iterate is c_hat + t (x2 - c_hat), the first at false position
-        c_hat, g_hat, x2, g2 = lo, g_lo, hi, g_hi
         t, c_tol, interpolated = g_lo / (g_lo - g_hi), 0.0, True
         while True:
             # each iterate keeps 4 ulp (c_tol once root_tol is met) from both ends
@@ -248,19 +247,19 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
                 break  # the next step, and so the bracket, is within c_tol
     width = abs(x2 - c_hat) if g_hat != 0.0 else 0.0
 
-    snap = 1e-10 * max(1.0, H * R * R)
-    if c_hat != 0.0 and abs(c_hat) < snap:
+    # near H0 dg/dc can be 1e-10, so 0 may meet root_tol far from c_hat; the
+    # final bracket's secant can sink below roundoff, the barrier's cannot
+    if c_hat != 0.0 and (abs(c_hat * (g2 - g_hat)) <= root_tol * abs(x2 - c_hat)
+                         or abs(c_hat) * (g_lo - g_hi) <= root_tol * (hi - lo)):
         g_zero = g(0.0)
         if abs(g_zero) <= root_tol:
             c_hat, g_hat = 0.0, g_zero
 
     residual = math.ldexp(abs(g_hat), e_u)
     if abs(g_hat) > root_tol:
-        raise LorentzCMCError(
-            f"shooting residual {residual:.3e} exceeds root_tol "
-            f"{math.ldexp(root_tol, e_u):.3e} (scaled to the rings); quad_tol may be "
-            "too loose for this target"
-        )
+        raise LorentzCMCError(f"shooting residual {residual:.3e} exceeds root_tol "
+                              f"{math.ldexp(root_tol, e_u):.3e} (scaled to the rings): f(R) "
+                              "moves by more than root_tol between adjacent floats c")
 
     user_params = SurfaceParams(sign * problem.H, sign * math.ldexp(c_hat, e_u))
     curve = profile_curve(user_params, (rings.r, rings.a),

@@ -240,14 +240,14 @@ class TestShootingMap:
     def test_strictly_decreasing_in_c(self):
         cs = np.linspace(-8.0, 8.0, 33)
         for H in (0.0, 0.7):
-            vals = [_outer_height(H, c, RINGS, 1e-10) for c in cs]
+            vals = [_outer_height(H, c, RINGS) for c in cs]
             assert np.all(np.diff(vals) < 0.0)
 
     def test_bracketing_limits(self):
         # f(R; H, c) -> a -/+ (R - r) as c -> +/- inf
         for H in (0.0, 1.0):
-            high = _outer_height(H, 1e6, RINGS, 1e-10)
-            low = _outer_height(H, -1e6, RINGS, 1e-10)
+            high = _outer_height(H, 1e6, RINGS)
+            low = _outer_height(H, -1e6, RINGS)
             assert abs(high - (RINGS.a - (RINGS.R - RINGS.r))) < 1e-3
             assert abs(low - (RINGS.a + (RINGS.R - RINGS.r))) < 1e-3
 
@@ -283,7 +283,7 @@ def _bisection_reference(problem):
     )
 
     def g(c):
-        return _outer_height(H, c, work, problem.quad_tol) - work.b
+        return _outer_height(H, c, work) - work.b
 
     lo, hi = -1.0, 1.0
     g_lo, g_hi = g(lo), g(hi)
@@ -452,8 +452,8 @@ class TestRingScale:
         H = h * threshold_H0(rings)
         lo, hi = _barrier_bracket(rings, H)
         assert lo <= hi
-        assert _outer_height(H, lo, rings, 1e-10 * min(1.0, R)) - rings.b >= 0.0
-        assert _outer_height(H, hi, rings, 1e-10 * min(1.0, R)) - rings.b <= 0.0
+        assert _outer_height(H, lo, rings) - rings.b >= 0.0
+        assert _outer_height(H, hi, rings) - rings.b <= 0.0
 
     def test_bracket_end_with_noise_sign_is_the_root(self):
         # b = 5e-324: the slope at lo = -5e-324 underflows, so g(lo) = -b
@@ -465,12 +465,12 @@ class TestRingScale:
 
     def test_wrong_sign_beyond_root_tol_raises(self, monkeypatch):
         # f(R) = 1 > b at both ends: the upper end is wrong by 0.5
-        monkeypatch.setattr("lorentz_cmc.bvp._outer_height", lambda H, c, rings, tol: 1.0)
+        monkeypatch.setattr("lorentz_cmc.bvp._outer_height", lambda H, c, rings: 1.0)
         with pytest.raises(RootBracketFailure, match="barrier bracket"):
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
 
     def test_every_iterate_is_counted_once(self):
-        # both bracket ends, then one integral per iterate; the
+        # both bracket ends, then one g per iterate; the
         # false-position start counts as an interpolation step
         for case in ((1.0, 2.0, 0.0, 0.5, 1.0), (1.0, 50.0, 0.0, 0.5, 20.0),
                      (0.5, 4.0, 0.0, 1.0, 0.5)):
@@ -481,17 +481,19 @@ class TestRingScale:
         # f(R) jumps from b + 0.5 to b - 0.5 at c = 0.1: the bracket closes
         # on the jump until c cannot move, and the residual check raises
         monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
-                            lambda H, c, rings, tol: rings.b + (0.5 if c < 0.1 else -0.5))
+                            lambda H, c, rings: rings.b + (0.5 if c < 0.1 else -0.5))
         with pytest.raises(LorentzCMCError, match="root_tol") as info:
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert not isinstance(info.value, RootBracketFailure)
 
     def test_root_within_root_tol_at_upper_end_needs_no_search(self, monkeypatch):
-        # g = 1e-12 > 0 everywhere: the upper end is the root within root_tol
+        # g > 0 on the bracket and g(hi) = 1e-12: the upper end is the root
+        # within root_tol; g falls steeply enough that c = 0 is out of reach
+        hi = _barrier_bracket(RINGS, 1.0)[1]
         monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
-                            lambda H, c, rings, tol: rings.b + 1e-12)
+                            lambda H, c, rings: rings.b + 1e-12 + 1e-3 * (hi - c))
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
-        assert sol.c == _barrier_bracket(RINGS, 1.0)[1]
+        assert sol.c == hi
         assert sol.diagnostics.g_evals == 2
         assert sol.residual == pytest.approx(1e-12, rel=1e-3)
 
@@ -499,7 +501,7 @@ class TestRingScale:
         # g = (2.3 - c)^3 + 1e-300 vanishes at no float, and c_tol * |c| is
         # far below one ulp of c, so only the ulp rule can end the search
         monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
-                            lambda H, c, rings, tol: rings.b + (2.3 - c) ** 3 + 1e-300)
+                            lambda H, c, rings: rings.b + (2.3 - c) ** 3 + 1e-300)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.0, 1.0, c_tol=1e-300)
         ulp = math.ulp(2.3)
         assert abs(sol.c - 2.3) <= 8.0 * ulp
@@ -575,24 +577,12 @@ class TestRingScale:
         assert sol.residual <= DEFAULT_ROOT_TOL * unit
 
 
-# k = 0.999999, R <= 1 and (R/r, H/H0) in {(10, 1000), (1e3, 100), (1e3, 1000)}:
-# quadrature of g steps over the slope's turn near sqrt(c/H) and the solve
-# raises (the open `FOUND:` on `bvp._outer_height` in CHANGES.md)
-_OUTER_HEIGHT_TURN = {(R, ratio, 0.999999, h) for R in (1e-8, 1e-4, 1.0)
-                      for ratio, h in ((10.0, 1000.0), (1e3, 100.0), (1e3, 1000.0))}
-
-
 def _light_cone_grid():
     """R in 1e-8..1e8, R/r in 1.05..1e6, k up to 0.999999 and H/H0 in
-    0..1000, with a = 0 and b = k (R - r); the known failures xfail."""
-    for case in itertools.product((1e-8, 1e-4, 1.0, 1e4, 1e8), (1.05, 10.0, 1e3, 1e6),
+    0..1000, with a = 0 and b = k (R - r)."""
+    return list(itertools.product((1e-8, 1e-4, 1.0, 1e4, 1e8), (1.05, 10.0, 1e3, 1e6),
                                   (0.5, 0.999, 0.999999),
-                                  (0.0, 0.5, 1.0, 10.0, 100.0, 1000.0)):
-        marks = ()
-        if case in _OUTER_HEIGHT_TURN:
-            marks = pytest.mark.xfail(strict=True, raises=LorentzCMCError,
-                                      reason="g by quadrature misses the slope's turn")
-        yield pytest.param(*case, marks=marks)
+                                  (0.0, 0.5, 1.0, 10.0, 100.0, 1000.0)))
 
 
 class TestLightConeGrid:

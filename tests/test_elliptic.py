@@ -1,0 +1,140 @@
+import cmath
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.special import elliprd, elliprf
+
+from lorentz_cmc import ValidatedRingPair, closed_form_hyperbolic
+from lorentz_cmc.bvp import _outer_height
+from lorentz_cmc.elliptic import R_D, R_F, rise
+from lorentz_cmc.profile import _slope_raw
+from lorentz_cmc.quadrature import integrate
+
+EPS = sys.float_info.epsilon
+positive = st.floats(1e-10, 1e10)
+
+
+def _agrees(x, y, z):
+    for ours, ref in ((R_F, elliprf), (R_D, elliprd)):
+        got, want = ours(x, y, z), complex(ref(x, y, z))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+class TestAgainstScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(x=positive, y=positive, z=positive)
+    def test_real_arguments(self, x, y, z):
+        _agrees(x, y, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(modulus=positive, angle=st.floats(0.0, 0.9 * math.pi), z=positive)
+    def test_conjugate_pair(self, modulus, angle, z):
+        w = cmath.rect(modulus, angle)
+        _agrees(w, w.conjugate(), z)
+
+    # within 1% of the negative real axis scipy loses up to 5e-10 relative
+    # (against 40-digit mpmath, the source of these values), where the
+    # product form of x + lambda keeps R_F and R_D to 1e-15
+    @pytest.mark.parametrize("w,rf,rd", [
+        (complex(-542.0, 1.0), 0.35762927212667563, 0.0070265120975099771),
+        (complex(-148.0, 0.5), 0.63035106933967803, 0.029526749987620500),
+        (complex(-1e4, 1e-2), 0.15884258068251865, 0.00034161891229084757),
+    ])
+    def test_conjugate_pair_near_the_cut(self, w, rf, rd):
+        assert R_F(w, w.conjugate(), 1.0) == pytest.approx(rf, rel=2e-15)
+        assert R_D(w, w.conjugate(), 1.0) == pytest.approx(rd, rel=2e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=positive, z=positive)
+    def test_one_zero_argument(self, y, z):
+        _agrees(0.0, y, z)
+
+
+class TestDegenerateArguments:
+    # the duplication loop once spun forever where all arguments vanish
+    @pytest.mark.parametrize("args", [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 2.0, 0.0)])
+    def test_two_zeros_diverge(self, args):
+        assert R_F(*args) == math.inf
+        assert R_D(*args) == math.inf
+
+    def test_zero_last_argument(self):
+        assert R_D(1.0, 2.0, 0.0) == math.inf
+        assert R_F(1.0, 2.0, 0.0) == pytest.approx(elliprf(1.0, 2.0, 0.0), rel=1e-14)
+
+
+# (H, c) from two unit draws u, v, by the regime the closed form must cover
+_REGIMES = {
+    "Hc below 1/4": lambda u, v, R: (10.0 ** (6.0 * u - 3.0) / R, -10.0 + 10.25 * v),
+    "Hc = 1/4": lambda u, v, R: (10.0 ** (6.0 * u - 3.0) / R, 0.25),
+    "4Hc >> 1": lambda u, v, R: (10.0 ** (4.0 * u - 1.0) / R, 10.0 ** (4.0 * v)),
+}
+
+
+def _quadrature_rise(H, c, r, R):
+    # split at the slope's turn sqrt(c/H), which a panel could step over
+    cuts = [r, R]
+    if c > 0.0 and r < math.sqrt(c / H) < R:
+        cuts.insert(1, math.sqrt(c / H))
+    return sum(integrate(lambda s: _slope_raw(s, H, c), lo, hi, tol=1e-13)
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+class TestShootingMap:
+    """g(c) = f(R; H, c) - b in closed form against ``integrate(tol=1e-13)``.
+
+    Allowed gap: the quadrature's tolerance and its 50 eps (R - r) floor,
+    twice over, where the closed form was seen to stay within 2e-15 R.
+    """
+
+    @staticmethod
+    def _check(H, c, r, R):
+        rings = ValidatedRingPair(r, R, 0.0, 0.0)
+        gap = abs(_outer_height(H, c, rings) - _quadrature_rise(H, c, r, R))
+        assert gap <= 2.0 * (1e-13 + 50.0 * EPS * (R - r))
+
+    @settings(max_examples=150, deadline=None)
+    @given(log_R=st.floats(-2.0, 7.0), log_ratio=st.floats(0.01, 4.0),
+           regime=st.sampled_from(sorted(_REGIMES)), u=st.floats(0.0, 1.0),
+           v=st.floats(0.0, 1.0))
+    def test_against_quadrature_by_Hc(self, log_R, log_ratio, regime, u, v):
+        R = 10.0 ** log_R
+        H, hc = _REGIMES[regime](u, v, R)
+        assume(hc != 0.0)
+        self._check(H, hc / H, R / 10.0 ** log_ratio, R)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_R=st.floats(-2.0, 7.0), log_ratio=st.floats(0.01, 4.0),
+           log_H=st.floats(-300.0, -1.0), w=st.floats(-3.0, 3.0))
+    def test_H_to_zero_at_fixed_c(self, log_R, log_ratio, log_H, w):
+        # below log_H = -154 the square of H underflows
+        R = 10.0 ** log_R
+        assume(w != 0.0)
+        self._check(10.0 ** log_H / R, w * R, R / 10.0 ** log_ratio, R)
+
+    def test_exactly_quarter_and_large_rings(self):
+        # Hc = 1/4 exactly (a double root), r = 1e-4, R = 1e6
+        for H, c, r, R in ((1.0, 0.25, 1e-4, 1.0), (0.5, 0.5, 1e-4, 1e6),
+                           (1e-6, 2.5e5, 1.0, 1e6), (2.0, 0.125, 1e-4, 1e6)):
+            assert H * c == 0.25
+            self._check(H, c, r, R)
+
+
+    def test_inner_radius_far_below_R(self):
+        # r / R underflows and so does g^2: rho is held at 2^-511, and the
+        # rise is the cap's to float64 (c adds about 1e-168)
+        rise_cap = closed_form_hyperbolic(2.0, 1.0, (5e-324, 0.0))
+        assert rise(1.0, 1e-170, 5e-324, 2.0) == pytest.approx(rise_cap, rel=1e-15)
+
+
+def test_import_leaves_scipy_out():
+    # the library runs on numpy alone; scipy is a test dependency only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, lorentz_cmc; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
