@@ -123,9 +123,8 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
     """
     coords = float_reprs(mesh.vertices).tolist()
     indices = (np.asarray(mesh.faces) + 1).ravel().tolist()
-    v = ("v %s %s %s\n" * len(mesh.vertices)) % tuple(coords)
-    f = ("f %d %d %d\n" * len(mesh.faces)) % tuple(indices)
-    return (v + f).encode("ascii")
+    template = "v %s %s %s\n" * len(mesh.vertices) + "f %d %d %d\n" * len(mesh.faces)
+    return (template % (*coords, *indices)).encode("ascii")
 
 
 _OBJ_SEPARATORS = np.frombuffer(b" \t\r\n", dtype=np.uint8)
@@ -222,5 +221,5 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     if not np.all(pos):
         report = singularity_report(curve)
         table[~pos] = (0.0, report.cone_vertex_height, report.limit_slope, 0.0)
-    rows = ("%s,%s,%s,%s\r\n" * ts.size) % tuple(float_reprs(table).tolist())
-    return ("t,f,f_prime,first_integral_residual\r\n" + rows).encode("ascii")
+    template = "t,f,f_prime,first_integral_residual\r\n" + "%s,%s,%s,%s\r\n" * ts.size
+    return (template % tuple(float_reprs(table).tolist())).encode("ascii")

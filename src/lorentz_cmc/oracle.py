@@ -111,8 +111,8 @@ def patch_to_csv(patch: GraphPatch) -> bytes:
     i, j = np.nonzero(patch.mask)
     cells = np.stack([float_reprs(patch.x1)[i], float_reprs(patch.x2)[j],
                       float_reprs(np.asarray(patch.values, dtype=float)[i, j])], axis=1)
-    rows = ("%s,%s,%s\r\n" * i.size) % tuple(cells.ravel().tolist())
-    return ("x1,x2,u\r\n" + rows).encode("utf-8")
+    template = "x1,x2,u\r\n" + "%s,%s,%s\r\n" * i.size
+    return (template % tuple(cells.ravel().tolist())).encode("utf-8")
 
 
 def patch_from_csv(data) -> GraphPatch:

@@ -254,11 +254,11 @@ def closed_form_hyperbolic(t, H, anchor):
     if H == 0.0:
         raise ValueError("hyperbolic cap closed form needs H != 0")
     r, a = anchor
-    t = np.asarray(t, dtype=float)
-    # difference-of-roots form, stable for t near r and immune to overflow
-    num = H * (t * t - r * r)
-    den = np.sqrt(1.0 + (H * t) ** 2) + math.sqrt(1.0 + (H * r) ** 2)
-    out = a + num / den
+    # a scalar t as a numpy scalar, cheaper than 0-d array arithmetic
+    t = np.asarray(t, dtype=float)[()]
+    # difference-of-roots form, stable for t near r; no square is formed,
+    # so nothing overflows below H t ~ 1e308, and every factor is odd in H
+    out = a + (t - r) * (H * (t + r) / (np.hypot(1.0, H * t) + math.hypot(1.0, H * r)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -290,7 +290,9 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
     segment whose panel misses quad_tol / segments, or that spans more than
     three decades (where ``integrate`` pre-splits), is integrated
     adaptively to that tolerance.  A cumulative sum zeroed at the anchor
-    gives every height.
+    gives every height.  Working memory is O(N) for N radii: the sorted
+    radii, the segment sums and their antiderivative, plus the one fixed
+    block ``panel_sums`` evaluates at a time.
     """
     closed = _CLOSED_FORMS.get(curve.regime)
     if method == "closed_form" and closed is None:
@@ -306,7 +308,10 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
 
     fn = lambda s: _slope_raw(s, p.H, p.c)
     uniq, inverse = np.unique(ts.ravel(), return_inverse=True)
-    edges = np.unique(np.append(uniq, r))
+    # the anchor's index among the edges, inserted unless it is a sample
+    k = int(np.searchsorted(uniq, r))
+    inserted = k == uniq.size or uniq[k] != r
+    edges = np.insert(uniq, k, r) if inserted else uniq
     vals, errs = panel_sums(fn, edges[:-1], edges[1:])
     seg_tol = curve.quad_tol / max(len(vals), 1)
     with np.errstate(divide="ignore"):
@@ -317,8 +322,10 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
                             max_intervals=DEFAULT_MAX_INTERVALS)
     # antiderivative at every edge, zeroed at the anchor
     F = np.concatenate([[0.0], np.cumsum(vals)])
-    F -= F[np.searchsorted(edges, r)]
-    out = curve.anchor_height + F[np.searchsorted(edges, uniq)][inverse]
+    F -= F[k]
+    if inserted:
+        F = np.delete(F, k)
+    out = curve.anchor_height + F[inverse]
     return out.reshape(ts.shape)
 
 
@@ -338,7 +345,8 @@ def heights(curve: ProfileCurve, ts, method="auto"):
     Quadrature regimes integrate segment-by-segment between consecutive
     sample radii and accumulate, so dense grids cost one pass over the
     integrand instead of one full integral per point.  Per-point accuracy
-    is at the curve's quad_tol scale.
+    is at the curve's quad_tol scale.  Memory is O(N) for N radii plus one
+    fixed block of panels, and the heights do not depend on the block size.
     """
     return _heights(curve, _radii(ts, "heights"), method)
 

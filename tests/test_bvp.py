@@ -508,6 +508,17 @@ class TestRingScale:
         assert 0.0 < sol.diagnostics.final_bracket_width <= 8.0 * ulp
         assert sol.diagnostics.g_evals <= 64
 
+    def test_cap_of_rings_up_to_1e200_is_found(self):
+        # the cap's closed form squared R and overflowed above about 1.3e154,
+        # so g(0) was inf and the solver returned NegativeC; the suite turns
+        # the overflow warning into an error
+        rings = validate_rings(RingPair(r=1e-200, R=1e200, a=0.0, b=1e199))
+        H0 = threshold_H0(rings)
+        assert classify(H0, rings) is Regime.HYPERBOLIC_CAP
+        sol = solve_two_ring(1e-200, 1e200, 0.0, 1e199, H0)
+        assert sol.regime is Regime.HYPERBOLIC_CAP
+        assert sol.c == 0.0
+
     def test_wide_radii_all_solve_in_the_predicted_regime(self):
         failures = []
         for r, R, a, b, H in _wide_ring_pairs():

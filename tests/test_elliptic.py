@@ -130,6 +130,18 @@ class TestShootingMap:
         rise_cap = closed_form_hyperbolic(2.0, 1.0, (5e-324, 0.0))
         assert rise(1.0, 1e-170, 5e-324, 2.0) == pytest.approx(rise_cap, rel=1e-15)
 
+    # rings with 1e-200 <= r < R <= 1e200, H R from 1e-6 to 1e6
+    @pytest.mark.parametrize("log_r,log_R", [(lr, lr + d) for lr in range(-200, 200, 25)
+                                             for d in (0.2, 3.0, 50.0, 150.0, 400.0)
+                                             if lr + d <= 200])
+    @pytest.mark.parametrize("log_HR", [-6.0, 0.0, 6.0])
+    def test_cap_closed_form_matches_rise_from_1e_minus_200_to_1e200(self, log_r, log_R, log_HR):
+        # the closed form once squared R and overflowed above about 1.3e154
+        r, R = 10.0 ** log_r, 10.0 ** log_R
+        H = 10.0 ** log_HR / R
+        assert closed_form_hyperbolic(R, H, (r, 0.0)) == pytest.approx(rise(H, 0.0, r, R),
+                                                                      rel=1e-14)
+
 
 def test_import_leaves_scipy_out():
     # the library runs on numpy alone; scipy is a test dependency only

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from lorentz_cmc import QuadratureFailure
-from lorentz_cmc.quadrature import integrate, panel_sums
+from lorentz_cmc import QuadratureFailure, SurfaceParams, heights, profile_curve
+from lorentz_cmc.profile import _slope_raw
+from lorentz_cmc.quadrature import (PRESPLIT_RATIO, _BLOCK, _NODES, _WG_FULL, _WGK, integrate,
+                                    panel_sums)
 
 
 def test_low_degree_polynomial_is_exact():
@@ -70,6 +77,95 @@ def test_panel_sums_matches_adaptive_on_smooth_segments():
     ref = integrate(fn, 0.2, 1.7, tol=1e-13)
     assert abs(total - ref) < 1e-12
     assert np.all(errs < 1e-10)
+
+
+def reference_panel_sums(fn, los, his):
+    """The 15-point rule on every panel at once, unblocked: one (15, N) pass."""
+    mid = 0.5 * (los + his)
+    half = 0.5 * (his - los)
+    ys = fn(mid[None, :] + _NODES[:, None] * half[None, :])
+    k = half * (_WGK @ ys)
+    g = half * (_WG_FULL @ ys)
+    return k, np.abs(k - g)
+
+
+# a last block of 2 or 3 panels is where BLAS sums rows in another order
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3,
+                               3 * _BLOCK + 5])
+def test_blocked_panel_sums_are_bitwise_the_unblocked_rule(n):
+    rng = np.random.default_rng(n)
+    edges = np.sort(np.exp(rng.uniform(-7.0, 7.0, n + 1)))
+    for _ in range(4):
+        H, c = rng.choice([-1.0, 1.0], 2) * np.exp(rng.uniform(-3.0, 3.0, 2))
+        fn = lambda s: _slope_raw(s, H, c)
+        got = panel_sums(fn, edges[:-1], edges[1:])
+        want = reference_panel_sums(fn, edges[:-1], edges[1:])
+        for a, b in zip(got, want):
+            assert a.shape == (n,)
+            assert a.tobytes() == b.tobytes()
+
+
+def _log_uniform_curves():
+    rng = np.random.default_rng(1991)
+    for sign_c in (1.0, -1.0):
+        H, c = math.exp(rng.uniform(-2.0, 1.5)), sign_c * math.exp(rng.uniform(-2.0, 2.0))
+        r, a = math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0)
+        ts = r * 10.0 ** rng.uniform(-3.0, 3.0, 100_000)
+        yield H, c, (r, a), ts
+
+
+def _reference_heights(H, c, anchor, ts):
+    """Anchor-zeroed cumulative sums of unblocked panels over the sorted radii."""
+    curve = profile_curve(SurfaceParams(H, c), anchor)
+    edges = np.unique(np.append(ts, anchor[0]))
+    vals, errs = reference_panel_sums(lambda s: _slope_raw(s, H, c), edges[:-1], edges[1:])
+    seg_tol = curve.quad_tol / vals.size
+    wide = edges[1:] / edges[:-1] > PRESPLIT_RATIO
+    for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
+        vals[i] = integrate(lambda s: _slope_raw(s, H, c), edges[i], edges[i + 1], tol=seg_tol)
+    F = np.concatenate([[0.0], np.cumsum(vals)])
+    F -= F[np.searchsorted(edges, anchor[0])]
+    return anchor[1] + F[np.searchsorted(edges, ts)]
+
+
+def check_heights_are_bitwise_the_unblocked_rule():
+    # 1e5 log-uniform radii over six decades: about 50 blocks; the mirrored
+    # curve (-H, -c, -a) must give exactly the negated heights
+    for H, c, (r, a), ts in _log_uniform_curves():
+        want = _reference_heights(H, c, (r, a), ts)
+        got = heights(profile_curve(SurfaceParams(H, c), (r, a)), ts)
+        mirrored = heights(profile_curve(SurfaceParams(-H, -c), (r, -a)), ts)
+        assert got.tobytes() == want.tobytes()
+        assert np.negative(mirrored).tobytes() == want.tobytes()
+
+
+def test_heights_on_1e5_radii_are_bitwise_the_unblocked_rule():
+    # in a single-threaded BLAS: the reference's one matmul over 1e5 panels
+    # may be split across threads at a row that changes the last bits of
+    # the rows before it (the library's blocks are too small to be split)
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [str(here.parent / "src"), str(here)]
+                   + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import test_quadrature as t; t.check_heights_are_bitwise_the_unblocked_rule()"
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_heights_peak_memory_is_one_block_beyond_the_results():
+    # the unblocked rule held (15, N) nodes, samples and products at once:
+    # about 52 MB at N = 1e5
+    H, c, anchor, ts = next(_log_uniform_curves())
+    curve = profile_curve(SurfaceParams(H, c), anchor)
+    tracemalloc.start()
+    try:
+        heights(curve, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
