@@ -1,8 +1,13 @@
-"""Float text shared by the OBJ and CSV writers."""
+"""Float text and block-wise record formatting shared by the OBJ and CSV writers."""
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
+
+# Rows formatted per block by ``format_records``.
+_ROWS = 4096
 
 
 def float_reprs(values) -> np.ndarray:
@@ -17,3 +22,24 @@ def float_reprs(values) -> np.ndarray:
     keys, inverse = np.unique(bits, return_inverse=True)
     texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
     return texts[inverse]
+
+
+def format_records(header: str, *sections) -> bytes:
+    """ASCII bytes of ``header``, then of ``template % tuple(row)`` for each
+    row of each ``(template, table)`` section; float cells as ``float_reprs``
+    text, integer cells as ints.
+
+    Rows go ``_ROWS`` at a time (``float_reprs``, one ``%`` pass, ``encode``)
+    into one buffer that is returned without a copy, so the memory used is
+    the output plus one block.
+    """
+    out = io.BytesIO()
+    out.write(header.encode("ascii"))
+    for template, table in sections:
+        table = np.asarray(table)
+        ints = table.dtype.kind in "iu"
+        for start in range(0, len(table), _ROWS):
+            block = table[start:start + _ROWS]
+            cells = block.ravel().tolist() if ints else float_reprs(block).tolist()
+            out.write((template * len(block) % tuple(cells)).encode("ascii"))
+    return out.getvalue()

@@ -14,6 +14,7 @@ quadrature tolerance to EPS and the shooting residual tolerance to 10*EPS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -367,6 +368,7 @@ _COMMANDS = {
 _KNOWN = {name for _, _, params in _COMMANDS.values() for name, *_ in params}
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser():
     parser = _Parser(prog="lorentz-cmc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

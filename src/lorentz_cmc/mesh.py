@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import float_reprs
+from ._text import format_records
 from .errors import NonPositiveRadius
 from .profile import ProfileCurve, _default_step, _residuals, heights, singularity_report
 
@@ -119,14 +119,15 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
     """Serialize as ASCII Wavefront OBJ with v and f records only.
 
     Floats are written with shortest round-trip repr, so identical meshes
-    serialize to identical bytes.
+    serialize to identical bytes.  The records are formatted in row blocks
+    (``format_records``): the memory used is the output plus one block.
     """
-    coords = float_reprs(mesh.vertices).tolist()
-    indices = (np.asarray(mesh.faces) + 1).ravel().tolist()
-    template = "v %s %s %s\n" * len(mesh.vertices) + "f %d %d %d\n" * len(mesh.faces)
-    return (template % (*coords, *indices)).encode("ascii")
+    return format_records("", ("v %s %s %s\n", np.asarray(mesh.vertices, dtype=float)),
+                          ("f %d %d %d\n", np.asarray(mesh.faces) + 1))
 
 
+# Bytes of OBJ text parsed at a time by load_obj; a block ends at a line end.
+_OBJ_BLOCK = 1 << 20
 _OBJ_SEPARATORS = np.frombuffer(b" \t\r\n", dtype=np.uint8)
 
 
@@ -164,11 +165,8 @@ def _obj_rows(text, count, tag, dtype):
     raise ValueError(f"OBJ {tag} record needs 3 entries")
 
 
-def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
-    """Parse v/f records (first three entries; face entries up to any '/')
-    from OBJ bytes or text; returns (vertices, faces), each (0,) if absent."""
-    if isinstance(data, str):
-        data = data.encode("ascii")
+def _obj_block(data):
+    """(vertices, faces) rows of the v/f records in ``data``, whole lines of OBJ bytes."""
     if not data.endswith(b"\n"):
         data = data + b"\n"
     if data[:1] in (b" ", b"\t") or b"\n " in data or b"\n\t" in data:
@@ -184,15 +182,42 @@ def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
             _obj_rows(f_text, n_f, "f", np.int64) - 1)
 
 
+def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
+    """Parse v/f records (first three entries; face entries up to any '/')
+    from OBJ bytes or text; returns (vertices, faces), each (0,) if absent.
+
+    The bytes are parsed in blocks of ``_OBJ_BLOCK`` cut at the next line
+    end, keeping only each block's rows: the memory used beyond the input
+    is the arrays returned plus one block.
+    """
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    vertices, faces, start = [], [], 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _OBJ_BLOCK) + 1 or len(data)
+        for rows, part in zip((vertices, faces), _obj_block(data[start:stop])):
+            if part.size:
+                rows.append(part)
+        start = stop
+    return tuple(np.concatenate(rows) if rows else np.zeros(0, dtype=dtype)
+                 for rows, dtype in ((vertices, np.float64), (faces, np.int64)))
+
+
 def euler_characteristic(mesh: SurfaceMesh) -> int:
     """V - E + F with edges counted once; 0 for a closed-seam annulus."""
+    faces = np.asarray(mesh.faces)
     n_vertices = int(mesh.vertices.shape[0])
-    # sort each edge (a, b) to lo <= hi, then count distinct lo*(V+1)+hi
-    # keys in sorted order (np.unique is far slower at these sizes)
-    edges = np.sort(np.stack([mesh.faces, np.roll(mesh.faces, -1, axis=1)], axis=-1))
-    keys = np.sort((edges[..., 0] * (n_vertices + 1) + edges[..., 1]).ravel())
+    # key lo*(V+1)+hi of each edge, built one column pair at a time, then
+    # distinct keys counted in sorted order (np.unique is far slower here)
+    keys = np.empty(3 * len(faces), dtype=np.int64)
+    hi = np.empty(len(faces), dtype=np.int64)
+    for key, (a, b) in zip(keys.reshape(3, -1), ((0, 1), (1, 2), (2, 0))):
+        np.minimum(faces[:, a], faces[:, b], out=key)
+        key *= n_vertices + 1
+        key += np.maximum(faces[:, a], faces[:, b], out=hi)
+    keys.sort()
     n_edges = keys.size - np.count_nonzero(keys[1:] == keys[:-1])
-    return n_vertices - int(n_edges) + int(mesh.faces.shape[0])
+    return n_vertices - int(n_edges) + len(faces)
 
 
 def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
@@ -221,5 +246,4 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     if not np.all(pos):
         report = singularity_report(curve)
         table[~pos] = (0.0, report.cone_vertex_height, report.limit_slope, 0.0)
-    template = "t,f,f_prime,first_integral_residual\r\n" + "%s,%s,%s,%s\r\n" * ts.size
-    return (template % tuple(float_reprs(table).tolist())).encode("ascii")
+    return format_records("t,f,f_prime,first_integral_residual\r\n", ("%s,%s,%s,%s\r\n", table))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import float_reprs
+from ._text import format_records
 from .errors import NotMonotone, SpacelikeViolation
 from .profile import ProfileCurve, _fd_step, _radius, heights, slope_extremum_radius
 
@@ -109,10 +109,8 @@ def patch_from_profile(curve: ProfileCurve, x1, x2, min_radius=None) -> GraphPat
 def patch_to_csv(patch: GraphPatch) -> bytes:
     """Serialize a patch as RFC-4180 CSV with header x1,x2,u (row-major)."""
     i, j = np.nonzero(patch.mask)
-    cells = np.stack([float_reprs(patch.x1)[i], float_reprs(patch.x2)[j],
-                      float_reprs(np.asarray(patch.values, dtype=float)[i, j])], axis=1)
-    template = "x1,x2,u\r\n" + "%s,%s,%s\r\n" * i.size
-    return (template % tuple(cells.ravel().tolist())).encode("utf-8")
+    table = np.column_stack([patch.x1[i], patch.x2[j], patch.values[i, j]])
+    return format_records("x1,x2,u\r\n", ("%s,%s,%s\r\n", table.astype(float, copy=False)))
 
 
 def patch_from_csv(data) -> GraphPatch:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lorentz_cmc
 import lorentz_cmc.cli as cli_module
 from lorentz_cmc import (
     closed_form_maximal,
@@ -507,6 +508,22 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert f"--{name} must be a finite number" in err and out == ""
         assert not Path("m.obj").exists()
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # main builds its parser once; nothing one call parses carries over
+        assert cli_module.build_parser() is cli_module.build_parser()
+        argv = ("classify", "--r", "1", "--R", "2", "--a", "0", "--b", "0.5", "--H", "1")
+        code, out, _ = run(capsys, *argv, "--human")
+        assert code == EXIT_OK and "{" not in out
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and last_record(out)["event"] == "classification"
+        code, _, err = run(capsys, *argv[:-2])
+        assert code == EXIT_USAGE and "missing required parameters: H" in err
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"{lorentz_cmc.__version__}\n"
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")

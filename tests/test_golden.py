@@ -42,7 +42,13 @@ FIGURE_OBJ = {
         "97351ec94f64bfdde358d6cbc7e9ae4f50700affec4835918b7fafc5e9cea7b3",
     (4, ("--nt", "5", "--ntheta", "7")):
         "b6867f48f6b8ba8e7b1e182c338610f674ae7f1cb77e7bddb3d1a1106f2f07a9",
+    # 65281 v and 130560 f records: many writer and reader blocks
+    (4, ("--nt", "256", "--ntheta", "256")):
+        "31ea747defb1ecca3634b65c1e202b358bf1bcc89236ba51e25eda7c09615a8d",
 }
+
+# figure4_profile.csv at --samples 12293 (three writer blocks and five rows)
+MULTI_BLOCK_CSV = "12b4d0c43087749a07b385fcc8a0f5f124db52ad9e1aafb5269e3fd90293ab1d"
 
 LOG_MESH_OBJ = "f2de2770da985c16d81d02312ff027c4893169a9c7e645cefaeaac36057f36d0"
 HOLED_PATCH_CSV = "5699f500a884436a4f320b90afa7cdee38d67e75fac4bfb9307f381d2f0715ce"
@@ -59,6 +65,13 @@ def test_figure_bytes(tmp_path, capsys, fig, sizes):
     assert sha256((tmp_path / f"figure{fig}_profile.csv").read_bytes()) == FIGURE_CSV[fig]
     assert sha256((tmp_path / f"figure{fig}_surface.obj").read_bytes()) == \
         FIGURE_OBJ[fig, sizes]
+
+
+def test_multi_block_profile_csv_bytes(tmp_path, capsys):
+    assert main(["figure", "4", "--out-dir", str(tmp_path), "--samples", "12293",
+                 "--nt", "2", "--ntheta", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert sha256((tmp_path / "figure4_profile.csv").read_bytes()) == MULTI_BLOCK_CSV
 
 
 def test_log_spaced_annulus_mesh_bytes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from lorentz_cmc import (
     sample_surface,
     singularity_report,
 )
+from lorentz_cmc._text import _ROWS
+from lorentz_cmc.mesh import _OBJ_BLOCK
 
 
 def curve_of(H, c, r=1.0, a=0.0):
@@ -377,6 +380,83 @@ class TestSerialisersAgainstReference:
             reference_load_obj(text)
         with pytest.raises(ValueError):
             load_obj(text)
+
+
+def special_mesh(n_rows, seed=5):
+    """A mesh of ``n_rows`` vertices and ``n_rows`` faces with SPECIAL coordinates."""
+    rng = np.random.default_rng(seed)
+    return SurfaceMesh(vertices=rng.choice(np.array(SPECIAL), size=(n_rows, 3)),
+                       faces=rng.integers(0, max(n_rows, 1), size=(n_rows, 3)),
+                       ring_radii=np.zeros(0), n_theta=3)
+
+
+@pytest.fixture(scope="module")
+def multi_block_obj():
+    """OBJ text of two and a half reader blocks: v/vn/f records interleaved
+    with indented records, comments and slash faces, CRLF line ends and no
+    final newline."""
+    rng = np.random.default_rng(11)
+    n = 5 * _OBJ_BLOCK // 32
+    kinds = rng.integers(0, 6, n).tolist()
+    coords = rng.choice(np.array([repr(v) for v in SPECIAL]), size=(n, 3)).tolist()
+    index = rng.integers(1, 10**6, size=(n, 3)).tolist()
+    forms = ["v {0} {1} {2}", "vn 0 0 1", "f {3}/{4} {4}//{5} {5}/1/{3}", "f {3} {4} {5} 7",
+             "\tv {0}\t{1} {2} 0.5", "# {0} {1}"]
+    text = "\r\n".join(forms[k].format(*c, *i) for k, c, i in zip(kinds, coords, index))
+    assert len(text) > 2 * _OBJ_BLOCK
+    return text
+
+
+class TestBlockSeams:
+    @pytest.mark.parametrize("n_rows", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+    def test_export_obj_matches_reference(self, n_rows):
+        mesh = special_mesh(n_rows)
+        assert export_obj(mesh) == reference_export_obj(mesh)
+
+    def test_load_obj_matches_reference_over_reader_blocks(self, multi_block_obj):
+        text = multi_block_obj
+        for got, want in zip(load_obj(text.encode("ascii")), reference_load_obj(text)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(bits(got) if got.dtype == float else got,
+                                  bits(want) if want.dtype == float else want)
+
+    @pytest.mark.parametrize("tail", ["\r\nv 1 2", "\r\nf 1/1 2/2\r\n", "\r\nv 1 x 3"])
+    def test_malformed_record_in_the_last_block_rejected(self, multi_block_obj, tail):
+        # the reference reads each line alone, so the tail is what it rejects
+        with pytest.raises(ValueError):
+            reference_load_obj(tail)
+        with pytest.raises(ValueError):
+            load_obj(multi_block_obj + tail)
+
+
+@pytest.fixture(scope="module")
+def figure4_mesh():
+    """The mesh of ``lorentz-cmc figure 4 --nt 256 --ntheta 256``."""
+    return sample_surface(curve_of(1.0, 3.0), (0.0, 4.0), 256, 256)
+
+
+def traced_peak(fn, *args):
+    """Bytes allocated at the high-water mark of ``fn(*args)``, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    # the 6.5 MB OBJ of this mesh once took 38 MB to write and 27 MB to
+    # read, and its Euler count 12.5 MB
+    def test_export_obj(self, figure4_mesh):
+        assert traced_peak(export_obj, figure4_mesh) <= 14e6
+
+    def test_load_obj(self, figure4_mesh):
+        data = export_obj(figure4_mesh)
+        assert traced_peak(load_obj, data) <= 14e6
+
+    def test_euler_characteristic(self, figure4_mesh):
+        assert traced_peak(euler_characteristic, figure4_mesh) <= 6e6
 
 
 FIGURE_CURVES = [((0.0, 3.0), (0.0, 7.0)), ((0.1, -0.25), (0.0, 4.0)),

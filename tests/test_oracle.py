@@ -21,6 +21,7 @@ from lorentz_cmc import (
     profile_curve,
     variational_residual,
 )
+from lorentz_cmc._text import _ROWS
 from lorentz_cmc.oracle import _erode
 
 
@@ -204,6 +205,18 @@ class TestPatchCsvAgainstReference:
         data = patch_to_csv(patch)
         assert data == reference_patch_to_csv(patch)
         assert_same_patch(patch_from_csv(data), reference_patch_from_csv(data))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+    def test_rows_across_writer_blocks_match_reference(self, n_rows):
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310,
+                            1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5, 1e22])
+        rng = np.random.default_rng(n_rows)
+        x1, x2 = rng.choice(special, 111), rng.choice(special, 111)
+        mask = np.zeros(111 * 111, dtype=bool)
+        mask[rng.choice(mask.size, n_rows, replace=False)] = True
+        patch = GraphPatch(x1=x1, x2=x2, values=rng.choice(special, (111, 111)),
+                           mask=mask.reshape(111, 111))
+        assert patch_to_csv(patch) == reference_patch_to_csv(patch)
 
     @pytest.mark.parametrize("data", [
         b'x1,x2,u\r\n"1.5",-2.0,"3.25"\r\n0.5,"-2.0",4.0\r\n',  # quoted fields
