@@ -5,7 +5,8 @@ Output is one JSON object per line (machine-readable, sorted keys) unless
 (DegenerateRadii / NotSpacelikeSolvable), 1 any other error, 64 usage
 errors.  Each subcommand accepts --config FILE with key=value lines
 (flags override the file; a key no subcommand knows is a usage error) and
---dump-config FILE to record the effective parameters, defaults included.
+--dump-config FILE to record the effective parameters, defaults included
+(a value that would not read back unchanged is a usage error).
 A value is converted by its parameter's type whether it comes from a flag
 or the file.  The environment variable LORENTZ_CMC_TOL=EPS sets the default
 quadrature tolerance to EPS and the shooting residual tolerance to 10*EPS.
@@ -31,12 +32,12 @@ from .flux import flux_closed_form, flux_numeric
 from .mesh import euler_characteristic, export_obj, export_profile_csv, sample_surface
 from .oracle import mean_curvature_graph, patch_from_csv, patch_from_profile
 from .profile import (
-    DEFAULT_QUAD_TOL,
     asymptotic_slope,
     profile_curve,
     singularity_report,
     slope_extremum_radius,
 )
+from .quadrature import DEFAULT_QUAD_TOL
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -131,9 +132,9 @@ def _flag(name):
     return "--" + name.replace("_", "-")
 
 
-def _config_items(path):
+def _config_items(text):
     """(key, text) for each key=value line ('#' comments, blank lines ok)."""
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -143,30 +144,25 @@ def _config_items(path):
         yield key, value
 
 
-def load_config(path):
-    """Parse a key=value config file, reading each value as int, float or str."""
-    return {key: _parse_value(text) for key, text in _config_items(path)}
-
-
-def _parse_value(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def dump_config(values) -> str:
-    """Serialize a flat dict as key=value lines (sorted; ints, floats, and
-    bare strings round-trip through load_config)."""
-    return "".join(f"{key}={values[key]}\n" for key in sorted(values))
+    """Serialize a flat dict as sorted key=value lines; _UsageError naming the
+    first key whose line ``_config_items`` would not read back as written."""
+    lines = []
+    for key in sorted(values):
+        lines.append(f"{key}={values[key]}\n")
+        try:
+            read_back = list(_config_items(lines[-1]))
+        except ValueError:
+            read_back = None
+        if read_back != [(key, str(values[key]))]:
+            raise _UsageError(f"{_flag(key)} {values[key]!r} does not survive --dump-config")
+    return "".join(lines)
 
 
 def _resolve(args):
     """Effective parameters of ``args.command``: the flag, else the --config
     value, else the default; flag and config text go through one converter."""
-    config = dict(_config_items(args.config)) if args.config else {}
+    config = dict(_config_items(Path(args.config).read_text())) if args.config else {}
     unknown = sorted(set(config) - _KNOWN)
     if unknown:
         raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -353,7 +349,7 @@ _COMMANDS = {
         ("H", _number, None), ("c", _number, None), *_ANCHOR,
         ("extent", _positive, 2.0, "half-width of the sampled square"),
         ("grid_step", _positive, 1.0 / 32.0),
-        ("min_radius", _number, None),
+        ("min_radius", _positive, None),
         ("mode", _choice("nondivergence", "divergence"), "nondivergence"),
     ]),
     "mesh": (cmd_mesh, "sample a surface and write OBJ", [

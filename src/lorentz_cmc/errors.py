@@ -1,5 +1,11 @@
 """Exception types raised by lorentz_cmc."""
 
+__all__ = [
+    "LorentzCMCError", "DegenerateRadii", "NotSpacelikeSolvable", "NonPositiveRadius",
+    "QuadratureFailure", "SpacelikeViolation", "RootBracketFailure", "OrientationError",
+    "NotMonotone",
+]
+
 
 class LorentzCMCError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -23,9 +23,10 @@ import numpy as np
 
 from .core import SurfaceParams
 from .profile import ProfileCurve, _radius
-from .quadrature import _require_count
 
 __all__ = ["FluxResult", "flux_closed_form", "flux_numeric"]
+
+_N_THETA = 720
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,15 @@ def flux_closed_form(r, params: SurfaceParams) -> FluxResult:
     return FluxResult(flux=area + conormal, area_term=area, conormal_term=conormal)
 
 
-def flux_numeric(r, curve: ProfileCurve, angular=False, n_theta=720) -> FluxResult:
+def flux_numeric(r, curve: ProfileCurve, angular=False) -> FluxResult:
     """Flux evaluated from the solved profile.
 
     Both integrands are constant along the circle by rotational symmetry,
     so the default path multiplies the pointwise values by the
     circumference.  ``angular=True`` instead samples theta and applies the
     (here exact) trapezoid rule over the period, as a convention check.
-    ``n_theta`` must be an integer >= 1.
     """
     r = _radius(r, "flux")
-    _require_count("n_theta", n_theta)
     s = curve.slope(r)
     H = curve.mean_curvature
     # (1-s)(1+s) keeps a few extra bits over 1 - s^2; the roundoff of s
@@ -68,12 +67,11 @@ def flux_numeric(r, curve: ProfileCurve, angular=False, n_theta=720) -> FluxResu
     area_density = H * r  # <x ^ tau, e3> = r on the counterclockwise circle
 
     if angular:
-        # Periodic trapezoid over n_theta samples; densities are constant in
+        # Periodic trapezoid over _N_THETA samples; densities are constant in
         # theta, so this exercises only the bookkeeping.
-        thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-        ds = 2.0 * math.pi * r / n_theta
-        area = float(np.sum(np.full_like(thetas, area_density)) * ds)
-        conormal = float(np.sum(np.full_like(thetas, conormal_density)) * ds)
+        ds = 2.0 * math.pi * r / _N_THETA
+        area = float(np.sum(np.full(_N_THETA, area_density)) * ds)
+        conormal = float(np.sum(np.full(_N_THETA, conormal_density)) * ds)
     else:
         circumference = 2.0 * math.pi * r
         area = area_density * circumference

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "VariationalCheck",
     "mean_curvature_graph",
     "mean_curvature_rotational",
-    "patch_from_function",
     "patch_from_profile",
     "patch_from_csv",
     "patch_to_csv",
@@ -76,28 +76,20 @@ class CurvatureReport:
     points_checked: int
 
 
-def patch_from_function(fn, x1, x2, mask=None) -> GraphPatch:
-    """Sample ``u = fn(X1, X2)`` on the lattice x1 x x2 (vectorized fn)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    values = np.asarray(fn(X1, X2), dtype=float)
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
-    return GraphPatch(x1=x1, x2=x2, values=values, mask=np.asarray(mask, dtype=bool))
-
-
 def patch_from_profile(curve: ProfileCurve, x1, x2, min_radius=None) -> GraphPatch:
     """Rotate a profile into a graph patch u(x1, x2) = f(sqrt(x1^2 + x2^2)).
 
     Points with radius below ``min_radius`` (default 5% of the anchor
     radius, keeping clear of the axis puncture) are masked out and filled
-    with the anchor height as an inert placeholder.
+    with the anchor height as an inert placeholder.  A given ``min_radius``
+    must be finite and positive (else ValueError).
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if min_radius is None:
         min_radius = 0.05 * curve.anchor_radius
+    elif not (math.isfinite(min_radius) and min_radius > 0.0):
+        raise ValueError(f"min_radius must be finite and positive, got {min_radius!r}")
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
     rho = np.hypot(X1, X2)
     mask = rho >= min_radius

@@ -31,19 +31,15 @@ from .quadrature import (DEFAULT_MAX_INTERVALS, DEFAULT_QUAD_TOL, PRESPLIT_RATIO
                          integrate, panel_sums)
 
 __all__ = [
-    "DEFAULT_MAX_INTERVALS",
-    "DEFAULT_QUAD_TOL",
     "ProfileCurve",
     "SingularityKind",
     "SingularityReport",
     "asymptotic_slope",
-    "asymptotic_slope_estimate",
     "closed_form_maximal",
     "closed_form_hyperbolic",
     "first_integral_residual",
     "height",
     "heights",
-    "hyperbolic_center_height",
     "profile_curve",
     "singularity_report",
     "slope",
@@ -188,11 +184,11 @@ class ProfileCurve:
     def slopes(self, ts):
         return _slope_raw(_radii(ts, "slopes"), self.surface.H, self.surface.c)
 
-    def height(self, t, method="auto"):
-        return height(t, self, method=method)
+    def height(self, t):
+        return height(t, self)
 
-    def heights(self, ts, method="auto"):
-        return heights(self, ts, method=method)
+    def heights(self, ts):
+        return heights(self, ts)
 
 
 def profile_curve(params: SurfaceParams, anchor, quad_tol=DEFAULT_QUAD_TOL) -> ProfileCurve:
@@ -262,14 +258,6 @@ def closed_form_hyperbolic(t, H, anchor):
     return float(out) if out.ndim == 0 else out
 
 
-def hyperbolic_center_height(H, anchor):
-    """x3-coordinate of the center of the cap's hyperbolic plane."""
-    if H <= 0.0:
-        raise ValueError("hyperbolic center needs H > 0")
-    r, a = anchor
-    return a - math.sqrt(1.0 + (H * r) ** 2) / H
-
-
 # (ts, params, anchor) -> heights at ts
 _CLOSED_FORMS = {
     Regime.PLANE: lambda ts, p, anc: np.full(ts.shape, anc[1]),
@@ -278,7 +266,7 @@ _CLOSED_FORMS = {
 }
 
 
-def _heights(curve: ProfileCurve, ts, method="auto"):
+def _heights(curve: ProfileCurve, ts):
     """Heights at a float array of radii ``ts >= 0``; t = 0 gives the axis limit f(0+).
 
     The one height engine behind ``height``, ``heights`` and
@@ -295,13 +283,6 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
     block ``panel_sums`` evaluates at a time.
     """
     closed = _CLOSED_FORMS.get(curve.regime)
-    if method == "closed_form" and closed is None:
-        raise ValueError(f"regime {curve.regime} has no closed form")
-    if method == "quadrature":
-        closed = None
-    elif method not in ("auto", "closed_form"):
-        raise ValueError(f"unknown method {method!r}")
-
     p, r = curve.surface, curve.anchor_radius
     if closed is not None:
         return np.asarray(closed(ts, p, (r, curve.anchor_height)), dtype=float)
@@ -329,18 +310,18 @@ def _heights(curve: ProfileCurve, ts, method="auto"):
     return out.reshape(ts.shape)
 
 
-def height(t, curve: ProfileCurve, method="auto"):
+def height(t, curve: ProfileCurve):
     """Profile height f(t) = a + integral_r^t f'(s) ds.
 
-    ``t`` may sit on either side of the anchor radius.  ``method`` is
-    "auto" (closed form when the regime has one, quadrature otherwise),
-    "quadrature", or "closed_form".
+    ``t`` may sit on either side of the anchor radius.  The plane, maximal
+    catenoid and hyperbolic cap evaluate their closed form, every other
+    regime quadrature.
     """
-    return float(_heights(curve, np.array([_radius(t, "height")]), method)[0])
+    return float(_heights(curve, np.array([_radius(t, "height")]))[0])
 
 
-def heights(curve: ProfileCurve, ts, method="auto"):
-    """Vectorized height evaluation; ``method`` as for ``height``.
+def heights(curve: ProfileCurve, ts):
+    """Vectorized height evaluation, by the same rule as ``height``.
 
     Quadrature regimes integrate segment-by-segment between consecutive
     sample radii and accumulate, so dense grids cost one pass over the
@@ -348,7 +329,7 @@ def heights(curve: ProfileCurve, ts, method="auto"):
     is at the curve's quad_tol scale.  Memory is O(N) for N radii plus one
     fixed block of panels, and the heights do not depend on the block size.
     """
-    return _heights(curve, _radii(ts, "heights"), method)
+    return _heights(curve, _radii(ts, "heights"))
 
 
 class SingularityKind(enum.Enum):
@@ -395,20 +376,11 @@ def asymptotic_slope(params: SurfaceParams):
     """Projective limit f(t)/t as t -> infinity, for canonical parameters.
 
     1 for H > 0 (the surface hugs a light cone at infinity), 0 for H = 0
-    (maximal profiles grow only logarithmically).  Analytic case split; see
-    asymptotic_slope_estimate for the numerical cross-check.
+    (maximal profiles grow only logarithmically).  Analytic case split,
+    with no quadrature.
     """
     p, _ = canonicalize(params)
     return 1.0 if p.H > 0.0 else 0.0
-
-
-def asymptotic_slope_estimate(curve: ProfileCurve, T=1e6):
-    """Diagnostic f(T)/T at a large radius, by quadrature.
-
-    For H = 0 the residual against the limit 0 is |c| asinh-growth over T,
-    roughly |c| ln(2T/|c|) / T; for H > 0 the gap to parity*1 is O(1/T).
-    """
-    return height(T, curve, method="auto") / T
 
 
 def first_integral_residual(t, curve: ProfileCurve, fd_step=None):

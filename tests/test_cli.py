@@ -8,19 +8,18 @@ import pytest
 import lorentz_cmc
 import lorentz_cmc.cli as cli_module
 from lorentz_cmc import (
+    GraphPatch,
     closed_form_maximal,
     flux_numeric,
     load_obj,
     patch_to_csv,
-    patch_from_function,
 )
 from lorentz_cmc.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNSOLVABLE,
     EXIT_USAGE,
-    dump_config,
-    load_config,
+    _config_items,
     main,
 )
 
@@ -33,6 +32,18 @@ def run(capsys, *argv):
 
 def last_record(out):
     return json.loads(out.strip().splitlines()[-1])
+
+
+def read_config(path):
+    """The key -> text pairs a --config run would read from ``path``."""
+    return dict(_config_items(Path(path).read_text()))
+
+
+def patch_from_function(fn, xs):
+    """Sample u = fn(X1, X2) (vectorized) on the lattice xs x xs, all in-mask."""
+    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
+    return GraphPatch(x1=xs, x2=xs, values=np.asarray(fn(X1, X2), dtype=float),
+                      mask=np.ones(X1.shape, dtype=bool))
 
 
 class TestSolve:
@@ -144,7 +155,7 @@ class TestFlux:
         dump = tmp_path / "eff.cfg"
         code, first, _ = run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3",
                              "--angular", "--dump-config", str(dump))
-        assert code == EXIT_OK and load_config(dump)["angular"] == "True"
+        assert code == EXIT_OK and read_config(dump)["angular"] == "True"
         assert run(capsys, "flux", "--config", str(dump)) == (EXIT_OK, first, "")
         cfg = tmp_path / "angular.cfg"
         cfg.write_text("r=2\nH=1\nc=3\nangular=1\n")
@@ -172,7 +183,7 @@ class TestVerify:
         xs = np.linspace(-1.0, 1.0, 65)
         fn = lambda X1, X2: (np.sqrt(1.0 + X1**2 + X2**2) - math.sqrt(2.0))
         path = tmp_path / "patch.csv"
-        path.write_bytes(patch_to_csv(patch_from_function(fn, xs, xs)))
+        path.write_bytes(patch_to_csv(patch_from_function(fn, xs)))
         code, out, _ = run(capsys, "verify", "--csv", str(path),
                            "--mode", "divergence")
         assert code == EXIT_OK
@@ -182,7 +193,7 @@ class TestVerify:
 
     def test_plane_patch_reports_zero(self, tmp_path, capsys):
         xs = np.linspace(-1.0, 1.0, 33)
-        patch = patch_from_function(lambda X1, X2: np.full(X1.shape, 0.3), xs, xs)
+        patch = patch_from_function(lambda X1, X2: np.full(X1.shape, 0.3), xs)
         path = tmp_path / "plane.csv"
         path.write_bytes(patch_to_csv(patch))
         code, out, _ = run(capsys, "verify", "--csv", str(path))
@@ -203,9 +214,22 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert flag in err and out == ""
 
+    @pytest.mark.parametrize("grid_step", ["0.25", "0.3"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_min_radius_is_usage_error(self, tmp_path, capsys, grid_step, value):
+        # on the 0.25 lattice, which holds the origin, 0 exited 1; on the 0.3
+        # lattice it exited 0 with H_mean -1.83 for H = 1
+        head = ("verify", "--H", "1", "--c", "3", "--extent", "1", "--grid-step", grid_step)
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(f"min_radius={value}\n")
+        for tail in (("--min-radius", value), ("--config", str(cfg))):
+            code, out, err = run(capsys, *head, *tail)
+            assert code == EXIT_USAGE
+            assert "--min-radius" in err and out == ""
+
     def test_steep_patch_is_internal_error(self, tmp_path, capsys):
         xs = np.linspace(-1.0, 1.0, 17)
-        patch = patch_from_function(lambda X1, X2: 1.5 * X1, xs, xs)
+        patch = patch_from_function(lambda X1, X2: 1.5 * X1, xs)
         path = tmp_path / "steep.csv"
         path.write_bytes(patch_to_csv(patch))
         code, _, err = run(capsys, "verify", "--csv", str(path))
@@ -303,12 +327,6 @@ class TestFigures:
 
 
 class TestConfig:
-    def test_round_trip(self, tmp_path):
-        values = {"r": 1, "R": 2.5, "b": 0.5, "note": "demo"}
-        path = tmp_path / "job.cfg"
-        path.write_text(dump_config(values))
-        assert load_config(path) == values
-
     def test_config_file_supplies_parameters(self, tmp_path, capsys):
         cfg = tmp_path / "solve.cfg"
         cfg.write_text("r=1\nR=2\na=0\nb=0.5\nH=1\n")
@@ -328,8 +346,8 @@ class TestConfig:
         code, _, _ = run(capsys, "solve", "--r", "1", "--R", "2", "--a", "0",
                          "--b", "0.5", "--H", "1", "--dump-config", str(dump))
         assert code == EXIT_OK
-        eff = load_config(dump)
-        assert eff["H"] == 1.0 and eff["R"] == 2.0
+        eff = read_config(dump)
+        assert eff["H"] == "1.0" and eff["R"] == "2.0"
 
     def test_figure_reads_sizes_and_out_dir_from_config(self, tmp_path, capsys):
         # these four used to keep their argparse defaults over the file
@@ -344,8 +362,8 @@ class TestConfig:
         assert verts.shape[0] == 5 * 7 and faces.shape[0] == 2 * 4 * 7
         rows = (out_dir / "figure3_profile.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 3
-        eff = load_config(dump)
-        assert (eff["nt"], eff["ntheta"], eff["samples"]) == (5, 7, 3)
+        eff = read_config(dump)
+        assert (eff["nt"], eff["ntheta"], eff["samples"]) == ("5", "7", "3")
         assert eff["out_dir"] == str(out_dir)
 
     def test_figure_flags_override_config_and_defaults_fill_in(self, tmp_path, capsys):
@@ -355,8 +373,8 @@ class TestConfig:
         code, _, _ = run(capsys, "figure", "3", "--config", str(cfg), "--nt", "6",
                          "--out-dir", str(tmp_path), "--dump-config", str(dump))
         assert code == EXIT_OK
-        eff = load_config(dump)
-        assert (eff["nt"], eff["ntheta"], eff["samples"]) == (6, 64, 257)
+        eff = read_config(dump)
+        assert (eff["nt"], eff["ntheta"], eff["samples"]) == ("6", "64", "257")
         verts, _ = load_obj((tmp_path / "figure3_surface.obj").read_bytes())
         assert verts.shape[0] == 6 * 64
 
@@ -450,8 +468,20 @@ class TestDumpConfigRoundTrip:
             return out, files
 
         first = outputs(*flags, "--dump-config", str(dump))
-        assert defaulted <= set(load_config(dump))
+        assert defaulted <= set(read_config(dump))
         assert outputs("--config", str(dump)) == first
+
+    @pytest.mark.parametrize("out_dir", ["o#x", "o\nx", " o", "o "])
+    def test_value_that_would_not_read_back_is_usage_error(self, tmp_path, capsys,
+                                                           monkeypatch, out_dir):
+        # out_dir=o#x was dumped as is and read back as "o"
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "figure", "1", "--out-dir", out_dir, "--nt", "3",
+                             "--ntheta", "3", "--samples", "2", "--dump-config", "d.cfg")
+        assert code == EXIT_USAGE
+        assert "--out-dir" in err and out == ""
+        # neither the dump nor the figure was written
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEnvTolerance:

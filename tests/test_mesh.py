@@ -536,9 +536,9 @@ class TestProfileCsvResidualColumn:
     def test_one_heights_call_for_the_residual_and_no_scalar_height(self, monkeypatch):
         calls = {"heights": [], "height": 0, "residual": 0}
 
-        def counting_heights(curve, ts, method="auto"):
+        def counting_heights(curve, ts):
             calls["heights"].append(np.size(ts))
-            return heights(curve, ts, method=method)
+            return heights(curve, ts)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):

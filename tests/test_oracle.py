@@ -15,7 +15,6 @@ from lorentz_cmc import (
     mean_curvature_graph,
     mean_curvature_rotational,
     patch_from_csv,
-    patch_from_function,
     patch_from_profile,
     patch_to_csv,
     profile_curve,
@@ -27,6 +26,17 @@ from lorentz_cmc.oracle import _erode
 
 def curve_of(H, c, r=1.0, a=0.0, **kw):
     return profile_curve(SurfaceParams(H, c), (r, a), **kw)
+
+
+def patch_from_function(fn, x1, x2, mask=None):
+    """Sample u = fn(X1, X2) (vectorized) on the lattice x1 x x2, all in-mask by default."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    values = np.asarray(fn(X1, X2), dtype=float)
+    if mask is None:
+        mask = np.ones(values.shape, dtype=bool)
+    return GraphPatch(x1=x1, x2=x2, values=values, mask=np.asarray(mask, dtype=bool))
 
 
 def cap_patch(h, H=1.0, extent=1.0):
@@ -70,6 +80,13 @@ class TestGraphOracle:
         assert report.H_mean == pytest.approx(1.0, abs=2e-3)
         assert report.H_max_dev < 2e-2
         assert report.points_checked > 10000
+
+    @pytest.mark.parametrize("min_radius", [0.0, -1.0, math.nan, math.inf])
+    def test_min_radius_must_be_finite_and_positive(self, min_radius):
+        # 0 failed only on lattices holding the origin, nan masked every point
+        xs = np.linspace(-1.0, 1.0, 9)
+        with pytest.raises(ValueError, match="min_radius"):
+            patch_from_profile(curve_of(1.0, 3.0), xs, xs, min_radius=min_radius)
 
     def test_graph_and_rotational_oracles_agree(self):
         curve = curve_of(1.0, 3.0)

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,15 +16,14 @@ from lorentz_cmc import (
     SpacelikeViolation,
     SurfaceParams,
     asymptotic_slope,
-    asymptotic_slope_estimate,
     closed_form_hyperbolic,
     closed_form_maximal,
     export_profile_csv,
     first_integral_residual,
     height,
     heights,
-    hyperbolic_center_height,
     integrate,
+    profile,
     profile_curve,
     sample_surface,
     singularity_report,
@@ -39,6 +40,11 @@ params_st = st.builds(
 
 def curve_of(H, c, r=1.0, a=0.0, **kw):
     return profile_curve(SurfaceParams(H, c), (r, a), **kw)
+
+
+def quadrature_only():
+    """Context in which every regime, closed-form ones too, takes the quadrature branch."""
+    return mock.patch.object(profile, "_CLOSED_FORMS", {})
 
 
 @st.composite
@@ -160,9 +166,9 @@ class TestClosedForms:
             closed_form_hyperbolic(2.0, 0.0, (1.0, 0.0))
 
     def test_hyperboloid_residual_identity(self):
-        # the cap lies on <x - p, x - p> = -1/H^2
+        # the cap lies on <x - p, x - p> = -1/H^2, centered at height p3
         H, anchor = 0.7, (1.3, -0.4)
-        p3 = hyperbolic_center_height(H, anchor)
+        p3 = anchor[1] - math.sqrt(1.0 + (H * anchor[0]) ** 2) / H
         for t in np.geomspace(0.05, 50.0, 40):
             f = closed_form_hyperbolic(t, H, anchor)
             assert t * t - (f - p3) ** 2 + 1.0 / H**2 == pytest.approx(0.0, abs=1e-9 * max(1.0, t * t))
@@ -178,41 +184,35 @@ class TestHeight:
         expected = -3.0 * (math.asinh(7.0 / 3.0) - math.asinh(1.0 / 3.0))
         cm = curve_of(0.0, 3.0)
         assert height(7.0, cm) == pytest.approx(expected, abs=1e-12)
-        assert height(7.0, cm, method="quadrature") == pytest.approx(expected, abs=1e-9)
+        with quadrature_only():
+            assert height(7.0, cm) == pytest.approx(expected, abs=1e-9)
 
     def test_hyperbolic_value_both_sides_of_anchor(self):
         cap = curve_of(1.0, 0.0)
         assert height(2.0, cap) == pytest.approx(math.sqrt(5.0) - math.sqrt(2.0), abs=1e-14)
         assert height(0.5, cap) == pytest.approx(math.sqrt(1.25) - math.sqrt(2.0), abs=1e-14)
-        assert height(0.5, cap, method="quadrature") == pytest.approx(
-            math.sqrt(1.25) - math.sqrt(2.0), abs=1e-9
-        )
+        with quadrature_only():
+            assert height(0.5, cap) == pytest.approx(math.sqrt(1.25) - math.sqrt(2.0), abs=1e-9)
 
     def test_quadrature_agrees_with_closed_forms_on_log_grid(self):
         for H, c in [(0.0, 3.0), (0.0, -0.4), (2.0, 0.0)]:
             curve = curve_of(H, c)
             for t in np.geomspace(1e-2, 1e2, 25):
-                gap = abs(height(t, curve, method="quadrature")
-                          - height(t, curve, method="closed_form"))
+                closed = height(t, curve)
+                with quadrature_only():
+                    gap = abs(height(t, curve) - closed)
                 assert gap <= 10.0 * curve.quad_tol
-
-    def test_method_validation(self):
-        generic = curve_of(1.0, 3.0)
-        with pytest.raises(ValueError):
-            height(2.0, generic, method="closed_form")
-        with pytest.raises(ValueError):
-            height(2.0, generic, method="nonsense")
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(NonPositiveRadius):
             height(0.0, curve_of(1.0, 3.0))
 
     def test_exhausted_budget_raises(self, monkeypatch):
-        from lorentz_cmc import QuadratureFailure, profile
+        from lorentz_cmc import QuadratureFailure
 
         monkeypatch.setattr(profile, "DEFAULT_MAX_INTERVALS", 2)
         with pytest.raises(QuadratureFailure):
-            height(100.0, curve_of(1.0, 3.0, quad_tol=1e-14), method="quadrature")
+            height(100.0, curve_of(1.0, 3.0, quad_tol=1e-14))
 
     def test_heights_matches_pointwise_height(self):
         curve = curve_of(1.0, 3.0)
@@ -223,10 +223,11 @@ class TestHeight:
 
     @settings(max_examples=100, deadline=None)
     @given(curve=regime_curves(), log_ratio=st.floats(-6.0, 6.0),
-           method=st.sampled_from(["auto", "quadrature"]))
-    def test_height_is_one_point_of_heights_bitwise(self, curve, log_ratio, method):
+           quadrature=st.booleans())
+    def test_height_is_one_point_of_heights_bitwise(self, curve, log_ratio, quadrature):
         t = curve.anchor_radius * 10.0 ** log_ratio
-        assert height(t, curve, method) == heights(curve, [t], method)[0]
+        with quadrature_only() if quadrature else contextlib.nullcontext():
+            assert height(t, curve) == heights(curve, [t])[0]
 
     def test_oddness_under_parameter_mirror(self):
         # f(t; -H, -c) anchored at -a equals -f(t; H, c) anchored at a
@@ -338,12 +339,13 @@ class TestAsymptotics:
         assert asymptotic_slope(SurfaceParams(2.0, -5.0)) == 1.0
 
     def test_large_radius_estimate_positive_H(self):
-        est = asymptotic_slope_estimate(curve_of(1.0, 3.0), T=1e6)
+        # f(T)/T at a large radius approaches the limit at O(1/T)
+        est = height(1e6, curve_of(1.0, 3.0)) / 1e6
         assert abs(est - 1.0) < 1e-3
 
     def test_large_radius_estimate_maximal(self):
         # logarithmic growth: |f(T)|/T ~ |c| ln(2T/|c|) / T
-        est = asymptotic_slope_estimate(curve_of(0.0, 3.0), T=1e6)
+        est = height(1e6, curve_of(0.0, 3.0)) / 1e6
         assert abs(est) < 1e-3
         margin = 3.0 * math.log(2e6 / 3.0) / 1e6
         assert abs(est) < 2.0 * margin
@@ -475,8 +477,9 @@ class TestCurveApi:
                               curve.anchor_radius, -curve.anchor_height, curve.quad_tol)
         assert mirror.regime is curve.regime
         ts = curve.anchor_radius * 10.0 ** np.array(log_ratios)
-        for method in ("auto", "quadrature"):
-            assert bits(-curve.heights(ts, method)) == bits(mirror.heights(ts, method))
+        for context in (contextlib.nullcontext(), quadrature_only()):
+            with context:
+                assert bits(-curve.heights(ts)) == bits(mirror.heights(ts))
         assert bits(-curve.slopes(ts)) == bits(mirror.slopes(ts))
         assert bits(-singularity_report(curve).cone_vertex_height) == \
             bits(singularity_report(mirror).cone_vertex_height)
