@@ -27,7 +27,8 @@ def float_reprs(values) -> np.ndarray:
 def format_records(header: str, *sections) -> bytes:
     """ASCII bytes of ``header``, then of ``template % tuple(row)`` for each
     row of each ``(template, table)`` section; float cells as ``float_reprs``
-    text, integer cells as ints.
+    text, integer cells as ints.  A table needs only ``len`` and row slices
+    that are arrays.
 
     Rows go ``_ROWS`` at a time (``float_reprs``, one ``%`` pass, ``encode``)
     into one buffer that is returned without a copy, so the memory used is
@@ -36,10 +37,9 @@ def format_records(header: str, *sections) -> bytes:
     out = io.BytesIO()
     out.write(header.encode("ascii"))
     for template, table in sections:
-        table = np.asarray(table)
-        ints = table.dtype.kind in "iu"
         for start in range(0, len(table), _ROWS):
-            block = table[start:start + _ROWS]
+            block = np.asarray(table[start:start + _ROWS])
+            ints = block.dtype.kind in "iu"
             cells = block.ravel().tolist() if ints else float_reprs(block).tolist()
             out.write((template * len(block) % tuple(cells)).encode("ascii"))
     return out.getvalue()

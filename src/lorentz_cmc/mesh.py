@@ -123,67 +123,67 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
     (``format_records``): the memory used is the output plus one block.
     """
     return format_records("", ("v %s %s %s\n", np.asarray(mesh.vertices, dtype=float)),
-                          ("f %d %d %d\n", np.asarray(mesh.faces) + 1))
+                          ("f %d %d %d\n", _OneBased(np.asarray(mesh.faces))))
+
+
+@dataclass(frozen=True)
+class _OneBased:
+    """Rows of ``faces`` + 1, made a slice at a time: no 1-based copy is kept."""
+
+    faces: np.ndarray
+
+    def __len__(self):
+        return len(self.faces)
+
+    def __getitem__(self, rows):
+        return self.faces[rows] + 1
 
 
 # Bytes of OBJ text parsed at a time by load_obj; a block ends at a line end.
 _OBJ_BLOCK = 1 << 20
-_OBJ_SEPARATORS = np.frombuffer(b" \t\r\n", dtype=np.uint8)
 
 
-def _obj_records(buf, starts, ends, tag):
-    """Text of every ``tag`` record after its tag, one line each, and their count.
-
-    A record is a line whose first byte is ``tag`` and whose second is
-    whitespace.  The lines are gathered with a boolean mask over the bytes:
-    an int64 index per byte would take eight times the size of the file.
-    """
-    tagged = buf[starts] == ord(tag)
-    first, last = starts[tagged], ends[tagged]
-    keep = np.isin(buf[first + 1], _OBJ_SEPARATORS)
-    first, last = first[keep], last[keep]
-    step = np.zeros(buf.size + 1, dtype=np.int8)
-    step[first + 1] = 1
-    step[last + 1] = -1
-    inside = np.cumsum(step[:-1], dtype=np.int8).view(bool)
-    return buf[inside].tobytes(), first.size
-
-
-def _obj_rows(text, count, tag, dtype):
-    """First three entries of each of ``count`` records, (count, 3), or (0,) if none."""
-    if count == 0:
+def _obj_rows(data, starts, ends, kinds, tag, dtype):
+    """Entries 1-3 of the ``tag`` lines (``starts`` to ``ends``) of ``data``, (count, 3)
+    or (0,): each run of them is a slice, joined for one ``loadtxt``, tag as column 0."""
+    lines = np.concatenate(([False], kinds == ord(tag), [False]))
+    edges = np.flatnonzero(np.diff(lines))
+    if edges.size == 0:
         return np.zeros(0, dtype=dtype)
-    # loadtxt skips a record with no entries (and warns if all are empty),
-    # so look for an entry first and count the rows after
-    if re.search(rb"(?m)^[ \t\r]*[^#\s]", text):
-        try:
-            rows = np.loadtxt(io.BytesIO(text), dtype=dtype, usecols=(0, 1, 2), ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"bad OBJ {tag} record: {exc}") from None
-        if rows.shape[0] == count:
-            return rows
-    raise ValueError(f"OBJ {tag} record needs 3 entries")
+    text = b"".join([data[a:b] for a, b in zip(starts[edges[::2]], ends[edges[1::2] - 1])])
+    if tag == "f" and b"/" in text:
+        text = re.sub(rb"/\S*", b"", text)
+    try:
+        rows = np.loadtxt(io.BytesIO(text), dtype=dtype, usecols=(1, 2, 3), ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"bad OBJ {tag} record: {exc}") from None
+    if rows.shape[0] != np.count_nonzero(lines):
+        raise ValueError(f"OBJ {tag} record needs 3 entries")
+    return rows
 
 
 def _obj_block(data):
     """(vertices, faces) rows of the v/f records in ``data``, whole lines of OBJ bytes."""
-    if not data.endswith(b"\n"):
-        data = data + b"\n"
-    if data[:1] in (b" ", b"\t") or b"\n " in data or b"\n\t" in data:
-        data = re.sub(rb"(?m)^[ \t]+", b"", data)
+    data = data if data.endswith(b"\n") else data + b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    v_text, n_v = _obj_records(buf, starts, ends, "v")
-    f_text, n_f = _obj_records(buf, starts, ends, "f")
-    if b"/" in f_text:
-        f_text = re.sub(rb"/\S*", b"", f_text)
-    return (_obj_rows(v_text, n_v, "v", np.float64),
-            _obj_rows(f_text, n_f, "f", np.int64) - 1)
+    ends = np.flatnonzero(buf == ord("\n")) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    kinds = buf[starts]
+    if np.any((kinds == 32) | (kinds == 9)):  # some line is indented
+        return _obj_block(re.sub(rb"(?m)^[ \t]+", b"", data))
+    # each line's kind: its tag byte if that is v or f and whitespace follows, else 0
+    tagged = np.flatnonzero((kinds == ord("v")) | (kinds == ord("f")))
+    second = buf[starts[tagged] + 1]
+    kinds[tagged[(second != 32) & (second != 9) & (second != 13) & (second != 10)]] = 0
+    faces = _obj_rows(data, starts, ends, kinds, "f", np.int64) - 1
+    if faces.size and faces.min() < 0:
+        line = np.flatnonzero(kinds == ord("f"))[np.argmax(faces.min(axis=1) < 0)]
+        raise ValueError(f"OBJ f record index below 1: {data[starts[line]:ends[line]].strip()!r}")
+    return _obj_rows(data, starts, ends, kinds, "v", np.float64), faces
 
 
 def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
-    """Parse v/f records (first three entries; face entries up to any '/')
+    """Parse v/f records (first three entries; face entries >= 1, up to any '/')
     from OBJ bytes or text; returns (vertices, faces), each (0,) if absent.
 
     The bytes are parsed in blocks of ``_OBJ_BLOCK`` cut at the next line
