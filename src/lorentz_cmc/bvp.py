@@ -79,12 +79,14 @@ class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
     ``g_evals`` counts closed-form evaluations of the shooting map
-    f(R; H, c) (both bracket ends, iterates, snap check).
+    f(R; H, c) (g(0) on the plane or the cap, both bracket ends, iterates,
+    snap check); a plane or cap confirmed by g(0) takes 1.
     ``interpolation_steps`` and ``bisection_fallbacks`` split the iterates
     after the bracket by how they were chosen (the false-position start
     counts as interpolation).
     ``final_bracket_width`` is hi - lo when the search stopped (0.0 when
-    g vanished exactly at an evaluated point).
+    g vanished exactly at an evaluated point, or when g(0) alone confirmed
+    c = 0).
     """
 
     g_evals: int
@@ -168,6 +170,10 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
 
     Descending data (b < a) is solved through the mirror (a, b) ->
     (-a, -b), and the curve is built with the mirrored (-H, -c).
+    The plane (H = 0, a = b) and the cap (H = H0 > 0) have c = 0 exactly:
+    there one g(0) within root_tol returns c = 0 with no search (1 g,
+    final bracket width 0.0); a g(0) beyond root_tol, and every other H,
+    takes the search below.
     Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
     root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets the
     returned curve's heights.  The search runs on lengths divided by u, a
@@ -194,6 +200,16 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         nonlocal n_g
         n_g += 1
         return _outer_height(H, c, work) - b
+
+    # the plane (H = 0, a = b) and the cap (H = H0 > 0): c = 0 unless
+    # roundoff puts g(0) beyond root_tol
+    H0 = threshold_H0(work)
+    if H == H0 and (H > 0.0 or a == b):
+        g_zero = g(0.0)
+        if abs(g_zero) <= root_tol:
+            return _package(problem, 0.0, math.ldexp(abs(g_zero), e_u), e_u, sign, H0,
+                            SolveDiagnostics(g_evals=n_g, interpolation_steps=0,
+                                             bisection_fallbacks=0, final_bracket_width=0.0))
 
     # g is strictly decreasing; the barrier ends bound its root, so only
     # roundoff can give them the wrong sign
@@ -260,22 +276,28 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         raise LorentzCMCError(f"shooting residual {residual:.3e} exceeds root_tol "
                               f"{math.ldexp(root_tol, e_u):.3e} (scaled to the rings): f(R) "
                               "moves by more than root_tol between adjacent floats c")
+    return _package(problem, c_hat, residual, e_u, sign, H0, SolveDiagnostics(
+        g_evals=n_g,
+        interpolation_steps=n_interp,
+        bisection_fallbacks=n_bisect,
+        final_bracket_width=math.ldexp(width, e_u),
+    ))
 
-    user_params = SurfaceParams(sign * problem.H, sign * math.ldexp(c_hat, e_u))
+
+def _package(problem, c, residual, e_u, sign, H0, diagnostics) -> PlateauSolution:
+    """The solved profile for the root c and threshold H0 in ring units 2^e_u,
+    mirrored back by ``sign``."""
+    rings = problem.rings
+    user_params = SurfaceParams(sign * problem.H, sign * math.ldexp(c, e_u))
     curve = profile_curve(user_params, (rings.r, rings.a),
                           quad_tol=math.ldexp(problem.quad_tol, e_u))
     return PlateauSolution(
         curve=curve,
         c=curve.params.c,
         regime=curve.regime,
-        H0=math.ldexp(threshold_H0(work), -e_u),
+        H0=math.ldexp(H0, -e_u),
         residual=residual,
-        diagnostics=SolveDiagnostics(
-            g_evals=n_g,
-            interpolation_steps=n_interp,
-            bisection_fallbacks=n_bisect,
-            final_bracket_width=math.ldexp(width, e_u),
-        ),
+        diagnostics=diagnostics,
     )
 
 

@@ -185,6 +185,7 @@ def _obj_block(data):
 def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
     """Parse v/f records (first three entries; face entries >= 1, up to any '/')
     from OBJ bytes or text; returns (vertices, faces), each (0,) if absent.
+    A face index beyond the number of v records raises ValueError.
 
     The bytes are parsed in blocks of ``_OBJ_BLOCK`` cut at the next line
     end, keeping only each block's rows: the memory used beyond the input
@@ -199,8 +200,12 @@ def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
             if part.size:
                 rows.append(part)
         start = stop
-    return tuple(np.concatenate(rows) if rows else np.zeros(0, dtype=dtype)
-                 for rows, dtype in ((vertices, np.float64), (faces, np.int64)))
+    vertices, faces = (np.concatenate(rows) if rows else np.zeros(0, dtype=dtype)
+                       for rows, dtype in ((vertices, np.float64), (faces, np.int64)))
+    if faces.size and faces.max() >= len(vertices):
+        raise ValueError(f"OBJ f record index {faces.max() + 1} is beyond the "
+                         f"{len(vertices)} v records")
+    return vertices, faces
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:

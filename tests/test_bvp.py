@@ -406,11 +406,11 @@ class TestNewtonAgainstBisection:
         assert sol.residual <= DEFAULT_ROOT_TOL * unit
 
     def test_exact_root_on_bracket_end_needs_no_search(self):
-        # flat rings at H = 0: both barrier ends are c = 0, the plane
+        # flat rings at H = 0: the plane, confirmed by g(0) alone
         sol = solve_two_ring(1.0, 2.0, 0.25, 0.25, 0.0)
         assert sol.c == 0.0
         d = sol.diagnostics
-        assert (d.g_evals, d.interpolation_steps, d.final_bracket_width) == (2, 0, 0.0)
+        assert (d.g_evals, d.interpolation_steps, d.final_bracket_width) == (1, 0, 0.0)
 
 
 def _barrier_bracket(rings, H):
@@ -533,8 +533,9 @@ class TestRingScale:
         assert failures == []
 
     def test_wide_radii_take_under_ten_integrals_on_average(self):
+        # 6.52 measured (2607 g over 400 solves), deterministic
         evals = [solve_two_ring(*case).diagnostics.g_evals for case in _wide_ring_pairs()]
-        assert sum(evals) / len(evals) < 10.0
+        assert sum(evals) / len(evals) < 6.85
 
     @settings(max_examples=40, deadline=None)
     @given(log_R=st.floats(-4.0, -1.0), log_ratio=st.floats(0.02, 3.0),
@@ -586,6 +587,64 @@ class TestRingScale:
         sol = solve_c(PlateauProblem(rings=rings, H=h * threshold_H0(rings)))
         unit = math.ldexp(1.0, math.frexp(R)[1])
         assert sol.residual <= DEFAULT_ROOT_TOL * unit
+
+
+def _g_zero_in_ring_units(r, R, a, b, H):
+    """solve_c's g(0) = f(R; H, 0) - b and root_tol, on the ascending
+    (mirrored if b < a) rings in their ring unit."""
+    sign = -1.0 if b < a else 1.0
+    e_u = min(0, math.frexp(R)[1])
+    work = ValidatedRingPair(*(math.ldexp(x, -e_u) for x in (r, R, sign * a, sign * b)))
+    root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(work.R)[1])))
+    return _outer_height(math.ldexp(H, e_u), 0.0, work) - work.b, root_tol
+
+
+class TestKnownRoot:
+    """At H = H0 (the cap, or the plane for a = b) c = 0 is the root: one g(0)
+    confirms it, and only a g(0) beyond root_tol sends the solve to the search."""
+
+    @staticmethod
+    def _solve_on_threshold(r, R, a, b, H):
+        sol = solve_two_ring(r, R, a, b, H)
+        d = sol.diagnostics
+        g_zero, root_tol = _g_zero_in_ring_units(r, R, a, b, H)
+        if abs(g_zero) > root_tol:
+            assert d.g_evals >= 3  # g(0), then both barrier ends
+            return False
+        # +0.0 in both orientations: SurfaceParams drops the sign of -0.0
+        assert sol.c.hex() == "0x0.0p+0"
+        assert sol.regime is classify(H, validate_rings(RingPair(r, R, min(a, b), max(a, b))))
+        assert (d.g_evals, d.interpolation_steps, d.bisection_fallbacks,
+                d.final_bracket_width) == (1, 0, 0, 0.0)
+        return True
+
+    def test_wide_ring_caps_take_one_g(self):
+        caps = [case for i, case in enumerate(_wide_ring_pairs()) if i % 4 == 2]
+        assert all(self._solve_on_threshold(*case) for case in caps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_R=st.floats(-8.0, 8.0), log_ratio=st.floats(0.01, 3.0),
+           k=st.floats(0.0, 0.99), descending=st.booleans())
+    def test_threshold_solves(self, log_R, log_ratio, k, descending):
+        R = 10.0 ** log_R
+        r = R / 10.0 ** log_ratio
+        d = k * (R - r)
+        rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=d))
+        H = threshold_H0(rings)
+        # a subnormal d can underflow H0 to 0 for a != b: no threshold then
+        assume(classify(H, rings) in (Regime.PLANE, Regime.HYPERBOLIC_CAP))
+        a, b = (d, 0.0) if descending else (0.0, d)
+        self._solve_on_threshold(r, R, a, b, H)
+
+    def test_g_zero_beyond_root_tol_takes_the_search(self, monkeypatch):
+        # g(0) = 2e-9 at the cap: c = 0 is refused, and the bracketed search
+        # runs as at any other H
+        monkeypatch.setattr("lorentz_cmc.bvp._outer_height", lambda H, c, rings:
+                            _outer_height(H, c, rings) + (2e-9 if c == 0.0 else 0.0))
+        sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, threshold_H0(RINGS))
+        assert sol.c != 0.0
+        assert sol.diagnostics.g_evals > 3
+        assert sol.residual <= DEFAULT_ROOT_TOL
 
 
 def _light_cone_grid():

@@ -263,6 +263,14 @@ class TestLoadObj:
         with pytest.raises(ValueError, match=text):
             load_obj("v 1 2 3\nv 4 5 6\nv 7 8 9\nf 1 2 3\n" + text + "\n")
 
+    @pytest.mark.parametrize("text", ["v 1 2 3\nf 1 2 3\n", "f 3 2 1\n",
+                                      "v 1 2 3\nv 4 5 6\nf 1/1 2//2 3/3/3\n"])
+    def test_face_index_beyond_vertices_rejected(self, text):
+        # they loaded as faces pointing at missing vertices
+        n_v = text.count("v ")
+        with pytest.raises(ValueError, match=f"index 3 is beyond the {n_v} v records"):
+            load_obj(text)
+
     def test_empty_input(self):
         for data in (b"", "", "# nothing but a comment\n\n"):
             verts, faces = load_obj(data)
@@ -405,7 +413,8 @@ def multi_block_obj():
     n = 5 * _OBJ_BLOCK // 32
     kinds = rng.integers(0, 6, n).tolist()
     coords = rng.choice(np.array([repr(v) for v in SPECIAL]), size=(n, 3)).tolist()
-    index = rng.integers(1, 10**6, size=(n, 3)).tolist()
+    # face indices within the file's own v records (kinds 0 and 4)
+    index = rng.integers(1, kinds.count(0) + kinds.count(4) + 1, size=(n, 3)).tolist()
     forms = ["v {0} {1} {2}", "vn 0 0 1", "f {3}/{4} {4}//{5} {5}/1/{3}", "f {3} {4} {5} 7",
              "\tv {0}\t{1} {2} 0.5", "# {0} {1}"]
     text = "\r\n".join(forms[k].format(*c, *i) for k, c, i in zip(kinds, coords, index))
@@ -445,6 +454,11 @@ class TestBlockSeams:
     def test_face_index_below_one_in_a_later_block_rejected(self, multi_block_obj):
         with pytest.raises(ValueError, match="f 1 0 2"):
             load_obj(multi_block_obj + "\r\nf 1 0 2\r\n")
+
+    def test_face_index_beyond_vertices_in_a_later_block_rejected(self, multi_block_obj):
+        n_v = len(reference_load_obj(multi_block_obj)[0])
+        with pytest.raises(ValueError, match=f"index {n_v + 1} is beyond the {n_v} v"):
+            load_obj(multi_block_obj + f"\r\nf 1 {n_v + 1} 2\r\n")
 
     @pytest.mark.parametrize("tail", ["\r\nv 1 2", "\r\nf 1/1 2/2\r\n", "\r\nv 1 x 3"])
     def test_malformed_record_in_the_last_block_rejected(self, multi_block_obj, tail):

@@ -148,6 +148,40 @@ class TestClosedForms:
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(height_got, got)
 
+    @pytest.mark.parametrize("anchor", [(1.0, 0.0), (1.5, 0.25), (1e-3, -3.0), (1e5, 1e3)])
+    def test_maximal_scalar_t_agrees_with_array_t(self, anchor):
+        # a float t takes math.asinh, an array numpy's arcsinh: they differ
+        # by up to 2 ulp, and the result by a few ulp of its terms' size
+        r, a = anchor
+        ts = np.geomspace(1e-8, 1e8, 81)
+        cs = np.concatenate((np.geomspace(1e-12, 1e12, 49),
+                             [2.225073858507203e-309, 1e-310, 5e-324]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in np.concatenate((cs, -cs)).tolist():
+                array = closed_form_maximal(ts, c, anchor)
+                asinh_array = profile._asinh_ratio(ts, c)
+                asinh_r = profile._asinh_ratio(r, c)
+                for t, want, asinh_want in zip(ts.tolist(), array, asinh_array):
+                    got = closed_form_maximal(t, c, anchor)
+                    asinh_t = profile._asinh_ratio(t, c)
+                    assert abs(asinh_t - asinh_want) <= 2.0 * math.ulp(asinh_t)
+                    assert abs(got - want) <= 4.0 * math.ulp(abs(a) + abs(c) * (asinh_t + asinh_r))
+
+    def test_maximal_takes_math_for_scalar_floats_only(self):
+        t, c, (r, a) = 3.0, 1.7, (1.0, 0.25)
+        by_math = a - c * (math.asinh(t / c) - math.asinh(r / c))
+        by_numpy = a - c * (np.arcsinh(np.array([t]) / c) - math.asinh(r / c))
+        for scalar in (t, np.float64(t), np.float32(t)):
+            got = closed_form_maximal(scalar, c, (r, a))
+            assert type(got) is float and got == by_math
+        # lists and 0-d arrays keep numpy's path, as heights does
+        for other in ([t], np.array(t), np.array([t])):
+            got = closed_form_maximal(other, c, (r, a))
+            assert np.array_equal(np.ravel(got), by_numpy)
+            assert np.array_equal(np.ravel(got), heights(profile_curve(SurfaceParams(0.0, c),
+                                                                       (r, a)), [t]))
+
     def test_maximal_requires_nonzero_c(self):
         with pytest.raises(ValueError):
             closed_form_maximal(2.0, 0.0, (1.0, 0.0))
