@@ -21,7 +21,8 @@ The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
 H < H0 gives c < 0 (profile rises monotonically), H = H0 gives the cap
 itself (c = 0), H > H0 gives c > 0 (convex profile dipping below the
-boundary planes once sqrt(c/H) falls inside (r, R)).
+boundary planes once sqrt(c/H) falls inside (r, R)).  Descending data is
+the reflection x3 -> -x3, which flips H and keeps H0 and the regime.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ import math
 from dataclasses import dataclass
 
 from .core import Regime, SurfaceParams, ValidatedRingPair
-from .errors import OrientationError, RootBracketFailure, LorentzCMCError
+from .errors import RootBracketFailure, LorentzCMCError
 from .elliptic import rise
 from .profile import (DEFAULT_QUAD_TOL, ProfileCurve, closed_form_hyperbolic,
                       closed_form_maximal, profile_curve)
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
-    "DEFAULT_C_TOL",
     "PlateauProblem",
     "PlateauSolution",
     "SolveDiagnostics",
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_ROOT_TOL = 1e-9
-DEFAULT_C_TOL = 1e-12
+_C_TOL = 1e-12  # the search's relative stop width (see solve_c)
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class PlateauProblem:
     rings: ValidatedRingPair
     H: float
     root_tol: float = DEFAULT_ROOT_TOL
-    c_tol: float = DEFAULT_C_TOL
     quad_tol: float = DEFAULT_QUAD_TOL
 
     def __post_init__(self):
@@ -68,7 +67,7 @@ class PlateauProblem:
             raise ValueError(
                 f"H must be finite and >= 0 (canonicalize first), got {self.H}"
             )
-        for name in ("root_tol", "c_tol", "quad_tol"):
+        for name in ("root_tol", "quad_tol"):
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {tol!r}")
@@ -79,8 +78,8 @@ class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
     ``g_evals`` counts closed-form evaluations of the shooting map
-    f(R; H, c) (g(0) on the plane or the cap, both bracket ends, iterates,
-    snap check); a plane or cap confirmed by g(0) takes 1.
+    f(R; H, c): g(0) at most once (on the plane or the cap, else by the snap
+    rule), both bracket ends, iterates; a plane or cap confirmed by g(0) takes 1.
     ``interpolation_steps`` and ``bisection_fallbacks`` split the iterates
     after the bracket by how they were chosen (the false-position start
     counts as interpolation).
@@ -102,7 +101,7 @@ class PlateauSolution:
     ``c`` and ``regime`` describe the canonical (H >= 0) representative,
     i.e. ``curve.params``; for descending boundary data (b < a) the curve
     is built with (-H, -c), and ``curve.first_integral`` gives that sign.
-    ``H0`` is the cap threshold of the ascending orientation of the rings.
+    ``H0`` is ``threshold_H0`` of the rings, the same in either orientation.
     """
 
     curve: ProfileCurve
@@ -114,37 +113,35 @@ class PlateauSolution:
 
 
 def threshold_H0(rings: ValidatedRingPair):
-    """Mean curvature of the hyperbolic cap through both rings.
+    """Mean curvature |H| of the hyperbolic cap through both rings.
 
-        H0 = 2 (b - a) / sqrt(((R-r)^2 - (b-a)^2) ((R+r)^2 - (b-a)^2))
+        H0 = 2 d / sqrt(((R-r)^2 - d^2) ((R+r)^2 - d^2)),  d = |b - a|
 
-    Requires b >= a (reflect heights first otherwise); H0 = 0 iff a = b.
+    The rings and their mirror (a, b) -> (-a, -b) give the same bits; H0 = 0
+    iff a = b or H0 rounds to 0 (below half the least subnormal).
     """
-    d = rings.b - rings.a
-    if d < 0.0:
-        raise OrientationError(
-            f"threshold needs b >= a, got a={rings.a}, b={rings.b}; "
-            "reflect heights first"
-        )
-    if d == 0.0:
-        return 0.0
+    d = abs(rings.b - rings.a)
     # lengths in units of 2**e ~ R: the squares no longer underflow for
     # rings far below 1, and a power-of-two scale changes no bit elsewhere
     _, e = math.frexp(rings.R)
-    d, dr, sr = (math.ldexp(x, -e) for x in (d, rings.R - rings.r, rings.R + rings.r))
-    return math.ldexp(2.0 * d / math.sqrt((dr * dr - d * d) * (sr * sr - d * d)), -e)
+    s, dr, sr = (math.ldexp(x, -e) for x in (d, rings.R - rings.r, rings.R + rings.r))
+    root = math.sqrt((dr * dr - s * s) * (sr * sr - s * s))
+    # d scales the result by its own exponent, so a subnormal d keeps its bits;
+    # the result rounds once, in solve_c's ring unit 2^min(0, e), then scales exactly
+    m, e_d = math.frexp(d)
+    e_u = min(0, e)
+    return math.ldexp(math.ldexp(2.0 * m / root, e_d - 2 * e + e_u), -e_u)
 
 
 def classify(H, rings: ValidatedRingPair) -> Regime:
     """Predict the solution regime from (H, H0) without solving.
 
-    Requires b >= a.  Consistency with solve_c is a tested property of the
-    solver, not an assumption of this function.
+    Rings in either orientation give the same regime, that of the canonical
+    (H >= 0) representative ``solve_c`` returns.  Consistency with solve_c
+    is a tested property of the solver, not an assumption of this function.
     """
     if H < 0.0:
         raise ValueError(f"H must be >= 0 (canonicalize first), got {H}")
-    if rings.b < rings.a:
-        raise OrientationError("classification needs b >= a; reflect heights first")
     if H == 0.0:
         return Regime.PLANE if rings.a == rings.b else Regime.MAXIMAL_CATENOID
     h0 = threshold_H0(rings)
@@ -171,15 +168,15 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     Descending data (b < a) is solved through the mirror (a, b) ->
     (-a, -b), and the curve is built with the mirrored (-H, -c).
     The plane (H = 0, a = b) and the cap (H = H0 > 0) have c = 0 exactly:
-    there one g(0) within root_tol returns c = 0 with no search (1 g,
-    final bracket width 0.0); a g(0) beyond root_tol, and every other H,
-    takes the search below.
+    there a g(0) within root_tol is the root, a bracket of width 0 (1 g, no
+    search); a g(0) beyond root_tol, and every other H, takes the barrier
+    bracket and the search below, whose snap rule reuses that g(0).
     Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
     root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets the
     returned curve's heights.  The search runs on lengths divided by u, a
     power of two, so rings scaled by 2^j (both R < 1/2) take the same steps
     to the bit.  It stops once f(R) meets b within root_tol and the next
-    step (so also the bracket) is within c_tol * max(u, |c|), or when c
+    step (so also the bracket) is within 1e-12 max(u, |c|), or when c
     cannot move by an ulp.  The root snaps to exactly 0 (the regime split
     is discontinuous there in floating point) when g(0) meets root_tol,
     tried where a secant of g puts 0 within root_tol of the root.
@@ -201,23 +198,19 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         n_g += 1
         return _outer_height(H, c, work) - b
 
-    # the plane (H = 0, a = b) and the cap (H = H0 > 0): c = 0 unless
-    # roundoff puts g(0) beyond root_tol
+    # the plane (H = 0, a = b) and the cap (H = H0 > 0): c = 0 is the root,
+    # a bracket of width 0, unless roundoff puts g(0) beyond root_tol
     H0 = threshold_H0(work)
-    if H == H0 and (H > 0.0 or a == b):
-        g_zero = g(0.0)
-        if abs(g_zero) <= root_tol:
-            return _package(problem, 0.0, math.ldexp(abs(g_zero), e_u), e_u, sign, H0,
-                            SolveDiagnostics(g_evals=n_g, interpolation_steps=0,
-                                             bisection_fallbacks=0, final_bracket_width=0.0))
-
-    # g is strictly decreasing; the barrier ends bound its root, so only
-    # roundoff can give them the wrong sign
-    k = work.slope_bound
-    m = k / math.sqrt((1.0 - k) * (1.0 + k))
-    lo = H * r * r - m * R
-    hi = H * R * R - m * r
-    g_lo, g_hi = g(lo), g(hi)
+    g_zero = g(0.0) if H == H0 and (H > 0.0 or a == b) else None
+    if g_zero is not None and abs(g_zero) <= root_tol:
+        lo, hi, g_lo, g_hi = 0.0, 0.0, g_zero, g_zero
+    else:
+        # g is strictly decreasing; the barrier ends bound its root, so only
+        # roundoff can give them the wrong sign
+        k = work.slope_bound
+        m = k / math.sqrt((1.0 - k) * (1.0 + k))
+        lo, hi = H * r * r - m * R, H * R * R - m * r
+        g_lo, g_hi = g(lo), g(hi)
     if g_lo < -root_tol or g_hi > root_tol:
         raise RootBracketFailure(f"barrier bracket [{lo!r}, {hi!r}] gives f(R) - b = "
                                  f"[{g_lo:.3e}, {g_hi:.3e}], beyond root_tol {root_tol:.3e} "
@@ -258,7 +251,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
             # |c| ~ 1e4 and |df/dc| ~ 1 already make c_tol * |c| worth 1e-8
             # in f(R), so c_tol only counts once root_tol is met
             met = abs(g_hat) <= root_tol
-            c_tol = problem.c_tol * max(1.0, abs(c_hat)) if met else 0.0
+            c_tol = _C_TOL * max(1.0, abs(c_hat)) if met else 0.0
             if met and t * abs(x2 - c_hat) <= c_tol:
                 break  # the next step, and so the bracket, is within c_tol
     width = abs(x2 - c_hat) if g_hat != 0.0 else 0.0
@@ -267,7 +260,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     # final bracket's secant can sink below roundoff, the barrier's cannot
     if c_hat != 0.0 and (abs(c_hat * (g2 - g_hat)) <= root_tol * abs(x2 - c_hat)
                          or abs(c_hat) * (g_lo - g_hi) <= root_tol * (hi - lo)):
-        g_zero = g(0.0)
+        g_zero = g(0.0) if g_zero is None else g_zero
         if abs(g_zero) <= root_tol:
             c_hat, g_hat = 0.0, g_zero
 
@@ -276,34 +269,26 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         raise LorentzCMCError(f"shooting residual {residual:.3e} exceeds root_tol "
                               f"{math.ldexp(root_tol, e_u):.3e} (scaled to the rings): f(R) "
                               "moves by more than root_tol between adjacent floats c")
-    return _package(problem, c_hat, residual, e_u, sign, H0, SolveDiagnostics(
-        g_evals=n_g,
-        interpolation_steps=n_interp,
-        bisection_fallbacks=n_bisect,
-        final_bracket_width=math.ldexp(width, e_u),
-    ))
-
-
-def _package(problem, c, residual, e_u, sign, H0, diagnostics) -> PlateauSolution:
-    """The solved profile for the root c and threshold H0 in ring units 2^e_u,
-    mirrored back by ``sign``."""
-    rings = problem.rings
-    user_params = SurfaceParams(sign * problem.H, sign * math.ldexp(c, e_u))
-    curve = profile_curve(user_params, (rings.r, rings.a),
-                          quad_tol=math.ldexp(problem.quad_tol, e_u))
+    curve = profile_curve(SurfaceParams(sign * problem.H, sign * math.ldexp(c_hat, e_u)),
+                          (rings.r, rings.a), quad_tol=math.ldexp(problem.quad_tol, e_u))
     return PlateauSolution(
         curve=curve,
         c=curve.params.c,
         regime=curve.regime,
         H0=math.ldexp(H0, -e_u),
         residual=residual,
-        diagnostics=diagnostics,
+        diagnostics=SolveDiagnostics(
+            g_evals=n_g,
+            interpolation_steps=n_interp,
+            bisection_fallbacks=n_bisect,
+            final_bracket_width=math.ldexp(width, e_u),
+        ),
     )
 
 
 def solve_two_ring(r, R, a, b, H, root_tol=DEFAULT_ROOT_TOL,
-                   c_tol=DEFAULT_C_TOL, quad_tol=DEFAULT_QUAD_TOL) -> PlateauSolution:
+                   quad_tol=DEFAULT_QUAD_TOL) -> PlateauSolution:
     """Validate raw ring data and solve in one call."""
     problem = PlateauProblem(rings=ValidatedRingPair(r, R, a, b), H=H, root_tol=root_tol,
-                             c_tol=c_tol, quad_tol=quad_tol)
+                             quad_tol=quad_tol)
     return solve_c(problem)

@@ -222,16 +222,13 @@ def cmd_solve(p):
 
 
 def cmd_classify(p):
-    a, b, reflected = p["a"], p["b"], False
-    if b < a:
-        a, b, reflected = -a, -b, True
-    rings = validate_rings(RingPair(r=p["r"], R=p["R"], a=a, b=b))
+    rings = validate_rings(RingPair(r=p["r"], R=p["R"], a=p["a"], b=p["b"]))
     return {
         "event": "classification",
         "slope_bound": rings.slope_bound,
         "H0": threshold_H0(rings),
         "regime": classify(p["H"], rings).value,
-        "reflected": reflected,
+        "reflected": p["b"] < p["a"],
     }
 
 

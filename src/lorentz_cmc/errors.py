@@ -2,8 +2,7 @@
 
 __all__ = [
     "LorentzCMCError", "DegenerateRadii", "NotSpacelikeSolvable", "NonPositiveRadius",
-    "QuadratureFailure", "SpacelikeViolation", "RootBracketFailure", "OrientationError",
-    "NotMonotone",
+    "QuadratureFailure", "SpacelikeViolation", "RootBracketFailure", "NotMonotone",
 ]
 
 
@@ -40,10 +39,6 @@ class SpacelikeViolation(LorentzCMCError):
 class RootBracketFailure(LorentzCMCError):
     """An end of the closed-form barrier bracket for the shooting constant
     has the wrong sign by more than root_tol."""
-
-
-class OrientationError(LorentzCMCError):
-    """Operation requires rings ordered with b >= a; reflect heights first."""
 
 
 class NotMonotone(LorentzCMCError):

@@ -143,22 +143,36 @@ class _OneBased:
 _OBJ_BLOCK = 1 << 20
 
 
+class _BadRecord(ValueError):
+    """A record ``_obj_block`` rejects: args (its line's index in the block, why, the line)."""
+
+
+def _obj_parse(text, tag, dtype):
+    """Entries 1-3 of ``tag`` records (tag as column 0), (count, 3); None if one fails."""
+    if tag == "f" and b"/" in text:
+        text = re.sub(rb"/\S*", b"", text)
+    try:
+        return np.loadtxt(io.BytesIO(text), dtype=dtype, usecols=(1, 2, 3), ndmin=2)
+    except ValueError:
+        return None
+
+
 def _obj_rows(data, starts, ends, kinds, tag, dtype):
     """Entries 1-3 of the ``tag`` lines (``starts`` to ``ends``) of ``data``, (count, 3)
-    or (0,): each run of them is a slice, joined for one ``loadtxt``, tag as column 0."""
+    or (0,): each run of them is a slice, joined for one ``loadtxt``."""
     lines = np.concatenate(([False], kinds == ord(tag), [False]))
     edges = np.flatnonzero(np.diff(lines))
     if edges.size == 0:
         return np.zeros(0, dtype=dtype)
     text = b"".join([data[a:b] for a, b in zip(starts[edges[::2]], ends[edges[1::2] - 1])])
-    if tag == "f" and b"/" in text:
-        text = re.sub(rb"/\S*", b"", text)
-    try:
-        rows = np.loadtxt(io.BytesIO(text), dtype=dtype, usecols=(1, 2, 3), ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"bad OBJ {tag} record: {exc}") from None
-    if rows.shape[0] != np.count_nonzero(lines):
-        raise ValueError(f"OBJ {tag} record needs 3 entries")
+    rows = _obj_parse(text, tag, dtype)
+    if rows is None or rows.shape[0] != np.count_nonzero(lines):
+        # loadtxt reads line by line: name the first record that fails alone
+        for line in np.flatnonzero(lines[1:-1]):
+            record = data[starts[line]:ends[line]]
+            alone = _obj_parse(record, tag, dtype)
+            if alone is None or alone.shape[0] != 1:
+                raise _BadRecord(line, f"bad OBJ {tag} record", record)
     return rows
 
 
@@ -178,14 +192,15 @@ def _obj_block(data):
     faces = _obj_rows(data, starts, ends, kinds, "f", np.int64) - 1
     if faces.size and faces.min() < 0:
         line = np.flatnonzero(kinds == ord("f"))[np.argmax(faces.min(axis=1) < 0)]
-        raise ValueError(f"OBJ f record index below 1: {data[starts[line]:ends[line]].strip()!r}")
+        raise _BadRecord(line, "OBJ f record index below 1", data[starts[line]:ends[line]])
     return _obj_rows(data, starts, ends, kinds, "v", np.float64), faces
 
 
 def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
     """Parse v/f records (first three entries; face entries >= 1, up to any '/')
     from OBJ bytes or text; returns (vertices, faces), each (0,) if absent.
-    A face index beyond the number of v records raises ValueError.
+    A bad record raises ValueError naming its 1-based line and its text, and
+    a face index beyond the number of v records raises it naming the index.
 
     The bytes are parsed in blocks of ``_OBJ_BLOCK`` cut at the next line
     end, keeping only each block's rows: the memory used beyond the input
@@ -196,7 +211,13 @@ def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
     vertices, faces, start = [], [], 0
     while start < len(data):
         stop = data.find(b"\n", start + _OBJ_BLOCK) + 1 or len(data)
-        for rows, part in zip((vertices, faces), _obj_block(data[start:stop])):
+        try:
+            parts = _obj_block(data[start:stop])
+        except _BadRecord as exc:
+            line, why, record = exc.args
+            line += 1 + data.count(b"\n", 0, start)
+            raise ValueError(f"{why} at line {line}: {record.strip()!r}") from None
+        for rows, part in zip((vertices, faces), parts):
             if part.size:
                 rows.append(part)
         start = stop

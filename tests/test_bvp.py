@@ -1,16 +1,17 @@
 import itertools
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (
     DegenerateRadii,
     LorentzCMCError,
     NotSpacelikeSolvable,
-    OrientationError,
     PlateauProblem,
     Regime,
     RingPair,
@@ -28,7 +29,7 @@ from lorentz_cmc import (
     threshold_H0,
     validate_rings,
 )
-from lorentz_cmc.bvp import DEFAULT_C_TOL, DEFAULT_ROOT_TOL, _outer_height
+from lorentz_cmc.bvp import DEFAULT_ROOT_TOL, _outer_height
 from lorentz_cmc.profile import DEFAULT_QUAD_TOL
 
 
@@ -71,10 +72,48 @@ class TestThreshold:
         assert threshold_H0(flat) == 0.0
         assert threshold_H0(RINGS) > 0.0
 
-    def test_orientation_required(self):
-        down = validate_rings(RingPair(r=1.0, R=2.0, a=0.5, b=0.0))
-        with pytest.raises(OrientationError):
-            threshold_H0(down)
+    @settings(max_examples=200, deadline=None)
+    @given(log_R=st.floats(-300.0, 300.0), log_ratio=st.floats(0.001, 3.0),
+           k=st.floats(0.0, 0.999), a=st.floats(-2.0, 2.0))
+    def test_normal_values_keep_their_bits(self, log_R, log_ratio, k, a):
+        # the formula before subnormal b - a kept its bits, for every ring
+        # whose scaled b - a and H0 are normal floats
+        R = 10.0 ** log_R
+        r = R / 10.0 ** log_ratio
+        rings = validate_rings(RingPair(r=r, R=R, a=a * R, b=a * R + k * (R - r)))
+        _, e = math.frexp(R)
+        d, dr, sr = (math.ldexp(x, -e) for x in (rings.b - rings.a, R - rings.r, R + rings.r))
+        assume(d >= sys.float_info.min)
+        want = math.ldexp(2.0 * d / math.sqrt((dr * dr - d * d) * (sr * sr - d * d)), -e)
+        assume(want >= sys.float_info.min)
+        assert threshold_H0(rings) == want
+
+    @pytest.mark.parametrize("d", [5e-324, 1e-320, 1e-310])
+    @pytest.mark.parametrize("R", [0.75, 1.0, 2.0, 1e3])
+    def test_subnormal_rise_keeps_its_threshold(self, d, R):
+        # ldexp(b - a, -e) underflowed: 5e-324 at R = 1 gave 0.0 for a != b
+        rings = validate_rings(RingPair(r=0.1, R=R, a=0.0, b=d))
+        got, want = threshold_H0(rings), _threshold_decimal(0.1, R, d)
+        assert abs(Decimal(got) - want) <= Decimal(5e-324)
+        assert (got > 0.0) == (float(want) > 0.0)
+        assert threshold_H0(validate_rings(RingPair(r=0.1, R=R, a=d, b=0.0))) == got
+
+    @settings(max_examples=200, deadline=None)
+    @example(log_R=math.log10(0.023812235578142753), log_ratio=math.log10(711.0), n=3)
+    @given(log_R=st.floats(-300.0, -0.31), log_ratio=st.floats(0.01, 3.0),
+           n=st.integers(1, 2**20))
+    def test_subnormal_threshold_is_the_solvers(self, log_R, log_ratio, n):
+        # below R = 1/2 solve_c works in the ring unit 2^e: H0 rounds into the
+        # subnormals there, so the solver sees the cap and returns this H0
+        R = 10.0 ** log_R
+        r = R / 10.0 ** log_ratio
+        d = n * 5e-324
+        assume(d < 0.99 * (R - r))
+        H0 = threshold_H0(validate_rings(RingPair(r=r, R=R, a=0.0, b=d)))
+        sol = solve_two_ring(r, R, d, 0.0, H0)
+        assert sol.H0 == H0
+        if H0:
+            assert (sol.regime, sol.diagnostics.g_evals) == (Regime.HYPERBOLIC_CAP, 1)
 
     def test_cap_through_both_rings_has_curvature_H0(self):
         # the hyperbolic cap anchored at (r, a) with H = H0 hits (R, b)
@@ -109,12 +148,31 @@ class TestClassifyPredictive:
     def test_maximal(self):
         assert classify(0.0, RINGS) is Regime.MAXIMAL_CATENOID
 
-    def test_orientation_and_sign_checks(self):
-        down = validate_rings(RingPair(r=1.0, R=2.0, a=0.5, b=0.0))
-        with pytest.raises(OrientationError):
-            classify(1.0, down)
+    def test_sign_check(self):
         with pytest.raises(ValueError):
             classify(-1.0, RINGS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_R=st.floats(-8.0, 8.0), log_ratio=st.floats(0.01, 3.0),
+           k=st.one_of(st.just(0.0), st.floats(1e-4, 0.99)), a=st.floats(-1.0, 1.0),
+           h=st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0, 100.0]))
+    def test_descending_rings_agree_with_their_mirror_and_the_solver(self, log_R, log_ratio,
+                                                                     k, a, h):
+        # k and H keep g(0) beyond root_tol off the threshold, where the
+        # solver's snap to c = 0 would override classify
+        R = 10.0 ** log_R
+        r = R / 10.0 ** log_ratio
+        lo = a * R
+        hi = lo + k * (R - r)
+        assume(hi > lo)
+        down = validate_rings(RingPair(r=r, R=R, a=hi, b=lo))
+        mirror = validate_rings(RingPair(r=r, R=R, a=-hi, b=-lo))
+        H0 = threshold_H0(down)
+        assert H0.hex() == threshold_H0(mirror).hex()
+        H = h * H0
+        sol = solve_two_ring(r, R, hi, lo, H)
+        assert sol.regime is classify(H, down) is classify(H, mirror)
+        assert sol.H0.hex() == H0.hex()
 
 
 class TestSolve:
@@ -226,10 +284,10 @@ class TestSolve:
         with pytest.raises(ValueError):
             PlateauProblem(rings=RINGS, H=-1.0)
 
-    @pytest.mark.parametrize("name", ["root_tol", "c_tol", "quad_tol"])
+    @pytest.mark.parametrize("name", ["root_tol", "quad_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-9])
     def test_problem_rejects_bad_tolerance(self, name, value):
-        # a nan root_tol and c_tol used to return c = 0.5 with residual 0.23
+        # a nan root_tol used to return c = 0.5 with residual 0.23
         with pytest.raises(ValueError, match=name):
             PlateauProblem(rings=RINGS, H=1.0, **{name: value})
         with pytest.raises(ValueError, match=name):
@@ -269,12 +327,13 @@ class TestShootingMap:
         assert height(star, sol.curve) < min(0.0, 0.1)
 
 
-def _bisection_reference(problem):
+def _bisection_reference(problem, width=1e-12):
     """The bisection shooting loop solve_c used before safeguarded Newton.
 
-    Doubling bracket expansion from [-1, 1], snap threshold
-    1e-10 * max(1, H R^2), the problem's tolerances taken as absolute, no
-    derivative; returns the canonical (c, regime).
+    Doubling bracket expansion from [-1, 1], bisection down to an absolute
+    bracket ``width``, snap threshold 1e-10 * max(1, H R^2), the problem's
+    root_tol taken as absolute, no derivative; returns the canonical
+    (c, regime).
     """
     rings, H = problem.rings, problem.H
     reflected = rings.b < rings.a
@@ -298,7 +357,7 @@ def _bisection_reference(problem):
     elif g_hi == 0.0:
         c_hat = hi
     else:
-        while hi - lo > problem.c_tol:
+        while hi - lo > width:
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):
                 break
@@ -398,8 +457,8 @@ class TestNewtonAgainstBisection:
         sol = solve_c(PlateauProblem(rings=rings, H=H))
         unit = math.ldexp(1.0, math.frexp(rings.R)[1])
         scaled = PlateauProblem(rings=rings, H=H, root_tol=DEFAULT_ROOT_TOL * unit,
-                                c_tol=DEFAULT_C_TOL * unit, quad_tol=DEFAULT_QUAD_TOL * unit)
-        c_ref, regime_ref = _bisection_reference(scaled)
+                                quad_tol=DEFAULT_QUAD_TOL * unit)
+        c_ref, regime_ref = _bisection_reference(scaled, width=1e-12 * unit)
         assert abs(sol.c - c_ref) <= 1e-9 * max(unit, abs(c_ref))
         assert sol.regime is regime_ref
         assert sol.regime is (Regime.NEGATIVE_C if H else Regime.MAXIMAL_CATENOID)
@@ -498,11 +557,12 @@ class TestRingScale:
         assert sol.residual == pytest.approx(1e-12, rel=1e-3)
 
     def test_c_tol_below_an_ulp_stops_when_c_cannot_move(self, monkeypatch):
-        # g = (2.3 - c)^3 + 1e-300 vanishes at no float, and c_tol * |c| is
+        # g = (2.3 - c)^3 + 1e-300 vanishes at no float, and _C_TOL * |c| is
         # far below one ulp of c, so only the ulp rule can end the search
         monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
                             lambda H, c, rings: rings.b + (2.3 - c) ** 3 + 1e-300)
-        sol = solve_two_ring(1.0, 2.0, 0.0, 0.0, 1.0, c_tol=1e-300)
+        monkeypatch.setattr("lorentz_cmc.bvp._C_TOL", 1e-300)
+        sol = solve_two_ring(1.0, 2.0, 0.0, 0.0, 1.0)
         ulp = math.ulp(2.3)
         assert abs(sol.c - 2.3) <= 8.0 * ulp
         assert 0.0 < sol.diagnostics.final_bracket_width <= 8.0 * ulp
@@ -631,20 +691,35 @@ class TestKnownRoot:
         d = k * (R - r)
         rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=d))
         H = threshold_H0(rings)
-        # a subnormal d can underflow H0 to 0 for a != b: no threshold then
-        assume(classify(H, rings) in (Regime.PLANE, Regime.HYPERBOLIC_CAP))
+        # H0 rounds to 0 for a != b only below the least subnormal: no cap then
+        assume(d == 0.0 or _threshold_decimal(r, R, d) >= 5e-324)
+        assert classify(H, rings) in (Regime.PLANE, Regime.HYPERBOLIC_CAP)
         a, b = (d, 0.0) if descending else (0.0, d)
         self._solve_on_threshold(r, R, a, b, H)
 
     def test_g_zero_beyond_root_tol_takes_the_search(self, monkeypatch):
         # g(0) = 2e-9 at the cap: c = 0 is refused, and the bracketed search
-        # runs as at any other H
-        monkeypatch.setattr("lorentz_cmc.bvp._outer_height", lambda H, c, rings:
-                            _outer_height(H, c, rings) + (2e-9 if c == 0.0 else 0.0))
+        # runs as at any other H; the snap rule reuses that g(0)
+        cs = []
+
+        def outer_height(H, c, rings):
+            cs.append(c)
+            return _outer_height(H, c, rings) + (2e-9 if c == 0.0 else 0.0)
+
+        monkeypatch.setattr("lorentz_cmc.bvp._outer_height", outer_height)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, threshold_H0(RINGS))
         assert sol.c != 0.0
-        assert sol.diagnostics.g_evals > 3
+        assert cs.count(0.0) == 1
+        assert sol.diagnostics.g_evals == len(cs) > 3
         assert sol.residual <= DEFAULT_ROOT_TOL
+
+
+def _threshold_decimal(r, R, d):
+    """H0 of rings (r, R) with |b - a| = d, in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r, R, d = Decimal(r), Decimal(R), Decimal(d)
+        return 2 * d / (((R - r) ** 2 - d * d) * ((R + r) ** 2 - d * d)).sqrt()
 
 
 def _light_cone_grid():

@@ -16,7 +16,7 @@ def test_all_is_version_plus_the_union_of_the_submodules():
 def test_every_exception_class_is_exported():
     classes = {name for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, errors.LorentzCMCError)}
-    assert len(classes) == 9
+    assert len(classes) == 8
     assert classes <= set(lorentz_cmc.__all__)
 
 

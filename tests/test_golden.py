@@ -1,11 +1,15 @@
-"""Golden sha256 hashes of the OBJ and CSV bytes the library writes.
+"""Golden sha256 hashes of the OBJ and CSV bytes the library writes, and
+of the solver's results.
 
 README promises byte-deterministic output; these hashes pin the actual
 bytes, so a rewrite of a serialiser or sampler that changes one byte fails
-here.  They were recorded with numpy 2.4 on x86-64 Linux: a platform whose
+here.  The solver hash pins every bit of ``solve_c``'s results on the
+light-cone grid and the wide ring pairs of ``test_bvp``, so a rewrite of
+the shooting loop that moves one root, residual or work count fails here.
+They were recorded with numpy 2.4 on x86-64 Linux: a platform whose
 libm or numpy SIMD kernels round sin/cos differently can shift the last
-digit of a coordinate.  Change a hash only for a deliberate format change,
-and record it in CHANGES.md.
+digit of a coordinate.  Change a hash only for a deliberate change of
+format or of results, and record it in CHANGES.md.
 """
 
 import hashlib
@@ -13,8 +17,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from lorentz_cmc import SurfaceParams, patch_from_profile, patch_to_csv, profile_curve
+from lorentz_cmc import (PlateauProblem, RingPair, SurfaceParams, patch_from_profile,
+                         patch_to_csv, profile_curve, solve_c, solve_two_ring, threshold_H0,
+                         validate_rings)
 from lorentz_cmc.cli import EXIT_OK, main
+from test_bvp import _light_cone_grid, _wide_ring_pairs
 
 # figure id -> sha256 of figure<id>_profile.csv (257 samples, both sizes).
 # Figures 2-4 were re-pinned when the residual column moved from two scalar
@@ -53,6 +60,10 @@ MULTI_BLOCK_CSV = "12b4d0c43087749a07b385fcc8a0f5f124db52ad9e1aafb5269e3fd90293a
 LOG_MESH_OBJ = "f2de2770da985c16d81d02312ff027c4893169a9c7e645cefaeaac36057f36d0"
 HOLED_PATCH_CSV = "5699f500a884436a4f320b90afa7cdee38d67e75fac4bfb9307f381d2f0715ce"
 
+# (c, residual, H0, regime, the four SolveDiagnostics fields, curve.quad_tol)
+# of the 360 light-cone grid solves, then the 400 wide ring pair solves
+SOLVER_RESULTS = "26c7fe1d96638a94d61090bc4d658a98e23d6ce8d31122301e04bb44fbe45546"
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -89,3 +100,21 @@ def test_patch_with_masked_hole_bytes():
     patch = patch_from_profile(curve, xs, xs, min_radius=0.75)
     assert np.count_nonzero(~patch.mask) == 25
     assert sha256(patch_to_csv(patch)) == HOLED_PATCH_CSV
+
+
+def _solver_record(sol):
+    d = sol.diagnostics
+    return (sol.c.hex(), sol.residual.hex(), sol.H0.hex(), sol.regime.value, d.g_evals,
+            d.interpolation_steps, d.bisection_fallbacks, d.final_bracket_width.hex(),
+            sol.curve.quad_tol.hex())
+
+
+def test_solver_result_bits():
+    records = []
+    for R, ratio, k, h in _light_cone_grid():
+        r = R / ratio
+        rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=k * (R - r)))
+        records.append(_solver_record(solve_c(PlateauProblem(rings, h * threshold_H0(rings)))))
+    records += [_solver_record(solve_two_ring(*case)) for case in _wide_ring_pairs()]
+    assert len(records) == 760
+    assert sha256("\n".join(map(repr, records)).encode()) == SOLVER_RESULTS

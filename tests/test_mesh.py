@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -271,6 +272,28 @@ class TestLoadObj:
         with pytest.raises(ValueError, match=f"index 3 is beyond the {n_v} v records"):
             load_obj(text)
 
+    @pytest.mark.parametrize("text,line,record", [
+        ("v 1 2 3\nf 1 1 1\nv 1 2 3\nv 4 5\n", 4, "v 4 5"),
+        ("v 1 2 3\nvn 0 0 1\nf 1 1 1\n# c\n\nf 1 1\nv 4 5 6\n", 6, "f 1 1"),
+        ("v 1 2 3\r\n\tv 1 x 3\r\nf 1 1 1\r\n", 2, "v 1 x 3"),
+        ("v 1 2 3\nf 1 1 1\nv 1 2 3\nf 1/1 0 1\n", 4, "f 1/1 0 1"),
+    ])
+    def test_bad_record_names_its_line(self, text, line, record):
+        # numpy's row within one tag's records was reported: "row 3" for line 4
+        with pytest.raises(ValueError, match=f"at line {line}: b'{re.escape(record)}'$"):
+            load_obj(text)
+
+    @pytest.mark.parametrize("bad", ["v 4 5", "f 1 0 1", "f 1 x 1"])
+    def test_bad_record_in_a_later_block_names_its_line(self, monkeypatch, bad):
+        monkeypatch.setattr(mesh_module, "_OBJ_BLOCK", 16)
+        lines = ["v 1 2 3", "vn 0 0 1", "f 1 1 1", "# a comment", "  v 4 5 6"] * 20
+        lines.insert(77, bad)
+        text = "\n".join(lines)
+        with pytest.raises(ValueError, match=f"at line 78: b'{bad}'$"):
+            load_obj(text)
+        del lines[77]
+        assert load_obj("\n".join(lines))[0].shape == (40, 3)
+
     def test_empty_input(self):
         for data in (b"", "", "# nothing but a comment\n\n"):
             verts, faces = load_obj(data)
@@ -459,6 +482,11 @@ class TestBlockSeams:
         n_v = len(reference_load_obj(multi_block_obj)[0])
         with pytest.raises(ValueError, match=f"index {n_v + 1} is beyond the {n_v} v"):
             load_obj(multi_block_obj + f"\r\nf 1 {n_v + 1} 2\r\n")
+
+    def test_bad_record_in_the_last_block_names_its_line(self, multi_block_obj):
+        line = multi_block_obj.count("\n") + 2
+        with pytest.raises(ValueError, match=f"at line {line}: b'v 1 x 3'$"):
+            load_obj(multi_block_obj + "\r\nv 1 x 3\r\nv 1 2 3")
 
     @pytest.mark.parametrize("tail", ["\r\nv 1 2", "\r\nf 1/1 2/2\r\n", "\r\nv 1 x 3"])
     def test_malformed_record_in_the_last_block_rejected(self, multi_block_obj, tail):
