@@ -10,25 +10,33 @@ import numpy as np
 _ROWS = 4096
 
 
-def float_reprs(values) -> np.ndarray:
-    """Shortest round-trip ``repr`` of every value, flattened, as an object array.
+def distinct_reprs(values):
+    """``(texts, inverse)``: the shortest round-trip ``repr`` of each distinct
+    value, as an object array, and the index into it of every value, flattened.
 
-    ``repr`` runs once per distinct value: values are keyed by their int64
-    bit pattern, so -0.0 and 0.0 keep their own text, and each string is
-    indexed back into place.  Surface rings repeat one height per spoke,
-    so a mesh has about half as many distinct coordinates as coordinates.
+    Values are keyed by their int64 bit pattern, so -0.0 and 0.0 keep their
+    own text, and ``repr`` runs once per key.
     """
     bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.int64)
     keys, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object), inverse
+
+
+def float_reprs(values) -> np.ndarray:
+    """Shortest round-trip ``repr`` of every value, flattened, as an object
+    array; ``repr`` runs once per distinct value (``distinct_reprs``).
+    Surface rings repeat one height per spoke, so a mesh has about half as
+    many distinct coordinates as coordinates.
+    """
+    texts, inverse = distinct_reprs(values)
     return texts[inverse]
 
 
 def format_records(header: str, *sections) -> bytes:
     """ASCII bytes of ``header``, then of ``template % tuple(row)`` for each
     row of each ``(template, table)`` section; float cells as ``float_reprs``
-    text, integer cells as ints.  A table needs only ``len`` and row slices
-    that are arrays.
+    text, integer cells as ints, object cells (text) as they are.  A table
+    needs only ``len`` and row slices that are arrays.
 
     Rows go ``_ROWS`` at a time (``float_reprs``, one ``%`` pass, ``encode``)
     into one buffer that is returned without a copy, so the memory used is
@@ -39,7 +47,7 @@ def format_records(header: str, *sections) -> bytes:
     for template, table in sections:
         for start in range(0, len(table), _ROWS):
             block = np.asarray(table[start:start + _ROWS])
-            ints = block.dtype.kind in "iu"
-            cells = block.ravel().tolist() if ints else float_reprs(block).tolist()
+            as_is = block.dtype.kind in "iuO"
+            cells = block.ravel().tolist() if as_is else float_reprs(block).tolist()
             out.write((template * len(block) % tuple(cells)).encode("ascii"))
     return out.getvalue()

@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -185,6 +186,23 @@ def _resolve(args):
     return params
 
 
+def _write(path, data):
+    """Write ``data`` (bytes, or str in the locale encoding) over ``path`` in
+    place: open without truncating, write, then cut a regular file to the
+    length written.  The inode, mode, owner and hard links stay as they are,
+    and /dev/null or a FIFO, which cannot be truncated, still works.  Cutting
+    a written file to zero before rewriting it is what ``write_bytes`` does,
+    and on some filesystems that costs far more than the write.  Like
+    ``write_bytes`` the write is not atomic: a crash mid-write may leave the
+    new prefix followed by the old tail.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666),
+              "wb" if isinstance(data, bytes) else "w") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
 def _emit(record, human=False, stream=None):
     if human:
         width = max(len(k) for k in record)
@@ -277,7 +295,7 @@ def cmd_mesh(p):
     curve = profile_curve(SurfaceParams(p["H"], p["c"]), (p["anchor_r"], p["anchor_a"]))
     mesh = sample_surface(curve, (p["t0"], p["t1"]), p["nt"], p["ntheta"],
                           spacing=p["t_spacing"])
-    Path(p["out"]).write_bytes(export_obj(mesh))
+    _write(p["out"], export_obj(mesh))
     return {
         "event": "mesh",
         "path": p["out"],
@@ -297,9 +315,9 @@ def cmd_figure(p):
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"figure{p['id']}_profile.csv"
     obj_path = out_dir / f"figure{p['id']}_surface.obj"
-    csv_path.write_bytes(export_profile_csv(curve, ts))
+    _write(csv_path, export_profile_csv(curve, ts))
     mesh = sample_surface(curve, (t_lo, t_hi), p["nt"], p["ntheta"])
-    obj_path.write_bytes(export_obj(mesh))
+    _write(obj_path, export_obj(mesh))
 
     star = slope_extremum_radius(curve.params)
     return {
@@ -385,8 +403,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         params = _resolve(args)
         if args.dump_config:
-            Path(args.dump_config).write_text(
-                dump_config({k: v for k, v in params.items() if v is not None}))
+            _write(args.dump_config,
+                   dump_config({k: v for k, v in params.items() if v is not None}))
         _emit(args.fn({**vars(args), **params}), args.human)
         return EXIT_OK
     except _UsageError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import format_records
+from ._text import distinct_reprs, float_reprs, format_records
 from .errors import NotMonotone, SpacelikeViolation
 from .profile import ProfileCurve, _fd_step, _radius, heights, slope_extremum_radius
 
@@ -99,10 +99,36 @@ def patch_from_profile(curve: ProfileCurve, x1, x2, min_radius=None) -> GraphPat
 
 
 def patch_to_csv(patch: GraphPatch) -> bytes:
-    """Serialize a patch as RFC-4180 CSV with header x1,x2,u (row-major)."""
-    i, j = np.nonzero(patch.mask)
-    table = np.column_stack([patch.x1[i], patch.x2[j], patch.values[i, j]])
-    return format_records("x1,x2,u\r\n", ("%s,%s,%s\r\n", table.astype(float, copy=False)))
+    """Serialize a patch as RFC-4180 CSV with header x1,x2,u (row-major).
+
+    ``repr`` runs once per axis value and once per distinct height over the
+    whole patch (a lattice symmetric about the axis repeats each height up
+    to 8 times); the rows are then formatted in blocks (``format_records``).
+    """
+    flat = np.flatnonzero(patch.mask)
+    u, k = distinct_reprs(np.asarray(patch.values, dtype=float).ravel()[flat])
+    rows = _PatchRows(float_reprs(patch.x1), float_reprs(patch.x2), u, flat, k)
+    return format_records("x1,x2,u\r\n", ("%s,%s,%s\r\n", rows))
+
+
+@dataclass(frozen=True)
+class _PatchRows:
+    """Text cells of the rows of ``patch_to_csv``, made a slice at a time from
+    the texts of the axes and of the distinct heights: ``flat`` is each row's
+    index into the raveled lattice and ``k`` that of its height's text."""
+
+    x1: np.ndarray
+    x2: np.ndarray
+    u: np.ndarray
+    flat: np.ndarray
+    k: np.ndarray
+
+    def __len__(self):
+        return len(self.flat)
+
+    def __getitem__(self, rows):
+        i, j = np.divmod(self.flat[rows], self.x2.size)
+        return np.column_stack([self.x1[i], self.x2[j], self.u[self.k[rows]]])
 
 
 def patch_from_csv(data) -> GraphPatch:

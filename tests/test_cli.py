@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +327,70 @@ class TestFigures:
         run(capsys, "figure", "1", "--out-dir", str(tmp_path / "b"))
         for name in ("figure1_profile.csv", "figure1_surface.obj"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+MESH_ARGS = ("mesh", "--H", "1", "--c", "3", "--t0", "1", "--t1", "4")
+
+
+class TestOutputFiles:
+    """Output files are rewritten in place: no stale tail, the same inode,
+    mode and links, and targets that cannot be truncated still work."""
+
+    BIG = ("--nt", "256", "--ntheta", "256")
+
+    @pytest.mark.parametrize("first,second", [(BIG, ()), ((), BIG)])
+    def test_figure_rewrite_equals_a_fresh_write(self, tmp_path, capsys, first, second):
+        same, fresh = tmp_path / "same", tmp_path / "fresh"
+        assert run(capsys, "figure", "4", "--out-dir", str(same), *first)[0] == EXIT_OK
+        old = (same / "figure4_surface.obj").stat().st_size
+        for out_dir in (same, fresh):
+            assert run(capsys, "figure", "4", "--out-dir", str(out_dir), *second)[0] == EXIT_OK
+        assert (same / "figure4_surface.obj").stat().st_size != old
+        for name in ("figure4_profile.csv", "figure4_surface.obj"):
+            assert (same / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_mesh_rewrite_keeps_inode_mode_and_links(self, tmp_path, capsys):
+        out, link, fresh = tmp_path / "m.obj", tmp_path / "link.obj", tmp_path / "f.obj"
+        assert run(capsys, *MESH_ARGS, "--nt", "16", "--out", str(out))[0] == EXIT_OK
+        # a new file gets the mode write_bytes would give it (0o666 less the umask)
+        (tmp_path / "w").write_bytes(b"")
+        assert out.stat().st_mode == (tmp_path / "w").stat().st_mode
+        out.chmod(0o640)
+        os.link(out, link)
+        before = out.stat()
+        for path in (out, fresh):
+            assert run(capsys, *MESH_ARGS, "--nt", "8", "--out", str(path))[0] == EXIT_OK
+        after = out.stat()
+        assert after.st_size < before.st_size
+        assert (after.st_ino, after.st_nlink) == (before.st_ino, 2)
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert out.read_bytes() == link.read_bytes() == fresh.read_bytes()
+
+    def test_mesh_to_dev_null(self, capsys):
+        code, out, _ = run(capsys, *MESH_ARGS, "--nt", "8", "--out", os.devnull)
+        assert code == EXIT_OK
+        assert last_record(out)["path"] == os.devnull
+
+    def test_mesh_to_fifo(self, tmp_path, capsys):
+        fifo, fresh = tmp_path / "pipe", tmp_path / "f.obj"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run(capsys, *MESH_ARGS, "--nt", "8", "--out", str(fifo))[0] == EXIT_OK
+        reader.join(timeout=60)
+        assert run(capsys, *MESH_ARGS, "--nt", "8", "--out", str(fresh))[0] == EXIT_OK
+        assert got == [fresh.read_bytes()]
+
+    def test_dump_config_over_a_longer_file(self, tmp_path, capsys):
+        dump, fresh = tmp_path / "eff.cfg", tmp_path / "fresh.cfg"
+        dump.write_text("# stale\n" * 1000)
+        argv = ("classify", "--r", "1", "--R", "2", "--a", "0", "--b", "0.5", "--H", "1")
+        for path in (dump, fresh):
+            assert run(capsys, *argv, "--dump-config", str(path))[0] == EXIT_OK
+        assert dump.read_bytes() == fresh.read_bytes()
+        assert read_config(dump) == {"r": "1.0", "R": "2.0", "a": "0.0", "b": "0.5",
+                                     "H": "1.0"}
 
 
 class TestConfig:

@@ -21,6 +21,8 @@ from lorentz_cmc import (
     first_integral_residual,
     heights,
     load_obj,
+    patch_from_profile,
+    patch_to_csv,
     profile_curve,
     sample_surface,
     singularity_report,
@@ -503,6 +505,22 @@ def figure4_mesh():
     return sample_surface(curve_of(1.0, 3.0), (0.0, 4.0), 256, 256)
 
 
+@pytest.fixture(scope="module")
+def off_centre_patch():
+    """A 257^2 patch placed as the profile_eval benchmark places one: centred
+    on the radial band where |f'| <= 0.95 of (H, c) = (1, 3), symmetric in
+    x2, with a lens masked out on its inner edge."""
+    kappa = 0.95 / math.sqrt(1.0 - 0.95**2)
+    root = math.sqrt(kappa**2 + 12.0)
+    t_lo, t_hi = (root - kappa) / 2.0, (root + kappa) / 2.0
+    rho0 = (t_lo + t_hi) / 2.0
+    side = min(rho0 - t_lo, t_hi - rho0)
+    x1 = np.linspace(rho0 - side / 2, rho0 + side / 2, 257)
+    x2 = np.linspace(-side / 2, side / 2, 257)
+    return patch_from_profile(curve_of(1.0, 3.0), x1, x2,
+                              min_radius=math.hypot(rho0 - side / 2, side / 4))
+
+
 def traced_peak(fn, *args):
     """Bytes allocated at the high-water mark of ``fn(*args)``, by tracemalloc."""
     tracemalloc.start()
@@ -526,6 +544,12 @@ class TestMemoryBounds:
 
     def test_euler_characteristic(self, figure4_mesh):
         assert traced_peak(euler_characteristic, figure4_mesh) <= 6e6
+
+    def test_patch_to_csv(self, off_centre_patch):
+        # the 3.7 MB CSV with one repr per distinct height of the whole patch;
+        # measured peak 8.43 MB (7.47 MB when each 4096-row block took its own
+        # reprs) plus about 10%
+        assert traced_peak(patch_to_csv, off_centre_patch) <= 9.3e6
 
 
 FIGURE_CURVES = [((0.0, 3.0), (0.0, 7.0)), ((0.1, -0.25), (0.0, 4.0)),

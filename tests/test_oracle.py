@@ -223,6 +223,12 @@ class TestPatchCsvAgainstReference:
         assert data == reference_patch_to_csv(patch)
         assert_same_patch(patch_from_csv(data), reference_patch_from_csv(data))
 
+    def test_lattice_symmetric_about_the_axis_matches_reference(self):
+        # each height recurs up to 8 times, in rows of different writer blocks
+        xs = np.linspace(-2.0, 2.0, 257)
+        patch = patch_from_profile(curve_of(1.0, 3.0), xs, xs)
+        assert patch_to_csv(patch) == reference_patch_to_csv(patch)
+
     @pytest.mark.parametrize("n_rows", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
     def test_rows_across_writer_blocks_match_reference(self, n_rows):
         special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310,
