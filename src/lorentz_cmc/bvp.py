@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Regime, SurfaceParams, ValidatedRingPair
+from .core import Regime, SurfaceParams, ValidatedRingPair, _require_positive
 from .errors import RootBracketFailure, LorentzCMCError
 from .elliptic import rise
-from .profile import (DEFAULT_QUAD_TOL, ProfileCurve, closed_form_hyperbolic,
-                      closed_form_maximal, profile_curve)
+from .profile import DEFAULT_QUAD_TOL, ProfileCurve, _closed_form, profile_curve
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
@@ -67,10 +66,8 @@ class PlateauProblem:
             raise ValueError(
                 f"H must be finite and >= 0 (canonicalize first), got {self.H}"
             )
-        for name in ("root_tol", "quad_tol"):
-            tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+        _require_positive("root_tol", self.root_tol)
+        _require_positive("quad_tol", self.quad_tol)
 
 
 @dataclass(frozen=True)
@@ -155,11 +152,8 @@ def classify(H, rings: ValidatedRingPair) -> Regime:
 def _outer_height(H, c, rings):
     """f(R; H, c) anchored at f(r) = a, H >= 0, in closed form."""
     r, R, a = rings.r, rings.R, rings.a
-    if c == 0.0:
-        return closed_form_hyperbolic(R, H, (r, a)) if H else a
-    if H == 0.0:
-        return closed_form_maximal(R, c, (r, a))
-    return a + rise(H, c, r, R)
+    height = _closed_form(R, H, c, (r, a))
+    return a + rise(H, c, r, R) if height is None else height
 
 
 def solve_c(problem: PlateauProblem) -> PlateauSolution:

@@ -135,6 +135,12 @@ def classify_params(params: SurfaceParams) -> Regime:
     return Regime.NEGATIVE_C if p.c < 0.0 else Regime.POSITIVE_C
 
 
+def _require_positive(name, value):
+    """Raise ValueError unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def validate_rings(rings: RingPair) -> ValidatedRingPair:
     """The rings as a ValidatedRingPair; idempotent on already validated pairs."""
     return ValidatedRingPair(rings.r, rings.R, rings.a, rings.b)

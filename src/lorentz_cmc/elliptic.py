@@ -1,17 +1,17 @@
-"""Carlson's symmetric elliptic integrals and the profile rise in closed form.
+"""The profile rise in closed form, through Carlson's symmetric elliptic integrals.
 
-``R_F`` and ``R_D`` follow Carlson's duplication algorithm (B. C. Carlson,
-Numer. Algorithms 10 (1995) 13-26) in Python complex arithmetic, so one
-code path serves real arguments and a complex-conjugate pair.  ``rise``
-reduces the height integral of a profile to them by Carlson's cubic case
-(Math. Comp. 53 (1989) 327-333): no quadrature, no numpy.
+``rise`` reduces the height integral of a profile to Carlson's R_F and R_D
+by his cubic case (Math. Comp. 53 (1989) 327-333): no quadrature, no
+numpy.  ``_carlson`` evaluates both from one duplication sequence (B. C.
+Carlson, Numer. Algorithms 10 (1995) 13-26) in Python complex arithmetic,
+so one code path serves real arguments and a complex-conjugate pair.
 """
 
 import cmath
 import math
 import sys
 
-__all__ = ["R_D", "R_F", "rise"]
+__all__ = ["rise"]
 
 # the series below are exact to float64 once the arguments agree to this
 # fraction of their mean (Carlson's bound for R_D, tighter than R_F's)
@@ -24,7 +24,10 @@ _RHO_MIN = 2.0 ** -511
 
 
 def _carlson(x, y, z):
-    """(R_F(x, y, z), R_D(x, y, z)) from one duplication sequence, as complex.
+    """Carlson's R_F and R_D at (x, y, z) from one duplication sequence, as complex:
+
+        R_F = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)),
+        R_D = 3/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)^3).
 
     Infinite where the integrals diverge: two arguments zero, or z = 0 for R_D.
     """
@@ -62,16 +65,6 @@ def _carlson(x, y, z):
              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
           + 3.0 * tail)
     return rf, rd
-
-
-def R_F(x, y, z):
-    """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)), complex."""
-    return _carlson(x, y, z)[0]
-
-
-def R_D(x, y, z):
-    """Carlson's R_D(x, y, z) = 3/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)^3), complex."""
-    return _carlson(x, y, z)[1]
 
 
 def rise(H, c, r, R):

@@ -41,13 +41,13 @@ class FluxResult:
 def flux_closed_form(r, params: SurfaceParams) -> FluxResult:
     """Closed-form flux of the circle of radius r.
 
-    area_term = 2 pi H r^2, conormal_term = -2 pi (H r^2 - c), and their
-    sum 2 pi c.  Zero exactly when c = 0 (plane, hyperbolic cap).
+    area_term = 2 pi H r^2, conormal_term = -2 pi (H r^2 - c); flux is their
+    exact sum 2 pi c, not their float sum, which cancels.  0 when c = 0.
     """
     r = _radius(r, "flux")
     area = 2.0 * math.pi * params.H * r * r
     conormal = -2.0 * math.pi * (params.H * r * r - params.c)
-    return FluxResult(flux=area + conormal, area_term=area, conormal_term=conormal)
+    return FluxResult(flux=2.0 * math.pi * params.c, area_term=area, conormal_term=conormal)
 
 
 def flux_numeric(r, curve: ProfileCurve, angular=False) -> FluxResult:
@@ -57,13 +57,12 @@ def flux_numeric(r, curve: ProfileCurve, angular=False) -> FluxResult:
     so the default path multiplies the pointwise values by the
     circumference.  ``angular=True`` instead samples theta and applies the
     (here exact) trapezoid rule over the period, as a convention check.
+    The conormal density -f'/sqrt(1 - f'^2) is -(H r^2 - c)/r, finite where
+    f' rounds to +-1.
     """
     r = _radius(r, "flux")
-    s = curve.slope(r)
     H = curve.mean_curvature
-    # (1-s)(1+s) keeps a few extra bits over 1 - s^2; the roundoff of s
-    # itself still amplifies by (1 - s^2)^(-3/2) near the light cone
-    conormal_density = -s / math.sqrt((1.0 - s) * (1.0 + s))
+    conormal_density = -(H * r * r - curve.first_integral) / r
     area_density = H * r  # <x ^ tau, e3> = r on the counterclockwise circle
 
     if angular:

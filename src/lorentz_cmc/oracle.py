@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import distinct_reprs, float_reprs, format_records
+from .core import _require_positive
 from .errors import NotMonotone, SpacelikeViolation
 from .profile import ProfileCurve, _fd_step, _radius, heights, slope_extremum_radius
 
@@ -88,8 +89,8 @@ def patch_from_profile(curve: ProfileCurve, x1, x2, min_radius=None) -> GraphPat
     x2 = np.asarray(x2, dtype=float)
     if min_radius is None:
         min_radius = 0.05 * curve.anchor_radius
-    elif not (math.isfinite(min_radius) and min_radius > 0.0):
-        raise ValueError(f"min_radius must be finite and positive, got {min_radius!r}")
+    else:
+        _require_positive("min_radius", min_radius)
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
     rho = np.hypot(X1, X2)
     mask = rho >= min_radius
@@ -246,13 +247,14 @@ def mean_curvature_rotational(t, curve: ProfileCurve, fd_step=None):
     with f' from the exact slope and f'' by central differences of it, so
     exactly one differentiation is numerical.  Error is O(fd_step^2).  The
     default step is 1e-5 max(1, t); a given one must be finite and positive.
+    sqrt(1 - f'^2) is t / hypot(t, H t^2 - c), > 0 where f' rounds to +-1.
     """
     t = _radius(t, "curvature")
     fd_step = _fd_step(t, fd_step)
     s = curve.slope(t)
     f2 = (curve.slope(t + fd_step) - curve.slope(t - fd_step)) / (2.0 * fd_step)
-    one_m = 1.0 - s * s
-    return (t * f2 + one_m * s) / (2.0 * t * one_m**1.5)
+    q = t / math.hypot(t, curve.mean_curvature * t * t - curve.first_integral)
+    return (t * f2 + q * q * s) / (2.0 * t * q**3)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ for the slope,
 
     f'(t) = h(t) = (H t^2 - c) / sqrt(t^2 + (H t^2 - c)^2),
 
-which is smooth and strictly inside (-1, 1) for every t > 0, so the profile
+which is smooth and strictly inside (-1, 1) for every t > 0 (the exact
+formula; in float64, slope(3e-9) on (H, c) = (0, 1) is -1.0), so the profile
 through an anchor point f(r) = a is simply
 
     f(t) = a + integral_r^t h(s) ds.
@@ -25,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Regime, SurfaceParams, canonicalize, classify_params
+from .core import Regime, SurfaceParams, _require_positive, canonicalize, classify_params
 from .errors import NonPositiveRadius, SpacelikeViolation
-from .quadrature import (DEFAULT_MAX_INTERVALS, DEFAULT_QUAD_TOL, PRESPLIT_RATIO,
-                         integrate, panel_sums)
+from .quadrature import DEFAULT_QUAD_TOL, PRESPLIT_RATIO, integrate, panel_sums
 
 __all__ = [
     "ProfileCurve",
@@ -75,10 +75,8 @@ def _default_step(t):
 def _fd_step(t, fd_step):
     """Step at t: ``fd_step`` if finite and > 0 (else ValueError), the default if None;
     SpacelikeViolation if t - step reaches the axis, where |f'| -> 1 cannot be differenced."""
-    if fd_step is None:
-        fd_step = float(_default_step(t))
-    elif not (math.isfinite(fd_step) and fd_step > 0.0):
-        raise ValueError(f"fd_step must be finite and positive, got {fd_step!r}")
+    fd_step = float(_default_step(t)) if fd_step is None else fd_step
+    _require_positive("fd_step", fd_step)
     if t - fd_step <= 0.0:
         raise SpacelikeViolation(f"fd_step={fd_step} reaches the axis from t={t}")
     return fd_step
@@ -118,8 +116,9 @@ def _slope_raw(ts, H, c):
 def slope(t, params: SurfaceParams):
     """Exact profile slope f'(t) = (H t^2 - c) / sqrt(t^2 + (H t^2 - c)^2).
 
-    Always strictly inside (-1, 1): the surface is spacelike at every
-    radius.  No quadrature is involved.
+    The formula is strictly inside (-1, 1), so the surface is spacelike at
+    every radius; its float64 value is +-1 where t or |H t^2 - c| is below
+    about 1e-8 of the other.  No quadrature is involved.
     """
     return float(_slope_raw(_radius(t, "slope"), params.H, params.c))
 
@@ -161,8 +160,7 @@ class ProfileCurve:
             raise ValueError(f"anchor must be finite, got ({r}, {a})")
         if r <= 0.0:
             raise NonPositiveRadius(f"anchor radius must be positive, got {r}")
-        if not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
-            raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol!r}")
+        _require_positive("quad_tol", self.quad_tol)
         canon, parity = canonicalize(self.surface)
         for name, value in (("anchor_radius", r), ("anchor_height", a), ("params", canon),
                             ("parity", parity), ("regime", classify_params(canon))):
@@ -264,12 +262,16 @@ def closed_form_hyperbolic(t, H, anchor):
     return float(out) if out.ndim == 0 else out
 
 
-# (ts, params, anchor) -> heights at ts
-_CLOSED_FORMS = {
-    Regime.PLANE: lambda ts, p, anc: np.full(ts.shape, anc[1]),
-    Regime.MAXIMAL_CATENOID: lambda ts, p, anc: closed_form_maximal(ts, p.c, anc),
-    Regime.HYPERBOLIC_CAP: lambda ts, p, anc: closed_form_hyperbolic(ts, p.H, anc),
-}
+def _closed_form(t, H, c, anchor):
+    """Height at ``t``, a float or an array, through ``anchor`` of the plane
+    (H = c = 0), maximal catenoid (H = 0) or cap (c = 0); else None."""
+    if H and c:
+        return None
+    if c:
+        return closed_form_maximal(t, c, anchor)
+    if H:
+        return closed_form_hyperbolic(t, H, anchor)
+    return np.full(t.shape, anchor[1]) if isinstance(t, np.ndarray) else anchor[1]
 
 
 def _heights(curve: ProfileCurve, ts):
@@ -288,31 +290,24 @@ def _heights(curve: ProfileCurve, ts):
     radii, the segment sums and their antiderivative, plus the one fixed
     block ``panel_sums`` evaluates at a time.
     """
-    closed = _CLOSED_FORMS.get(curve.regime)
     p, r = curve.surface, curve.anchor_radius
+    closed = _closed_form(ts, p.H, p.c, (r, curve.anchor_height))
     if closed is not None:
-        return np.asarray(closed(ts, p, (r, curve.anchor_height)), dtype=float)
+        return np.asarray(closed, dtype=float)
 
     fn = lambda s: _slope_raw(s, p.H, p.c)
-    uniq, inverse = np.unique(ts.ravel(), return_inverse=True)
-    # the anchor's index among the edges, inserted unless it is a sample
-    k = int(np.searchsorted(uniq, r))
-    inserted = k == uniq.size or uniq[k] != r
-    edges = np.insert(uniq, k, r) if inserted else uniq
+    # the segment edges: the distinct radii and the anchor, appended last
+    edges, inverse = np.unique(np.append(ts, r), return_inverse=True)
     vals, errs = panel_sums(fn, edges[:-1], edges[1:])
     seg_tol = curve.quad_tol / max(len(vals), 1)
     with np.errstate(divide="ignore"):
         wide = edges[1:] / edges[:-1] > PRESPLIT_RATIO
     # a nan estimate fails "<=" and goes to integrate too
     for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
-        vals[i] = integrate(fn, edges[i], edges[i + 1], tol=seg_tol,
-                            max_intervals=DEFAULT_MAX_INTERVALS)
+        vals[i] = integrate(fn, edges[i], edges[i + 1], tol=seg_tol)
     # antiderivative at every edge, zeroed at the anchor
     F = np.concatenate([[0.0], np.cumsum(vals)])
-    F -= F[k]
-    if inserted:
-        F = np.delete(F, k)
-    out = curve.anchor_height + F[inverse]
+    out = curve.anchor_height + (F[inverse[:-1]] - F[inverse[-1]])
     return out.reshape(ts.shape)
 
 

@@ -18,12 +18,13 @@ import math
 
 import numpy as np
 
+from .core import _require_positive
 from .errors import QuadratureFailure
 
-__all__ = ["DEFAULT_MAX_INTERVALS", "DEFAULT_QUAD_TOL", "integrate", "panel_sums"]
+__all__ = ["DEFAULT_QUAD_TOL", "integrate", "panel_sums"]
 
 DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_MAX_INTERVALS = 10_000
+_PANEL_BUDGET = 10_000  # subintervals ``integrate`` may use before it gives up
 # ``integrate`` splits an interval geometrically when hi / lo exceeds this
 PRESPLIT_RATIO = 1e3
 
@@ -60,22 +61,13 @@ _WG = np.array([
 _NODES = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG_FULL = np.zeros(15)
-for _i, _w in zip((1, 3, 5), _WG[:3]):
-    _WG_FULL[_i] = _w
-    _WG_FULL[14 - _i] = _w
-_WG_FULL[7] = _WG[3]
+_WG_FULL[1::2] = np.concatenate([_WG, _WG[2::-1]])
 
 # Panels per block in ``panel_sums``: one block's (15, _BLOCK) float arrays
 # (240 KiB each) stay in L2.  A multiple of the BLAS gemv kernels' row
 # stride (4), so a panel lands in a kernel's tail rows in a block exactly
 # when it does in one unblocked call, and its sums come out the same bits.
 _BLOCK = 2048
-
-
-def _require_count(name, n):
-    """Raise ValueError unless ``n`` is an integer >= 1 (a bool is not one)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 def _kronrod_gauss(fn, los, his):
@@ -133,7 +125,7 @@ def _initial_cuts(lo, hi):
     return []
 
 
-def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL, max_intervals=DEFAULT_MAX_INTERVALS):
+def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL):
     """Integrate ``fn`` over [lo, hi] to absolute tolerance ``tol``.
 
     ``fn`` must accept and return numpy arrays.  Bounds may be given in
@@ -142,14 +134,12 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL, max_intervals=DEFAULT_MAX_INTERV
     Termination is at max(tol, 50 eps sum|panel values|): an absolute
     tolerance finer than the roundoff of the accumulated magnitude is
     unattainable in float64, so the request is floored there.  Raises
-    QuadratureFailure if ``max_intervals`` subintervals do not suffice, or
-    if every remaining subinterval has collapsed to roundoff width while
-    the error estimate still exceeds the target.  Raises ValueError unless
-    ``tol`` is finite and positive and ``max_intervals`` is an integer >= 1.
+    QuadratureFailure if 10^4 subintervals do not suffice, or if every
+    remaining subinterval has collapsed to roundoff width while the error
+    estimate still exceeds the target.  Raises ValueError unless ``tol`` is
+    finite and positive.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    _require_count("max_intervals", max_intervals)
+    _require_positive("tol", tol)
     if lo == hi:
         return 0.0
     sign = 1.0
@@ -183,7 +173,7 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL, max_intervals=DEFAULT_MAX_INTERV
 
     eps = np.finfo(float).eps
     while n_unresolved or err_open + err_floor > max(tol, 50.0 * eps * abs_value):
-        if not heap or n_panels >= max_intervals:
+        if not heap or n_panels >= _PANEL_BUDGET:
             raise QuadratureFailure(
                 f"error estimate {err_open + err_floor:.3e} above tol {tol:.3e} "
                 f"({n_unresolved} unresolved panels) after {n_panels} subintervals"

@@ -60,6 +60,7 @@ class TestSolve:
         assert rec["c"] > 0.0
         assert rec["residual"] <= 1e-9
         assert rec["flux"] == pytest.approx(2.0 * math.pi * rec["c"], abs=1e-9)
+        assert rec["flux"] == 2.0 * math.pi * rec["c_oriented"]
 
     def test_unsolvable_exits_2(self, capsys):
         code, out, err = run(capsys, "solve", "--r", "1", "--R", "2",
@@ -139,6 +140,15 @@ class TestFlux:
         rec = last_record(out)
         assert rec["flux"] == pytest.approx(6.0 * math.pi, abs=1e-12)
         assert rec["closed_numeric_gap"] < 1e-10
+
+    @pytest.mark.parametrize("angular", [[], ["--angular"]])
+    def test_light_cone_radius(self, capsys, angular):
+        # the slope rounds to 1 at r = 1e8 on (1, 0): the numeric flux once
+        # divided by sqrt(1 - s^2) = 0 and exited 1 with ZeroDivisionError
+        code, out, _ = run(capsys, "flux", "--r", "1e8", "--H", "1", "--c", "0", *angular)
+        assert code == EXIT_OK
+        rec = last_record(out)
+        assert rec["flux"] == 0.0 and rec["numeric_flux"] == 0.0
 
     def test_angular_mode(self, capsys):
         code, out, _ = run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3",

@@ -2,6 +2,7 @@
 
 import lorentz_cmc
 import lorentz_cmc.cli
+import lorentz_cmc.elliptic
 from lorentz_cmc import bvp, core, errors, flux, mesh, oracle, profile, quadrature
 
 MODULES = (bvp, core, errors, flux, mesh, oracle, profile, quadrature)
@@ -31,7 +32,11 @@ def test_every_name_resolves_and_star_import_binds_it():
 
 def test_removed_names_are_not_exported():
     for name in ("asymptotic_slope_estimate", "hyperbolic_center_height",
-                 "patch_from_function", "load_config"):
+                 "patch_from_function", "load_config", "DEFAULT_MAX_INTERVALS"):
         assert name not in lorentz_cmc.__all__
         assert not hasattr(lorentz_cmc, name)
     assert not hasattr(lorentz_cmc.cli, "load_config")
+    assert not hasattr(lorentz_cmc.quadrature, "DEFAULT_MAX_INTERVALS")
+    for name in ("R_F", "R_D"):
+        assert name not in lorentz_cmc.elliptic.__all__
+        assert not hasattr(lorentz_cmc.elliptic, name)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from lorentz_cmc import (
     flux_numeric,
     profile_curve,
 )
+
+
+EPS = sys.float_info.epsilon
 
 
 def curve_of(H, c, r=1.0, a=0.0):
@@ -34,9 +38,22 @@ class TestClosedForm:
         assert res.conormal_term == pytest.approx(-2.0 * math.pi, abs=1e-12)
         assert res.area_term == pytest.approx(2.0 * math.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [1e-8, 1.0, 3.0, 1e4, 1e8])
+    @pytest.mark.parametrize("H", [0.0, 1.0, -2.5])
+    def test_flux_is_exactly_zero_at_c_zero(self, r, H):
+        # area + conormal once gave -8.0 at (r, H) = (1e8, 1)
+        assert flux_closed_form(r, SurfaceParams(H, 0.0)).flux == 0.0
+
+    def test_flux_is_exactly_two_pi_c(self):
+        # area + conormal once gave 6.2831853000e-6 here
+        assert flux_closed_form(3.0, SurfaceParams(1.0, 1e-6)).flux == 2.0 * math.pi * 1e-6
+
     def test_terms_always_sum_to_flux(self):
+        # the flux is 2 pi c itself; the terms sum to it up to their roundoff
         res = flux_closed_form(1.7, SurfaceParams(0.4, -2.2))
-        assert res.flux == res.area_term + res.conormal_term
+        assert res.flux == 2.0 * math.pi * -2.2
+        gap = abs(res.flux - (res.area_term + res.conormal_term))
+        assert gap <= 4.0 * EPS * (abs(res.area_term) + abs(res.conormal_term))
 
     def test_radius_validation(self):
         with pytest.raises(NonPositiveRadius):
@@ -75,6 +92,13 @@ class TestNumeric:
         fluxes = [flux_numeric(r, curve).flux for r in (0.5, 1.0, 2.0, 5.0)]
         for f in fluxes[1:]:
             assert f == pytest.approx(fluxes[0], abs=1e-10)
+
+    @pytest.mark.parametrize("angular", [False, True])
+    def test_light_cone_radius(self, angular):
+        # the slope rounds to 1 at r = 1e8: -s/sqrt((1-s)(1+s)) divided by 0
+        res = flux_numeric(1e8, curve_of(1.0, 0.0), angular=angular)
+        assert res.flux == 0.0
+        assert res.area_term == -res.conormal_term == pytest.approx(2.0 * math.pi * 1e16)
 
     def test_angular_quadrature_mode_agrees(self):
         curve = curve_of(0.7, -1.3)

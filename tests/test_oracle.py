@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,15 +10,18 @@ from hypothesis import given, settings, strategies as st
 from lorentz_cmc import (
     CurvatureReport,
     GraphPatch,
+    LorentzCMCError,
     NotMonotone,
     SpacelikeViolation,
     SurfaceParams,
+    flux_numeric,
     mean_curvature_graph,
     mean_curvature_rotational,
     patch_from_csv,
     patch_from_profile,
     patch_to_csv,
     profile_curve,
+    slope,
     variational_residual,
 )
 from lorentz_cmc._text import _ROWS
@@ -513,3 +517,55 @@ class TestVariational:
             variational_residual(curve_of(1.0, -3.0), (2.0, 1.0), n=101)
         with pytest.raises(ValueError):
             variational_residual(curve_of(1.0, -3.0), (1.0, 2.0), n=3)
+
+
+EPS = sys.float_info.epsilon
+signed_decades = st.builds(lambda sign, e: sign * 10.0 ** e,
+                           st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 8.0))
+
+
+class TestLightCone:
+    """In float64 the slope rounds to +-1 far from any real light cone: on
+    (1, 0) at t = 1e8, and on (1e-8, 1e8) at t = 1.  The oracles once formed
+    1 - s^2 there and raised ZeroDivisionError."""
+
+    @staticmethod
+    def _computed(call):
+        try:
+            return call()
+        except (LorentzCMCError, ValueError):
+            return None
+
+    @settings(max_examples=500, deadline=None)
+    @given(H=signed_decades, c=signed_decades, log_t=st.floats(-8.0, 8.0))
+    def test_finite_or_raises_and_unchanged_off_the_cone(self, H, c, log_t):
+        t = 10.0 ** log_t
+        params = SurfaceParams(H, c)
+        curve = profile_curve(params, (t, 0.0))
+        s = slope(t, params)
+        assert -1.0 <= s <= 1.0
+        fluxes = [self._computed(lambda: flux_numeric(t, curve, angular=angular))
+                  for angular in (False, True)]
+        H_rot = self._computed(lambda: mean_curvature_rotational(t, curve))
+        for res in fluxes:
+            assert math.isfinite(res.flux) and math.isfinite(res.conormal_term)
+        assert H_rot is None or math.isfinite(H_rot)
+        if abs(s) >= 1.0 - 1e-8:
+            return
+        # the earlier formulas, whose roundoff grows as 1 / (1 - s^2)
+        one_m = (1.0 - s) * (1.0 + s)
+        conormal = -s / math.sqrt(one_m) * (2.0 * math.pi * t)
+        assert abs(fluxes[0].conormal_term - conormal) <= 8.0 * EPS * abs(conormal) / one_m
+        if H_rot is not None:
+            step = 1e-5 * max(1.0, t)
+            f2 = (curve.slope(t + step) - curve.slope(t - step)) / (2.0 * step)
+            one_m = 1.0 - s * s
+            old = (t * f2 + one_m * s) / (2.0 * t * one_m**1.5)
+            scale = abs(old) + (abs(t * f2) + one_m * abs(s)) / (2.0 * t * one_m**1.5)
+            assert abs(H_rot - old) <= 8.0 * EPS * scale / one_m
+
+    @pytest.mark.parametrize("H,c,t", [(1.0, 0.0, 1e8), (1e-8, 1e8, 1.0)])
+    def test_mean_curvature_where_the_slope_rounds_to_one(self, H, c, t):
+        curve = curve_of(H, c)
+        assert abs(curve.slope(t)) == 1.0
+        assert math.isfinite(mean_curvature_rotational(t, curve))

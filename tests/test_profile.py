@@ -25,6 +25,7 @@ from lorentz_cmc import (
     integrate,
     profile,
     profile_curve,
+    quadrature,
     sample_surface,
     singularity_report,
     slope,
@@ -44,7 +45,7 @@ def curve_of(H, c, r=1.0, a=0.0, **kw):
 
 def quadrature_only():
     """Context in which every regime, closed-form ones too, takes the quadrature branch."""
-    return mock.patch.object(profile, "_CLOSED_FORMS", {})
+    return mock.patch.object(profile, "_closed_form", lambda *args: None)
 
 
 @st.composite
@@ -244,7 +245,7 @@ class TestHeight:
     def test_exhausted_budget_raises(self, monkeypatch):
         from lorentz_cmc import QuadratureFailure
 
-        monkeypatch.setattr(profile, "DEFAULT_MAX_INTERVALS", 2)
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 2)
         with pytest.raises(QuadratureFailure):
             height(100.0, curve_of(1.0, 3.0, quad_tol=1e-14))
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from lorentz_cmc import QuadratureFailure, SurfaceParams, heights, profile_curve
+from lorentz_cmc import QuadratureFailure, SurfaceParams, heights, profile_curve, quadrature
 from lorentz_cmc.profile import _slope_raw
 from lorentz_cmc.quadrature import (PRESPLIT_RATIO, _BLOCK, _NODES, _WG_FULL, _WGK, integrate,
                                     panel_sums)
@@ -56,17 +56,17 @@ def test_agrees_with_scipy_on_oscillatory_integrand():
     assert abs(ours - ref) < 1e-11
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 12)
     with pytest.raises(QuadratureFailure):
-        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-                  tol=1e-14, max_intervals=12)
+        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-14)
 
 
-def test_interior_pole_raises_instead_of_hanging():
+def test_interior_pole_raises_instead_of_hanging(monkeypatch):
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 64)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(QuadratureFailure):
-            integrate(lambda x: 1.0 / np.sqrt(np.abs(x)), -1.0, 1.0,
-                      tol=1e-14, max_intervals=64)
+            integrate(lambda x: 1.0 / np.sqrt(np.abs(x)), -1.0, 1.0, tol=1e-14)
 
 
 def test_panel_sums_matches_adaptive_on_smooth_segments():
@@ -175,10 +175,3 @@ def test_tolerance_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError):
         integrate(np.exp, 0.0, 1.0, tol=tol)
 
-
-@pytest.mark.parametrize("n", [math.nan, 0, -1, 2.5, True])
-def test_max_intervals_must_be_a_positive_integer(n):
-    # with max_intervals = nan, `n_panels >= nan` is False and the budget
-    # was ignored: 1/sqrt(x) on [0, 1] came out 2.0 instead of raising
-    with pytest.raises(ValueError, match="max_intervals"):
-        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-14, max_intervals=n)
