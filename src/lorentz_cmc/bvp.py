@@ -13,9 +13,9 @@ Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
 the end dropped last, and steps by inverse quadratic interpolation through
 these three points where that interpolant is monotone on the bracket, by
 bisection otherwise.  Every iterate shrinks the bracket, so the search keeps
-bisection's guarantee.  Each g is closed form: the cap or catenoid formula
-at c = 0 or H = 0, else Carlson's R_F and R_D (``elliptic.rise``).  The
-bracket and the tolerances scale with the rings.
+bisection's guarantee.  Each g is ``profile``'s scalar height, in closed
+form: the cap or catenoid formula at c = 0 or H = 0, else Carlson's R_F and
+R_D (``elliptic.rise``).  The bracket and the tolerances scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 from .core import Regime, SurfaceParams, ValidatedRingPair, _require_positive
 from .errors import RootBracketFailure, LorentzCMCError
-from .elliptic import rise
-from .profile import DEFAULT_QUAD_TOL, ProfileCurve, _closed_form, profile_curve
+from .profile import DEFAULT_QUAD_TOL, ProfileCurve, _height_at, profile_curve
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
@@ -149,13 +148,6 @@ def classify(H, rings: ValidatedRingPair) -> Regime:
     return Regime.POSITIVE_C
 
 
-def _outer_height(H, c, rings):
-    """f(R; H, c) anchored at f(r) = a, H >= 0, in closed form."""
-    r, R, a = rings.r, rings.R, rings.a
-    height = _closed_form(R, H, c, (r, a))
-    return a + rise(H, c, r, R) if height is None else height
-
-
 def solve_c(problem: PlateauProblem) -> PlateauSolution:
     """Find c with f(R; H, c) = b and package the solved profile.
 
@@ -190,7 +182,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     def g(c):
         nonlocal n_g
         n_g += 1
-        return _outer_height(H, c, work) - b
+        return _height_at(R, H, c, (r, a)) - b
 
     # the plane (H = 0, a = b) and the cap (H = H0 > 0): c = 0 is the root,
     # a bracket of width 0, unless roundoff puts g(0) beyond root_tol

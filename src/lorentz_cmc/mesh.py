@@ -22,7 +22,7 @@ import numpy as np
 
 from ._text import format_records
 from .errors import NonPositiveRadius
-from .profile import ProfileCurve, _default_step, _residuals, heights, singularity_report
+from .profile import ProfileCurve, _default_step, _heights, _residuals, heights, singularity_report
 
 __all__ = [
     "SurfaceMesh",
@@ -86,7 +86,7 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
 
     singular_vertex = None
     if apex:
-        vertex0 = np.array([[0.0, 0.0, singularity_report(curve).cone_vertex_height]])
+        vertex0 = np.array([[0.0, 0.0, _heights(curve, np.zeros(1))[0]]])
         vertices = np.vstack([vertex0, ring_grid.reshape(-1, 3)])
         offset = 1
         singular_vertex = 0
@@ -270,6 +270,6 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     table = np.empty((ts.size, 4))
     table[pos] = np.column_stack([t, hs, curve.slopes(t), residual])
     if not np.all(pos):
-        report = singularity_report(curve)
-        table[~pos] = (0.0, report.cone_vertex_height, report.limit_slope, 0.0)
+        table[~pos] = (0.0, _heights(curve, np.zeros(1))[0],
+                       singularity_report(curve).limit_slope, 0.0)
     return format_records("t,f,f_prime,first_integral_residual\r\n", ("%s,%s,%s,%s\r\n", table))

@@ -21,7 +21,7 @@ import numpy as np
 from ._text import distinct_reprs, float_reprs, format_records
 from .core import _require_positive
 from .errors import NotMonotone, SpacelikeViolation
-from .profile import ProfileCurve, _fd_step, _radius, heights, slope_extremum_radius
+from .profile import ProfileCurve, _fd_step, _radius, heights
 
 __all__ = [
     "CurvatureReport",
@@ -248,11 +248,15 @@ def mean_curvature_rotational(t, curve: ProfileCurve, fd_step=None):
     exactly one differentiation is numerical.  Error is O(fd_step^2).  The
     default step is 1e-5 max(1, t); a given one must be finite and positive.
     sqrt(1 - f'^2) is t / hypot(t, H t^2 - c), > 0 where f' rounds to +-1.
+    Raises SpacelikeViolation where f' rounds to one +-1 at both t +- fd_step.
     """
     t = _radius(t, "curvature")
     fd_step = _fd_step(t, fd_step)
     s = curve.slope(t)
-    f2 = (curve.slope(t + fd_step) - curve.slope(t - fd_step)) / (2.0 * fd_step)
+    up, down = curve.slope(t + fd_step), curve.slope(t - fd_step)
+    if up == down and abs(up) == 1.0:
+        raise SpacelikeViolation(f"f' is {up} at t={t} +- {fd_step}: f'' cannot be differenced")
+    f2 = (up - down) / (2.0 * fd_step)
     q = t / math.hypot(t, curve.mean_curvature * t * t - curve.first_integral)
     return (t * f2 + q * q * s) / (2.0 * t * q**3)
 
@@ -282,9 +286,9 @@ def variational_residual(curve: ProfileCurve, t_window, n=1001) -> VariationalCh
     differences, so the recovered kappa is independent of the slope
     formula; its deviation from the mean shrinks as O(n^-2).
 
-    Raises NotMonotone if f' changes sign inside the window (for H > 0,
-    c > 0 that happens exactly when sqrt(c/H) is interior) or if the
-    profile is flat (plane).
+    Raises NotMonotone if the n sampled f' (the window's ends among them)
+    vanish or change sign, as for canonical H > 0, c > 0 once sqrt(c/H) is
+    inside the window, or if the profile is flat (plane).
     """
     t1, t2 = float(t_window[0]), float(t_window[1])
     if not (0.0 < t1 < t2):
@@ -292,12 +296,6 @@ def variational_residual(curve: ProfileCurve, t_window, n=1001) -> VariationalCh
     if n < 5:
         raise ValueError("need at least 5 samples")
 
-    star = slope_extremum_radius(curve.params)
-    if curve.params.H > 0.0 and curve.params.c > 0.0 and star is not None \
-            and t1 < star < t2:
-        raise NotMonotone(
-            f"slope vanishes at t={star} inside ({t1}, {t2})"
-        )
     ts = np.linspace(t1, t2, n)
     ss = curve.slopes(ts)
     if np.any(ss == 0.0) or ss.min() < 0.0 < ss.max():

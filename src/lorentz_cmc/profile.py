@@ -12,10 +12,11 @@ through an anchor point f(r) = a is simply
     f(t) = a + integral_r^t h(s) ds.
 
 Three families integrate in closed form (plane, maximal catenoid with
-H = 0, hyperbolic cap with c = 0); the rest is adaptive quadrature.  The
-slope formula is evaluated with hypot, which keeps it exact through the
-conical limit h -> -sign(c) as t -> 0 and free of overflow for t up to the
-largest representable radii.
+H = 0, hyperbolic cap with c = 0); the rest takes Carlson's ``rise`` at one
+radius and Kronrod panels at an array of radii.  The slope formula is
+evaluated with hypot, which keeps it exact through the conical limit
+h -> -sign(c) as t -> 0 and free of overflow for t up to the largest
+representable radii.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Regime, SurfaceParams, _require_positive, canonicalize, classify_params
+from .elliptic import rise
 from .errors import NonPositiveRadius, SpacelikeViolation
 from .quadrature import DEFAULT_QUAD_TOL, PRESPLIT_RATIO, integrate, panel_sums
 
@@ -274,21 +276,40 @@ def _closed_form(t, H, c, anchor):
     return np.full(t.shape, anchor[1]) if isinstance(t, np.ndarray) else anchor[1]
 
 
+def _height_at(t, H, c, anchor):
+    """Height at a float ``t >= 0`` (0: the axis limit) on (H, c) through ``anchor``: the
+    closed form, else a +- ``rise``, for H < 0 the negated height of the mirror (-H, -c, -a),
+    so odd to the bit; nan where ``rise`` overflows (H t or |c| / t above about 1e154)."""
+    closed = _closed_form(t, H, c, anchor)
+    if closed is not None:
+        return closed
+    r, a = anchor
+    if H < 0.0:  # rise takes H >= 0
+        return -_height_at(t, -H, -c, (r, -a))
+    return a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
+
+
+def _height(curve: ProfileCurve, t):
+    """``_height_at`` on ``curve``; where ``rise`` overflows, the one-point array engine."""
+    f = _height_at(t, curve.surface.H, curve.surface.c, (curve.anchor_radius, curve.anchor_height))
+    return f if math.isfinite(f) else float(_heights(curve, np.array([t]))[0])
+
+
 def _heights(curve: ProfileCurve, ts):
     """Heights at a float array of radii ``ts >= 0``; t = 0 gives the axis limit f(0+).
 
-    The one height engine behind ``height``, ``heights`` and
-    ``singularity_report``.  Both branches evaluate the as-built (H, c):
-    every operation on the way is odd under (H, c, a) -> (-H, -c, -a), so
-    a mirrored curve gives exactly the negated heights.  Closed-form regimes
-    evaluate their formula.  Otherwise the sorted radii and the anchor cut
-    [min, max] into segments, each integrated by one Kronrod panel; a
-    segment whose panel misses quad_tol / segments, or that spans more than
-    three decades (where ``integrate`` pre-splits), is integrated
-    adaptively to that tolerance.  A cumulative sum zeroed at the anchor
-    gives every height.  Working memory is O(N) for N radii: the sorted
-    radii, the segment sums and their antiderivative, plus the one fixed
-    block ``panel_sums`` evaluates at a time.
+    The array engine behind ``heights``, the mesh apex and the CSV axis row.
+    Both branches evaluate the as-built (H, c): every operation on the way is
+    odd under (H, c, a) -> (-H, -c, -a), so a mirrored curve gives exactly the
+    negated heights.  Closed-form regimes evaluate their formula.  Otherwise
+    the sorted radii and the anchor cut [min, max] into segments, each
+    integrated by one Kronrod panel; a segment whose panel misses
+    quad_tol / segments, or that spans more than three decades (where
+    ``integrate`` pre-splits), is integrated adaptively to that tolerance.
+    A cumulative sum zeroed at the anchor gives every height.  Working
+    memory is O(N) for N radii: the sorted radii, the segment sums and their
+    antiderivative, plus the one fixed block ``panel_sums`` evaluates at a
+    time.
     """
     p, r = curve.surface, curve.anchor_radius
     closed = _closed_form(ts, p.H, p.c, (r, curve.anchor_height))
@@ -300,7 +321,7 @@ def _heights(curve: ProfileCurve, ts):
     edges, inverse = np.unique(np.append(ts, r), return_inverse=True)
     vals, errs = panel_sums(fn, edges[:-1], edges[1:])
     seg_tol = curve.quad_tol / max(len(vals), 1)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # t = 0, subnormal t
         wide = edges[1:] / edges[:-1] > PRESPLIT_RATIO
     # a nan estimate fails "<=" and goes to integrate too
     for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
@@ -315,20 +336,21 @@ def height(t, curve: ProfileCurve):
     """Profile height f(t) = a + integral_r^t f'(s) ds.
 
     ``t`` may sit on either side of the anchor radius.  The plane, maximal
-    catenoid and hyperbolic cap evaluate their closed form, every other
-    regime quadrature.
+    catenoid and hyperbolic cap evaluate their closed form, every other regime
+    ``rise`` (the solver's f(R) to the bit), or panels where ``rise`` overflows.
     """
-    return float(_heights(curve, np.array([_radius(t, "height")]))[0])
+    return _height(curve, _radius(t, "height"))
 
 
 def heights(curve: ProfileCurve, ts):
-    """Vectorized height evaluation, by the same rule as ``height``.
+    """Vectorized height evaluation: closed forms as ``height``, else quadrature.
 
     Quadrature regimes integrate segment-by-segment between consecutive
     sample radii and accumulate, so dense grids cost one pass over the
     integrand instead of one full integral per point.  Per-point accuracy
-    is at the curve's quad_tol scale.  Memory is O(N) for N radii plus one
-    fixed block of panels, and the heights do not depend on the block size.
+    is at the curve's quad_tol scale, as is their gap from ``height``.  Memory
+    is O(N) for N radii plus one fixed block of panels, and the heights do not
+    depend on the block size.
     """
     return _heights(curve, _radii(ts, "heights"))
 
@@ -369,8 +391,7 @@ def singularity_report(curve: ProfileCurve) -> SingularityReport:
     else:
         limit, kind = 0.0, SingularityKind.REGULAR_HYPERBOLIC
 
-    vertex = float(_heights(curve, np.zeros(1))[0])
-    return SingularityReport(limit_slope=limit, kind=kind, cone_vertex_height=vertex)
+    return SingularityReport(limit_slope=limit, kind=kind, cone_vertex_height=_height(curve, 0.0))
 
 
 def asymptotic_slope(params: SurfaceParams):

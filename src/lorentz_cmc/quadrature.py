@@ -116,11 +116,15 @@ def _panel(fn, lo, hi):
 
 
 def _initial_cuts(lo, hi):
-    # Geometric pre-split for very wide positive intervals, so the first
-    # error estimates are informative before refinement starts.
-    if lo > 0.0 and hi / lo > PRESPLIT_RATIO:
-        n = math.ceil(math.log10(hi / lo))
-        ratio = (hi / lo) ** (1.0 / n)
+    # Geometric pre-split for very wide positive intervals, so the first error
+    # estimates are informative; where hi / lo overflows, cut by logs instead.
+    span = float(hi) / float(lo) if lo > 0.0 else 0.0  # inf, not a numpy warning
+    if math.isinf(span):
+        n = math.ceil(math.log10(hi) - math.log10(lo))
+        return list(np.logspace(math.log10(lo), math.log10(hi), n + 1)[1:-1])
+    if span > PRESPLIT_RATIO:
+        n = math.ceil(math.log10(span))
+        ratio = span ** (1.0 / n)
         return [lo * ratio**k for k in range(1, n)]
     return []
 

@@ -29,12 +29,17 @@ from lorentz_cmc import (
     threshold_H0,
     validate_rings,
 )
-from lorentz_cmc.bvp import DEFAULT_ROOT_TOL, _outer_height
-from lorentz_cmc.profile import DEFAULT_QUAD_TOL
+from lorentz_cmc.bvp import DEFAULT_ROOT_TOL
+from lorentz_cmc.profile import DEFAULT_QUAD_TOL, _height_at
 
 
 RINGS = validate_rings(RingPair(r=1.0, R=2.0, a=0.0, b=0.5))
 H0_RINGS = 1.0 / math.sqrt(6.5625)  # hand-reduced threshold formula for RINGS
+
+
+def _f_at_R(H, c, rings):
+    """f(R; H, c) through f(r) = a, as solve_c's g(c) + b takes it."""
+    return _height_at(rings.R, H, c, (rings.r, rings.a))
 
 
 class TestRingsValidateThemselves:
@@ -298,14 +303,14 @@ class TestShootingMap:
     def test_strictly_decreasing_in_c(self):
         cs = np.linspace(-8.0, 8.0, 33)
         for H in (0.0, 0.7):
-            vals = [_outer_height(H, c, RINGS) for c in cs]
+            vals = [_f_at_R(H, c, RINGS) for c in cs]
             assert np.all(np.diff(vals) < 0.0)
 
     def test_bracketing_limits(self):
         # f(R; H, c) -> a -/+ (R - r) as c -> +/- inf
         for H in (0.0, 1.0):
-            high = _outer_height(H, 1e6, RINGS)
-            low = _outer_height(H, -1e6, RINGS)
+            high = _f_at_R(H, 1e6, RINGS)
+            low = _f_at_R(H, -1e6, RINGS)
             assert abs(high - (RINGS.a - (RINGS.R - RINGS.r))) < 1e-3
             assert abs(low - (RINGS.a + (RINGS.R - RINGS.r))) < 1e-3
 
@@ -326,6 +331,22 @@ class TestShootingMap:
         assert 1.0 < star < 2.0
         assert height(star, sol.curve) < min(0.0, 0.1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(log_R=st.floats(math.log10(0.5), 6.0), log_ratio=st.floats(0.01, 3.0),
+           k=st.floats(0.0, 0.99), h=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 50.0),
+           a=st.floats(-10.0, 10.0), descending=st.booleans())
+    def test_height_at_R_misses_b_by_the_residual_to_the_bit(self, log_R, log_ratio, k, h, a,
+                                                             descending):
+        # for R >= 1/2 the ring unit is 1, and the curve's height(R) is the
+        # solver's last f(R) in either orientation
+        R = 10.0 ** log_R
+        r = R / 10.0 ** log_ratio
+        d = k * (R - r)
+        H = h * threshold_H0(validate_rings(RingPair(r=r, R=R, a=0.0, b=d)))
+        b = a - d if descending else a + d
+        sol = solve_two_ring(r, R, a, b, H)
+        assert abs(sol.curve.height(R) - b) == sol.residual
+
 
 def _bisection_reference(problem, width=1e-12):
     """The bisection shooting loop solve_c used before safeguarded Newton.
@@ -342,7 +363,7 @@ def _bisection_reference(problem, width=1e-12):
     )
 
     def g(c):
-        return _outer_height(H, c, work) - work.b
+        return _f_at_R(H, c, work) - work.b
 
     lo, hi = -1.0, 1.0
     g_lo, g_hi = g(lo), g(hi)
@@ -511,8 +532,8 @@ class TestRingScale:
         H = h * threshold_H0(rings)
         lo, hi = _barrier_bracket(rings, H)
         assert lo <= hi
-        assert _outer_height(H, lo, rings) - rings.b >= 0.0
-        assert _outer_height(H, hi, rings) - rings.b <= 0.0
+        assert _f_at_R(H, lo, rings) - rings.b >= 0.0
+        assert _f_at_R(H, hi, rings) - rings.b <= 0.0
 
     def test_bracket_end_with_noise_sign_is_the_root(self):
         # b = 5e-324: the slope at lo = -5e-324 underflows, so g(lo) = -b
@@ -524,7 +545,7 @@ class TestRingScale:
 
     def test_wrong_sign_beyond_root_tol_raises(self, monkeypatch):
         # f(R) = 1 > b at both ends: the upper end is wrong by 0.5
-        monkeypatch.setattr("lorentz_cmc.bvp._outer_height", lambda H, c, rings: 1.0)
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at", lambda t, H, c, anchor: 1.0)
         with pytest.raises(RootBracketFailure, match="barrier bracket"):
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
 
@@ -539,8 +560,8 @@ class TestRingScale:
     def test_jump_in_g_raises_naming_root_tol(self, monkeypatch):
         # f(R) jumps from b + 0.5 to b - 0.5 at c = 0.1: the bracket closes
         # on the jump until c cannot move, and the residual check raises
-        monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
-                            lambda H, c, rings: rings.b + (0.5 if c < 0.1 else -0.5))
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at",
+                            lambda t, H, c, anchor: 0.5 + (0.5 if c < 0.1 else -0.5))
         with pytest.raises(LorentzCMCError, match="root_tol") as info:
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert not isinstance(info.value, RootBracketFailure)
@@ -549,8 +570,8 @@ class TestRingScale:
         # g > 0 on the bracket and g(hi) = 1e-12: the upper end is the root
         # within root_tol; g falls steeply enough that c = 0 is out of reach
         hi = _barrier_bracket(RINGS, 1.0)[1]
-        monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
-                            lambda H, c, rings: rings.b + 1e-12 + 1e-3 * (hi - c))
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at",
+                            lambda t, H, c, anchor: 0.5 + 1e-12 + 1e-3 * (hi - c))
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert sol.c == hi
         assert sol.diagnostics.g_evals == 2
@@ -559,8 +580,8 @@ class TestRingScale:
     def test_c_tol_below_an_ulp_stops_when_c_cannot_move(self, monkeypatch):
         # g = (2.3 - c)^3 + 1e-300 vanishes at no float, and _C_TOL * |c| is
         # far below one ulp of c, so only the ulp rule can end the search
-        monkeypatch.setattr("lorentz_cmc.bvp._outer_height",
-                            lambda H, c, rings: rings.b + (2.3 - c) ** 3 + 1e-300)
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at",
+                            lambda t, H, c, anchor: (2.3 - c) ** 3 + 1e-300)
         monkeypatch.setattr("lorentz_cmc.bvp._C_TOL", 1e-300)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.0, 1.0)
         ulp = math.ulp(2.3)
@@ -656,7 +677,7 @@ def _g_zero_in_ring_units(r, R, a, b, H):
     e_u = min(0, math.frexp(R)[1])
     work = ValidatedRingPair(*(math.ldexp(x, -e_u) for x in (r, R, sign * a, sign * b)))
     root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(work.R)[1])))
-    return _outer_height(math.ldexp(H, e_u), 0.0, work) - work.b, root_tol
+    return _f_at_R(math.ldexp(H, e_u), 0.0, work) - work.b, root_tol
 
 
 class TestKnownRoot:
@@ -702,11 +723,11 @@ class TestKnownRoot:
         # runs as at any other H; the snap rule reuses that g(0)
         cs = []
 
-        def outer_height(H, c, rings):
+        def height_at(t, H, c, anchor):
             cs.append(c)
-            return _outer_height(H, c, rings) + (2e-9 if c == 0.0 else 0.0)
+            return _height_at(t, H, c, anchor) + (2e-9 if c == 0.0 else 0.0)
 
-        monkeypatch.setattr("lorentz_cmc.bvp._outer_height", outer_height)
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at", height_at)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, threshold_H0(RINGS))
         assert sol.c != 0.0
         assert cs.count(0.0) == 1

@@ -488,10 +488,14 @@ class TestVariational:
         check = variational_residual(curve_of(0.0, 3.0), (1.0, 2.0), n=1001)
         assert check.kappa_mean == pytest.approx(6.0, abs=1e-5)
 
-    def test_window_straddling_slope_zero_raises(self):
-        # slope of (H=1, c=3) vanishes at sqrt(3)
+    @pytest.mark.parametrize("H,c", [(1.0, 3.0), (-1.0, -3.0)], ids=["canonical", "mirrored"])
+    @pytest.mark.parametrize("window,n", [((1.0, 2.0), 201), ((1.0, 2.0), 5),
+                                          ((1.0, math.nextafter(math.sqrt(3.0), 2.0)), 5)])
+    def test_window_straddling_slope_zero_raises(self, H, c, window, n):
+        # the slope of (1, 3) vanishes at sqrt(3), that of its mirror too;
+        # the sampled slopes alone see it, even one ulp inside the window
         with pytest.raises(NotMonotone):
-            variational_residual(curve_of(1.0, 3.0), (1.0, 2.0), n=201)
+            variational_residual(curve_of(H, c), window, n=n)
 
     def test_plane_raises(self):
         with pytest.raises(NotMonotone):
@@ -566,6 +570,9 @@ class TestLightCone:
 
     @pytest.mark.parametrize("H,c,t", [(1.0, 0.0, 1e8), (1e-8, 1e8, 1.0)])
     def test_mean_curvature_where_the_slope_rounds_to_one(self, H, c, t):
+        # both differenced slopes round to the same +-1, so f'' reads 0: the
+        # value was 0.5 and -5.0e7 against H = 1 and 1e-8
         curve = curve_of(H, c)
         assert abs(curve.slope(t)) == 1.0
-        assert math.isfinite(mean_curvature_rotational(t, curve))
+        with pytest.raises(SpacelikeViolation, match="cannot be differenced"):
+            mean_curvature_rotational(t, curve)

@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (
     NonPositiveRadius,
@@ -31,6 +32,8 @@ from lorentz_cmc import (
     slope,
     slope_extremum_radius,
 )
+
+EPS = np.finfo(float).eps
 
 params_st = st.builds(
     SurfaceParams,
@@ -247,7 +250,7 @@ class TestHeight:
 
         monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 2)
         with pytest.raises(QuadratureFailure):
-            height(100.0, curve_of(1.0, 3.0, quad_tol=1e-14))
+            heights(curve_of(1.0, 3.0, quad_tol=1e-14), [100.0])
 
     def test_heights_matches_pointwise_height(self):
         curve = curve_of(1.0, 3.0)
@@ -259,10 +262,14 @@ class TestHeight:
     @settings(max_examples=100, deadline=None)
     @given(curve=regime_curves(), log_ratio=st.floats(-6.0, 6.0),
            quadrature=st.booleans())
-    def test_height_is_one_point_of_heights_bitwise(self, curve, log_ratio, quadrature):
+    def test_height_and_heights_agree_within_quad_tol(self, curve, log_ratio, quadrature):
+        # the scalar path (closed form or rise) and the array path (closed
+        # form or panels) meet within the heights' tolerance and roundoff
         t = curve.anchor_radius * 10.0 ** log_ratio
         with quadrature_only() if quadrature else contextlib.nullcontext():
-            assert height(t, curve) == heights(curve, [t])[0]
+            one, batch = height(t, curve), heights(curve, [t])[0]
+        scale = max(t, curve.anchor_radius) + abs(curve.anchor_height)
+        assert abs(one - batch) <= 2.0 * curve.quad_tol + 64.0 * EPS * scale
 
     def test_oddness_under_parameter_mirror(self):
         # f(t; -H, -c) anchored at -a equals -f(t; H, c) anchored at a
@@ -333,8 +340,12 @@ class TestSingularity:
     def test_vertex_matches_per_regime_formulas(self, curve):
         old = _vertex_by_regime(curve)
         new = singularity_report(curve).cone_vertex_height
-        if curve.regime is not Regime.HYPERBOLIC_CAP:
+        if curve.regime in (Regime.PLANE, Regime.MAXIMAL_CATENOID):
             assert new == old
+        elif curve.regime is not Regime.HYPERBOLIC_CAP:
+            # rise against integrate at quad_tol
+            scale = curve.anchor_radius + abs(curve.anchor_height)
+            assert abs(new - old) <= 2.0 * curve.quad_tol + 64.0 * EPS * scale
         elif curve.params.H * curve.anchor_radius >= 0.1:
             # the cap now takes the difference-of-roots form; the old
             # 1 - sqrt(1 + (H r)^2) cancels for small H r
@@ -365,6 +376,58 @@ def _vertex_by_regime(curve):
 
     down = integrate(fn, 0.0, r, tol=curve.quad_tol)
     return curve.anchor_height - parity * down
+
+
+class TestScalarHeight:
+    """``height`` and the axis height take the closed form or ``rise`` (the
+    solver's f(R)); ``heights``, the mesh apex and the CSV axis row take panels."""
+
+    @staticmethod
+    def _quad_height(H, c, r, t):
+        """f(t) - f(r) by scipy, with breakpoints at |c| and sqrt(|c| / H)."""
+        lo, hi = sorted((r, t))
+        points = [p for p in (abs(c), math.sqrt(abs(c) / abs(H))) if lo < p < hi]
+        val, _ = scipy_quad(lambda s: float(profile._slope_raw(s, H, c)), lo, hi,
+                            points=points or None, epsabs=1e-15, epsrel=1e-13, limit=500)
+        return val if t > r else -val
+
+    def test_axis_height_where_panels_are_fooled(self):
+        # the panel engine's axis height is 6.7e-8 (665 quad_tol) too low here
+        H, c, r = 111.7436280818775, 7.769016774406215e-09, 0.7385547820848464
+        vertex = singularity_report(curve_of(H, c, r=r)).cone_vertex_height
+        assert abs(vertex - self._quad_height(H, c, r, 0.0)) <= 1e-14
+
+    def test_height_where_panels_are_fooled(self):
+        # heights([t]) reads 2693.284 here
+        H, c, r, t = 480766.63753108203, 79791704.04781835, 7.401424170715437, 2700.685496770858
+        want = self._quad_height(H, c, r, t)
+        assert abs(height(t, curve_of(H, c, r=r)) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("H,c,want", [(1.0, 1e130, -1.0), (1.0, 1e160, -1.0),
+                                          (1.0, -1e160, 1.0), (1e160, 1.0, 1.0),
+                                          (1e160, -1.0, 1.0)])
+    def test_rise_overflow_takes_the_array_engine(self, H, c, want):
+        # rise is nan where H t or |c| / t is huge; the one-point panels answer
+        curve = curve_of(H, c)
+        assert height(2.0, curve) == want == heights(curve, [2.0])[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve=regime_curves(), log_ratio=st.floats(-6.0, 6.0))
+    def test_mirror_negates_to_the_bit(self, curve, log_ratio):
+        t = curve.anchor_radius * 10.0 ** log_ratio
+        mirror = curve_of(-curve.mean_curvature, -curve.first_integral, r=curve.anchor_radius,
+                          a=-curve.anchor_height, quad_tol=curve.quad_tol)
+        assert height(t, mirror) == -height(t, curve)
+        assert (singularity_report(mirror).cone_vertex_height
+                == -singularity_report(curve).cone_vertex_height)
+
+    @pytest.mark.parametrize("t", [1e-320, 5e-324])
+    def test_subnormal_radius(self, t):
+        # t / r overflowed: heights warned, then integrate raised OverflowError
+        curve = curve_of(1.0, 3.0)
+        vertex = singularity_report(curve).cone_vertex_height
+        assert abs(heights(curve, [t])[0] - vertex) <= 2.0 * curve.quad_tol
+        assert abs(height(t, curve) - vertex) <= 1e-15
 
 
 class TestAsymptotics:

@@ -48,6 +48,17 @@ def test_wide_interval_against_closed_form():
     assert abs(val - (1.0 - 1e-6)) < 1e-9
 
 
+@pytest.mark.parametrize("lo", [1e-320, 5e-324])
+@pytest.mark.parametrize("lo_type", [float, np.float64])
+def test_subnormal_lower_bound_presplits_by_logs(lo, lo_type):
+    # hi / lo overflows: math.ceil(inf) raised OverflowError, and a numpy
+    # lo warned of the overflow first
+    assert abs(integrate(np.cos, lo_type(lo), 1.0, tol=1e-13) - math.sin(1.0)) <= 1e-13
+    cuts = quadrature._initial_cuts(lo, 1.0)
+    assert lo < cuts[0] and cuts[-1] < 1.0 and all(np.diff(cuts) > 0.0)
+    assert len(cuts) + 1 == math.ceil(-math.log10(lo))
+
+
 def test_agrees_with_scipy_on_oscillatory_integrand():
     fn = lambda x: np.sin(7.3 * x) * np.exp(-0.5 * x)
     ours = integrate(fn, 0.0, 9.0, tol=1e-12)
