@@ -33,21 +33,22 @@ def float_reprs(values) -> np.ndarray:
 
 
 def format_records(header: str, *sections) -> bytes:
-    """ASCII bytes of ``header``, then of ``template % tuple(row)`` for each
-    row of each ``(template, table)`` section; float cells as ``float_reprs``
-    text, integer cells as ints, object cells (text) as they are.  A table
-    needs only ``len`` and row slices that are arrays.
+    """ASCII bytes of ``header``, then of ``template % tuple(row)`` for each of
+    the ``n_rows`` rows of each ``(template, n_rows, cells)`` section, where
+    ``cells(rows)`` returns the array of the rows in the slice ``rows``; float
+    cells as ``float_reprs`` text, integer cells as ints, object cells (text)
+    as they are.
 
-    Rows go ``_ROWS`` at a time (``float_reprs``, one ``%`` pass, ``encode``)
-    into one buffer that is returned without a copy, so the memory used is
-    the output plus one block.
+    Rows go ``_ROWS`` at a time (``cells``, ``float_reprs``, one ``%`` pass,
+    ``encode``) into one buffer that is returned without a copy, so the
+    memory used is the output plus one block.
     """
     out = io.BytesIO()
     out.write(header.encode("ascii"))
-    for template, table in sections:
-        for start in range(0, len(table), _ROWS):
-            block = np.asarray(table[start:start + _ROWS])
+    for template, n_rows, cells in sections:
+        for start in range(0, n_rows, _ROWS):
+            block = np.asarray(cells(slice(start, start + _ROWS)))
             as_is = block.dtype.kind in "iuO"
-            cells = block.ravel().tolist() if as_is else float_reprs(block).tolist()
-            out.write((template * len(block) % tuple(cells)).encode("ascii"))
+            texts = block.ravel().tolist() if as_is else float_reprs(block).tolist()
+            out.write((template * len(block) % tuple(texts)).encode("ascii"))
     return out.getvalue()

@@ -58,21 +58,29 @@ def flux_numeric(r, curve: ProfileCurve, angular=False) -> FluxResult:
     circumference.  ``angular=True`` instead samples theta and applies the
     (here exact) trapezoid rule over the period, as a convention check.
     The conormal density -f'/sqrt(1 - f'^2) is -(H r^2 - c)/r, finite where
-    f' rounds to +-1.
+    f' rounds to +-1.  Below r ~ |c| / 1.8e308, where that quotient
+    overflows, the conormal integrand is taken per unit angle instead,
+    -(H r^2 - c) against d theta = ds / r, so the term stays finite.  A term
+    that itself overflows (2 pi |H| r^2 beyond the float range) makes the
+    flux nan.
     """
     r = _radius(r, "flux")
-    H = curve.mean_curvature
-    conormal_density = -(H * r * r - curve.first_integral) / r
+    H, c = curve.mean_curvature, curve.first_integral
+    conormal_density, conormal_length = -(H * r * r - c) / r, 2.0 * math.pi * r
+    if math.isinf(conormal_density):
+        conormal_density, conormal_length = -(H * r * r - c), 2.0 * math.pi
     area_density = H * r  # <x ^ tau, e3> = r on the counterclockwise circle
 
     if angular:
         # Periodic trapezoid over _N_THETA samples; densities are constant in
         # theta, so this exercises only the bookkeeping.
         ds = 2.0 * math.pi * r / _N_THETA
-        area = float(np.sum(np.full(_N_THETA, area_density)) * ds)
-        conormal = float(np.sum(np.full(_N_THETA, conormal_density)) * ds)
+        # float sums: a product beyond the float range is inf without a numpy warning
+        area = float(np.sum(np.full(_N_THETA, area_density))) * ds
+        conormal = (float(np.sum(np.full(_N_THETA, conormal_density)))
+                    * (conormal_length / _N_THETA))
     else:
         circumference = 2.0 * math.pi * r
         area = area_density * circumference
-        conormal = conormal_density * circumference
+        conormal = conormal_density * conormal_length
     return FluxResult(flux=area + conormal, area_term=area, conormal_term=conormal)

@@ -120,23 +120,13 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
 
     Floats are written with shortest round-trip repr, so identical meshes
     serialize to identical bytes.  The records are formatted in row blocks
-    (``format_records``): the memory used is the output plus one block.
+    (``format_records``), the 1-based face indices made a block at a time:
+    the memory used is the output plus one block.
     """
-    return format_records("", ("v %s %s %s\n", np.asarray(mesh.vertices, dtype=float)),
-                          ("f %d %d %d\n", _OneBased(np.asarray(mesh.faces))))
-
-
-@dataclass(frozen=True)
-class _OneBased:
-    """Rows of ``faces`` + 1, made a slice at a time: no 1-based copy is kept."""
-
-    faces: np.ndarray
-
-    def __len__(self):
-        return len(self.faces)
-
-    def __getitem__(self, rows):
-        return self.faces[rows] + 1
+    v = np.asarray(mesh.vertices, dtype=float)
+    f = np.asarray(mesh.faces)
+    return format_records("", ("v %s %s %s\n", len(v), v.__getitem__),
+                          ("f %d %d %d\n", len(f), lambda rows: f[rows] + 1))
 
 
 # Bytes of OBJ text parsed at a time by load_obj; a block ends at a line end.
@@ -272,4 +262,5 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     if not np.all(pos):
         table[~pos] = (0.0, _heights(curve, np.zeros(1))[0],
                        singularity_report(curve).limit_slope, 0.0)
-    return format_records("t,f,f_prime,first_integral_residual\r\n", ("%s,%s,%s,%s\r\n", table))
+    return format_records("t,f,f_prime,first_integral_residual\r\n",
+                          ("%s,%s,%s,%s\r\n", len(table), table.__getitem__))

@@ -104,32 +104,18 @@ def patch_to_csv(patch: GraphPatch) -> bytes:
 
     ``repr`` runs once per axis value and once per distinct height over the
     whole patch (a lattice symmetric about the axis repeats each height up
-    to 8 times); the rows are then formatted in blocks (``format_records``).
+    to 8 times); the rows' text cells are then picked from those texts and
+    formatted a block at a time (``format_records``).
     """
     flat = np.flatnonzero(patch.mask)
     u, k = distinct_reprs(np.asarray(patch.values, dtype=float).ravel()[flat])
-    rows = _PatchRows(float_reprs(patch.x1), float_reprs(patch.x2), u, flat, k)
-    return format_records("x1,x2,u\r\n", ("%s,%s,%s\r\n", rows))
+    x1, x2 = float_reprs(patch.x1), float_reprs(patch.x2)
 
+    def cells(rows):
+        i, j = np.divmod(flat[rows], x2.size)
+        return np.column_stack([x1[i], x2[j], u[k[rows]]])
 
-@dataclass(frozen=True)
-class _PatchRows:
-    """Text cells of the rows of ``patch_to_csv``, made a slice at a time from
-    the texts of the axes and of the distinct heights: ``flat`` is each row's
-    index into the raveled lattice and ``k`` that of its height's text."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    u: np.ndarray
-    flat: np.ndarray
-    k: np.ndarray
-
-    def __len__(self):
-        return len(self.flat)
-
-    def __getitem__(self, rows):
-        i, j = np.divmod(self.flat[rows], self.x2.size)
-        return np.column_stack([self.x1[i], self.x2[j], self.u[self.k[rows]]])
+    return format_records("x1,x2,u\r\n", ("%s,%s,%s\r\n", flat.size, cells))
 
 
 def patch_from_csv(data) -> GraphPatch:

@@ -15,8 +15,9 @@ Three families integrate in closed form (plane, maximal catenoid with
 H = 0, hyperbolic cap with c = 0); the rest takes Carlson's ``rise`` at one
 radius and Kronrod panels at an array of radii.  The slope formula is
 evaluated with hypot, which keeps it exact through the conical limit
-h -> -sign(c) as t -> 0 and free of overflow for t up to the largest
-representable radii.
+h -> -sign(c) as t -> 0; where H t^2 - c overflows the slope is its sign,
+its float64 value up to t ~ 1e300.  The Kronrod panels form lo + hi, so
+heights need radii below about 0.9e308.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .core import Regime, SurfaceParams, _require_positive, canonicalize, classify_params
 from .elliptic import rise
 from .errors import NonPositiveRadius, SpacelikeViolation
-from .quadrature import DEFAULT_QUAD_TOL, PRESPLIT_RATIO, integrate, panel_sums
+from .quadrature import _ROUNDOFF, DEFAULT_QUAD_TOL, PRESPLIT_RATIO, integrate, panel_sums
 
 __all__ = [
     "ProfileCurve",
@@ -100,19 +101,25 @@ def _residuals(curve, t, step, near):
     with np.errstate(invalid="ignore", divide="ignore"):
         out = (curve.mean_curvature * t * t - t * s / np.sqrt(1.0 - s * s)
                - curve.first_integral)
-    eps = np.finfo(float).eps
-    floor = 50.0 * eps * np.abs(t - curve.anchor_radius)
+    floor = _ROUNDOFF * np.abs(t - curve.anchor_radius)
     bound = np.maximum(np.maximum(curve.quad_tol, floor),
-                       eps * np.maximum(np.abs(up), np.abs(down)))
+                       np.finfo(float).eps * np.maximum(np.abs(up), np.abs(down)))
     out[~(np.abs(s) < 1.0 - bound / step)] = math.nan
     return out
 
 
 def _slope_raw(ts, H, c):
-    """Vectorized slope formula; no domain checks."""
+    """Vectorized slope formula; no domain checks.  Where w = H t^2 - c
+    overflows (t beyond about 1.34e154 / sqrt|H|) the slope is sign(w), the
+    formula's float64 value while t < 1e-8 |w|, so for t up to about 1e300."""
     ts = np.asarray(ts, dtype=float)
-    w = H * ts * ts - c
-    return w / np.hypot(ts, w)
+    with np.errstate(over="ignore"):
+        w = H * ts * ts - c
+    huge = np.isinf(w)
+    if not huge.any():
+        return w / np.hypot(ts, w)
+    with np.errstate(invalid="ignore"):  # inf / inf where w overflowed
+        return np.where(huge, np.sign(w), w / np.hypot(ts, w))
 
 
 def slope(t, params: SurfaceParams):

@@ -27,6 +27,8 @@ DEFAULT_QUAD_TOL = 1e-10
 _PANEL_BUDGET = 10_000  # subintervals ``integrate`` may use before it gives up
 # ``integrate`` splits an interval geometrically when hi / lo exceeds this
 PRESPLIT_RATIO = 1e3
+# Roundoff floor, relative to the sum of |panel values|, under any tolerance
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 # Kronrod-15 abscissae (positive half, descending) and weights; the odd
 # entries are the embedded Gauss-7 nodes.
@@ -175,8 +177,7 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL):
         push(a, b)
         n_panels += 1
 
-    eps = np.finfo(float).eps
-    while n_unresolved or err_open + err_floor > max(tol, 50.0 * eps * abs_value):
+    while n_unresolved or err_open + err_floor > max(tol, _ROUNDOFF * abs_value):
         if not heap or n_panels >= _PANEL_BUDGET:
             raise QuadratureFailure(
                 f"error estimate {err_open + err_floor:.3e} above tol {tol:.3e} "

@@ -12,10 +12,13 @@ import lorentz_cmc
 import lorentz_cmc.cli as cli_module
 from lorentz_cmc import (
     GraphPatch,
+    SurfaceParams,
     closed_form_maximal,
     flux_numeric,
     load_obj,
+    patch_from_profile,
     patch_to_csv,
+    profile_curve,
 )
 from lorentz_cmc.cli import (
     EXIT_INTERNAL,
@@ -203,6 +206,24 @@ class TestVerify:
         rec = last_record(out)
         assert rec["mode"] == "divergence"
         assert rec["H_mean"] == pytest.approx(1.0, abs=2e-3)
+
+    @pytest.mark.parametrize("mode", ["nondivergence", "divergence"])
+    def test_written_holed_patch_reads_back_as_the_profile_patch(self, tmp_path, capsys, mode):
+        # patch_to_csv -> verify --csv gives the record verify builds from (H, c)
+        xs = np.linspace(-2.0, 2.0, 65)
+        curve = profile_curve(SurfaceParams(1.0, 3.0), (1.0, 0.0))
+        path = tmp_path / "holed.csv"
+        path.write_bytes(patch_to_csv(patch_from_profile(curve, xs, xs, min_radius=0.5)))
+        code, out, _ = run(capsys, "verify", "--csv", str(path), "--mode", mode)
+        assert code == EXIT_OK
+        from_csv = last_record(out)
+        code, out, _ = run(capsys, "verify", "--H", "1", "--c", "3", "--grid-step", "0.0625",
+                           "--min-radius", "0.5", "--mode", mode)
+        assert code == EXIT_OK
+        from_profile = last_record(out)
+        assert from_csv.pop("source") == str(path)
+        assert from_profile.pop("source") == "profile(H=1.0, c=3.0)"
+        assert from_csv == from_profile
 
     def test_plane_patch_reports_zero(self, tmp_path, capsys):
         xs = np.linspace(-1.0, 1.0, 33)

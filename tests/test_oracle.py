@@ -568,10 +568,12 @@ class TestLightCone:
             scale = abs(old) + (abs(t * f2) + one_m * abs(s)) / (2.0 * t * one_m**1.5)
             assert abs(H_rot - old) <= 8.0 * EPS * scale / one_m
 
-    @pytest.mark.parametrize("H,c,t", [(1.0, 0.0, 1e8), (1e-8, 1e8, 1.0)])
+    @pytest.mark.parametrize("H,c,t", [(1.0, 0.0, 1e8), (1e-8, 1e8, 1.0), (1.0, 3.0, 1e155),
+                                       (-1.0, -3.0, 1e200), (1.0, 3.0, 1e300)])
     def test_mean_curvature_where_the_slope_rounds_to_one(self, H, c, t):
         # both differenced slopes round to the same +-1, so f'' reads 0: the
-        # value was 0.5 and -5.0e7 against H = 1 and 1e-8
+        # value was 0.5 and -5.0e7 against H = 1 and 1e-8; where H t^2
+        # overflows the slope was nan and the curvature divided by 0
         curve = curve_of(H, c)
         assert abs(curve.slope(t)) == 1.0
         with pytest.raises(SpacelikeViolation, match="cannot be differenced"):

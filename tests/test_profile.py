@@ -430,6 +430,44 @@ class TestScalarHeight:
         assert abs(height(t, curve) - vertex) <= 1e-15
 
 
+class TestOverflowingSlope:
+    """Beyond t ~ 1.34e154 / sqrt|H|, H t^2 - c overflows and the slope is its sign."""
+
+    CURVES = [(1.0, 3.0), (1.0, -3.0), (-1.0, -3.0), (-1.0, 3.0)]
+    RADII = [1e155, 1e200, 1e300]
+
+    @pytest.mark.parametrize("H,c", CURVES)
+    def test_slope_is_the_sign(self, H, c):
+        # inf / inf gave nan, with overflow and invalid warnings
+        want = math.copysign(1.0, H)
+        assert [slope(t, SurfaceParams(H, c)) for t in self.RADII] == [want] * 3
+        assert list(curve_of(H, c).slopes(self.RADII)) == [want] * 3
+
+    def test_finite_bits_stay(self):
+        ts = np.geomspace(1e-300, 1e150, 500)
+        w = 2.5 * ts * ts - 0.75
+        assert np.array_equal(profile._slope_raw(ts, 2.5, 0.75), w / np.hypot(ts, w))
+        mixed = profile._slope_raw(np.append(ts, 1e300), 2.5, 0.75)
+        assert np.array_equal(mixed[:-1], w / np.hypot(ts, w)) and mixed[-1] == 1.0
+
+    @pytest.mark.parametrize("H,c", CURVES)
+    @pytest.mark.parametrize("t", RADII)
+    def test_height_grows_as_the_light_cone(self, H, c, t):
+        # height(1e300) on (1, 3) raised QuadratureFailure
+        r, a = 1.0, 0.5
+        curve = curve_of(H, c, r=r, a=a)
+        want = a + math.copysign(t - r, H)
+        for got in (height(t, curve), heights(curve, [t])[0], heights(curve, [2.0, t])[1]):
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_vertex_from_a_huge_anchor(self):
+        # the axis height warned, and raised under -W error
+        r = 1.1081346239522108e207
+        curve = curve_of(393.9452001822913, -1.276006988426895e-06, r=r)
+        vertex = singularity_report(curve).cone_vertex_height
+        assert math.isfinite(vertex) and abs(vertex + r) <= 1e-14 * r
+
+
 class TestAsymptotics:
     def test_analytic_values(self):
         assert asymptotic_slope(SurfaceParams(1.0, 3.0)) == 1.0
