@@ -13,9 +13,11 @@ Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
 the end dropped last, and steps by inverse quadratic interpolation through
 these three points where that interpolant is monotone on the bracket, by
 bisection otherwise.  Every iterate shrinks the bracket, so the search keeps
-bisection's guarantee.  Each g is ``profile``'s scalar height, in closed
-form: the cap or catenoid formula at c = 0 or H = 0, else Carlson's R_F and
-R_D (``elliptic.rise``).  The bracket and the tolerances scale with the rings.
+bisection's guarantee.  Each g is ``profile``'s scalar height: the cap or
+catenoid formula at c = 0 or H = 0, else Carlson's R_F and R_D (``elliptic.rise``),
+or Kronrod panels at quad_tol where ``rise`` is not finite (most inputs with
+H R above about 1e100), so g is never nan.  The bracket and the tolerances
+scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
@@ -73,8 +75,8 @@ class PlateauProblem:
 class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
-    ``g_evals`` counts closed-form evaluations of the shooting map
-    f(R; H, c): g(0) at most once (on the plane or the cap, else by the snap
+    ``g_evals`` counts evaluations of f(R; H, c), by panels where ``rise``
+    is not finite: g(0) at most once (on the plane or the cap, else by the snap
     rule), both bracket ends, iterates; a plane or cap confirmed by g(0) takes 1.
     ``interpolation_steps`` and ``bisection_fallbacks`` split the iterates
     after the bracket by how they were chosen (the false-position start
@@ -159,13 +161,14 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     bracket and the search below, whose snap rule reuses that g(0).
     Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
     root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets the
-    returned curve's heights.  The search runs on lengths divided by u, a
-    power of two, so rings scaled by 2^j (both R < 1/2) take the same steps
-    to the bit.  It stops once f(R) meets b within root_tol and the next
-    step (so also the bracket) is within 1e-12 max(u, |c|), or when c
-    cannot move by an ulp.  The root snaps to exactly 0 (the regime split
-    is discontinuous there in floating point) when g(0) meets root_tol,
-    tried where a secant of g puts 0 within root_tol of the root.
+    returned curve's heights and g where ``rise`` is not finite.  The
+    search runs on lengths divided by u, a power of two, so rings scaled
+    by 2^j (both R < 1/2) take the same steps to the bit.  It stops once
+    f(R) meets b within root_tol and the next step (so also the bracket)
+    is within 1e-12 max(u, |c|), or when c cannot move by an ulp.  The root
+    snaps to exactly 0 (the regime split is discontinuous there in floating
+    point) when g(0) meets root_tol, tried where a secant of g puts 0
+    within root_tol of the root.
     ``diagnostics`` on the result counts the work done.
     """
     rings = problem.rings
@@ -182,7 +185,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     def g(c):
         nonlocal n_g
         n_g += 1
-        return _height_at(R, H, c, (r, a)) - b
+        return _height_at(R, H, c, (r, a), problem.quad_tol) - b
 
     # the plane (H = 0, a = b) and the cap (H = H0 > 0): c = 0 is the root,
     # a bracket of width 0, unless roundoff puts g(0) beyond root_tol

@@ -239,11 +239,11 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
 def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     """Profile polyline as RFC-4180 CSV: t, f, f_prime, first_integral_residual.
 
-    A sample at t = 0 is written with the limiting values from the
-    singularity report (axis height, limiting slope, zero residual); all
-    other samples must be positive and finite.  The residual is that of
-    ``first_integral_residual`` with the step clamped to at most t/2, and with
-    the heights at t +- step from one ``heights`` call; where
+    A sample at t = 0 is written with the array engine's axis height f(0+)
+    (as the mesh apex), the singularity report's limiting slope and a zero
+    residual; all other samples must be positive and finite.  The residual is
+    that of ``first_integral_residual`` with the step clamped to at most t/2,
+    and with the heights at t +- step from one ``heights`` call; where
     ``first_integral_residual`` would raise on the differenced slope, it is nan.
     """
     ts = np.asarray(ts, dtype=float)

@@ -13,11 +13,11 @@ through an anchor point f(r) = a is simply
 
 Three families integrate in closed form (plane, maximal catenoid with
 H = 0, hyperbolic cap with c = 0); the rest takes Carlson's ``rise`` at one
-radius and Kronrod panels at an array of radii.  The slope formula is
-evaluated with hypot, which keeps it exact through the conical limit
-h -> -sign(c) as t -> 0; where H t^2 - c overflows the slope is its sign,
-its float64 value up to t ~ 1e300.  The Kronrod panels form lo + hi, so
-heights need radii below about 0.9e308.
+radius (panels where it is not finite) and Kronrod panels at an array of
+radii.  The slope formula is evaluated with hypot, which keeps it exact
+through the conical limit h -> -sign(c) as t -> 0; where H t^2 - c
+overflows the slope is its sign, its float64 value up to t ~ 1e300.  The
+Kronrod panels form lo + hi, so heights need radii below about 0.9e308.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ __all__ = [
     "SingularityKind",
     "SingularityReport",
     "asymptotic_slope",
-    "closed_form_maximal",
-    "closed_form_hyperbolic",
     "first_integral_residual",
     "height",
     "heights",
@@ -207,30 +205,6 @@ def profile_curve(params: SurfaceParams, anchor, quad_tol=DEFAULT_QUAD_TOL) -> P
     return ProfileCurve(params, anchor[0], anchor[1], quad_tol)
 
 
-def closed_form_maximal(t, c, anchor):
-    """Height of the maximal (H = 0, c != 0) profile through ``anchor``.
-
-    Integrating f' = -c / sqrt(t^2 + c^2) gives
-
-        f(t) = a - c (arcsinh(t/|c|) - arcsinh(r/|c|)),
-
-    falling for c > 0 and rising for c < 0, odd in c.  A Python or numpy
-    scalar float ``t`` takes ``math.asinh`` and returns a float; any other
-    ``t`` (arrays, 0-d included, and lists) takes numpy's ``arcsinh``, as
-    ``heights`` does.  The two arcsinh values differ by at most 2 ulp, so
-    the results agree to a few ulp of |a| + |c| (arcsinh(t/|c|) +
-    arcsinh(r/|c|)).
-    """
-    if c == 0.0:
-        raise ValueError("maximal closed form needs c != 0")
-    r, a = anchor
-    if isinstance(t, (float, np.floating)):
-        return float(a - c * (_asinh_ratio(float(t), c) - _asinh_ratio(r, c)))
-    t = np.asarray(t, dtype=float)
-    out = a - c * (_asinh_ratio(t, c) - _asinh_ratio(r, c))
-    return float(out) if out.ndim == 0 else out
-
-
 def _asinh_ratio(t, c):
     """asinh(t / |c|) for t >= 0: ``math`` for a float ``t``, numpy for an array.
 
@@ -251,55 +225,49 @@ def _asinh_ratio(t, c):
                         np.arcsinh(x))
 
 
-def closed_form_hyperbolic(t, H, anchor):
-    """Height of the hyperbolic cap (c = 0, H != 0) through ``anchor``.
-
-    f(t) = a + (sqrt(1 + H^2 t^2) - sqrt(1 + H^2 r^2)) / H.  For H > 0 the
-    point set lies on the hyperbolic plane <x - p, x - p> = -1/H^2 centered
-    at p = (0, 0, a - sqrt(1 + H^2 r^2) / H); equivalently
-    t^2 - (f(t) - p3)^2 + 1/H^2 = 0 at every radius.  H < 0 gives the
-    mirrored cap, exactly the negated heights of (-H, -a).
-    """
-    if H == 0.0:
-        raise ValueError("hyperbolic cap closed form needs H != 0")
-    r, a = anchor
-    # a scalar t as a numpy scalar, cheaper than 0-d array arithmetic
-    t = np.asarray(t, dtype=float)[()]
-    # difference-of-roots form, stable for t near r; no square is formed,
-    # so nothing overflows below H t ~ 1e308, and every factor is odd in H
-    out = a + (t - r) * (H * (t + r) / (np.hypot(1.0, H * t) + math.hypot(1.0, H * r)))
-    return float(out) if out.ndim == 0 else out
-
-
 def _closed_form(t, H, c, anchor):
-    """Height at ``t``, a float or an array, through ``anchor`` of the plane
-    (H = c = 0), maximal catenoid (H = 0) or cap (c = 0); else None."""
+    """Height at ``t``, a float or a float array, through ``anchor = (r, a)``
+    of the plane (H = c = 0), maximal catenoid (H = 0) or cap (c = 0); else None.
+
+    The catenoid integrates f' = -c / sqrt(t^2 + c^2) to
+    f(t) = a - c (arcsinh(t/|c|) - arcsinh(r/|c|)), falling for c > 0 and
+    rising for c < 0, odd in c; a float ``t`` takes ``math.asinh``, an
+    array numpy's ``arcsinh``, which differ by at most 2 ulp.  The cap is
+    f(t) = a + (sqrt(1 + H^2 t^2) - sqrt(1 + H^2 r^2)) / H.  For H > 0 it
+    lies on the hyperbolic plane <x - p, x - p> = -1/H^2 centered at
+    p = (0, 0, a - sqrt(1 + H^2 r^2) / H); H < 0 gives the mirrored cap,
+    exactly the negated heights of (-H, -a).
+    """
     if H and c:
         return None
+    r, a = anchor
     if c:
-        return closed_form_maximal(t, c, anchor)
+        return a - c * (_asinh_ratio(t, c) - _asinh_ratio(r, c))
     if H:
-        return closed_form_hyperbolic(t, H, anchor)
-    return np.full(t.shape, anchor[1]) if isinstance(t, np.ndarray) else anchor[1]
+        # difference-of-roots form, stable for t near r; no square is formed,
+        # so nothing overflows below H t ~ 1e308, and every factor is odd in H
+        return a + (t - r) * (H * (t + r) / (np.hypot(1.0, H * t) + math.hypot(1.0, H * r)))
+    return np.full(t.shape, a) if isinstance(t, np.ndarray) else a
 
 
-def _height_at(t, H, c, anchor):
-    """Height at a float ``t >= 0`` (0: the axis limit) on (H, c) through ``anchor``: the
-    closed form, else a +- ``rise``, for H < 0 the negated height of the mirror (-H, -c, -a),
-    so odd to the bit; nan where ``rise`` overflows (H t or |c| / t above about 1e154)."""
+def _height_at(t, H, c, anchor, quad_tol):
+    """Height at a float ``t >= 0`` (0: the axis limit) on (H, c) through ``anchor``.
+
+    The closed form, else a +- ``rise``, for H < 0 the negated height of the
+    mirror (-H, -c, -a), so odd to the bit.  Where ``rise`` is not finite
+    (on most inputs with H t above about 1e100) it takes the one-point array
+    engine at ``quad_tol``, so it is never nan.
+    """
     closed = _closed_form(t, H, c, anchor)
     if closed is not None:
-        return closed
+        return float(closed)
     r, a = anchor
     if H < 0.0:  # rise takes H >= 0
-        return -_height_at(t, -H, -c, (r, -a))
-    return a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
-
-
-def _height(curve: ProfileCurve, t):
-    """``_height_at`` on ``curve``; where ``rise`` overflows, the one-point array engine."""
-    f = _height_at(t, curve.surface.H, curve.surface.c, (curve.anchor_radius, curve.anchor_height))
-    return f if math.isfinite(f) else float(_heights(curve, np.array([t]))[0])
+        return -_height_at(t, -H, -c, (r, -a), quad_tol)
+    f = a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
+    if math.isfinite(f):
+        return f
+    return float(_heights(ProfileCurve(SurfaceParams(H, c), r, a, quad_tol), np.array([t]))[0])
 
 
 def _heights(curve: ProfileCurve, ts):
@@ -344,9 +312,10 @@ def height(t, curve: ProfileCurve):
 
     ``t`` may sit on either side of the anchor radius.  The plane, maximal
     catenoid and hyperbolic cap evaluate their closed form, every other regime
-    ``rise`` (the solver's f(R) to the bit), or panels where ``rise`` overflows.
+    ``rise`` (the solver's f(R) to the bit), or panels where ``rise`` is not finite.
     """
-    return _height(curve, _radius(t, "height"))
+    return _height_at(_radius(t, "height"), curve.surface.H, curve.surface.c,
+                      (curve.anchor_radius, curve.anchor_height), curve.quad_tol)
 
 
 def heights(curve: ProfileCurve, ts):
@@ -398,7 +367,9 @@ def singularity_report(curve: ProfileCurve) -> SingularityReport:
     else:
         limit, kind = 0.0, SingularityKind.REGULAR_HYPERBOLIC
 
-    return SingularityReport(limit_slope=limit, kind=kind, cone_vertex_height=_height(curve, 0.0))
+    vertex = _height_at(0.0, H_user, c_user, (curve.anchor_radius, curve.anchor_height),
+                        curve.quad_tol)
+    return SingularityReport(limit_slope=limit, kind=kind, cone_vertex_height=vertex)
 
 
 def asymptotic_slope(params: SurfaceParams):

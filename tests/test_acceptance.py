@@ -17,7 +17,6 @@ from lorentz_cmc import (
     NotSpacelikeSolvable,
     RingPair,
     SurfaceParams,
-    closed_form_maximal,
     flux_closed_form,
     flux_numeric,
     height,
@@ -247,7 +246,7 @@ def test_criterion_10_figure_reproduction(tmp_path, capsys):
     # one; the catalogued magnitude is reproduced exactly
     assert abs(abs(f7) - 3.76815) <= 1e-4
     pos = body[:, 0] > 0.0
-    closed = closed_form_maximal(body[pos, 0], 3.0, (1.0, 0.0))
+    closed = -3.0 * (np.arcsinh(body[pos, 0] / 3.0) - np.arcsinh(1.0 / 3.0))
     assert np.max(np.abs(body[pos, 1] - closed)) <= 1e-9
 
     # figure 2: quadrature profile f(t; 1/10, -1/4), f(1) = 0, on [0, 4]

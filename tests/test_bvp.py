@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import time
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -21,7 +22,6 @@ from lorentz_cmc import (
     canonicalize,
     classify,
     classify_params,
-    closed_form_hyperbolic,
     height,
     heights,
     solve_c,
@@ -39,7 +39,7 @@ H0_RINGS = 1.0 / math.sqrt(6.5625)  # hand-reduced threshold formula for RINGS
 
 def _f_at_R(H, c, rings):
     """f(R; H, c) through f(r) = a, as solve_c's g(c) + b takes it."""
-    return _height_at(rings.R, H, c, (rings.r, rings.a))
+    return _height_at(rings.R, H, c, (rings.r, rings.a), DEFAULT_QUAD_TOL)
 
 
 class TestRingsValidateThemselves:
@@ -123,9 +123,7 @@ class TestThreshold:
     def test_cap_through_both_rings_has_curvature_H0(self):
         # the hyperbolic cap anchored at (r, a) with H = H0 hits (R, b)
         h0 = threshold_H0(RINGS)
-        assert closed_form_hyperbolic(RINGS.R, h0, (RINGS.r, RINGS.a)) == pytest.approx(
-            RINGS.b, abs=1e-12
-        )
+        assert _f_at_R(h0, 0.0, RINGS) == pytest.approx(RINGS.b, abs=1e-12)
 
     def test_cap_roundtrip_random_rings(self):
         rng = np.random.default_rng(7)
@@ -134,7 +132,7 @@ class TestThreshold:
             R = r + rng.uniform(0.2, 3.0)
             a = rng.uniform(-1.0, 1.0)
             H = rng.uniform(0.05, 3.0)
-            b = closed_form_hyperbolic(R, H, (r, a))
+            b = _height_at(R, H, 0.0, (r, a), DEFAULT_QUAD_TOL)
             rings = validate_rings(RingPair(r=r, R=R, a=a, b=b))
             assert threshold_H0(rings) == pytest.approx(H, rel=1e-12)
 
@@ -182,7 +180,7 @@ class TestClassifyPredictive:
 
 class TestSolve:
     def test_cap_is_its_own_solution(self):
-        b = closed_form_hyperbolic(2.0, 1.0, (1.0, 0.0))
+        b = _f_at_R(1.0, 0.0, RINGS)
         sol = solve_two_ring(1.0, 2.0, 0.0, b, 1.0)
         assert sol.c == 0.0
         assert sol.regime is Regime.HYPERBOLIC_CAP
@@ -545,7 +543,7 @@ class TestRingScale:
 
     def test_wrong_sign_beyond_root_tol_raises(self, monkeypatch):
         # f(R) = 1 > b at both ends: the upper end is wrong by 0.5
-        monkeypatch.setattr("lorentz_cmc.bvp._height_at", lambda t, H, c, anchor: 1.0)
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at", lambda t, H, c, anchor, quad_tol: 1.0)
         with pytest.raises(RootBracketFailure, match="barrier bracket"):
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
 
@@ -561,7 +559,7 @@ class TestRingScale:
         # f(R) jumps from b + 0.5 to b - 0.5 at c = 0.1: the bracket closes
         # on the jump until c cannot move, and the residual check raises
         monkeypatch.setattr("lorentz_cmc.bvp._height_at",
-                            lambda t, H, c, anchor: 0.5 + (0.5 if c < 0.1 else -0.5))
+                            lambda t, H, c, anchor, quad_tol: 0.5 + (0.5 if c < 0.1 else -0.5))
         with pytest.raises(LorentzCMCError, match="root_tol") as info:
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert not isinstance(info.value, RootBracketFailure)
@@ -571,7 +569,7 @@ class TestRingScale:
         # within root_tol; g falls steeply enough that c = 0 is out of reach
         hi = _barrier_bracket(RINGS, 1.0)[1]
         monkeypatch.setattr("lorentz_cmc.bvp._height_at",
-                            lambda t, H, c, anchor: 0.5 + 1e-12 + 1e-3 * (hi - c))
+                            lambda t, H, c, anchor, quad_tol: 0.5 + 1e-12 + 1e-3 * (hi - c))
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert sol.c == hi
         assert sol.diagnostics.g_evals == 2
@@ -581,7 +579,7 @@ class TestRingScale:
         # g = (2.3 - c)^3 + 1e-300 vanishes at no float, and _C_TOL * |c| is
         # far below one ulp of c, so only the ulp rule can end the search
         monkeypatch.setattr("lorentz_cmc.bvp._height_at",
-                            lambda t, H, c, anchor: (2.3 - c) ** 3 + 1e-300)
+                            lambda t, H, c, anchor, quad_tol: (2.3 - c) ** 3 + 1e-300)
         monkeypatch.setattr("lorentz_cmc.bvp._C_TOL", 1e-300)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.0, 1.0)
         ulp = math.ulp(2.3)
@@ -723,9 +721,9 @@ class TestKnownRoot:
         # runs as at any other H; the snap rule reuses that g(0)
         cs = []
 
-        def height_at(t, H, c, anchor):
+        def height_at(t, H, c, anchor, quad_tol):
             cs.append(c)
-            return _height_at(t, H, c, anchor) + (2e-9 if c == 0.0 else 0.0)
+            return _height_at(t, H, c, anchor, quad_tol) + (2e-9 if c == 0.0 else 0.0)
 
         monkeypatch.setattr("lorentz_cmc.bvp._height_at", height_at)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, threshold_H0(RINGS))
@@ -759,3 +757,45 @@ class TestLightConeGrid:
         H = h * threshold_H0(rings)
         sol = solve_c(PlateauProblem(rings=rings, H=H))
         assert sol.regime is classify(H, rings)
+
+
+class TestRiseOverflow:
+    """Where ``rise`` is not finite, g takes the array engine's panels."""
+
+    # g was nan here: the first solve never stopped, the rest returned a nan residual
+    @pytest.mark.parametrize("case", [(1e-200, 1.0, 0.0, 0.5, 1e150),
+                                      (1.0, 2.0, 0.0, 0.5, 1e160),
+                                      (1.0, 2.0, 0.5, 0.0, 1e160),
+                                      (1e-3, 2e-3, 0.0, 5e-4, 1e163)])
+    def test_solves_near_the_light_cone_limit(self, case):
+        r, R, a, b, H = case
+        start = time.perf_counter()
+        sol = solve_two_ring(*case)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(sol.residual) and sol.residual <= DEFAULT_ROOT_TOL
+        assert abs(sol.curve.height(R) - b) == sol.residual
+        # as H grows the profile tends to the light cones through both rings,
+        # which cross at t = (R + r - |b - a|) / 2, the kink sqrt(c / H)
+        limit = H * ((R + r - abs(b - a)) / 2.0) ** 2
+        assert abs(sol.c - limit) <= 1e-6 * limit
+
+    # H R log-uniform in 1e-8..1e300: a decade drawn as an integer, as float
+    # draws crowd near simple values and leave most of the decades above 1e100
+    @settings(max_examples=150, deadline=None)
+    @given(log_r=st.floats(-8.0, 8.0), log_ratio=st.floats(math.log10(1.02), 4.0),
+           k=st.floats(0.0, 0.9999999), descending=st.booleans(),
+           decade=st.integers(-8, 299), frac=st.floats(0.0, 1.0))
+    def test_every_solve_stops_with_a_finite_residual_or_raises(self, log_r, log_ratio, k,
+                                                                descending, decade, frac):
+        r = 10.0 ** log_r
+        R = r * 10.0 ** log_ratio
+        d = k * (R - r)
+        a, b = (d, 0.0) if descending else (0.0, d)
+        try:
+            sol = solve_two_ring(r, R, a, b, 10.0 ** (decade + frac) / R)
+        except (LorentzCMCError, ValueError):
+            return
+        e_u = min(0, math.frexp(R)[1])
+        root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1] - e_u)))
+        assert sol.diagnostics.g_evals <= 200
+        assert math.isfinite(sol.residual) and sol.residual <= math.ldexp(root_tol, e_u)

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -13,7 +15,6 @@ import lorentz_cmc.cli as cli_module
 from lorentz_cmc import (
     GraphPatch,
     SurfaceParams,
-    closed_form_maximal,
     flux_numeric,
     load_obj,
     patch_from_profile,
@@ -64,6 +65,20 @@ class TestSolve:
         assert rec["residual"] <= 1e-9
         assert rec["flux"] == pytest.approx(2.0 * math.pi * rec["c"], abs=1e-9)
         assert rec["flux"] == 2.0 * math.pi * rec["c_oriented"]
+
+    def test_overflowing_rise_solves_in_a_fresh_process(self):
+        # H R = 1e150: rise is nan there, and with it every g, so this solve
+        # never returned; g now takes panels there
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        run = subprocess.run([sys.executable, "-m", "lorentz_cmc.cli", "solve", "--r", "1e-200",
+                              "--R", "1", "--a", "0", "--b", "0.5", "--H", "1e150"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == EXIT_OK
+        assert "NaN" not in run.stdout
+        rec = last_record(run.stdout)
+        assert math.isfinite(rec["residual"]) and rec["residual"] <= 1e-9
 
     def test_unsolvable_exits_2(self, capsys):
         code, out, err = run(capsys, "solve", "--r", "1", "--R", "2",
@@ -187,6 +202,12 @@ class TestFlux:
 
 
 class TestVerify:
+    def test_neither_csv_nor_profile_is_usage_error(self, capsys):
+        for argv in (("verify",), ("verify", "--H", "1")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE and out == ""
+            assert "missing required parameters: H and c (or csv)" in err
+
     def test_profile_patch(self, capsys):
         code, out, _ = run(capsys, "verify", "--H", "1", "--c", "0",
                            "--extent", "1", "--grid-step", str(1.0 / 64.0))
@@ -304,7 +325,7 @@ class TestFigures:
         body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         ts = body[:, 0]
         pos = ts > 0
-        expected = closed_form_maximal(ts[pos], 3.0, (1.0, 0.0))
+        expected = -3.0 * (np.arcsinh(ts[pos] / 3.0) - np.arcsinh(1.0 / 3.0))
         assert np.max(np.abs(body[pos, 1] - expected)) < 1e-12
         assert rec["f_end"] == pytest.approx(body[-1, 1])
 
@@ -431,6 +452,14 @@ class TestConfig:
         code, out, _ = run(capsys, "solve", "--config", str(cfg))
         assert code == EXIT_OK
         assert last_record(out)["regime"] == "PositiveC"
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("# rings\n\nr=1  # inner\nR=2\n   \na=0\nb=0.5\n  # curvature\nH=1\n")
+        code, out, _ = run(capsys, "solve", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == run(capsys, "solve", "--r", "1", "--R", "2", "--a", "0", "--b", "0.5",
+                          "--H", "1")[1]
 
     def test_cli_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "solve.cfg"
@@ -652,6 +681,12 @@ class TestUsage:
                 main(["--version"])
             assert exc.value.code == 0
             assert capsys.readouterr().out == f"{lorentz_cmc.__version__}\n"
+
+    def test_fractional_count_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "figure", "4", "--nt", "2.5", "--out-dir", str(tmp_path))
+        assert code == EXIT_USAGE and out == ""
+        assert "--nt must be an integer >= 2, got '2.5'" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")

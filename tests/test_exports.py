@@ -32,9 +32,12 @@ def test_every_name_resolves_and_star_import_binds_it():
 
 def test_removed_names_are_not_exported():
     for name in ("asymptotic_slope_estimate", "hyperbolic_center_height",
-                 "patch_from_function", "load_config", "DEFAULT_MAX_INTERVALS"):
+                 "patch_from_function", "load_config", "DEFAULT_MAX_INTERVALS",
+                 "closed_form_maximal", "closed_form_hyperbolic"):
         assert name not in lorentz_cmc.__all__
         assert not hasattr(lorentz_cmc, name)
+    for name in ("closed_form_maximal", "closed_form_hyperbolic", "_height"):
+        assert not hasattr(lorentz_cmc.profile, name)
     assert not hasattr(lorentz_cmc.cli, "load_config")
     assert not hasattr(lorentz_cmc.quadrature, "DEFAULT_MAX_INTERVALS")
     for name in ("R_F", "R_D"):

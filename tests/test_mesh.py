@@ -14,7 +14,6 @@ from lorentz_cmc import (
     SurfaceMesh,
     SpacelikeViolation,
     SurfaceParams,
-    closed_form_maximal,
     euler_characteristic,
     export_obj,
     export_profile_csv,
@@ -66,7 +65,7 @@ class TestSampling:
         curve = curve_of(0.0, 3.0)
         mesh = sample_surface(curve, (0.0, 7.0), 64, 64)
         radii = np.hypot(mesh.vertices[1:, 0], mesh.vertices[1:, 1])
-        expected = closed_form_maximal(radii, 3.0, (1.0, 0.0))
+        expected = -3.0 * (np.arcsinh(radii / 3.0) - np.arcsinh(1.0 / 3.0))
         assert np.max(np.abs(mesh.vertices[1:, 2] - expected)) < 1e-9
 
     def test_mesh_is_frozen(self):
@@ -102,6 +101,8 @@ class TestSampling:
             sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), 1, 8)
         with pytest.raises(ValueError):
             sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), 4, 2)
+        with pytest.raises(ValueError, match="unknown spacing 'cubic'"):
+            sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), 4, 8, spacing="cubic")
 
     def test_face_orientation_counterclockwise_from_above(self):
         mesh = sample_surface(curve_of(0.0, 0.0), (1.0, 2.0), 3, 8)

@@ -125,6 +125,16 @@ class TestGraphOracle:
         with pytest.raises(ValueError):
             mean_curvature_graph(cap_patch(0.25), mode="spectral")
 
+    def test_malformed_patch_rejected(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="values must have shape"):
+            GraphPatch(x1=xs, x2=xs[:4], values=np.zeros((5, 5)), mask=np.ones((5, 4), bool))
+        with pytest.raises(ValueError, match="mask must match values"):
+            GraphPatch(x1=xs, x2=xs, values=np.zeros((5, 5)), mask=np.ones((5, 4), bool))
+        line = GraphPatch(x1=xs[:1], x2=xs, values=np.zeros((1, 5)), mask=np.ones((1, 5), bool))
+        with pytest.raises(ValueError, match="at least 2 points per axis"):
+            mean_curvature_graph(line)
+
     def test_nonuniform_grid_rejected(self):
         xs = np.array([0.0, 0.1, 0.3])
         patch = patch_from_function(lambda X1, X2: X1 * 0.0, xs, xs)

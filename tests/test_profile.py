@@ -17,8 +17,6 @@ from lorentz_cmc import (
     SpacelikeViolation,
     SurfaceParams,
     asymptotic_slope,
-    closed_form_hyperbolic,
-    closed_form_maximal,
     export_profile_csv,
     first_integral_residual,
     height,
@@ -130,22 +128,22 @@ class TestSlope:
 
 class TestClosedForms:
     def test_maximal_anchor(self):
-        assert closed_form_maximal(1.0, 3.0, (1.0, 0.0)) == 0.0
+        assert profile._closed_form(1.0, 0.0, 3.0, (1.0, 0.0)) == 0.0
 
     def test_maximal_value_and_oddness_in_c(self):
         # oracle: integral of -c / sqrt(s^2 + c^2) from 1 to 3
         expected = -3.0 * (math.asinh(1.0) - math.asinh(1.0 / 3.0))
         assert expected == pytest.approx(-1.6617703103468537, abs=1e-12)
-        assert closed_form_maximal(3.0, 3.0, (1.0, 0.0)) == pytest.approx(expected, abs=1e-14)
-        assert closed_form_maximal(3.0, -3.0, (1.0, 0.0)) == pytest.approx(-expected, abs=1e-14)
+        for c, want in ((3.0, expected), (-3.0, -expected)):
+            assert profile._closed_form(3.0, 0.0, c, (1.0, 0.0)) == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("c", [2.225073858507203e-309, -2.225073858507203e-309, 5e-324])
-    @pytest.mark.parametrize("t", [2.0, [1e-300, 0.5, 2.0, 7.0]])
+    @pytest.mark.parametrize("t", [2.0, np.array([1e-300, 0.5, 2.0, 7.0])])
     def test_maximal_subnormal_c_is_finite(self, c, t):
         # t/|c| overflows; asinh(x) - asinh(y) there is log(x/y) = log(t/r)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = closed_form_maximal(t, c, (1.5, 0.0))
+            got = profile._closed_form(t, 0.0, c, (1.5, 0.0))
             height_got = heights(profile_curve(SurfaceParams(0.0, c), (1.5, 0.0)), t)
         expected = -c * np.log(np.asarray(t) / 1.5)
         assert np.all(np.isfinite(got))
@@ -163,52 +161,43 @@ class TestClosedForms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for c in np.concatenate((cs, -cs)).tolist():
-                array = closed_form_maximal(ts, c, anchor)
+                array = profile._closed_form(ts, 0.0, c, anchor)
                 asinh_array = profile._asinh_ratio(ts, c)
                 asinh_r = profile._asinh_ratio(r, c)
                 for t, want, asinh_want in zip(ts.tolist(), array, asinh_array):
-                    got = closed_form_maximal(t, c, anchor)
+                    got = profile._closed_form(t, 0.0, c, anchor)
                     asinh_t = profile._asinh_ratio(t, c)
                     assert abs(asinh_t - asinh_want) <= 2.0 * math.ulp(asinh_t)
                     assert abs(got - want) <= 4.0 * math.ulp(abs(a) + abs(c) * (asinh_t + asinh_r))
 
-    def test_maximal_takes_math_for_scalar_floats_only(self):
+    def test_maximal_takes_math_for_a_height_and_numpy_for_heights(self):
         t, c, (r, a) = 3.0, 1.7, (1.0, 0.25)
         by_math = a - c * (math.asinh(t / c) - math.asinh(r / c))
         by_numpy = a - c * (np.arcsinh(np.array([t]) / c) - math.asinh(r / c))
-        for scalar in (t, np.float64(t), np.float32(t)):
-            got = closed_form_maximal(scalar, c, (r, a))
+        curve = profile_curve(SurfaceParams(0.0, c), (r, a))
+        for scalar in (t, np.float64(t)):
+            got = height(scalar, curve)
             assert type(got) is float and got == by_math
-        # lists and 0-d arrays keep numpy's path, as heights does
-        for other in ([t], np.array(t), np.array([t])):
-            got = closed_form_maximal(other, c, (r, a))
-            assert np.array_equal(np.ravel(got), by_numpy)
-            assert np.array_equal(np.ravel(got), heights(profile_curve(SurfaceParams(0.0, c),
-                                                                       (r, a)), [t]))
-
-    def test_maximal_requires_nonzero_c(self):
-        with pytest.raises(ValueError):
-            closed_form_maximal(2.0, 0.0, (1.0, 0.0))
+        assert np.array_equal(heights(curve, [t]), by_numpy)
 
     def test_hyperbolic_anchor_and_value(self):
-        assert closed_form_hyperbolic(1.0, 1.0, (1.0, 0.0)) == 0.0
+        assert height(1.0, curve_of(1.0, 0.0)) == 0.0
         expected = math.sqrt(5.0) - math.sqrt(2.0)
-        assert closed_form_hyperbolic(2.0, 1.0, (1.0, 0.0)) == pytest.approx(expected, abs=1e-14)
+        assert height(2.0, curve_of(1.0, 0.0)) == pytest.approx(expected, abs=1e-14)
 
-    def test_hyperbolic_mirror_is_exact_and_flat_cap_rejected(self):
+    def test_hyperbolic_mirror_is_exact(self):
         ts = np.geomspace(0.01, 100.0, 41)
-        up = closed_form_hyperbolic(ts, 0.7, (1.3, -0.4))
-        down = closed_form_hyperbolic(ts, -0.7, (1.3, 0.4))
+        up = heights(curve_of(0.7, 0.0, r=1.3, a=-0.4), ts)
+        down = heights(curve_of(-0.7, 0.0, r=1.3, a=0.4), ts)
         assert np.negative(up).tobytes() == down.tobytes()
-        with pytest.raises(ValueError, match="H != 0"):
-            closed_form_hyperbolic(2.0, 0.0, (1.0, 0.0))
 
     def test_hyperboloid_residual_identity(self):
         # the cap lies on <x - p, x - p> = -1/H^2, centered at height p3
         H, anchor = 0.7, (1.3, -0.4)
         p3 = anchor[1] - math.sqrt(1.0 + (H * anchor[0]) ** 2) / H
+        cap = curve_of(H, 0.0, r=anchor[0], a=anchor[1])
         for t in np.geomspace(0.05, 50.0, 40):
-            f = closed_form_hyperbolic(t, H, anchor)
+            f = height(t, cap)
             assert t * t - (f - p3) ** 2 + 1.0 / H**2 == pytest.approx(0.0, abs=1e-9 * max(1.0, t * t))
 
 
@@ -244,6 +233,8 @@ class TestHeight:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(NonPositiveRadius):
             height(0.0, curve_of(1.0, 3.0))
+        with pytest.raises(NonPositiveRadius):
+            heights(curve_of(1.0, 3.0), [1.0, -1.0])
 
     def test_exhausted_budget_raises(self, monkeypatch):
         from lorentz_cmc import QuadratureFailure
