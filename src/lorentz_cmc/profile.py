@@ -13,8 +13,8 @@ through an anchor point f(r) = a is simply
 
 Three families integrate in closed form (plane, maximal catenoid with
 H = 0, hyperbolic cap with c = 0); the rest takes Carlson's ``rise`` at one
-radius (panels where it is not finite) and Kronrod panels at an array of
-radii.  The slope formula is evaluated with hypot, which keeps it exact
+radius (panels where it is not finite or H t > 1e100) and Kronrod panels at
+an array of radii.  The slope formula is evaluated with hypot, which keeps it exact
 through the conical limit h -> -sign(c) as t -> 0; where H t^2 - c
 overflows the slope is its sign, its float64 value up to t ~ 1e300.  The
 Kronrod panels form lo + hi, so heights need radii below about 0.9e308.
@@ -127,7 +127,13 @@ def slope(t, params: SurfaceParams):
     every radius; its float64 value is +-1 where t or |H t^2 - c| is below
     about 1e-8 of the other.  No quadrature is involved.
     """
-    return float(_slope_raw(_radius(t, "slope"), params.H, params.c))
+    t = _radius(t, "slope")
+    # _slope_raw's operations on Python floats, which overflow to inf
+    # without a warning; hypot stays numpy's, as math.hypot's bits differ
+    w = float(params.H) * t * t - float(params.c)
+    if math.isinf(w):
+        return math.copysign(1.0, w)
+    return float(w / np.hypot(t, w))
 
 
 def slope_extremum_radius(params: SurfaceParams):
@@ -250,12 +256,17 @@ def _closed_form(t, H, c, anchor):
     return np.full(t.shape, a) if isinstance(t, np.ndarray) else a
 
 
+# H t up to which ``rise`` holds 3e-13 (t - r) against a 60-digit oracle;
+# beyond it some inputs give wrong finite values (README, CHANGES.md)
+_RISE_TRUSTED = 1e100
+
+
 def _height_at(t, H, c, anchor, quad_tol):
     """Height at a float ``t >= 0`` (0: the axis limit) on (H, c) through ``anchor``.
 
     The closed form, else a +- ``rise``, for H < 0 the negated height of the
-    mirror (-H, -c, -a), so odd to the bit.  Where ``rise`` is not finite
-    (on most inputs with H t above about 1e100) it takes the one-point array
+    mirror (-H, -c, -a), so odd to the bit.  Where H max(t, r) exceeds
+    ``_RISE_TRUSTED`` or ``rise`` is not finite it takes the one-point array
     engine at ``quad_tol``, so it is never nan.
     """
     closed = _closed_form(t, H, c, anchor)
@@ -264,9 +275,10 @@ def _height_at(t, H, c, anchor, quad_tol):
     r, a = anchor
     if H < 0.0:  # rise takes H >= 0
         return -_height_at(t, -H, -c, (r, -a), quad_tol)
-    f = a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
-    if math.isfinite(f):
-        return f
+    if H * max(t, r) <= _RISE_TRUSTED:
+        f = a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
+        if math.isfinite(f):
+            return f
     return float(_heights(ProfileCurve(SurfaceParams(H, c), r, a, quad_tol), np.array([t]))[0])
 
 

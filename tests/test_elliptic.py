@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import elliprd, elliprf
 
-from lorentz_cmc import ValidatedRingPair
+from lorentz_cmc import ValidatedRingPair, elliptic
 from lorentz_cmc.elliptic import _carlson, rise
 from lorentz_cmc.profile import DEFAULT_QUAD_TOL, _closed_form, _height_at, _slope_raw
 from lorentz_cmc.quadrature import integrate
@@ -65,6 +67,109 @@ class TestDegenerateArguments:
         rf, rd = _carlson(1.0, 2.0, 0.0)
         assert rd == math.inf
         assert rf == pytest.approx(elliprf(1.0, 2.0, 0.0), rel=1e-14)
+
+
+# cmath.sqrt divides its argument by 8 first, so on [2^-1022, 2^-1019) its
+# real part can be an ulp off math.sqrt, the correctly rounded root
+_SQRT_WINDOW = (sys.float_info.min, 8.0 * sys.float_info.min)
+
+
+def _real_axis_sqrt(z):
+    """cmath.sqrt, with math.sqrt's root on the non-negative real axis."""
+    if z.imag == 0.0 and z.real >= 0.0:
+        return complex(math.sqrt(z.real), z.imag)
+    return cmath.sqrt(z)
+
+
+def _exact_cmath():
+    """``elliptic`` with the complex root correctly rounded on the real axis."""
+    return mock.patch.object(elliptic, "cmath", SimpleNamespace(sqrt=_real_axis_sqrt))
+
+
+def _complex_rise(H, c, r, R):
+    """``rise`` with every root taken in complex arithmetic, as the
+    conjugate-pair regime takes them."""
+    rho, k, g = max(r / R, 2.0 ** -511), H * R, c / R
+    kg = k * g
+    sigma = (1.0 - 2.0 * kg + _real_axis_sqrt(complex(1.0 - 4.0 * kg))) / 2.0
+    q, kr = g * g / sigma, k * rho
+    x2, y2 = _real_axis_sqrt(sigma + k * k), _real_axis_sqrt(sigma + kr * kr)
+    x3, y3 = _real_axis_sqrt(q + 1.0), _real_axis_sqrt(q + rho * rho)
+    d = (1.0 - rho) * (1.0 + rho)
+    u12, u13, u23 = ((x2 * y3 + rho * y2 * x3) / d, (x3 * y2 + rho * y3 * x2) / d,
+                     (rho * x2 * x3 + y2 * y3) / d)
+    rf, rd = _carlson(u12 * u12, u13 * u13, u23 * u23)
+    return R * (k * (g * g * rd / 3.0 + rho / u23) - g * rf).real
+
+
+# up to 1e300, and inf: where the arguments' sum overflows, the complex
+# path's imaginary parts (inf * 0) turn nan and the float path's do not exist
+_nonnegative = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e300, math.inf]),
+                         st.floats(0.0, 1e300))
+
+
+class TestRealArithmetic:
+    """Real roots run in floats, with the bits of complex arithmetic.
+
+    Complex +, * and / with zero imaginary parts round the real part as the
+    float operations do; the roots agree off ``_SQRT_WINDOW``, and on it the
+    float path takes the correctly rounded one.
+    """
+
+    def test_real_arguments_stay_floats(self):
+        assert type(_carlson(1.0, 2.0, 3.0)[0]) is float
+        assert type(rise(1.0, 0.25, 1.0, 2.0)) is float
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(min_value=0.0))
+    def test_complex_root_is_the_float_root_off_the_window(self, x):
+        assume(not _SQRT_WINDOW[0] <= x < _SQRT_WINDOW[1])
+        assert cmath.sqrt(complex(x)).real == math.sqrt(x)
+
+    def test_complex_root_is_off_inside_the_window(self):
+        x = 2.2250738585072024e-308
+        assert cmath.sqrt(complex(x)).real == math.nextafter(math.sqrt(x), 0.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=_nonnegative, y=_nonnegative, z=_nonnegative)
+    @example(0.0, 0.0, 1.0)
+    @example(0.0, 2.0, 0.0)
+    @example(1.0, 2.0, 0.0)
+    @example(0.0, 1e-300, 1e300)
+    def test_carlson_floats_match_complex(self, x, y, z):
+        # all-subnormal arguments underflow a divisor: both raise alike
+        def outcome(*args):
+            try:
+                return [repr(v.real) for v in _carlson(*args)]
+            except ZeroDivisionError:
+                return "ZeroDivisionError"
+
+        with _exact_cmath():
+            want = outcome(complex(x), complex(y), complex(z))
+        assert outcome(x, y, z) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_R=st.floats(-300.0, 300.0), log_ratio=st.floats(1e-3, 200.0),
+           log_H=st.floats(-300.0, 300.0), u=st.floats(-1.0, 1.0), log_c=st.floats(-300.0, 300.0))
+    def test_rise_matches_complex_arithmetic(self, log_R, log_ratio, log_H, u, log_c):
+        R, H = 10.0 ** log_R, 10.0 ** log_H
+        # c <= 1 / (4H): a fraction of the double root's c, or any c < 0
+        c = u / (4.0 * H) if u > 0.0 else -(10.0 ** log_c)
+        r = R / 10.0 ** log_ratio
+        assume(r > 0.0 and 4.0 * (H * R) * (c / R) <= 1.0)
+        with _exact_cmath():
+            want = _complex_rise(H, c, r, R)
+        assert repr(rise(H, c, r, R)) == repr(want)
+
+    @pytest.mark.parametrize("H,c,r,R", [(1.0, 0.25, 0.5, 1.0), (0.5, 0.5, 1e-4, 2.0),
+                                         (2.0 ** -40, 2.0 ** 38, 1.0, 2.0 ** 30),
+                                         (2.0 ** 60, 2.0 ** -62, 2.0 ** -70, 2.0 ** -61)])
+    def test_rise_at_the_double_root(self, H, c, r, R):
+        assert 4.0 * (H * R) * (c / R) == 1.0
+        with _exact_cmath():
+            want = _complex_rise(H, c, r, R)
+        assert math.isfinite(want)
+        assert repr(rise(H, c, r, R)) == repr(want)
 
 
 # (H, c) from two unit draws u, v, by the regime the closed form must cover

@@ -402,6 +402,15 @@ class TestScalarHeight:
         curve = curve_of(H, c)
         assert height(2.0, curve) == want == heights(curve, [2.0])[0]
 
+    def test_rise_beyond_its_trust_bound_takes_the_array_engine(self):
+        # H R = 4.2e104: rise gave 1.5e-12 here, finite and wrong, and the
+        # axis height 1.2e-7 beyond the light cone |f(0+) - a| <= r; the
+        # value is 40-digit mpmath quadrature split at the kink sqrt(c / H)
+        r, R = 0.7568639576687938, 2218.582234870558
+        curve = curve_of(1.906359864168945e+101, 1.611583224328658e+105, r=r)
+        assert abs(height(R, curve) - 2035.450873434548653706) <= 2.0 * curve.quad_tol + 8 * EPS * R
+        assert abs(singularity_report(curve).cone_vertex_height) <= r * (1.0 + 8 * EPS)
+
     @settings(max_examples=100, deadline=None)
     @given(curve=regime_curves(), log_ratio=st.floats(-6.0, 6.0))
     def test_mirror_negates_to_the_bit(self, curve, log_ratio):
@@ -433,6 +442,15 @@ class TestOverflowingSlope:
         want = math.copysign(1.0, H)
         assert [slope(t, SurfaceParams(H, c)) for t in self.RADII] == [want] * 3
         assert list(curve_of(H, c).slopes(self.RADII)) == [want] * 3
+
+    @settings(max_examples=500, deadline=None)
+    @given(logt=st.floats(-300.0, 300.0), H=st.floats(allow_nan=False, allow_infinity=False),
+           c=st.floats(allow_nan=False, allow_infinity=False))
+    def test_scalar_slope_is_the_array_formula_to_the_bit(self, logt, H, c):
+        # the scalar slope runs on Python floats, the array one on numpy
+        t, params = 10.0 ** logt, SurfaceParams(H, c)
+        got, want = slope(t, params), float(profile._slope_raw(t, params.H, params.c))
+        assert repr(got) == repr(want)
 
     def test_finite_bits_stay(self):
         ts = np.geomspace(1e-300, 1e150, 500)
