@@ -14,10 +14,11 @@ the end dropped last, and steps by inverse quadratic interpolation through
 these three points where that interpolant is monotone on the bracket, by
 bisection otherwise.  Every iterate shrinks the bracket, so the search keeps
 bisection's guarantee.  Each g is ``profile``'s scalar height: the cap or
-catenoid formula at c = 0 or H = 0, else Carlson's R_F and R_D (``elliptic.rise``),
-or Kronrod panels at quad_tol where H R exceeds ``rise``'s trust bound 1e100
-or ``rise`` is not finite, so g is never nan.  The bracket and the tolerances
-scale with the rings.
+catenoid formula at c = 0 or H = 0, else Carlson's R_F and R_D (``elliptic.rise``);
+beyond ``rise``'s trust bound H R = 1e100 the light cones through the rings,
+which the profile there meets within 3 / H, and Kronrod panels at quad_tol
+where ``rise`` is not finite below it, so g is never nan.  The bracket and
+the tolerances scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:

@@ -34,8 +34,8 @@ def _carlson(x, y, z):
         R_D = 3/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)^3).
 
     Floats for non-negative float arguments (a negative one must come as
-    complex); complex if any argument is complex.  Infinite where the integrals diverge: two arguments zero, or
-    z = 0 for R_D.
+    complex); complex if any argument is complex.  Infinite where the
+    integrals diverge: two arguments zero, or z = 0 for R_D.
     """
     if complex in (type(x), type(y), type(z)):
         x, y, z, sqrt, inf = complex(x), complex(y), complex(z), cmath.sqrt, _INF

@@ -13,11 +13,13 @@ through an anchor point f(r) = a is simply
 
 Three families integrate in closed form (plane, maximal catenoid with
 H = 0, hyperbolic cap with c = 0); the rest takes Carlson's ``rise`` at one
-radius (panels where it is not finite or H t > 1e100) and Kronrod panels at
-an array of radii.  The slope formula is evaluated with hypot, which keeps it exact
-through the conical limit h -> -sign(c) as t -> 0; where H t^2 - c
-overflows the slope is its sign, its float64 value up to t ~ 1e300.  The
-Kronrod panels form lo + hi, so heights need radii below about 0.9e308.
+radius (the light-cone limit beyond H t = 1e100, panels where ``rise`` is
+not finite) and Kronrod panels at an array of radii.  The slope formula is
+evaluated with hypot, which
+keeps it exact through the conical limit h -> -sign(c) as t -> 0; where
+H t^2 - c overflows the slope is its sign, its float64 value up to
+t ~ 1e300.  The Kronrod panels form lo + hi, so heights need radii below
+about 0.9e308.
 """
 
 from __future__ import annotations
@@ -127,13 +129,7 @@ def slope(t, params: SurfaceParams):
     every radius; its float64 value is +-1 where t or |H t^2 - c| is below
     about 1e-8 of the other.  No quadrature is involved.
     """
-    t = _radius(t, "slope")
-    # _slope_raw's operations on Python floats, which overflow to inf
-    # without a warning; hypot stays numpy's, as math.hypot's bits differ
-    w = float(params.H) * t * t - float(params.c)
-    if math.isinf(w):
-        return math.copysign(1.0, w)
-    return float(w / np.hypot(t, w))
+    return float(_slope_raw(_radius(t, "slope"), params.H, params.c))
 
 
 def slope_extremum_radius(params: SurfaceParams):
@@ -261,13 +257,29 @@ def _closed_form(t, H, c, anchor):
 _RISE_TRUSTED = 1e100
 
 
+def _light_cone_limit(t, H, c, anchor):
+    """a + int_r^t sign(H s^2 - c) ds for H > 0: the light cones through the
+    anchor, which the profile leaves by at most 2 sqrt(2) / H.
+
+    Off the kink k = sqrt(c / H), |h| >= 1 / sqrt(1 + x^2) with
+    x = 1 / (H |s - k|) (x = 1 / (H s) for c <= 0), so |sign - h| <=
+    min(1, 1 / (2 H^2 (s - k)^2)), whose integral is 2 sqrt(2) / H.
+    """
+    r, a = anchor
+    lo, hi = min(t, r), max(t, r)
+    # the kink clamped to [lo, hi], so neither difference cancels
+    k = min(max(math.sqrt(max(c, 0.0)) / math.sqrt(H), lo), hi)
+    return a + (abs(t - k) - abs(r - k))
+
+
 def _height_at(t, H, c, anchor, quad_tol):
     """Height at a float ``t >= 0`` (0: the axis limit) on (H, c) through ``anchor``.
 
     The closed form, else a +- ``rise``, for H < 0 the negated height of the
     mirror (-H, -c, -a), so odd to the bit.  Where H max(t, r) exceeds
-    ``_RISE_TRUSTED`` or ``rise`` is not finite it takes the one-point array
-    engine at ``quad_tol``, so it is never nan.
+    ``_RISE_TRUSTED`` it takes the light-cone limit, there within
+    3e-100 max(t, r) of the profile; where ``rise`` is not finite below that
+    it takes the one-point array engine at ``quad_tol``, so it is never nan.
     """
     closed = _closed_form(t, H, c, anchor)
     if closed is not None:
@@ -275,10 +287,11 @@ def _height_at(t, H, c, anchor, quad_tol):
     r, a = anchor
     if H < 0.0:  # rise takes H >= 0
         return -_height_at(t, -H, -c, (r, -a), quad_tol)
-    if H * max(t, r) <= _RISE_TRUSTED:
-        f = a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
-        if math.isfinite(f):
-            return f
+    if H * max(t, r) > _RISE_TRUSTED:
+        return _light_cone_limit(t, H, c, anchor)
+    f = a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
+    if math.isfinite(f):
+        return f
     return float(_heights(ProfileCurve(SurfaceParams(H, c), r, a, quad_tol), np.array([t]))[0])
 
 

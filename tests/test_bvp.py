@@ -760,13 +760,18 @@ class TestLightConeGrid:
 
 
 class TestRiseOverflow:
-    """Where ``rise`` is not finite, g takes the array engine's panels."""
+    """Beyond H R = 1e100, g is the light-cone limit; below it, where ``rise``
+    is not finite, the array engine's panels."""
 
-    # g was nan here: the first solve never stopped, the rest returned a nan residual
+    # g was nan on the first four: the first solve never stopped, the rest
+    # returned a nan residual; on the last rise was finite and wrong, and the
+    # solve returned a c whose f(R) missed b by 278 (against 60-digit mpmath)
     @pytest.mark.parametrize("case", [(1e-200, 1.0, 0.0, 0.5, 1e150),
                                       (1.0, 2.0, 0.0, 0.5, 1e160),
                                       (1.0, 2.0, 0.5, 0.0, 1e160),
-                                      (1e-3, 2e-3, 0.0, 5e-4, 1e163)])
+                                      (1e-3, 2e-3, 0.0, 5e-4, 1e163),
+                                      (214.5627032642785, 1012.522937824643, -122.07462289873308,
+                                       323.37596552492437, 2.460555614152022e+100)])
     def test_solves_near_the_light_cone_limit(self, case):
         r, R, a, b, H = case
         start = time.perf_counter()
@@ -778,6 +783,29 @@ class TestRiseOverflow:
         # which cross at t = (R + r - |b - a|) / 2, the kink sqrt(c / H)
         limit = H * ((R + r - abs(b - a)) / 2.0) ** 2
         assert abs(sol.c - limit) <= 1e-6 * limit
+
+    # H R log-uniform in 1e101..1e291 with H R^2 finite.  With the panels or
+    # rise there, 25 of 256 seeded draws with H R in 1e100..1e104 raised and
+    # one returned a c whose f(R) missed b by 278 (against 60-digit mpmath)
+    @settings(max_examples=150, deadline=None)
+    @given(log_r=st.floats(-8.0, 4.0), log_ratio=st.floats(math.log10(1.02), 4.0),
+           k=st.floats(0.0, 0.9999999), descending=st.booleans(),
+           decade=st.integers(101, 290), frac=st.floats(0.0, 1.0))
+    def test_beyond_the_trust_bound_the_kink_is_where_the_light_cones_cross(
+            self, log_r, log_ratio, k, descending, decade, frac):
+        r = 10.0 ** log_r
+        R = r * 10.0 ** log_ratio
+        d = k * (R - r)
+        a, b = (d, 0.0) if descending else (0.0, d)
+        H = 10.0 ** (decade + frac) / R
+        sol = solve_two_ring(r, R, a, b, H)
+        e_u = min(0, math.frexp(R)[1])
+        root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1] - e_u)))
+        assert math.isfinite(sol.residual) and sol.residual <= math.ldexp(root_tol, e_u)
+        # the profile is within 3 / H of the cones, so f(R) - b moves the kink
+        # sqrt(c / H) by half of it from where they cross, (R + r - |b - a|) / 2
+        kink = math.sqrt(sol.c) / math.sqrt(H)
+        assert abs(kink - (R + r - d) / 2.0) <= sol.residual / 2.0 + 16 * math.ulp(R)
 
     # H R log-uniform in 1e-8..1e300: a decade drawn as an integer, as float
     # draws crowd near simple values and leave most of the decades above 1e100

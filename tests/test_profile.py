@@ -398,18 +398,24 @@ class TestScalarHeight:
                                           (1.0, -1e160, 1.0), (1e160, 1.0, 1.0),
                                           (1e160, -1.0, 1.0)])
     def test_rise_overflow_takes_the_array_engine(self, H, c, want):
-        # rise is nan where H t or |c| / t is huge; the one-point panels answer
+        # rise is nan where H t or |c| / t is huge; the one-point panels
+        # answer, and beyond H t = 1e100 the light-cone limit
         curve = curve_of(H, c)
         assert height(2.0, curve) == want == heights(curve, [2.0])[0]
 
-    def test_rise_beyond_its_trust_bound_takes_the_array_engine(self):
-        # H R = 4.2e104: rise gave 1.5e-12 here, finite and wrong, and the
-        # axis height 1.2e-7 beyond the light cone |f(0+) - a| <= r; the
-        # value is 40-digit mpmath quadrature split at the kink sqrt(c / H)
-        r, R = 0.7568639576687938, 2218.582234870558
-        curve = curve_of(1.906359864168945e+101, 1.611583224328658e+105, r=r)
-        assert abs(height(R, curve) - 2035.450873434548653706) <= 2.0 * curve.quad_tol + 8 * EPS * R
-        assert abs(singularity_report(curve).cone_vertex_height) <= r * (1.0 + 8 * EPS)
+    # rise gave 1.5e-12 at H R = 4.2e104, finite and wrong, and an axis height
+    # 1.2e-7 beyond the light cone |f(0+) - a| <= r; at H R = 2.5e103 it
+    # was 278 off.  The values are mpmath quadrature split at the kink
+    # sqrt(c / H), at 40 and 60 digits
+    @pytest.mark.parametrize("H,c,r,a,t,want", [
+        (1.906359864168945e+101, 1.611583224328658e+105, 0.7568639576687938, 0.0,
+         2218.582234870558, 2035.450873434548653706),
+        (2.460555614152022e+100, 3.7582117724898645e+105, 214.5627032642785,
+         -122.07462289873308, 1012.522937824643, 323.37596552492437)])
+    def test_beyond_the_trust_bound_height_is_the_light_cone_limit(self, H, c, r, a, t, want):
+        curve = curve_of(H, c, r=r, a=a)
+        assert abs(height(t, curve) - want) <= 8 * EPS * max(t, abs(a))
+        assert abs(singularity_report(curve).cone_vertex_height - a) <= r + 8 * EPS * max(r, abs(a))
 
     @settings(max_examples=100, deadline=None)
     @given(curve=regime_curves(), log_ratio=st.floats(-6.0, 6.0))
@@ -447,7 +453,7 @@ class TestOverflowingSlope:
     @given(logt=st.floats(-300.0, 300.0), H=st.floats(allow_nan=False, allow_infinity=False),
            c=st.floats(allow_nan=False, allow_infinity=False))
     def test_scalar_slope_is_the_array_formula_to_the_bit(self, logt, H, c):
-        # the scalar slope runs on Python floats, the array one on numpy
+        # the scalar slope is the array formula at one radius
         t, params = 10.0 ** logt, SurfaceParams(H, c)
         got, want = slope(t, params), float(profile._slope_raw(t, params.H, params.c))
         assert repr(got) == repr(want)
