@@ -15,11 +15,10 @@ Three families integrate in closed form (plane, maximal catenoid with
 H = 0, hyperbolic cap with c = 0); the rest takes Carlson's ``rise`` at one
 radius (the light-cone limit beyond H t = 1e100, panels where ``rise`` is
 not finite) and Kronrod panels at an array of radii.  The slope formula is
-evaluated with hypot, which
-keeps it exact through the conical limit h -> -sign(c) as t -> 0; where
-H t^2 - c overflows the slope is its sign, its float64 value up to
-t ~ 1e300.  The Kronrod panels form lo + hi, so heights need radii below
-about 0.9e308.
+evaluated with hypot, which keeps it exact through the conical limit
+h -> -sign(c) as t -> 0; where H t^2 - c overflows the slope is its sign,
+its float64 value up to t ~ 1e300.  The Kronrod panels form lo + hi, so
+heights need radii below about 0.9e308.
 """
 
 from __future__ import annotations
