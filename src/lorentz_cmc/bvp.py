@@ -14,11 +14,11 @@ the end dropped last, and steps by inverse quadratic interpolation through
 these three points where that interpolant is monotone on the bracket, by
 bisection otherwise.  Every iterate shrinks the bracket, so the search keeps
 bisection's guarantee.  Each g is ``profile``'s scalar height: the cap or
-catenoid formula at c = 0 or H = 0, else Carlson's R_F and R_D (``elliptic.rise``);
-beyond ``rise``'s trust bound H R = 1e100 the light cones through the rings,
-which the profile there meets within 3 / H, and Kronrod panels at quad_tol
-where ``rise`` is not finite below it, so g is never nan.  The bracket and
-the tolerances scale with the rings.
+catenoid formula at c = 0 or H = 0; the light cones through the rings beyond
+``rise``'s trust bound H R = 1e100 (the profile is within 2 sqrt(2) / H) or
+where |c| dwarfs H R^2 and R (within float64); else Carlson's R_F and R_D
+(``elliptic.rise``).  So g is never nan and takes no tolerance.  The bracket
+and the tolerances scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
@@ -76,9 +76,9 @@ class PlateauProblem:
 class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
-    ``g_evals`` counts evaluations of f(R; H, c), by panels where ``rise``
-    is not finite: g(0) at most once (on the plane or the cap, else by the snap
-    rule), both bracket ends, iterates; a plane or cap confirmed by g(0) takes 1.
+    ``g_evals`` counts evaluations of f(R; H, c), each in closed form: g(0)
+    at most once (on the plane or the cap, else by the snap rule), both
+    bracket ends, iterates; a plane or cap confirmed by g(0) takes 1.
     ``interpolation_steps`` and ``bisection_fallbacks`` split the iterates
     after the bracket by how they were chosen (the false-position start
     counts as interpolation).
@@ -161,8 +161,8 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     search); a g(0) beyond root_tol, and every other H, takes the barrier
     bracket and the search below, whose snap rule reuses that g(0).
     Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
-    root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets the
-    returned curve's heights and g where ``rise`` is not finite.  The
+    root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets only the
+    returned curve's array-path heights, as g is closed form.  The
     search runs on lengths divided by u, a power of two, so rings scaled
     by 2^j (both R < 1/2) take the same steps to the bit.  It stops once
     f(R) meets b within root_tol and the next step (so also the bracket)
@@ -186,7 +186,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     def g(c):
         nonlocal n_g
         n_g += 1
-        return _height_at(R, H, c, (r, a), problem.quad_tol) - b
+        return _height_at(R, H, c, (r, a)) - b
 
     # the plane (H = 0, a = b) and the cap (H = H0 > 0): c = 0 is the root,
     # a bracket of width 0, unless roundoff puts g(0) beyond root_tol

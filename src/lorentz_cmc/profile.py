@@ -13,8 +13,8 @@ through an anchor point f(r) = a is simply
 
 Three families integrate in closed form (plane, maximal catenoid with
 H = 0, hyperbolic cap with c = 0); the rest takes Carlson's ``rise`` at one
-radius (the light-cone limit beyond H t = 1e100, panels where ``rise`` is
-not finite) and Kronrod panels at an array of radii.  The slope formula is
+radius (the light-cone limit beyond H t = 1e100 or where |c| dwarfs H t^2
+and t) and Kronrod panels at an array of radii.  The slope formula is
 evaluated with hypot, which keeps it exact through the conical limit
 h -> -sign(c) as t -> 0; where H t^2 - c overflows the slope is its sign,
 its float64 value up to t ~ 1e300.  The Kronrod panels form lo + hi, so
@@ -254,6 +254,9 @@ def _closed_form(t, H, c, anchor):
 # H t up to which ``rise`` holds 3e-13 (t - r) against a 60-digit oracle;
 # beyond it some inputs give wrong finite values (README, CHANGES.md)
 _RISE_TRUSTED = 1e100
+# m / hi, m = |c| - H hi^2 and hi = max(t, r), past which |H s^2 - c| >= m between t and r
+# keeps 1 - |h| <= hi^2 / (2 m^2) < 2^-55: f(t) = a - sign(c) (t - r) within eps/8 |t - r|
+_CONE_MARGIN = 2.0 ** 27
 
 
 def _light_cone_limit(t, H, c, anchor):
@@ -262,7 +265,8 @@ def _light_cone_limit(t, H, c, anchor):
 
     Off the kink k = sqrt(c / H), |h| >= 1 / sqrt(1 + x^2) with
     x = 1 / (H |s - k|) (x = 1 / (H s) for c <= 0), so |sign - h| <=
-    min(1, 1 / (2 H^2 (s - k)^2)), whose integral is 2 sqrt(2) / H.
+    min(1, 1 / (2 H^2 (s - k)^2)), whose integral is 2 sqrt(2) / H.  A kink
+    beyond t or r clamps to that end: the one cone a - sign(c) (t - r).
     """
     r, a = anchor
     lo, hi = min(t, r), max(t, r)
@@ -271,27 +275,23 @@ def _light_cone_limit(t, H, c, anchor):
     return a + (abs(t - k) - abs(r - k))
 
 
-def _height_at(t, H, c, anchor, quad_tol):
+def _height_at(t, H, c, anchor):
     """Height at a float ``t >= 0`` (0: the axis limit) on (H, c) through ``anchor``.
 
     The closed form, else a +- ``rise``, for H < 0 the negated height of the
-    mirror (-H, -c, -a), so odd to the bit.  Where H max(t, r) exceeds
-    ``_RISE_TRUSTED`` it takes the light-cone limit, there within
-    3e-100 max(t, r) of the profile; where ``rise`` is not finite below that
-    it takes the one-point array engine at ``quad_tol``, so it is never nan.
+    mirror (-H, -c, -a), so odd to the bit; the light-cone limit beyond
+    ``_RISE_TRUSTED`` or ``_CONE_MARGIN``, which held every overflow of ``rise`` drawn.
     """
     closed = _closed_form(t, H, c, anchor)
     if closed is not None:
         return float(closed)
     r, a = anchor
     if H < 0.0:  # rise takes H >= 0
-        return -_height_at(t, -H, -c, (r, -a), quad_tol)
-    if H * max(t, r) > _RISE_TRUSTED:
+        return -_height_at(t, -H, -c, (r, -a))
+    hi = max(t, r)
+    if H * hi > _RISE_TRUSTED or abs(c) - H * hi * hi > _CONE_MARGIN * hi:
         return _light_cone_limit(t, H, c, anchor)
-    f = a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
-    if math.isfinite(f):
-        return f
-    return float(_heights(ProfileCurve(SurfaceParams(H, c), r, a, quad_tol), np.array([t]))[0])
+    return a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
 
 
 def _heights(curve: ProfileCurve, ts):
@@ -336,10 +336,11 @@ def height(t, curve: ProfileCurve):
 
     ``t`` may sit on either side of the anchor radius.  The plane, maximal
     catenoid and hyperbolic cap evaluate their closed form, every other regime
-    ``rise`` (the solver's f(R) to the bit), or panels where ``rise`` is not finite.
+    ``rise`` or its light-cone limit (the solver's f(R) to the bit); the
+    curve's quad_tol plays no part.
     """
     return _height_at(_radius(t, "height"), curve.surface.H, curve.surface.c,
-                      (curve.anchor_radius, curve.anchor_height), curve.quad_tol)
+                      (curve.anchor_radius, curve.anchor_height))
 
 
 def heights(curve: ProfileCurve, ts):
@@ -391,8 +392,7 @@ def singularity_report(curve: ProfileCurve) -> SingularityReport:
     else:
         limit, kind = 0.0, SingularityKind.REGULAR_HYPERBOLIC
 
-    vertex = _height_at(0.0, H_user, c_user, (curve.anchor_radius, curve.anchor_height),
-                        curve.quad_tol)
+    vertex = _height_at(0.0, H_user, c_user, (curve.anchor_radius, curve.anchor_height))
     return SingularityReport(limit_slope=limit, kind=kind, cone_vertex_height=vertex)
 
 

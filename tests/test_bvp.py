@@ -39,7 +39,7 @@ H0_RINGS = 1.0 / math.sqrt(6.5625)  # hand-reduced threshold formula for RINGS
 
 def _f_at_R(H, c, rings):
     """f(R; H, c) through f(r) = a, as solve_c's g(c) + b takes it."""
-    return _height_at(rings.R, H, c, (rings.r, rings.a), DEFAULT_QUAD_TOL)
+    return _height_at(rings.R, H, c, (rings.r, rings.a))
 
 
 class TestRingsValidateThemselves:
@@ -132,7 +132,7 @@ class TestThreshold:
             R = r + rng.uniform(0.2, 3.0)
             a = rng.uniform(-1.0, 1.0)
             H = rng.uniform(0.05, 3.0)
-            b = _height_at(R, H, 0.0, (r, a), DEFAULT_QUAD_TOL)
+            b = _height_at(R, H, 0.0, (r, a))
             rings = validate_rings(RingPair(r=r, R=R, a=a, b=b))
             assert threshold_H0(rings) == pytest.approx(H, rel=1e-12)
 
@@ -543,7 +543,7 @@ class TestRingScale:
 
     def test_wrong_sign_beyond_root_tol_raises(self, monkeypatch):
         # f(R) = 1 > b at both ends: the upper end is wrong by 0.5
-        monkeypatch.setattr("lorentz_cmc.bvp._height_at", lambda t, H, c, anchor, quad_tol: 1.0)
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at", lambda t, H, c, anchor: 1.0)
         with pytest.raises(RootBracketFailure, match="barrier bracket"):
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
 
@@ -559,7 +559,7 @@ class TestRingScale:
         # f(R) jumps from b + 0.5 to b - 0.5 at c = 0.1: the bracket closes
         # on the jump until c cannot move, and the residual check raises
         monkeypatch.setattr("lorentz_cmc.bvp._height_at",
-                            lambda t, H, c, anchor, quad_tol: 0.5 + (0.5 if c < 0.1 else -0.5))
+                            lambda t, H, c, anchor: 0.5 + (0.5 if c < 0.1 else -0.5))
         with pytest.raises(LorentzCMCError, match="root_tol") as info:
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert not isinstance(info.value, RootBracketFailure)
@@ -569,7 +569,7 @@ class TestRingScale:
         # within root_tol; g falls steeply enough that c = 0 is out of reach
         hi = _barrier_bracket(RINGS, 1.0)[1]
         monkeypatch.setattr("lorentz_cmc.bvp._height_at",
-                            lambda t, H, c, anchor, quad_tol: 0.5 + 1e-12 + 1e-3 * (hi - c))
+                            lambda t, H, c, anchor: 0.5 + 1e-12 + 1e-3 * (hi - c))
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert sol.c == hi
         assert sol.diagnostics.g_evals == 2
@@ -579,7 +579,7 @@ class TestRingScale:
         # g = (2.3 - c)^3 + 1e-300 vanishes at no float, and _C_TOL * |c| is
         # far below one ulp of c, so only the ulp rule can end the search
         monkeypatch.setattr("lorentz_cmc.bvp._height_at",
-                            lambda t, H, c, anchor, quad_tol: (2.3 - c) ** 3 + 1e-300)
+                            lambda t, H, c, anchor: (2.3 - c) ** 3 + 1e-300)
         monkeypatch.setattr("lorentz_cmc.bvp._C_TOL", 1e-300)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.0, 1.0)
         ulp = math.ulp(2.3)
@@ -721,9 +721,9 @@ class TestKnownRoot:
         # runs as at any other H; the snap rule reuses that g(0)
         cs = []
 
-        def height_at(t, H, c, anchor, quad_tol):
+        def height_at(t, H, c, anchor):
             cs.append(c)
-            return _height_at(t, H, c, anchor, quad_tol) + (2e-9 if c == 0.0 else 0.0)
+            return _height_at(t, H, c, anchor) + (2e-9 if c == 0.0 else 0.0)
 
         monkeypatch.setattr("lorentz_cmc.bvp._height_at", height_at)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, threshold_H0(RINGS))
@@ -760,8 +760,9 @@ class TestLightConeGrid:
 
 
 class TestRiseOverflow:
-    """Beyond H R = 1e100, g is the light-cone limit; below it, where ``rise``
-    is not finite, the array engine's panels."""
+    """Beyond H R = 1e100, and where |c| dwarfs H R^2 and R (which held every
+    random draw on which ``rise`` overflowed), g is the light-cone limit;
+    elsewhere ``rise``."""
 
     # g was nan on the first four: the first solve never stopped, the rest
     # returned a nan residual; on the last rise was finite and wrong, and the
@@ -802,7 +803,7 @@ class TestRiseOverflow:
         e_u = min(0, math.frexp(R)[1])
         root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1] - e_u)))
         assert math.isfinite(sol.residual) and sol.residual <= math.ldexp(root_tol, e_u)
-        # the profile is within 3 / H of the cones, so f(R) - b moves the kink
+        # the profile is within 2 sqrt(2) / H of the cones, so f(R) - b moves the kink
         # sqrt(c / H) by half of it from where they cross, (R + r - |b - a|) / 2
         kink = math.sqrt(sol.c) / math.sqrt(H)
         assert abs(kink - (R + r - d) / 2.0) <= sol.residual / 2.0 + 16 * math.ulp(R)

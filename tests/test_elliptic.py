@@ -13,7 +13,7 @@ from scipy.special import elliprd, elliprf
 
 from lorentz_cmc import ValidatedRingPair, elliptic
 from lorentz_cmc.elliptic import _carlson, rise
-from lorentz_cmc.profile import DEFAULT_QUAD_TOL, _closed_form, _height_at, _slope_raw
+from lorentz_cmc.profile import _closed_form, _height_at, _slope_raw
 from lorentz_cmc.quadrature import integrate
 
 EPS = sys.float_info.epsilon
@@ -198,7 +198,7 @@ class TestShootingMap:
 
     @staticmethod
     def _check(H, c, r, R):
-        gap = abs(_height_at(R, H, c, (r, 0.0), DEFAULT_QUAD_TOL) - _quadrature_rise(H, c, r, R))
+        gap = abs(_height_at(R, H, c, (r, 0.0)) - _quadrature_rise(H, c, r, R))
         assert gap <= 2.0 * (1e-13 + 50.0 * EPS * (R - r))
 
     @settings(max_examples=150, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (
+    LorentzCMCError,
     NonPositiveRadius,
     ProfileCurve,
     Regime,
@@ -29,6 +30,7 @@ from lorentz_cmc import (
     singularity_report,
     slope,
     slope_extremum_radius,
+    solve_two_ring,
 )
 
 EPS = np.finfo(float).eps
@@ -47,6 +49,18 @@ def curve_of(H, c, r=1.0, a=0.0, **kw):
 def quadrature_only():
     """Context in which every regime, closed-form ones too, takes the quadrature branch."""
     return mock.patch.object(profile, "_closed_form", lambda *args: None)
+
+
+@contextlib.contextmanager
+def without_the_array_engine():
+    """Context in which ``_heights``, ``integrate`` and ``panel_sums`` raise."""
+    def entered(*args, **kwargs):
+        raise AssertionError("the scalar path entered the array engine")
+
+    with contextlib.ExitStack() as stack:
+        for name in ("_heights", "integrate", "panel_sums"):
+            stack.enter_context(mock.patch.object(profile, name, entered))
+        yield
 
 
 @st.composite
@@ -370,8 +384,9 @@ def _vertex_by_regime(curve):
 
 
 class TestScalarHeight:
-    """``height`` and the axis height take the closed form or ``rise`` (the
-    solver's f(R)); ``heights``, the mesh apex and the CSV axis row take panels."""
+    """``height`` and the axis height take the closed form, ``rise`` or its
+    light-cone limit (the solver's f(R)), never panels; ``heights``, the
+    mesh apex and the CSV axis row take panels."""
 
     @staticmethod
     def _quad_height(H, c, r, t):
@@ -397,11 +412,58 @@ class TestScalarHeight:
     @pytest.mark.parametrize("H,c,want", [(1.0, 1e130, -1.0), (1.0, 1e160, -1.0),
                                           (1.0, -1e160, 1.0), (1e160, 1.0, 1.0),
                                           (1e160, -1.0, 1.0)])
-    def test_rise_overflow_takes_the_array_engine(self, H, c, want):
-        # rise is nan where H t or |c| / t is huge; the one-point panels
-        # answer, and beyond H t = 1e100 the light-cone limit
+    def test_rise_overflow_takes_the_cone_limit(self, H, c, want):
+        # rise is nan where H t or |c| / t is huge; there |c| dwarfs H t^2
+        # and t, or H t exceeds 1e100, and the light-cone limit answers
         curve = curve_of(H, c)
         assert height(2.0, curve) == want == heights(curve, [2.0])[0]
+
+    # H down to 1e-320, H max(t, r) up to 1e300, |c| up to 1e308, t and r
+    # each over 1e+-300.  rise overflows on about 30% of such draws, where
+    # the height and the axis height took one-point panels
+    @settings(max_examples=300, deadline=None)
+    @given(log_r=st.floats(-300.0, 300.0), log_t=st.floats(-300.0, 300.0),
+           frac=st.floats(0.0, 1.0), log_c=st.floats(-320.0, 308.0),
+           signs=st.tuples(st.booleans(), st.booleans()), a=st.floats(-1e6, 1e6))
+    def test_never_enters_the_array_engine(self, log_r, log_t, frac, log_c, signs, a):
+        r, t = 10.0 ** log_r, 10.0 ** log_t
+        top = min(300.0 - max(log_r, log_t), 308.0)  # H below 1e308 too
+        H = 10.0 ** (-320.0 + frac * (top + 320.0))
+        c = 10.0 ** log_c
+        curve = curve_of(-H if signs[0] else H, -c if signs[1] else c, r=r, a=a)
+        with without_the_array_engine():
+            assert math.isfinite(height(t, curve))
+            assert math.isfinite(singularity_report(curve).cone_vertex_height)
+
+    # H from 1e-320 to H R = 1e300, R up to 1e8 so that H R^2 stays finite.
+    # The search may still refuse its last c (LorentzCMCError, 1 of 5000
+    # seeded draws), but g never takes the array engine
+    @settings(max_examples=150, deadline=None)
+    @given(log_r=st.floats(-8.0, 4.0), log_ratio=st.floats(math.log10(1.02), 4.0),
+           k=st.floats(0.0, 0.9999999), descending=st.booleans(), frac=st.floats(0.0, 1.0))
+    def test_solve_never_enters_the_array_engine(self, log_r, log_ratio, k, descending, frac):
+        r = 10.0 ** log_r
+        R = r * 10.0 ** log_ratio
+        d = k * (R - r)
+        a, b = (d, 0.0) if descending else (0.0, d)
+        H = 10.0 ** (-320.0 + frac * (620.0 - math.log10(R)))
+        with without_the_array_engine():
+            try:
+                sol = solve_two_ring(r, R, a, b, H)
+            except LorentzCMCError:
+                return
+            vertex = singularity_report(sol.curve).cone_vertex_height
+        assert all(map(math.isfinite, (sol.c, sol.residual, vertex)))
+
+    # the panels gave -9.999999999999998e-121 and rise -1.0000000000000002:
+    # both profiles are the cone a - sign(c) (t - r) to float64
+    @pytest.mark.parametrize("case,c,want", [
+        ((1e-120, 1.0, 0.0, 0.5, 1.0), -0.021726954624766138, -1e-120),
+        ((1.0, 1e9, 0.0, 5e8, 1e-12), -229314238.72744653, -1.0)])
+    def test_axis_height_is_the_cone_to_the_bit(self, case, c, want):
+        sol = solve_two_ring(*case)
+        assert sol.c == c
+        assert singularity_report(sol.curve).cone_vertex_height == want
 
     # rise gave 1.5e-12 at H R = 4.2e104, finite and wrong, and an axis height
     # 1.2e-7 beyond the light cone |f(0+) - a| <= r; at H R = 2.5e103 it
