@@ -6,8 +6,9 @@ in c at every radius) sweeping the open band (a - (R - r), a + (R - r)) as
 c runs from +inf to -inf.  Any admissible target b therefore has exactly
 one root.  For b >= a it lies in a closed-form barrier bracket: with
 k = (b - a)/(R - r) and m = k/sqrt(1 - k^2), the slope is >= k on [r, R]
-at c = H r^2 - m R and <= k at c = H R^2 - m r.  The search runs inside
-that bracket on the values of g(c) = f(R; H, c) - b alone, by
+at c = H r^2 - m R and <= k at c = H R^2 - m r, each end clamped to half
+the largest float so that the bracket's width is finite.  The search runs
+inside that bracket on the values of g(c) = f(R; H, c) - b alone, by
 Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
 145-149): it keeps the newest iterate, the end across the root from it and
 the end dropped last, and steps by inverse quadratic interpolation through
@@ -31,6 +32,7 @@ the reflection x3 -> -x3, which flips H and keeps H0 and the regime.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import Regime, SurfaceParams, ValidatedRingPair, _require_positive
@@ -50,6 +52,8 @@ __all__ = [
 
 DEFAULT_ROOT_TOL = 1e-9
 _C_TOL = 1e-12  # the search's relative stop width (see solve_c)
+# the bracket ends' limit: half the largest float keeps hi - lo finite
+_C_MAX = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True)
@@ -200,6 +204,9 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         k = work.slope_bound
         m = k / math.sqrt((1.0 - k) * (1.0 + k))
         lo, hi = H * r * r - m * R, H * R * R - m * r
+        # clamp into [-_C_MAX, _C_MAX]: a nan end (inf - inf) takes the outer
+        # limit, and a root beyond the limits fails the sign check below
+        lo, hi = max(-_C_MAX, min(lo, _C_MAX)), min(_C_MAX, max(hi, -_C_MAX))
         g_lo, g_hi = g(lo), g(hi)
     if g_lo < -root_tol or g_hi > root_tol:
         raise RootBracketFailure(f"barrier bracket [{lo!r}, {hi!r}] gives f(R) - b = "

@@ -251,8 +251,9 @@ def _closed_form(t, H, c, anchor):
     return np.full(t.shape, a) if isinstance(t, np.ndarray) else a
 
 
-# H t up to which ``rise`` holds 3e-13 (t - r) against a 60-digit oracle;
-# beyond it some inputs give wrong finite values (README, CHANGES.md)
+# H t up to which ``rise`` holds 3e-13 (t - r) against a 60-digit oracle,
+# save where its terms cancel near the kink (about 0.5% of draws with r / t
+# near 1, README); beyond it some inputs give wrong finite values (CHANGES.md)
 _RISE_TRUSTED = 1e100
 # m / hi, m = |c| - H hi^2 and hi = max(t, r), past which |H s^2 - c| >= m between t and r
 # keeps 1 - |h| <= hi^2 / (2 m^2) < 2^-55: f(t) = a - sign(c) (t - r) within eps/8 |t - r|

@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -612,7 +613,8 @@ class TestRingScale:
         assert failures == []
 
     def test_wide_radii_take_under_ten_integrals_on_average(self):
-        # 6.52 measured (2607 g over 400 solves), deterministic
+        # 6.52 measured (2607 g over 400 solves, as before the conjugate-pair
+        # regime of rise ran in floats), deterministic
         evals = [solve_two_ring(*case).diagnostics.g_evals for case in _wide_ring_pairs()]
         assert sum(evals) / len(evals) < 6.85
 
@@ -808,12 +810,39 @@ class TestRiseOverflow:
         kink = math.sqrt(sol.c) / math.sqrt(H)
         assert abs(kink - (R + r - d) / 2.0) <= sol.residual / 2.0 + 16 * math.ulp(R)
 
+    # the barrier end H R^2 - m r overflowed to inf, the next iterate was nan,
+    # and g ran at c = nan for ever; the ends now stop at half the largest float
+    @pytest.mark.parametrize("case", [(1.0, 2e154, 0.0, 1e154, 1.0),
+                                      (1.0, 1e8, 0.0, 5e7, 1e293),
+                                      (1e8, 1e12, 0.0, 499950000000.0, 1e288)])
+    def test_bracket_ends_beyond_the_floats_stop(self, case):
+        def expire(signum, frame):
+            raise TimeoutError(f"solve_two_ring{case} ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            sol = solve_two_ring(*case)
+        except RootBracketFailure:
+            # the last root lies beyond the largest float
+            assert case[1] == 1e12
+            return
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        r, R, a, b, H = case
+        root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1])))
+        assert math.isfinite(sol.c) and sol.residual <= root_tol
+        assert abs(sol.curve.height(R) - b) == sol.residual
+
     # H R log-uniform in 1e-8..1e300: a decade drawn as an integer, as float
     # draws crowd near simple values and leave most of the decades above 1e100
     @settings(max_examples=150, deadline=None)
     @given(log_r=st.floats(-8.0, 8.0), log_ratio=st.floats(math.log10(1.02), 4.0),
            k=st.floats(0.0, 0.9999999), descending=st.booleans(),
            decade=st.integers(-8, 299), frac=st.floats(0.0, 1.0))
+    # an upper bracket end beyond the floats, which once never stopped
+    @example(log_r=8.0, log_ratio=4.0, k=0.5, descending=False, decade=299, frac=1.0)
     def test_every_solve_stops_with_a_finite_residual_or_raises(self, log_r, log_ratio, k,
                                                                 descending, decade, frac):
         r = 10.0 ** log_r

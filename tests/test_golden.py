@@ -61,8 +61,10 @@ LOG_MESH_OBJ = "f2de2770da985c16d81d02312ff027c4893169a9c7e645cefaeaac36057f36d0
 HOLED_PATCH_CSV = "5699f500a884436a4f320b90afa7cdee38d67e75fac4bfb9307f381d2f0715ce"
 
 # (c, residual, H0, regime, the four SolveDiagnostics fields, curve.quad_tol)
-# of the 360 light-cone grid solves, then the 400 wide ring pair solves
-SOLVER_RESULTS = "26c7fe1d96638a94d61090bc4d658a98e23d6ce8d31122301e04bb44fbe45546"
+# of the 360 light-cone grid solves, then the 400 wide ring pair solves;
+# re-pinned when rise's conjugate-pair regime moved to float arithmetic
+# (309 records moved, c by at most 3.7e-10 relative; CHANGES.md)
+SOLVER_RESULTS = "dab1fd12f34e27219b7a1ee680d1a5742cfff64ab3b9c43d2cda08285114ebb4"
 
 
 def sha256(data):
