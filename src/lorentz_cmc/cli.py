@@ -1,15 +1,16 @@
 """Command-line front end: solve / classify / flux / verify / mesh / figure.
 
-Output is one JSON object per line (machine-readable, sorted keys) unless
---human is given.  Exit codes: 0 success, 2 boundary data rejected
-(DegenerateRadii / NotSpacelikeSolvable), 1 any other error, 64 usage
-errors.  Each subcommand accepts --config FILE with key=value lines
-(flags override the file; a key no subcommand knows is a usage error) and
---dump-config FILE to record the effective parameters, defaults included
-(a value that would not read back unchanged is a usage error).
-A value is converted by its parameter's type whether it comes from a flag
-or the file.  The environment variable LORENTZ_CMC_TOL=EPS sets the default
-quadrature tolerance to EPS and the shooting residual tolerance to 10*EPS.
+Output is one JSON object per line (machine-readable, sorted keys, a
+non-finite float written as null) unless --human is given.  Exit codes:
+0 success, 2 boundary data rejected (DegenerateRadii /
+NotSpacelikeSolvable), 1 any other error, 64 usage errors.  Each
+subcommand accepts --config FILE with key=value lines (flags override the
+file; a key no subcommand knows is a usage error) and --dump-config FILE
+to record the effective parameters, defaults included (a value that would
+not read back unchanged is a usage error).  A value is converted by its
+parameter's type whether it comes from a flag or the file.  Tolerances
+come from flags or --config only: solve exits 64 while the retired
+LORENTZ_CMC_TOL is set.
 """
 
 from __future__ import annotations
@@ -103,30 +104,11 @@ def _choice(*options):
     return convert
 
 
-def _switch(text):
-    """Converter for an on/off parameter; its flag takes no value and means on."""
-    value = {"1": True, "true": True, "0": False, "false": False}.get(text.lower())
-    if value is None:
-        raise ValueError("must be one of 1, 0, true, false")
-    return value
-
-
-_switch.argparse = {"action": "store_const", "const": "1"}
-
-
 def _convert(name, convert, text):
     try:
         return convert(text)
     except ValueError as exc:
         raise _UsageError(f"{name} {exc}, got {text!r}") from None
-
-
-def _env_tol(scale, default):
-    """``scale`` * LORENTZ_CMC_TOL if that is set, else ``default``."""
-    env = os.environ.get("LORENTZ_CMC_TOL")
-    if env is None:
-        return default
-    return scale * _convert("LORENTZ_CMC_TOL", _positive, env)
 
 
 def _flag(name):
@@ -163,6 +145,9 @@ def dump_config(values) -> str:
 def _resolve(args):
     """Effective parameters of ``args.command``: the flag, else the --config
     value, else the default; flag and config text go through one converter."""
+    if args.command == "solve" and "LORENTZ_CMC_TOL" in os.environ:
+        raise _UsageError("LORENTZ_CMC_TOL is no longer read; set the tolerance with "
+                          "--root-tol, or root_tol= in a --config file")
     config = dict(_config_items(Path(args.config).read_text())) if args.config else {}
     unknown = sorted(set(config) - _KNOWN)
     if unknown:
@@ -170,8 +155,6 @@ def _resolve(args):
     _, _, table = _COMMANDS[args.command]
     params, missing = {}, []
     for name, convert, default, *_ in table:
-        if callable(default):
-            default = default()
         text = getattr(args, name)
         if text is None:
             text = config.get(name)
@@ -204,11 +187,15 @@ def _write(path, data):
 
 
 def _emit(record, human=False, stream=None):
+    """Print ``record`` as a table, or as one line of strict JSON: a non-finite
+    float value, which ``json`` would write as Infinity or NaN, is null."""
     if human:
         width = max(len(k) for k in record)
         for key in record:
             print(f"{key.ljust(width)}  {record[key]}", file=stream)
     else:
+        record = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in record.items()}
         print(json.dumps(record, sort_keys=True), file=stream)
 
 
@@ -254,7 +241,7 @@ def cmd_flux(p):
     params = SurfaceParams(p["H"], p["c"])
     closed = flux_closed_form(p["r"], params)
     curve = profile_curve(params, (p["r"], 0.0))
-    numeric = flux_numeric(p["r"], curve, angular=p["angular"])
+    numeric = flux_numeric(p["r"], curve)
     return {
         "event": "flux",
         "r": p["r"], "H": p["H"], "c": p["c"],
@@ -346,19 +333,14 @@ _GRID = [("nt", _count(2), 64), ("ntheta", _count(3), 64)]
 
 # The one declaration of every settable parameter: subcommand -> (function,
 # help, [(name, converter, default[, help])]).  A name is the config key and,
-# with dashes for underscores, the flag.  A callable default is called on use.
+# with dashes for underscores, the flag.
 _COMMANDS = {
     "solve": (cmd_solve, "solve the two-ring problem for c", _RINGS + [
-        ("quad_tol", _positive, lambda: _env_tol(1.0, DEFAULT_QUAD_TOL),
-         "absolute quadrature tolerance"),
-        ("root_tol", _positive, lambda: _env_tol(10.0, DEFAULT_ROOT_TOL),
-         "shooting residual tolerance"),
+        ("quad_tol", _positive, DEFAULT_QUAD_TOL, "absolute quadrature tolerance"),
+        ("root_tol", _positive, DEFAULT_ROOT_TOL, "shooting residual tolerance"),
     ]),
     "classify": (cmd_classify, "predict the regime without solving", _RINGS),
-    "flux": (cmd_flux, "flux of the circle of radius r", [
-        ("r", _number, _REQUIRED), *_SURFACE,
-        ("angular", _switch, False, "validate with explicit angular quadrature"),
-    ]),
+    "flux": (cmd_flux, "flux of the circle of radius r", [("r", _number, _REQUIRED), *_SURFACE]),
     "verify": (cmd_verify, "recompute H on a sampled graph patch", [
         ("csv", str, None, "GraphPatch CSV (header x1,x2,u)"),
         ("H", _number, None), ("c", _number, None), *_ANCHOR,

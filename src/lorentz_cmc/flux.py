@@ -19,14 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import SurfaceParams
 from .profile import ProfileCurve, _radius
 
 __all__ = ["FluxResult", "flux_closed_form", "flux_numeric"]
-
-_N_THETA = 720
 
 
 @dataclass(frozen=True)
@@ -50,37 +46,23 @@ def flux_closed_form(r, params: SurfaceParams) -> FluxResult:
     return FluxResult(flux=2.0 * math.pi * params.c, area_term=area, conormal_term=conormal)
 
 
-def flux_numeric(r, curve: ProfileCurve, angular=False) -> FluxResult:
+def flux_numeric(r, curve: ProfileCurve) -> FluxResult:
     """Flux evaluated from the solved profile.
 
     Both integrands are constant along the circle by rotational symmetry,
-    so the default path multiplies the pointwise values by the
-    circumference.  ``angular=True`` instead samples theta and applies the
-    (here exact) trapezoid rule over the period, as a convention check.
-    The conormal density -f'/sqrt(1 - f'^2) is -(H r^2 - c)/r, finite where
-    f' rounds to +-1.  Below r ~ |c| / 1.8e308, where that quotient
-    overflows, the conormal integrand is taken per unit angle instead,
-    -(H r^2 - c) against d theta = ds / r, so the term stays finite.  A term
-    that itself overflows (2 pi |H| r^2 beyond the float range) makes the
-    flux nan.
+    so each pointwise value is multiplied by the circumference.  The
+    conormal density -f'/sqrt(1 - f'^2) is -(H r^2 - c)/r, finite where f'
+    rounds to +-1.  Below r ~ |c| / 1.8e308, where that quotient overflows,
+    the conormal integrand is taken per unit angle instead, -(H r^2 - c)
+    against d theta = ds / r, so the term stays finite.  A term that itself
+    overflows (2 pi |H| r^2 beyond the float range) makes the flux nan.
     """
     r = _radius(r, "flux")
     H, c = curve.mean_curvature, curve.first_integral
-    conormal_density, conormal_length = -(H * r * r - c) / r, 2.0 * math.pi * r
+    circumference = 2.0 * math.pi * r
+    conormal_density, conormal_length = -(H * r * r - c) / r, circumference
     if math.isinf(conormal_density):
         conormal_density, conormal_length = -(H * r * r - c), 2.0 * math.pi
-    area_density = H * r  # <x ^ tau, e3> = r on the counterclockwise circle
-
-    if angular:
-        # Periodic trapezoid over _N_THETA samples; densities are constant in
-        # theta, so this exercises only the bookkeeping.
-        ds = 2.0 * math.pi * r / _N_THETA
-        # float sums: a product beyond the float range is inf without a numpy warning
-        area = float(np.sum(np.full(_N_THETA, area_density))) * ds
-        conormal = (float(np.sum(np.full(_N_THETA, conormal_density)))
-                    * (conormal_length / _N_THETA))
-    else:
-        circumference = 2.0 * math.pi * r
-        area = area_density * circumference
-        conormal = conormal_density * conormal_length
+    area = H * r * circumference  # <x ^ tau, e3> = r on the counterclockwise circle
+    conormal = conormal_density * conormal_length
     return FluxResult(flux=area + conormal, area_term=area, conormal_term=conormal)

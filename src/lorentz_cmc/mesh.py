@@ -4,7 +4,8 @@ Meshes are annulus grids of n_t rings by n_theta spokes with the theta
 seam closed by index wraparound (no duplicated seam column), quads split
 into triangles along a fixed diagonal, wound counterclockwise as seen from
 +x3.  A window starting at t = 0 replaces the innermost ring with a single
-apex vertex at the axis height and fans triangles to it.
+apex vertex at the axis height ``singularity_report(curve).cone_vertex_height``
+and fans triangles to it.
 
 Exports: Wavefront OBJ (ASCII, v/f records only) and RFC-4180 CSV profile
 polylines with columns t, f, f_prime, first_integral_residual.  Both are
@@ -22,7 +23,7 @@ import numpy as np
 
 from ._text import format_records
 from .errors import NonPositiveRadius
-from .profile import ProfileCurve, _default_step, _heights, _residuals, heights, singularity_report
+from .profile import ProfileCurve, _default_step, _residuals, heights, singularity_report
 
 __all__ = [
     "SurfaceMesh",
@@ -86,7 +87,7 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
 
     singular_vertex = None
     if apex:
-        vertex0 = np.array([[0.0, 0.0, _heights(curve, np.zeros(1))[0]]])
+        vertex0 = np.array([[0.0, 0.0, singularity_report(curve).cone_vertex_height]])
         vertices = np.vstack([vertex0, ring_grid.reshape(-1, 3)])
         offset = 1
         singular_vertex = 0
@@ -239,9 +240,9 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
 def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     """Profile polyline as RFC-4180 CSV: t, f, f_prime, first_integral_residual.
 
-    A sample at t = 0 is written with the array engine's axis height f(0+)
-    (as the mesh apex), the singularity report's limiting slope and a zero
-    residual; all other samples must be positive and finite.  The residual is
+    A sample at t = 0 is written with the singularity report's axis height
+    f(0+) (the mesh apex) and limiting slope and a zero residual; all other
+    samples must be positive and finite.  The residual is
     that of ``first_integral_residual`` with the step clamped to at most t/2,
     and with the heights at t +- step from one ``heights`` call; where
     ``first_integral_residual`` would raise on the differenced slope, it is nan.
@@ -260,7 +261,7 @@ def export_profile_csv(curve: ProfileCurve, ts) -> bytes:
     table = np.empty((ts.size, 4))
     table[pos] = np.column_stack([t, hs, curve.slopes(t), residual])
     if not np.all(pos):
-        table[~pos] = (0.0, _heights(curve, np.zeros(1))[0],
-                       singularity_report(curve).limit_slope, 0.0)
+        report = singularity_report(curve)
+        table[~pos] = (0.0, report.cone_vertex_height, report.limit_slope, 0.0)
     return format_records("t,f,f_prime,first_integral_residual\r\n",
                           ("%s,%s,%s,%s\r\n", len(table), table.__getitem__))

@@ -207,7 +207,7 @@ def profile_curve(params: SurfaceParams, anchor, quad_tol=DEFAULT_QUAD_TOL) -> P
 
 
 def _asinh_ratio(t, c):
-    """asinh(t / |c|) for t >= 0: ``math`` for a float ``t``, numpy for an array.
+    """asinh(t / |c|): ``math`` for a float ``t >= 0``, numpy for an array of t > 0.
 
     t/|c| overflows for subnormal c; there asinh(x) = log(2x) to float64,
     taken as log 2 + log t - log|c|.
@@ -219,11 +219,8 @@ def _asinh_ratio(t, c):
         return math.log(2.0) + math.log(t) - math.log(abs(c))
     with np.errstate(over="ignore"):
         x = t / abs(c)
-    # np.where keeps arcsinh's bits wherever x is finite; the log form's
-    # warnings (log 0, log of t < 0) are silenced, as it is discarded there.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.isinf(x), math.log(2.0) + np.log(t) - math.log(abs(c)),
-                        np.arcsinh(x))
+    # np.where keeps arcsinh's bits wherever x is finite
+    return np.where(np.isinf(x), math.log(2.0) + np.log(t) - math.log(abs(c)), np.arcsinh(x))
 
 
 def _closed_form(t, H, c, anchor):
@@ -295,22 +292,23 @@ def _height_at(t, H, c, anchor):
     return a + rise(H, c, r, t) if t > r else a - rise(H, c, t, r) if t < r else a
 
 
-def _heights(curve: ProfileCurve, ts):
-    """Heights at a float array of radii ``ts >= 0``; t = 0 gives the axis limit f(0+).
+def heights(curve: ProfileCurve, ts):
+    """Heights at an array of radii t > 0: closed forms as ``height``, else quadrature.
 
-    The array engine behind ``heights``, the mesh apex and the CSV axis row.
     Both branches evaluate the as-built (H, c): every operation on the way is
-    odd under (H, c, a) -> (-H, -c, -a), so a mirrored curve gives exactly the
-    negated heights.  Closed-form regimes evaluate their formula.  Otherwise
-    the sorted radii and the anchor cut [min, max] into segments, each
-    integrated by one Kronrod panel; a segment whose panel misses
-    quad_tol / segments, or that spans more than three decades (where
-    ``integrate`` pre-splits), is integrated adaptively to that tolerance.
-    A cumulative sum zeroed at the anchor gives every height.  Working
-    memory is O(N) for N radii: the sorted radii, the segment sums and their
-    antiderivative, plus the one fixed block ``panel_sums`` evaluates at a
-    time.
+    odd under (H, c, a) -> (-H, -c, -a), so a mirrored curve gives exactly
+    the negated heights.  Quadrature regimes cut [min, max] at the sorted
+    radii and the anchor into segments, each integrated by one Kronrod
+    panel; a segment whose panel misses quad_tol / segments, or that spans
+    more than three decades (where ``integrate`` pre-splits), is integrated
+    adaptively to that tolerance.  A cumulative sum zeroed at the anchor
+    gives every height, so dense grids cost one pass over the integrand.
+    Per-point accuracy is at the curve's quad_tol scale, as is the gap from
+    ``height``.  Memory is O(N) for N radii plus one fixed block of panels,
+    and the heights do not depend on the block size.  The axis limit f(0+)
+    is ``singularity_report(curve).cone_vertex_height``.
     """
+    ts = _radii(ts, "heights")
     p, r = curve.surface, curve.anchor_radius
     closed = _closed_form(ts, p.H, p.c, (r, curve.anchor_height))
     if closed is not None:
@@ -321,7 +319,7 @@ def _heights(curve: ProfileCurve, ts):
     edges, inverse = np.unique(np.append(ts, r), return_inverse=True)
     vals, errs = panel_sums(fn, edges[:-1], edges[1:])
     seg_tol = curve.quad_tol / max(len(vals), 1)
-    with np.errstate(divide="ignore", over="ignore"):  # t = 0, subnormal t
+    with np.errstate(over="ignore"):  # subnormal t
         wide = edges[1:] / edges[:-1] > PRESPLIT_RATIO
     # a nan estimate fails "<=" and goes to integrate too
     for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
@@ -342,19 +340,6 @@ def height(t, curve: ProfileCurve):
     """
     return _height_at(_radius(t, "height"), curve.surface.H, curve.surface.c,
                       (curve.anchor_radius, curve.anchor_height))
-
-
-def heights(curve: ProfileCurve, ts):
-    """Vectorized height evaluation: closed forms as ``height``, else quadrature.
-
-    Quadrature regimes integrate segment-by-segment between consecutive
-    sample radii and accumulate, so dense grids cost one pass over the
-    integrand instead of one full integral per point.  Per-point accuracy
-    is at the curve's quad_tol scale, as is their gap from ``height``.  Memory
-    is O(N) for N radii plus one fixed block of panels, and the heights do not
-    depend on the block size.
-    """
-    return _heights(curve, _radii(ts, "heights"))
 
 
 class SingularityKind(enum.Enum):
@@ -380,7 +365,8 @@ def singularity_report(curve: ProfileCurve) -> SingularityReport:
     light cone at the axis (lower cone for c > 0, upper for c < 0), a
     conical-type point.  For c = 0 the axis point is regular (horizontal
     plane if H = 0, hyperbolic cap otherwise).  The axis height f(0+) is
-    finite in every case because |f'| <= 1 bounds the integrand.
+    finite in every case because |f'| <= 1 bounds the integrand; it is
+    ``height``'s engine at t = 0, and the mesh apex and the CSV axis row.
     """
     c_user = curve.first_integral
     H_user = curve.mean_curvature

@@ -15,7 +15,6 @@ import lorentz_cmc.cli as cli_module
 from lorentz_cmc import (
     GraphPatch,
     SurfaceParams,
-    flux_numeric,
     load_obj,
     patch_from_profile,
     patch_to_csv,
@@ -39,6 +38,15 @@ def run(capsys, *argv):
 
 def last_record(out):
     return json.loads(out.strip().splitlines()[-1])
+
+
+def strict_record(out):
+    """The one JSON line of ``out``, read as strict JSON (no NaN or Infinity)."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    (line,) = out.splitlines()
+    return json.loads(line, parse_constant=refuse)
 
 
 def read_config(path):
@@ -79,6 +87,16 @@ class TestSolve:
         assert "NaN" not in run.stdout
         rec = last_record(run.stdout)
         assert math.isfinite(rec["residual"]) and rec["residual"] <= 1e-9
+
+    def test_overflowing_flux_prints_strict_json(self, capsys):
+        # c = 6.25e307, so 2 pi c overflows: "flux" was the token Infinity
+        code, out, _ = run(capsys, "solve", "--r", "1", "--R", "1e8", "--a", "0",
+                           "--b", "5e7", "--H", "1e293")
+        assert code == EXIT_OK
+        rec = strict_record(out)
+        assert rec["flux"] is None
+        assert math.isfinite(rec["c"]) and math.isfinite(rec["residual"])
+        assert math.isinf(2.0 * math.pi * rec["c_oriented"])
 
     def test_unsolvable_exits_2(self, capsys):
         code, out, err = run(capsys, "solve", "--r", "1", "--R", "2",
@@ -159,46 +177,34 @@ class TestFlux:
         assert rec["flux"] == pytest.approx(6.0 * math.pi, abs=1e-12)
         assert rec["closed_numeric_gap"] < 1e-10
 
-    @pytest.mark.parametrize("angular", [[], ["--angular"]])
-    def test_light_cone_radius(self, capsys, angular):
+    def test_light_cone_radius(self, capsys):
         # the slope rounds to 1 at r = 1e8 on (1, 0): the numeric flux once
         # divided by sqrt(1 - s^2) = 0 and exited 1 with ZeroDivisionError
-        code, out, _ = run(capsys, "flux", "--r", "1e8", "--H", "1", "--c", "0", *angular)
+        code, out, _ = run(capsys, "flux", "--r", "1e8", "--H", "1", "--c", "0")
         assert code == EXIT_OK
         rec = last_record(out)
         assert rec["flux"] == 0.0 and rec["numeric_flux"] == 0.0
 
-    def test_angular_mode(self, capsys):
-        code, out, _ = run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3",
-                           "--angular")
-        assert code == EXIT_OK
-        assert last_record(out)["closed_numeric_gap"] < 1e-10
-
-    def test_angular_dump_replays_the_angular_run(self, tmp_path, capsys, monkeypatch):
-        # the dump once left angular out, and angular=1 in a config exited 64
-        seen = []
-
-        def recording(r, curve, angular=False):
-            seen.append(angular)
-            return flux_numeric(r, curve, angular=angular)
-
-        monkeypatch.setattr(cli_module, "flux_numeric", recording)
-        dump = tmp_path / "eff.cfg"
-        code, first, _ = run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3",
-                             "--angular", "--dump-config", str(dump))
-        assert code == EXIT_OK and read_config(dump)["angular"] == "True"
-        assert run(capsys, "flux", "--config", str(dump)) == (EXIT_OK, first, "")
+    def test_angular_flag_and_key_are_usage_errors(self, tmp_path, capsys):
+        # the angular sampling mode is gone; neither input is silently dropped
+        code, out, err = run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3", "--angular")
+        assert code == EXIT_USAGE and "--angular" in err and out == ""
         cfg = tmp_path / "angular.cfg"
         cfg.write_text("r=2\nH=1\nc=3\nangular=1\n")
-        assert run(capsys, "flux", "--config", str(cfg)) == (EXIT_OK, first, "")
-        run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3")
-        assert seen == [True, True, True, False]
-
-    def test_angular_config_value_is_checked(self, tmp_path, capsys):
-        cfg = tmp_path / "angular.cfg"
-        cfg.write_text("r=2\nH=1\nc=3\nangular=maybe\n")
         code, out, err = run(capsys, "flux", "--config", str(cfg))
-        assert code == EXIT_USAGE and "--angular" in err and out == ""
+        assert code == EXIT_USAGE and "unknown config keys: angular" in err and out == ""
+
+    def test_overflowing_terms_print_strict_json(self, capsys):
+        # 2 pi H r^2 is inf at r = 1e200: the record held Infinity, -Infinity
+        # and NaN, which strict JSON readers reject
+        code, out, _ = run(capsys, "flux", "--r", "1e200", "--H", "1", "--c", "3")
+        assert code == EXIT_OK
+        rec = strict_record(out)
+        assert rec["flux"] == 6.0 * math.pi
+        for key in ("area_term", "conormal_term", "numeric_flux", "closed_numeric_gap"):
+            assert rec[key] is None, key
+        code, out, _ = run(capsys, "flux", "--r", "1e200", "--H", "1", "--c", "3", "--human")
+        assert code == EXIT_OK and " inf\n" in out and " nan\n" in out
 
 
 class TestVerify:
@@ -612,28 +618,18 @@ class TestDumpConfigRoundTrip:
 
 
 class TestEnvTolerance:
-    def test_env_var_sets_defaults(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LORENTZ_CMC_TOL", "1e-6")
-        code, out, _ = run(capsys, "solve", "--r", "1", "--R", "2",
-                           "--a", "0", "--b", "0.5", "--H", "1")
-        assert code == EXIT_OK
-        assert last_record(out)["residual"] <= 1e-5
-
-    def test_explicit_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LORENTZ_CMC_TOL", "1e-3")
-        code, out, _ = run(capsys, "solve", "--r", "1", "--R", "2",
-                           "--a", "0", "--b", "0.5", "--H", "1",
-                           "--quad-tol", "1e-10", "--root-tol", "1e-9")
-        assert code == EXIT_OK
-        assert last_record(out)["residual"] <= 1e-9
-
-    @pytest.mark.parametrize("value", ["nan", "abc", "0", "-1e-6", "inf"])
-    def test_bad_env_tolerance_is_usage_error(self, capsys, monkeypatch, value):
+    @pytest.mark.parametrize("value", ["1e-6", "", "nan"])
+    def test_set_env_tolerance_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        # LORENTZ_CMC_TOL once set the default tolerances; it is not reread
+        # silently, and the message names the flag and key that replace it
         monkeypatch.setenv("LORENTZ_CMC_TOL", value)
-        code, out, err = run(capsys, "solve", "--r", "1", "--R", "2",
-                             "--a", "0", "--b", "0.5", "--H", "1")
-        assert code == EXIT_USAGE
-        assert "LORENTZ_CMC_TOL" in err and out == ""
+        dump = tmp_path / "eff.cfg"
+        code, out, err = run(capsys, "solve", "--r", "1", "--R", "2", "--a", "0",
+                             "--b", "0.5", "--H", "1", "--root-tol", "1e-9",
+                             "--dump-config", str(dump))
+        assert code == EXIT_USAGE and out == ""
+        assert "LORENTZ_CMC_TOL" in err and "--root-tol" in err and "root_tol=" in err
+        assert not dump.exists()
 
     @pytest.mark.parametrize("flag", ["--quad-tol", "--root-tol"])
     def test_nan_tolerance_flag_is_usage_error(self, capsys, flag):

@@ -93,36 +93,26 @@ class TestNumeric:
         for f in fluxes[1:]:
             assert f == pytest.approx(fluxes[0], abs=1e-10)
 
-    @pytest.mark.parametrize("angular", [False, True])
-    def test_light_cone_radius(self, angular):
+    def test_light_cone_radius(self):
         # the slope rounds to 1 at r = 1e8: -s/sqrt((1-s)(1+s)) divided by 0
-        res = flux_numeric(1e8, curve_of(1.0, 0.0), angular=angular)
+        res = flux_numeric(1e8, curve_of(1.0, 0.0))
         assert res.flux == 0.0
         assert res.area_term == -res.conormal_term == pytest.approx(2.0 * math.pi * 1e16)
 
-    @pytest.mark.parametrize("angular", [False, True])
     @pytest.mark.parametrize("H,c", [(1.0, 3.0), (-1.0, -3.0), (0.0, 2.0)])
     @pytest.mark.parametrize("r", [1e-300, 1e-310, 1e-320, 5e-324])
-    def test_tiny_radius_is_finite(self, r, H, c, angular):
+    def test_tiny_radius_is_finite(self, r, H, c):
         # -(H r^2 - c) / r overflowed below |c| / 1.8e308: the conormal term
         # and the numeric flux were +-inf
-        res = flux_numeric(r, curve_of(H, c), angular=angular)
+        res = flux_numeric(r, curve_of(H, c))
         assert res.conormal_term == pytest.approx(2.0 * math.pi * c, rel=1e-14)
         assert res.flux == pytest.approx(2.0 * math.pi * c, rel=1e-14)
 
-    @pytest.mark.parametrize("angular", [False, True])
-    def test_overflowing_term_makes_the_flux_nan(self, angular):
+    def test_overflowing_term_makes_the_flux_nan(self):
         # 2 pi H r^2 is beyond the float range at r = 1e200: no warning, a nan sum
-        res = flux_numeric(1e200, curve_of(1.0, 3.0), angular=angular)
+        res = flux_numeric(1e200, curve_of(1.0, 3.0))
         assert res.area_term == math.inf and res.conormal_term == -math.inf
         assert math.isnan(res.flux)
-
-    def test_angular_quadrature_mode_agrees(self):
-        curve = curve_of(0.7, -1.3)
-        fast = flux_numeric(1.4, curve)
-        slow = flux_numeric(1.4, curve, angular=True)
-        assert slow.flux == pytest.approx(fast.flux, abs=1e-10)
-        assert slow.area_term == pytest.approx(fast.area_term, abs=1e-10)
 
     def test_orientation_flip_negates_flux(self):
         plus = flux_numeric(1.0, curve_of(1.0, 3.0))

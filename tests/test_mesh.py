@@ -82,9 +82,7 @@ class TestSampling:
         apex = mesh.vertices[0]
         rep = singularity_report(curve)
         assert apex[0] == 0.0 and apex[1] == 0.0
-        # the apex is the array engine's axis height, the report's is rise's
-        assert apex[2] == profile_module._heights(curve, np.zeros(1))[0]
-        assert abs(apex[2] - rep.cone_vertex_height) <= 2.0 * curve.quad_tol
+        assert apex[2] == rep.cone_vertex_height
         # fan + bands, still annulus-with-cone: disc topology, chi = 1
         assert euler_characteristic(mesh) == 1
 
@@ -300,8 +298,7 @@ class TestProfileCsv:
         first = data.decode("ascii").strip().splitlines()[1].split(",")
         rep = singularity_report(curve)
         assert float(first[0]) == 0.0
-        assert float(first[1]) == profile_module._heights(curve, np.zeros(1))[0]
-        assert abs(float(first[1]) - rep.cone_vertex_height) <= 2.0 * curve.quad_tol
+        assert float(first[1]) == rep.cone_vertex_height
         assert float(first[2]) == rep.limit_slope
         assert float(first[3]) == 0.0
 
@@ -484,7 +481,7 @@ def reference_profile_csv(curve, ts):
     out.write("t,f,f_prime,first_integral_residual\r\n")
     for i, t in enumerate(ts):
         if t == 0.0:
-            row = (0.0, profile_module._heights(curve, np.zeros(1))[0], report.limit_slope, 0.0)
+            row = (0.0, report.cone_vertex_height, report.limit_slope, 0.0)
         else:
             step = min(1e-5 * max(1.0, float(t)), 0.5 * float(t))
             try:

@@ -558,18 +558,16 @@ class TestLightCone:
         curve = profile_curve(params, (t, 0.0))
         s = slope(t, params)
         assert -1.0 <= s <= 1.0
-        fluxes = [self._computed(lambda: flux_numeric(t, curve, angular=angular))
-                  for angular in (False, True)]
+        flux = self._computed(lambda: flux_numeric(t, curve))
         H_rot = self._computed(lambda: mean_curvature_rotational(t, curve))
-        for res in fluxes:
-            assert math.isfinite(res.flux) and math.isfinite(res.conormal_term)
+        assert math.isfinite(flux.flux) and math.isfinite(flux.conormal_term)
         assert H_rot is None or math.isfinite(H_rot)
         if abs(s) >= 1.0 - 1e-8:
             return
         # the earlier formulas, whose roundoff grows as 1 / (1 - s^2)
         one_m = (1.0 - s) * (1.0 + s)
         conormal = -s / math.sqrt(one_m) * (2.0 * math.pi * t)
-        assert abs(fluxes[0].conormal_term - conormal) <= 8.0 * EPS * abs(conormal) / one_m
+        assert abs(flux.conormal_term - conormal) <= 8.0 * EPS * abs(conormal) / one_m
         if H_rot is not None:
             step = 1e-5 * max(1.0, t)
             f2 = (curve.slope(t + step) - curve.slope(t - step)) / (2.0 * step)

@@ -18,11 +18,13 @@ from lorentz_cmc import (
     SpacelikeViolation,
     SurfaceParams,
     asymptotic_slope,
+    export_obj,
     export_profile_csv,
     first_integral_residual,
     height,
     heights,
     integrate,
+    load_obj,
     profile,
     profile_curve,
     quadrature,
@@ -53,12 +55,12 @@ def quadrature_only():
 
 @contextlib.contextmanager
 def without_the_array_engine():
-    """Context in which ``_heights``, ``integrate`` and ``panel_sums`` raise."""
+    """Context in which ``heights``, ``integrate`` and ``panel_sums`` raise."""
     def entered(*args, **kwargs):
         raise AssertionError("the scalar path entered the array engine")
 
     with contextlib.ExitStack() as stack:
-        for name in ("_heights", "integrate", "panel_sums"):
+        for name in ("heights", "integrate", "panel_sums"):
             stack.enter_context(mock.patch.object(profile, name, entered))
         yield
 
@@ -383,10 +385,18 @@ def _vertex_by_regime(curve):
     return curve.anchor_height - parity * down
 
 
+def _axis_heights(curve):
+    """The axis height as the OBJ apex z, the CSV t = 0 row's f and the report give it."""
+    obj = export_obj(sample_surface(curve, (0.0, curve.anchor_radius), 2, 3))
+    apex = load_obj(obj)[0][0, 2]
+    row = export_profile_csv(curve, [0.0, curve.anchor_radius]).decode("ascii").split("\r\n")[1]
+    return apex, float(row.split(",")[1]), singularity_report(curve).cone_vertex_height
+
+
 class TestScalarHeight:
     """``height`` and the axis height take the closed form, ``rise`` or its
-    light-cone limit (the solver's f(R)), never panels; ``heights``, the
-    mesh apex and the CSV axis row take panels."""
+    light-cone limit (the solver's f(R)), never panels; the mesh apex and the
+    CSV axis row are the report's axis height, and ``heights`` takes panels."""
 
     @staticmethod
     def _quad_height(H, c, r, t):
@@ -402,6 +412,28 @@ class TestScalarHeight:
         H, c, r = 111.7436280818775, 7.769016774406215e-09, 0.7385547820848464
         vertex = singularity_report(curve_of(H, c, r=r)).cone_vertex_height
         assert abs(vertex - self._quad_height(H, c, r, 0.0)) <= 1e-14
+
+    # seeded sparse draws, anchored at (r, 0), on which the panel engine's
+    # axis height missed 2 quad_tol + 64 eps r; on the first it read -r
+    @pytest.mark.parametrize("H,c,r", [
+        (46525984.696395814, 16107843.422533864, 581.9240384830728),
+        (-2452187.9547343086, -241165.51054285045, 609.2586446331734),
+        (-7459105.194337687, -13551.193351473457, 381.1897907143623),
+        (99264171.53880024, 157432.48919863228, 11.989417447508623)])
+    def test_apex_and_axis_row_are_the_report_where_panels_are_fooled(self, H, c, r):
+        apex, row, vertex = _axis_heights(curve_of(H, c, r=r))
+        assert apex == row == vertex
+        want = self._quad_height(H, c, r, 0.0)
+        assert abs(vertex - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve=regime_curves())
+    def test_apex_and_axis_row_are_the_report_to_the_bit(self, curve):
+        mirror = curve_of(-curve.mean_curvature, -curve.first_integral, r=curve.anchor_radius,
+                          a=-curve.anchor_height, quad_tol=curve.quad_tol)
+        apex, row, vertex = _axis_heights(curve)
+        assert apex == row == vertex
+        assert _axis_heights(mirror) == (-apex, -row, -vertex)
 
     def test_height_where_panels_are_fooled(self):
         # heights([t]) reads 2693.284 here
