@@ -26,6 +26,7 @@ from lorentz_cmc.cli import (
     EXIT_UNSOLVABLE,
     EXIT_USAGE,
     _config_items,
+    _emit,
     main,
 )
 
@@ -185,14 +186,18 @@ class TestFlux:
         rec = last_record(out)
         assert rec["flux"] == 0.0 and rec["numeric_flux"] == 0.0
 
-    def test_angular_flag_and_key_are_usage_errors(self, tmp_path, capsys):
-        # the angular sampling mode is gone; neither input is silently dropped
+    def test_angular_mode(self, capsys):
+        # the angular sampling mode is gone; its flag is refused, not dropped
         code, out, err = run(capsys, "flux", "--r", "2", "--H", "1", "--c", "3", "--angular")
         assert code == EXIT_USAGE and "--angular" in err and out == ""
-        cfg = tmp_path / "angular.cfg"
-        cfg.write_text("r=2\nH=1\nc=3\nangular=1\n")
-        code, out, err = run(capsys, "flux", "--config", str(cfg))
-        assert code == EXIT_USAGE and "unknown config keys: angular" in err and out == ""
+
+    def test_angular_config_value_is_checked(self, tmp_path, capsys):
+        # an angular= key, whatever its value, is an unknown key
+        for value in ("1", "maybe"):
+            cfg = tmp_path / "angular.cfg"
+            cfg.write_text(f"r=2\nH=1\nc=3\nangular={value}\n")
+            code, out, err = run(capsys, "flux", "--config", str(cfg))
+            assert code == EXIT_USAGE and "unknown config keys: angular" in err and out == ""
 
     def test_overflowing_terms_print_strict_json(self, capsys):
         # 2 pi H r^2 is inf at r = 1e200: the record held Infinity, -Infinity
@@ -205,6 +210,20 @@ class TestFlux:
             assert rec[key] is None, key
         code, out, _ = run(capsys, "flux", "--r", "1e200", "--H", "1", "--c", "3", "--human")
         assert code == EXIT_OK and " inf\n" in out and " nan\n" in out
+
+
+class TestEmit:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_is_null(self, capsys, value):
+        _emit({"event": "x", "v": value, "w": 1.5})
+        assert strict_record(capsys.readouterr().out) == {"event": "x", "v": None, "w": 1.5}
+
+    def test_finite_values_are_kept(self, capsys):
+        record = {"tiny": 5e-324, "huge": 1.7976931348623157e308, "zero": -0.0,
+                  "n": 3, "flag": False, "none": None, "s": "inf"}
+        _emit(record)
+        got = strict_record(capsys.readouterr().out)
+        assert got == record and math.copysign(1.0, got["zero"]) == -1.0
 
 
 class TestVerify:
@@ -618,10 +637,11 @@ class TestDumpConfigRoundTrip:
 
 
 class TestEnvTolerance:
-    @pytest.mark.parametrize("value", ["1e-6", "", "nan"])
-    def test_set_env_tolerance_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
-        # LORENTZ_CMC_TOL once set the default tolerances; it is not reread
-        # silently, and the message names the flag and key that replace it
+    @pytest.mark.parametrize("value", ["nan", "abc", "0", "-1e-6", "inf", "1e-6", ""])
+    def test_bad_env_tolerance_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        # LORENTZ_CMC_TOL once set the default tolerances; any value it holds,
+        # valid or not, is now refused rather than silently ignored, and the
+        # message names the flag and key that replace it
         monkeypatch.setenv("LORENTZ_CMC_TOL", value)
         dump = tmp_path / "eff.cfg"
         code, out, err = run(capsys, "solve", "--r", "1", "--R", "2", "--a", "0",
@@ -630,6 +650,18 @@ class TestEnvTolerance:
         assert code == EXIT_USAGE and out == ""
         assert "LORENTZ_CMC_TOL" in err and "--root-tol" in err and "root_tol=" in err
         assert not dump.exists()
+
+    @pytest.mark.parametrize("argv,event", [
+        (("classify", "--r", "1", "--R", "2", "--a", "0", "--b", "0.5", "--H", "1"),
+         "classification"),
+        (("flux", "--r", "2", "--H", "1", "--c", "3"), "flux"),
+    ])
+    def test_env_tolerance_only_stops_solve(self, capsys, monkeypatch, argv, event):
+        # only solve ever read LORENTZ_CMC_TOL; no other command refuses it
+        monkeypatch.setenv("LORENTZ_CMC_TOL", "1e-6")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert last_record(out)["event"] == event
 
     @pytest.mark.parametrize("flag", ["--quad-tol", "--root-tol"])
     def test_nan_tolerance_flag_is_usage_error(self, capsys, flag):

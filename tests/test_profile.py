@@ -252,6 +252,16 @@ class TestHeight:
         with pytest.raises(NonPositiveRadius):
             heights(curve_of(1.0, 3.0), [1.0, -1.0])
 
+    @pytest.mark.parametrize("H,c", [(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (2.0, -1.0), (2.0, 1.0)])
+    def test_heights_rejects_the_axis_in_every_regime(self, H, c):
+        # heights has no axis-limit case: t = 0 and -0.0 are rejected before
+        # any closed form or panel sees them, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ts in ([0.0], [2.0, -0.0]):
+                with pytest.raises(NonPositiveRadius):
+                    heights(curve_of(H, c), ts)
+
     def test_exhausted_budget_raises(self, monkeypatch):
         from lorentz_cmc import QuadratureFailure
 
