@@ -1,4 +1,6 @@
-"""Float text and block-wise record formatting shared by the OBJ and CSV writers."""
+"""Float text for the OBJ and CSV writers and the patch CSV reader: the
+shortest round-trip ``repr`` of each distinct value, block-wise record
+formatting, and the float of each distinct field text."""
 
 from __future__ import annotations
 
@@ -8,6 +10,20 @@ import numpy as np
 
 # Rows formatted per block by ``format_records``.
 _ROWS = 4096
+# Fields longer than this many 8-byte words are parsed one at a time.
+_WORDS = 8
+# _MASKS[k] keeps the first k bytes of a word.
+_MASKS = np.frombuffer(b"".join(b"\xff" * k + bytes(8 - k) for k in range(9)), dtype=np.uint64)
+# Bytes on which numpy's bytes->float64 cast and numpy's text reader may
+# differ: controls (CR, and whitespace the reader strips but the cast does
+# not), '"', '_' (the cast reads 1_0 as 10) and non-ASCII (latin-1 spaces).
+_SPECIAL = np.zeros(256, dtype=bool)
+_SPECIAL[1:32] = _SPECIAL[128:] = True
+_SPECIAL[[ord('"'), ord("_")]] = True
+
+
+class BadField(ValueError):
+    """A field ``parse_floats`` rejects: args (its offset in the text, why, its bytes)."""
 
 
 def distinct_reprs(values):
@@ -52,3 +68,99 @@ def format_records(header: str, *sections) -> bytes:
             texts = block.ravel().tolist() if as_is else float_reprs(block).tolist()
             out.write((template * len(block) % tuple(texts)).encode("ascii"))
     return out.getvalue()
+
+
+def _field_float(field: bytes) -> float:
+    """The float of one field as numpy's text reader reads it: a Python
+    float spelling (inf/infinity/nan in any case, signed or not), with
+    latin-1 whitespace around it and no '_' or CR; ValueError otherwise."""
+    text = field.decode("latin-1").strip()
+    if b"_" in field or b"\r" in field or not text.isascii():
+        raise ValueError(f"could not convert {field!r} to float")
+    return float(text)
+
+
+def _key(words):
+    """One uint64 per column of ``words`` (8-byte words by field, (width,
+    fields)), equal for equal columns; unequal ones may share a key."""
+    key = words[0].copy()
+    for row in words[1:]:
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= row
+    return key
+
+
+def _one_by_one(text, starts, ends):
+    """``parse_floats`` with ``_field_float`` on every field."""
+    values = np.empty(len(starts))
+    for k, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        try:
+            values[k] = _field_float(text[a:b])
+        except ValueError:
+            raise BadField(a, "field is not a number", text[a:b]) from None
+    return values
+
+
+def _words(text, starts, ends, width):
+    """The bytes of each field, zero-padded to ``width`` 8-byte words, as a
+    (width, fields) uint64 array."""
+    # the span of the fields, zero-padded so that every word read lies in it
+    lo = starts[0]
+    padded = np.zeros(ends[-1] - lo + 8 * width, dtype=np.uint8)
+    padded[:ends[-1] - lo] = np.frombuffer(text, dtype=np.uint8, count=ends[-1] - lo, offset=lo)
+    at = np.ndarray((padded.size - 7,), dtype=np.uint64, buffer=padded, strides=(1,))
+    words = np.empty((width, starts.size), dtype=np.uint64)
+    for j, row in enumerate(words):
+        row[:] = at[starts - lo + 8 * j]
+        row &= _MASKS[np.clip(ends - starts - 8 * j, 0, 8)]
+    return words
+
+
+def _distinct_floats(text, starts, ends, width):
+    """``parse_floats`` through the distinct field texts; None when two
+    distinct texts share a key or a text does not parse."""
+    words = _words(text, starts, ends, width)
+    keys, inverse = np.unique(_key(words), return_inverse=True)
+    # one field of each key; every field must match its words exactly
+    chosen = np.empty(keys.size, dtype=np.intp)
+    chosen[inverse] = np.arange(inverse.size)
+    same = chosen[inverse]
+    if not all(np.array_equal(row[same], row) for row in words):
+        return None
+    distinct = np.ascontiguousarray(words.T[chosen])
+    texts = distinct.view(f"S{8 * width}").ravel()  # zero padding drops off
+    plain = ~_SPECIAL[distinct.view(np.uint8)].any(axis=1)
+    values = np.empty(texts.size)
+    try:
+        values[plain] = texts[plain].astype(np.float64)
+        values[~plain] = [_field_float(t) for t in texts[~plain].tolist()]
+    except ValueError:
+        return None
+    return values[inverse]
+
+
+def parse_floats(text: bytes, starts, ends) -> np.ndarray:
+    """The float of each field ``text[starts[k]:ends[k]]`` (fields in text
+    order), as ``_field_float`` reads it; a field that does not parse raises
+    ``BadField``, the first such field if several do.
+
+    Each field's bytes become zero-padded 8-byte words, the words one
+    integer key (``_key``), and ``np.unique`` on the keys gives the distinct
+    texts and each field's index into them; only the distinct texts are
+    converted, by numpy's bytes->float64 cast (correctly rounded, as
+    ``float``) or, where it may differ from numpy's text reader
+    (``_SPECIAL``), by ``_field_float``.  Correctness does not rest on the
+    key: every field's words are compared with those of its text.  On a
+    mismatch, on a text that does not parse, or with a NUL byte among the
+    fields or a field longer than ``_WORDS`` words, every field is parsed
+    one at a time, and the first that does not parse is named.
+    """
+    starts, ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
+    if not starts.size:
+        return np.zeros(0)
+    width = max(1, -(-int((ends - starts).max()) // 8))
+    if width <= _WORDS and text.find(b"\0", starts[0], ends[-1]) < 0:
+        values = _distinct_floats(text, starts, ends, width)
+        if values is not None:
+            return values
+    return _one_by_one(text, starts, ends)

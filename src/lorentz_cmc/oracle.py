@@ -12,13 +12,13 @@ samples alone.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import distinct_reprs, float_reprs, format_records
+from ._text import BadField, distinct_reprs, float_reprs, format_records, parse_floats
 from .core import _require_positive
 from .errors import NotMonotone, SpacelikeViolation
 from .profile import ProfileCurve, _fd_step, _radius, heights
@@ -118,31 +118,110 @@ def patch_to_csv(patch: GraphPatch) -> bytes:
     return format_records("x1,x2,u\r\n", ("%s,%s,%s\r\n", flat.size, cells))
 
 
+# Bytes of CSV body parsed per block by ``patch_from_csv``, cut at the next line end.
+_CSV_BLOCK = 1 << 20
+# A field that opens with a quote, read as numpy's text reader reads one: to
+# the next lone quote, or to the end of the data; "" stands for a quote.
+_QUOTED = re.compile(rb'(?<![^,\n])"((?:[^"]|"")*)(?:"|\Z)')
+# Inside quotes a line end is whitespace, and a comma, like a quote, spoils the field.
+_IN_QUOTES = bytes.maketrans(b"\r\n,", b'  "')
+
+
+def _unquote(match):
+    # a space, stripped as whitespace, keeps "" alone on a line from reading as a blank line
+    return match[1].replace(b'""', b'"').translate(_IN_QUOTES) or b" "
+
+
+def _csv_block(data, start, stop):
+    """x1, x2, u of each row of ``data[start:stop]``, whole lines of the CSV
+    body, as one flat float array; blank lines are skipped, and a CR before
+    a line end belongs to it."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    is_cut = raw == ord(",")
+    is_cut |= raw == ord("\n")
+    ends = np.flatnonzero(is_cut)
+    del is_cut  # a byte per byte of the block, freed before the fields are parsed
+    line_end = raw[ends] == ord("\n")
+    if raw[-1] != ord("\n"):  # the last line of the data
+        ends, line_end = np.append(ends, raw.size), np.append(line_end, True)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends -= line_end & (ends > starts) & (raw[ends - 1] == ord("\r"))
+    blank = line_end & (ends == starts) & np.concatenate(([True], line_end[:-1]))
+    if blank.any():
+        starts, ends, line_end = starts[~blank], ends[~blank], line_end[~blank]
+    starts += start
+    ends += start
+    # every third field, and only it, ends a line
+    wrong = np.flatnonzero(line_end != (np.arange(line_end.size) % 3 == 2))
+    if wrong.size:
+        at = starts[wrong[0]]
+        end = data.find(b"\n", at)
+        line = data[data.rfind(b"\n", 0, at) + 1:end if end >= 0 else None].rstrip(b"\r")
+        raise BadField(at, f"row of {line.count(b',') + 1} fields, not 3,", line)
+    return parse_floats(data, starts, ends)
+
+
 def patch_from_csv(data) -> GraphPatch:
     """Parse the x1,x2,u CSV format back into a GraphPatch.
 
     The lattice is reconstructed from the distinct coordinate values; rows
-    may cover only part of it, in which case missing points are masked.
+    may cover only part of it, in which case missing points are masked, but
+    no lattice point may be named twice (ValueError).
+
+    After the header, lines end in LF or CRLF (ValueError on a CR alone);
+    blank lines are skipped.  Each row has three fields, each a float
+    spelled as Python's ``float`` spells one (so inf, Infinity and nan in
+    any case, ``1e400`` as inf, ``.5``, ``-0``) with no '_', optionally
+    padded with whitespace and optionally quoted, as numpy's text reader
+    read them.  A row or field that does not parse raises ValueError naming
+    its 1-based line and its text.
+
+    The body is parsed in blocks of ``_CSV_BLOCK`` bytes cut at the next
+    line end, and each distinct field text of a block is converted once
+    (``_text.parse_floats``): a 257^2 lattice has 257 distinct texts per
+    axis column.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    head, _, body = data.partition(b"\n")
-    header = next(csv.reader([head.decode("utf-8")]), [])
+    body = data.find(b"\n") + 1 or len(data)
+    try:
+        header = next(csv.reader([data[:body].removesuffix(b"\n").decode("utf-8")]), [])
+    except csv.Error as exc:
+        raise ValueError(f"patch CSV header does not parse ({exc}); lines must end in "
+                         "LF or CRLF") from None
     if [h.strip() for h in header] != ["x1", "x2", "u"]:
         raise ValueError(f"expected header x1,x2,u, got {header}")
-    if not body or body.isspace():
+    if data.find(b'"', body) >= 0:
+        data = data[:body] + _QUOTED.sub(_unquote, data[body:])
+    fields, start = [], body
+    while start < len(data):
+        stop = data.find(b"\n", start + _CSV_BLOCK) + 1 or len(data)
+        try:
+            fields.append(_csv_block(data, start, stop))
+        except BadField as exc:
+            at, why, text = exc.args
+            line = data.count(b"\n", 0, at) + 1
+            raise ValueError(f"patch CSV {why} at line {line}: {text!r}") from None
+        start = stop
+    cells = np.concatenate([np.zeros(0), *fields])
+    del fields
+    if cells.size == 0:
         raise ValueError("empty patch CSV")
-    cells = np.loadtxt(io.BytesIO(body), delimiter=",", quotechar='"', comments=None,
-                       ndmin=2)
-    if cells.shape[1] != 3:
-        raise ValueError(f"patch CSV rows need 3 fields, got {cells.shape[1]}")
-    x, y, u = cells.T
+    x, y, u = cells.reshape(-1, 3).T
     xs, i = np.unique(x, return_inverse=True)
     ys, j = np.unique(y, return_inverse=True)
     values = np.zeros((xs.size, ys.size))
     mask = np.zeros((xs.size, ys.size), dtype=bool)
     values[i, j] = u
     mask[i, j] = True
+    if np.count_nonzero(mask) < x.size:
+        # the first row on a lattice point that an earlier row named
+        point = i * ys.size + j
+        row = np.setdiff1d(np.arange(x.size), np.unique(point, return_index=True)[1])[0]
+        first = np.argmax(point == point[row])
+        raise ValueError(f"patch CSV data rows {first + 1} and {row + 1} name one lattice point: "
+                         f"(x1, x2) = ({x[first].item()!r}, {y[first].item()!r}) and "
+                         f"({x[row].item()!r}, {y[row].item()!r})")
     return GraphPatch(x1=xs, x2=ys, values=values, mask=mask)
 
 

@@ -20,6 +20,7 @@ from lorentz_cmc import (
     first_integral_residual,
     heights,
     load_obj,
+    patch_from_csv,
     patch_from_profile,
     patch_to_csv,
     profile_curve,
@@ -690,6 +691,12 @@ class TestMemoryBounds:
         # measured peak 8.43 MB (7.47 MB when each 4096-row block took its own
         # reprs) plus about 10%
         assert traced_peak(patch_to_csv, off_centre_patch) <= 9.3e6
+
+    def test_patch_from_csv(self, off_centre_patch):
+        # numpy's text reader on the whole body peaked at 8.67 MB; one block
+        # of fields at a time, the measured peak is 5.71 MB, plus about 10%
+        data = patch_to_csv(off_centre_patch)
+        assert traced_peak(patch_from_csv, data) <= 6.3e6
 
 
 FIGURE_CURVES = [((0.0, 3.0), (0.0, 7.0)), ((0.1, -0.25), (0.0, 4.0)),

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -24,8 +25,10 @@ from lorentz_cmc import (
     slope,
     variational_residual,
 )
-from lorentz_cmc._text import _ROWS
-from lorentz_cmc.oracle import _erode
+import lorentz_cmc._text as text_module
+import lorentz_cmc.oracle as oracle_module
+from lorentz_cmc._text import _ROWS, _WORDS
+from lorentz_cmc.oracle import _CSV_BLOCK, _erode
 
 
 def curve_of(H, c, r=1.0, a=0.0, **kw):
@@ -184,8 +187,9 @@ def reference_patch_from_csv(data):
     if [h.strip() for h in header] != ["x1", "x2", "u"]:
         raise ValueError(f"expected header x1,x2,u, got {header}")
     cells = []
-    for x, y, u in reader:
-        if x:
+    for row in reader:
+        if row:
+            x, y, u = row
             cells += (x, y, u)
     if not cells:
         raise ValueError("empty patch CSV")
@@ -197,6 +201,49 @@ def reference_patch_from_csv(data):
     values[i, j] = u
     mask[i, j] = True
     return GraphPatch(x1=xs, x2=ys, values=values, mask=mask)
+
+
+def loadtxt_patch_from_csv(data):
+    """The reader patch_from_csv replaced next: numpy's text reader on the body."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    head, _, body = data.partition(b"\n")
+    header = next(csv.reader([head.decode("utf-8")]), [])
+    if [h.strip() for h in header] != ["x1", "x2", "u"]:
+        raise ValueError(f"expected header x1,x2,u, got {header}")
+    if not body or body.isspace():
+        raise ValueError("empty patch CSV")
+    cells = np.loadtxt(io.BytesIO(body), delimiter=",", quotechar='"', comments=None,
+                       ndmin=2)
+    if cells.shape[1] != 3:
+        raise ValueError(f"patch CSV rows need 3 fields, got {cells.shape[1]}")
+    x, y, u = cells.T
+    xs, i = np.unique(x, return_inverse=True)
+    ys, j = np.unique(y, return_inverse=True)
+    values = np.zeros((xs.size, ys.size))
+    mask = np.zeros((xs.size, ys.size), dtype=bool)
+    values[i, j] = u
+    mask[i, j] = True
+    return GraphPatch(x1=xs, x2=ys, values=values, mask=mask)
+
+
+def several_blocks_csv():
+    """A patch CSV over two and a half reader blocks: 224^2 rows, u spelled
+    every accepted way, padded and quoted fields, blank LF and CRLF lines,
+    and no final newline."""
+    rng = np.random.default_rng(29)
+    axis = [repr(v) for v in np.linspace(-3.0, 3.0, 224).tolist()]
+    spellings = ["Infinity", "-inf", "nan", "1e400", "-0", ".5", "1e-320", " 2.5\t", "\t-7 ",
+                 '"3.25"', "0.1000000000000000055511151231257827"] + axis[:40]
+    u = rng.choice(spellings, size=224 * 224).tolist()
+    ends = rng.choice(["\r\n", "\n", "\n\n", "\r\n\r\n"], p=[0.6, 0.3, 0.05, 0.05],
+                      size=224 * 224).tolist()
+    rows = (f"{a},{b},{c}{e}" for (a, b), c, e in zip(
+        ((a, b) for a in axis for b in axis), u, ends))
+    return ("x1,x2,u\r\n" + "".join(rows)).rstrip().encode()
+
+
+SEVERAL_BLOCKS_CSV = several_blocks_csv()
 
 
 def bits(a):
@@ -262,9 +309,111 @@ class TestPatchCsvAgainstReference:
         b"x1,x2,u\r\n1.0,2.0,3.0\r\n1.0,3.0,-0.0",  # no final newline
         b"x1,x2,u\n1.0,2.0,3.0\n2.0,2.0,nan\n",  # LF line ends
         "x1,x2,u\r\n1.0,2.0,inf\r\n2.0,3.0,-inf\r\n",  # text input
+        b"x1,x2,u\r\n\r\n1.0,2.0,3.0\r\n\r\n\r\n2.0,2.0,4.0\r\n\r\n",  # blank CRLF lines
+        b"x1,x2,u\n\n1.0,2.0,3.0\n\n2.0,2.0,4.0\n\n",  # blank LF lines
+        b"x1,x2,u\r\n 1.0,\t2.0 , 3.0\t\r\n\t2.0 \t,2.0,\t 4.0\r\n",  # whitespace and tabs
+        b"x1,x2,u\r\n-0,.5,Infinity\r\n1,.5,1e400\r\n1,-0,-INFINITY\r\n",  # spellings
+        b"x1,x2,u\r\n1.0,2.0,0.1000000000000000055511151231257827\r\n",  # 36 bytes
+        b"x1,x2,u\r\n1.0,2.0," + b" " * (8 * _WORDS) + b"3.0\r\n",  # over _WORDS words
+        b'x1,x2,u\r\n"1.0" ,2.0,"3.0"\t\r\n',  # padding after the closing quote
+        pytest.param(SEVERAL_BLOCKS_CSV, id="several_reader_blocks"),
     ])
     def test_parses_like_reference(self, data):
         assert_same_patch(patch_from_csv(data), reference_patch_from_csv(data))
+        assert_same_patch(patch_from_csv(data), loadtxt_patch_from_csv(data))
+
+    def test_several_blocks_csv_spans_several_blocks(self):
+        assert 2 * _CSV_BLOCK < len(SEVERAL_BLOCKS_CSV) < 3 * _CSV_BLOCK
+
+    @pytest.mark.parametrize("data", [
+        b"x1,x2,u\r\n1_0,2.0,3.0\r\n",  # numpy's cast and float() read 10.0
+        b"x1,x2,u\r\n1.0,2.0,1e1_0\r\n",
+        b"x1,x2,u\r\n1.0,2.0,3.0\r\n \t\r\n",  # a whitespace-only line
+        b"x1,x2,u\r\n1.0,,3.0\r\n",  # an empty field
+        b"x1,x2,u\r\n1.0,2.0,\r\n",
+        b"x1,x2,u\r\n1.0,2.0,3.0,\r\n",  # a trailing comma
+        b"x1,x2,u\r\n1.0,2.0,3.0 # c\r\n",
+        b"x1,x2,u\r\n1.0,2.0,0x10\r\n",
+        b'x1,x2,u\r\n1.0, "2.0" ,3.0\r\n',  # a quoted field padded outside its quotes
+        b'x1,x2,u\r\n1.0,"2,0",3.0\r\n',  # a comma inside quotes
+        b'x1,x2,u\r\n1.0,2.0,3.0\r\n""\r\n',  # an empty quoted field alone on a line
+        b"x1,x2,u\r\n1.0,2.0,3\x00\r\n",  # a NUL byte
+        b"x1,x2,u\r\n1.0,2.0,3.0\r\r\n",  # a CR that ends no line
+        b"x1,x2,u\r\n1.0,2.0,\xb2\r\n",
+    ])
+    def test_rejected_like_loadtxt(self, data):
+        with pytest.raises(ValueError):
+            loadtxt_patch_from_csv(data)
+        with pytest.raises(ValueError):
+            patch_from_csv(data)
+
+    def test_cr_only_line_ends_raise_value_error(self):
+        # the header's csv.reader raised _csv.Error, which is no ValueError
+        with pytest.raises(ValueError, match="LF or CRLF"):
+            patch_from_csv(b"x1,x2,u\r1.0,2.0,3.0\r")
+
+    @pytest.mark.parametrize("data,line,text", [
+        (b"x1,x2,u\r\n1.0,2.0,3.0\r\n\r\n1.0,abc,3.0\r\n", 4, b"abc"),
+        (b"x1,x2,u\n1.0,2.0,3.0\n2.0,2.0,1_0", 3, b"1_0"),
+        (b"x1,x2,u\n1.0,2.0,3.0\n2.0,\t2.0\xa0,x\n", 3, b"x"),
+        (b"x1,x2,u\r\n1.0,2.0,3\x00\r\n", 2, b"3\x00"),
+        (b"x1,x2,u\r\n1.0,2.0\r\n", 2, b"1.0,2.0"),
+        (b"x1,x2,u\r\n1.0,2.0,3.0\r\n\n1.0,2.0,3.0,4.0", 4, b"1.0,2.0,3.0,4.0"),
+    ])
+    def test_bad_field_or_row_names_its_line(self, data, line, text):
+        with pytest.raises(ValueError, match=f"at line {line}: {re.escape(repr(text))}$"):
+            patch_from_csv(data)
+
+    @pytest.mark.parametrize("block", [1, 40, _CSV_BLOCK])
+    def test_bad_field_in_a_later_block_names_its_line(self, monkeypatch, block):
+        monkeypatch.setattr(oracle_module, "_CSV_BLOCK", block)
+        rows = [f"{k}.0,2.0,3.0" for k in range(40)]
+        rows[29] = "29.0,2.0,3.O"
+        data = "x1,x2,u\r\n" + "\r\n".join(rows)
+        with pytest.raises(ValueError, match="at line 31: b'3.O'$"):
+            patch_from_csv(data)
+        rows[29] = "29.0,2.0,3.0"
+        data = "x1,x2,u\r\n" + "\r\n\n".join(rows)
+        assert_same_patch(patch_from_csv(data), loadtxt_patch_from_csv(data))
+
+    @pytest.mark.parametrize("data,first,again", [
+        (b"x1,x2,u\r\n1.0,2.0,3.0\r\n1.0,2.0,4.0\r\n", "(1.0, 2.0)", "(1.0, 2.0)"),
+        (b"x1,x2,u\r\n0.0,2.0,3.0\r\n5.0,5.0,5.0\r\n-0.0,2.0,4.0\r\n", "(0.0, 2.0)",
+         "(-0.0, 2.0)"),
+    ])
+    def test_lattice_point_named_twice_rejected(self, data, first, again):
+        # numpy's text reader kept the last row's u and dropped the first
+        assert loadtxt_patch_from_csv(data).mask.sum() == data.count(b"\n") - 2
+        match = f"(x1, x2) = {first} and {again}"
+        with pytest.raises(ValueError, match=re.escape(match)):
+            patch_from_csv(data)
+
+    def test_colliding_keys_give_the_same_bits(self, monkeypatch):
+        # every key collides: each block's words mismatch, so it parses every field
+        want = patch_from_csv(SEVERAL_BLOCKS_CSV)
+        calls = []
+        one_by_one = text_module._one_by_one
+        monkeypatch.setattr(text_module, "_key", lambda words: np.zeros(words.shape[1], np.uint64))
+        monkeypatch.setattr(text_module, "_one_by_one",
+                            lambda *args: calls.append(1) or one_by_one(*args))
+        assert_same_patch(patch_from_csv(SEVERAL_BLOCKS_CSV), want)
+        assert len(calls) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.text(alphabet='0123456789.eE+-_ \t"infatyINFATY,x\xa0\x1c',
+                                        max_size=7)] * 2), min_size=1, max_size=4),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_random_fields_parse_like_loadtxt(self, rows, end):
+        # x1 is each row's own, so no lattice point repeats
+        data = ("x1,x2,u" + end + end.join(f"{k},{y},{u}" for k, (y, u) in enumerate(rows))
+                ).encode("latin-1")
+        try:
+            want = loadtxt_patch_from_csv(data)
+        except ValueError:
+            with pytest.raises(ValueError):
+                patch_from_csv(data)
+        else:
+            assert_same_patch(patch_from_csv(data), want)
 
     @pytest.mark.parametrize("data", [
         b"x1,x2,u\r\n",  # no rows
