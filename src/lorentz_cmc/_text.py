@@ -1,6 +1,10 @@
 """Float text for the OBJ and CSV writers and the patch CSV reader: the
 shortest round-trip ``repr`` of each distinct value, block-wise record
-formatting, and the float of each distinct field text."""
+formatting, and the float of each distinct field text.  Also the front end
+of both readers (``load_obj``, ``patch_from_csv``): ``text_bytes`` makes
+their input bytes past a byte-order mark, and ``read_blocks`` hands a
+format's block parser the text a block of lines at a time and names the
+line of a field it rejects."""
 
 from __future__ import annotations
 
@@ -10,6 +14,8 @@ import numpy as np
 
 # Rows formatted per block by ``format_records``.
 _ROWS = 4096
+# Bytes of text handed to a reader's block parser at a time, cut at the next line end.
+_BLOCK = 1 << 20
 # Fields longer than this many 8-byte words are parsed one at a time.
 _WORDS = 8
 # _MASKS[k] keeps the first k bytes of a word.
@@ -23,7 +29,37 @@ _SPECIAL[[ord('"'), ord("_")]] = True
 
 
 class BadField(ValueError):
-    """A field ``parse_floats`` rejects: args (its offset in the text, why, its bytes)."""
+    """A field or record a block parser rejects: args (its offset in the text, why, its bytes)."""
+
+
+def text_bytes(data):
+    """``(data, start)``: the text as bytes, a str encoded as UTF-8, and the
+    offset past one leading UTF-8 byte-order mark (0 if there is none)."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return data, 3 if data.startswith(b"\xef\xbb\xbf") else 0
+
+
+def read_blocks(data, start, parse, what=""):
+    """``[parse(data, a, b), ...]`` over the blocks ``a:b`` of ``data[start:]``,
+    each ending at the first line end ``_BLOCK`` bytes or more past its start
+    (the last at the end of the data), so the memory used is one block's.
+
+    A ``BadField(offset, why, text)`` raised by ``parse`` becomes the
+    ValueError ``"{what}{why} at line {n}: {text!r}"``, n the 1-based line
+    of ``offset``.
+    """
+    parts = []
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        try:
+            parts.append(parse(data, start, stop))
+        except BadField as exc:
+            at, why, text = exc.args
+            line = data.count(b"\n", 0, at) + 1
+            raise ValueError(f"{what}{why} at line {line}: {text!r}") from None
+        start = stop
+    return parts
 
 
 def distinct_reprs(values):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import format_records
+from ._text import BadField, format_records, read_blocks, text_bytes
 from .errors import NonPositiveRadius
 from .profile import ProfileCurve, _default_step, _residuals, heights, singularity_report
 
@@ -130,14 +130,6 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
                           ("f %d %d %d\n", len(f), lambda rows: f[rows] + 1))
 
 
-# Bytes of OBJ text parsed at a time by load_obj; a block ends at a line end.
-_OBJ_BLOCK = 1 << 20
-
-
-class _BadRecord(ValueError):
-    """A record ``_obj_block`` rejects: args (its line's index in the block, why, the line)."""
-
-
 def _obj_parse(text, tag, dtype):
     """Entries 1-3 of ``tag`` records (tag as column 0), (count, 3); None if one fails."""
     if tag == "f" and b"/" in text:
@@ -163,57 +155,54 @@ def _obj_rows(data, starts, ends, kinds, tag, dtype):
             record = data[starts[line]:ends[line]]
             alone = _obj_parse(record, tag, dtype)
             if alone is None or alone.shape[0] != 1:
-                raise _BadRecord(line, f"bad OBJ {tag} record", record)
+                raise BadField(starts[line], f"bad OBJ {tag} record", record.strip())
     return rows
 
 
-def _obj_block(data):
-    """(vertices, faces) rows of the v/f records in ``data``, whole lines of OBJ bytes."""
-    data = data if data.endswith(b"\n") else data + b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n")) + 1
-    starts = np.concatenate(([0], ends[:-1]))
-    kinds = buf[starts]
-    if np.any((kinds == 32) | (kinds == 9)):  # some line is indented
-        return _obj_block(re.sub(rb"(?m)^[ \t]+", b"", data))
-    # each line's kind: its tag byte if that is v or f and whitespace follows, else 0
+def _obj_block(data, start, stop):
+    """(vertices, faces) rows of the v/f records of ``data[start:stop]``, whole OBJ lines."""
+    buf = np.frombuffer(data, dtype=np.uint8, count=stop)
+    ends = np.flatnonzero(buf[start:] == ord("\n")) + (start + 1)
+    if buf[-1] != ord("\n"):  # the last line of the data
+        ends = np.append(ends, stop)
+    starts = np.concatenate(([start], ends[:-1]))
+    # each line's first byte after its indentation, one byte of indentation a pass
+    heads, kinds = starts.copy(), buf[starts]
+    indented = np.flatnonzero((kinds == 32) | (kinds == 9))
+    while indented.size:
+        heads[indented] += 1
+        indented = indented[heads[indented] < stop]
+        kinds[indented] = buf[heads[indented]]
+        indented = indented[(kinds[indented] == 32) | (kinds[indented] == 9)]
+    # each line's kind: its tag byte if that is v or f and whitespace or the end follows, else 0
     tagged = np.flatnonzero((kinds == ord("v")) | (kinds == ord("f")))
-    second = buf[starts[tagged] + 1]
-    kinds[tagged[(second != 32) & (second != 9) & (second != 13) & (second != 10)]] = 0
+    after = heads[tagged] + 1
+    second = buf[np.minimum(after, stop - 1)]
+    kinds[tagged[(second != 32) & (second != 9) & (second != 13) & (second != 10)
+                 & (after < stop)]] = 0
     faces = _obj_rows(data, starts, ends, kinds, "f", np.int64) - 1
     if faces.size and faces.min() < 0:
         line = np.flatnonzero(kinds == ord("f"))[np.argmax(faces.min(axis=1) < 0)]
-        raise _BadRecord(line, "OBJ f record index below 1", data[starts[line]:ends[line]])
+        raise BadField(starts[line], "OBJ f record index below 1",
+                       data[starts[line]:ends[line]].strip())
     return _obj_rows(data, starts, ends, kinds, "v", np.float64), faces
 
 
 def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
     """Parse v/f records (first three entries; face entries >= 1, up to any '/')
-    from OBJ bytes or text; returns (vertices, faces), each (0,) if absent.
+    from OBJ bytes or text (a str is read as its UTF-8 bytes; one leading
+    UTF-8 byte-order mark is skipped); returns (vertices, faces), each (0,)
+    if absent.
     A bad record raises ValueError naming its 1-based line and its text, and
     a face index beyond the number of v records raises it naming the index.
 
-    The bytes are parsed in blocks of ``_OBJ_BLOCK`` cut at the next line
-    end, keeping only each block's rows: the memory used beyond the input
-    is the arrays returned plus one block.
+    The bytes are parsed in place in blocks of ``_text._BLOCK`` cut at the
+    next line end (``_text.read_blocks``), keeping only each block's rows:
+    the memory used beyond the input is the arrays returned plus one block.
     """
-    if isinstance(data, str):
-        data = data.encode("ascii")
-    vertices, faces, start = [], [], 0
-    while start < len(data):
-        stop = data.find(b"\n", start + _OBJ_BLOCK) + 1 or len(data)
-        try:
-            parts = _obj_block(data[start:stop])
-        except _BadRecord as exc:
-            line, why, record = exc.args
-            line += 1 + data.count(b"\n", 0, start)
-            raise ValueError(f"{why} at line {line}: {record.strip()!r}") from None
-        for rows, part in zip((vertices, faces), parts):
-            if part.size:
-                rows.append(part)
-        start = stop
-    vertices, faces = (np.concatenate(rows) if rows else np.zeros(0, dtype=dtype)
-                       for rows, dtype in ((vertices, np.float64), (faces, np.int64)))
+    blocks = read_blocks(*text_bytes(data), _obj_block)
+    vertices, faces = (np.concatenate([b[k] for b in blocks if b[k].size] or [np.zeros(0, dtype)])
+                       for k, dtype in enumerate((np.float64, np.int64)))
     if faces.size and faces.max() >= len(vertices):
         raise ValueError(f"OBJ f record index {faces.max() + 1} is beyond the "
                          f"{len(vertices)} v records")

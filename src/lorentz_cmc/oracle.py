@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import BadField, distinct_reprs, float_reprs, format_records, parse_floats
+from ._text import (BadField, distinct_reprs, float_reprs, format_records, parse_floats,
+                    read_blocks, text_bytes)
 from .core import _require_positive
 from .errors import NotMonotone, SpacelikeViolation
 from .profile import ProfileCurve, _fd_step, _radius, heights
@@ -118,8 +119,6 @@ def patch_to_csv(patch: GraphPatch) -> bytes:
     return format_records("x1,x2,u\r\n", ("%s,%s,%s\r\n", flat.size, cells))
 
 
-# Bytes of CSV body parsed per block by ``patch_from_csv``, cut at the next line end.
-_CSV_BLOCK = 1 << 20
 # A field that opens with a quote, read as numpy's text reader reads one: to
 # the next lone quote, or to the end of the data; "" stands for a quote.
 _QUOTED = re.compile(rb'(?<![^,\n])"((?:[^"]|"")*)(?:"|\Z)')
@@ -162,7 +161,9 @@ def _csv_block(data, start, stop):
 
 
 def patch_from_csv(data) -> GraphPatch:
-    """Parse the x1,x2,u CSV format back into a GraphPatch.
+    """Parse the x1,x2,u CSV format, as bytes or text (a str is read as its
+    UTF-8 bytes; one leading UTF-8 byte-order mark is skipped), back into a
+    GraphPatch.
 
     The lattice is reconstructed from the distinct coordinate values; rows
     may cover only part of it, in which case missing points are masked, but
@@ -176,16 +177,15 @@ def patch_from_csv(data) -> GraphPatch:
     read them.  A row or field that does not parse raises ValueError naming
     its 1-based line and its text.
 
-    The body is parsed in blocks of ``_CSV_BLOCK`` bytes cut at the next
-    line end, and each distinct field text of a block is converted once
-    (``_text.parse_floats``): a 257^2 lattice has 257 distinct texts per
-    axis column.
+    The body is parsed in blocks of ``_text._BLOCK`` bytes cut at the next
+    line end (``_text.read_blocks``), and each distinct field text of a
+    block is converted once (``_text.parse_floats``): a 257^2 lattice has
+    257 distinct texts per axis column.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    body = data.find(b"\n") + 1 or len(data)
+    data, start = text_bytes(data)
+    body = data.find(b"\n", start) + 1 or len(data)
     try:
-        header = next(csv.reader([data[:body].removesuffix(b"\n").decode("utf-8")]), [])
+        header = next(csv.reader([data[start:body].removesuffix(b"\n").decode("utf-8")]), [])
     except csv.Error as exc:
         raise ValueError(f"patch CSV header does not parse ({exc}); lines must end in "
                          "LF or CRLF") from None
@@ -193,16 +193,7 @@ def patch_from_csv(data) -> GraphPatch:
         raise ValueError(f"expected header x1,x2,u, got {header}")
     if data.find(b'"', body) >= 0:
         data = data[:body] + _QUOTED.sub(_unquote, data[body:])
-    fields, start = [], body
-    while start < len(data):
-        stop = data.find(b"\n", start + _CSV_BLOCK) + 1 or len(data)
-        try:
-            fields.append(_csv_block(data, start, stop))
-        except BadField as exc:
-            at, why, text = exc.args
-            line = data.count(b"\n", 0, at) + 1
-            raise ValueError(f"patch CSV {why} at line {line}: {text!r}") from None
-        start = stop
+    fields = read_blocks(data, body, _csv_block, "patch CSV ")
     cells = np.concatenate([np.zeros(0), *fields])
     del fields
     if cells.size == 0:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lorentz_cmc._text as text_module
 import lorentz_cmc.mesh as mesh_module
 import lorentz_cmc.profile as profile_module
 from lorentz_cmc import (
@@ -27,8 +28,7 @@ from lorentz_cmc import (
     sample_surface,
     singularity_report,
 )
-from lorentz_cmc._text import _ROWS
-from lorentz_cmc.mesh import _OBJ_BLOCK
+from lorentz_cmc._text import _BLOCK, _ROWS
 
 
 def curve_of(H, c, r=1.0, a=0.0):
@@ -377,6 +377,26 @@ class TestReferenceKernels:
             assert euler_characteristic(mesh) == reference_euler(n_vertices, faces)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def arrays_or_message(data):
+    try:
+        return load_obj(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
 class TestLoadObj:
     def test_slash_faces_comments_normals_and_whitespace(self):
         text = ("# header comment\r\n"
@@ -428,7 +448,7 @@ class TestLoadObj:
 
     @pytest.mark.parametrize("bad", ["v 4 5", "f 1 0 1", "f 1 x 1"])
     def test_bad_record_in_a_later_block_names_its_line(self, monkeypatch, bad):
-        monkeypatch.setattr(mesh_module, "_OBJ_BLOCK", 16)
+        monkeypatch.setattr(text_module, "_BLOCK", 16)
         lines = ["v 1 2 3", "vn 0 0 1", "f 1 1 1", "# a comment", "  v 4 5 6"] * 20
         lines.insert(77, bad)
         text = "\n".join(lines)
@@ -441,6 +461,38 @@ class TestLoadObj:
         for data in (b"", "", "# nothing but a comment\n\n"):
             verts, faces = load_obj(data)
             assert verts.shape == (0,) and faces.shape == (0,)
+
+    def test_bom_example_keeps_its_first_vertex(self):
+        # the BOM hid the first v tag: one vertex, (4, 5, 6), and the face [0, 0, 0]
+        verts, faces = load_obj(BOM + b"v 1 2 3\nv 4 5 6\nf 1 1 1\n")
+        assert verts.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert faces.tolist() == [[0, 0, 0]]
+
+    @pytest.mark.parametrize("text", [
+        "v 1 2 3\nv 4 5 6\nf 1 2 1\n",
+        " \tv -0.0 nan inf\r\nf 1 1 1",
+        "# comment\nv 1 2 3\n",
+        "",
+        "v 1 2 3\nv 4 5\n",  # line 2 named
+        "v 1 x 3\n",  # line 1 named
+        "v 1 2 3\nf 0 1 1\n",
+        "f 1 2 3\n",
+    ])
+    def test_leading_bom_is_skipped(self, text):
+        want = arrays_or_message(text)
+        for data in (BOM + text.encode("ascii"), "\ufeff" + text):
+            assert_same_outcome(arrays_or_message(data), want)
+
+    def test_only_one_leading_bom_is_skipped(self):
+        # a BOM elsewhere is a byte like any other, so its line starts with no tag
+        assert load_obj(BOM + BOM + b"v 1 2 3\n")[0].shape == (0,)
+        assert load_obj(BOM + b"v 1 2 3\n" + BOM + b"v 4 5 6\n")[0].tolist() == [[1.0, 2.0, 3.0]]
+
+    @pytest.mark.parametrize("text", ["# \xe9\nv 1 2 3\n", "v 1 2 3\n# \u221e\nf 1 1 1\n",
+                                      "v 1 2 \xe9\n", "v 1 2 3\nf 1 1 \xfc\n"])
+    def test_str_reads_as_its_utf8_bytes(self, text):
+        # a str was encoded as ASCII: UnicodeEncodeError, naming no line
+        assert_same_outcome(arrays_or_message(text), arrays_or_message(text.encode("utf-8")))
 
 
 def reference_export_obj(mesh):
@@ -552,6 +604,22 @@ class TestSerialisersAgainstReference:
                 assert np.array_equal(bits(g) if g.dtype == float else g,
                                       bits(w) if w.dtype == float else w)
 
+    @pytest.mark.parametrize("block", [1, 16, _BLOCK])
+    def test_every_line_indented_parses_like_reference(self, monkeypatch, block):
+        # line starts advance over spaces and tabs in place, one byte a pass;
+        # the last line is blank and has no line end
+        monkeypatch.setattr(text_module, "_BLOCK", block)
+        lines = ["v 1 2 3", "# c", "vn 0 0 1", "f 1/1 2//2 1/2/3", "", "v -0.0 nan inf",
+                 "vt 0 0", "f 2 1 2 2", "v 4e-3\t5 6", "f\t1 1 1\r", "v7 8 9"]
+        indents = [" ", "\t", " \t ", "\t \t\t", "  \t  \t", "\t\t"]
+        text = "\n".join(indents[k % len(indents)] + line
+                         for k, line in enumerate(lines * 3)) + "\n \t\t "
+        for data in (text, text.encode("ascii")):
+            for g, w in zip(load_obj(data), reference_load_obj(data)):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(bits(g) if g.dtype == float else g,
+                                      bits(w) if w.dtype == float else w)
+
     @pytest.mark.parametrize("text", ["v\n", "v 1 2 3\nv\n", "v 1 2 3\nf\n",
                                       "v # comment only\n", "v 1 2 #3\n", "f 1 2\n",
                                       "v 1 x 3\n", "f 1.5 2 3\n"])
@@ -576,7 +644,7 @@ def multi_block_obj():
     with indented records, comments and slash faces, CRLF line ends and no
     final newline."""
     rng = np.random.default_rng(11)
-    n = 5 * _OBJ_BLOCK // 32
+    n = 5 * _BLOCK // 32
     kinds = rng.integers(0, 6, n).tolist()
     coords = rng.choice(np.array([repr(v) for v in SPECIAL]), size=(n, 3)).tolist()
     # face indices within the file's own v records (kinds 0 and 4)
@@ -584,7 +652,7 @@ def multi_block_obj():
     forms = ["v {0} {1} {2}", "vn 0 0 1", "f {3}/{4} {4}//{5} {5}/1/{3}", "f {3} {4} {5} 7",
              "\tv {0}\t{1} {2} 0.5", "# {0} {1}"]
     text = "\r\n".join(forms[k].format(*c, *i) for k, c, i in zip(kinds, coords, index))
-    assert len(text) > 2 * _OBJ_BLOCK
+    assert len(text) > 2 * _BLOCK
     return text
 
 
@@ -606,12 +674,12 @@ class TestBlockSeams:
         # alternating: every line is a run of its own, over three reader
         # blocks; seam: one v run that a block end cuts, then one f run
         rng = np.random.default_rng(13)
-        n = _OBJ_BLOCK // 32
+        n = _BLOCK // 32
         v = ["v %r %r %r" % tuple(row) for row in rng.normal(size=(n, 3)).tolist()]
         f = ["f %d %d %d" % tuple(row) for row in rng.integers(1, n + 1, size=(n, 3)).tolist()]
         lines = [line for pair in zip(v, f) for line in pair] if layout == "alternating" else v + f
         text = "\n".join(lines) + "\n"
-        assert len(text) > 2 * _OBJ_BLOCK and len("\n".join(v)) > _OBJ_BLOCK
+        assert len(text) > 2 * _BLOCK and len("\n".join(v)) > _BLOCK
         for got, want in zip(load_obj(text.encode("ascii")), reference_load_obj(text)):
             assert got.dtype == want.dtype and got.shape == want.shape == (n, 3)
             assert np.array_equal(bits(got) if got.dtype == float else got,

@@ -26,9 +26,8 @@ from lorentz_cmc import (
     variational_residual,
 )
 import lorentz_cmc._text as text_module
-import lorentz_cmc.oracle as oracle_module
-from lorentz_cmc._text import _ROWS, _WORDS
-from lorentz_cmc.oracle import _CSV_BLOCK, _erode
+from lorentz_cmc._text import _BLOCK, _ROWS, _WORDS
+from lorentz_cmc.oracle import _erode
 
 
 def curve_of(H, c, r=1.0, a=0.0, **kw):
@@ -323,7 +322,7 @@ class TestPatchCsvAgainstReference:
         assert_same_patch(patch_from_csv(data), loadtxt_patch_from_csv(data))
 
     def test_several_blocks_csv_spans_several_blocks(self):
-        assert 2 * _CSV_BLOCK < len(SEVERAL_BLOCKS_CSV) < 3 * _CSV_BLOCK
+        assert 2 * _BLOCK < len(SEVERAL_BLOCKS_CSV) < 3 * _BLOCK
 
     @pytest.mark.parametrize("data", [
         b"x1,x2,u\r\n1_0,2.0,3.0\r\n",  # numpy's cast and float() read 10.0
@@ -364,9 +363,9 @@ class TestPatchCsvAgainstReference:
         with pytest.raises(ValueError, match=f"at line {line}: {re.escape(repr(text))}$"):
             patch_from_csv(data)
 
-    @pytest.mark.parametrize("block", [1, 40, _CSV_BLOCK])
+    @pytest.mark.parametrize("block", [1, 40, _BLOCK])
     def test_bad_field_in_a_later_block_names_its_line(self, monkeypatch, block):
-        monkeypatch.setattr(oracle_module, "_CSV_BLOCK", block)
+        monkeypatch.setattr(text_module, "_BLOCK", block)
         rows = [f"{k}.0,2.0,3.0" for k in range(40)]
         rows[29] = "29.0,2.0,3.O"
         data = "x1,x2,u\r\n" + "\r\n".join(rows)
@@ -428,6 +427,59 @@ class TestPatchCsvAgainstReference:
             reference_patch_from_csv(data)
         with pytest.raises(ValueError):
             patch_from_csv(data)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def patch_or_message(data):
+    try:
+        return patch_from_csv(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_patch(got, want)
+
+
+class TestPatchCsvTextInput:
+    @pytest.mark.parametrize("data", [
+        b"x1,x2,u\r\n1.0,2.0,3.0\r\n",
+        b'"x1","x2","u"\n1,2,3\n2,2,-0.0',
+        b"x1,x2,u\n\n1,2,3\n\n",
+        b"x1,x2,u\r\n1.0,2.0,3.0\r\n\r\n1.0,abc,3.0\r\n",  # line 4 named
+        b"x1,x2,u\n1.0,2.0\n",  # line 2 named
+        b"x1,x2,u\n",
+        b"x1,x2\n1,2\n",
+    ])
+    def test_leading_bom_is_skipped(self, data):
+        # the header read as ['\ufeffx1', 'x2', 'u'] and raised
+        want = patch_or_message(data)
+        for with_bom in (BOM + data, "\ufeff" + data.decode("ascii")):
+            assert_same_outcome(patch_or_message(with_bom), want)
+
+    def test_bom_example_reads_its_row(self):
+        assert_same_patch(patch_from_csv(BOM + b"x1,x2,u\n1,2,3\n"),
+                          GraphPatch(np.array([1.0]), np.array([2.0]), np.array([[3.0]]),
+                                     np.array([[True]])))
+
+    @pytest.mark.parametrize("data,match", [
+        (BOM + BOM + b"x1,x2,u\n1,2,3\n", "expected header"),
+        (BOM + b"x1,x2,u\n" + BOM + b"1,2,3\n", "at line 2: "),
+    ])
+    def test_only_one_leading_bom_is_skipped(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            patch_from_csv(data)
+
+    @pytest.mark.parametrize("text", ["x1,x2,u\n1,2,3\n", "x1,x2,u\r\n1,2,\u221e\r\n",
+                                      "x1,x2,u\n1,2,\xe9\n", "x1,x2,\xfc\n1,2,3\n"])
+    def test_str_reads_as_its_utf8_bytes(self, text):
+        assert_same_outcome(patch_or_message(text), patch_or_message(text.encode("utf-8")))
 
 
 def reference_mean_curvature_graph(patch, mode="nondivergence"):
