@@ -8,6 +8,7 @@ line of a field it rejects."""
 
 from __future__ import annotations
 
+import bisect
 import io
 
 import numpy as np
@@ -40,14 +41,15 @@ def text_bytes(data):
     return data, 3 if data.startswith(b"\xef\xbb\xbf") else 0
 
 
-def read_blocks(data, start, parse, what=""):
+def read_blocks(data, start, parse, what="", hidden=()):
     """``[parse(data, a, b), ...]`` over the blocks ``a:b`` of ``data[start:]``,
     each ending at the first line end ``_BLOCK`` bytes or more past its start
     (the last at the end of the data), so the memory used is one block's.
 
     A ``BadField(offset, why, text)`` raised by ``parse`` becomes the
     ValueError ``"{what}{why} at line {n}: {text!r}"``, n the 1-based line
-    of ``offset``.
+    of ``offset``, also counting each line end that ``data`` no longer
+    holds at an offset in ``hidden`` (sorted) up to ``offset``.
     """
     parts = []
     while start < len(data):
@@ -56,7 +58,7 @@ def read_blocks(data, start, parse, what=""):
             parts.append(parse(data, start, stop))
         except BadField as exc:
             at, why, text = exc.args
-            line = data.count(b"\n", 0, at) + 1
+            line = data.count(b"\n", 0, at) + 1 + bisect.bisect_right(hidden, at)
             raise ValueError(f"{what}{why} at line {line}: {text!r}") from None
         start = stop
     return parts

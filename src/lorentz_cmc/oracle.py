@@ -83,11 +83,14 @@ def patch_from_profile(curve: ProfileCurve, x1, x2, min_radius=None) -> GraphPat
 
     Points with radius below ``min_radius`` (default 5% of the anchor
     radius, keeping clear of the axis puncture) are masked out and filled
-    with the anchor height as an inert placeholder.  A given ``min_radius``
-    must be finite and positive (else ValueError).
+    with the anchor height as an inert placeholder.  The axes must be
+    finite, and a given ``min_radius`` finite and positive (else ValueError).
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
+    for name, axis in (("x1", x1), ("x2", x2)):
+        if not np.isfinite(axis).all():
+            raise ValueError(f"{name} must be finite")
     if min_radius is None:
         min_radius = 0.05 * curve.anchor_radius
     else:
@@ -126,9 +129,21 @@ _QUOTED = re.compile(rb'(?<![^,\n])"((?:[^"]|"")*)(?:"|\Z)')
 _IN_QUOTES = bytes.maketrans(b"\r\n,", b'  "')
 
 
-def _unquote(match):
-    # a space, stripped as whitespace, keeps "" alone on a line from reading as a blank line
-    return match[1].replace(b'""', b'"').translate(_IN_QUOTES) or b" "
+def _unquoted(data, body):
+    """``(text, hidden)``: ``data`` with each quoted field after ``body``
+    unquoted, and for each line end inside quotes the offset in ``text``
+    just past its field, so errors name the lines of ``data``."""
+    hidden, shift = [], body  # text offset minus the offset in data[body:]
+
+    def unquote(match):
+        nonlocal shift
+        # a space, stripped as whitespace, keeps "" alone on a line from reading as a blank line
+        field = match[1].replace(b'""', b'"').translate(_IN_QUOTES) or b" "
+        shift -= len(match[0]) - len(field)
+        hidden.extend([match.end() + shift] * match[0].count(b"\n"))
+        return field
+
+    return data[:body] + _QUOTED.sub(unquote, data[body:]), hidden
 
 
 def _csv_block(data, start, stop):
@@ -191,9 +206,10 @@ def patch_from_csv(data) -> GraphPatch:
                          "LF or CRLF") from None
     if [h.strip() for h in header] != ["x1", "x2", "u"]:
         raise ValueError(f"expected header x1,x2,u, got {header}")
+    hidden = ()
     if data.find(b'"', body) >= 0:
-        data = data[:body] + _QUOTED.sub(_unquote, data[body:])
-    fields = read_blocks(data, body, _csv_block, "patch CSV ")
+        data, hidden = _unquoted(data, body)
+    fields = read_blocks(data, body, _csv_block, "patch CSV ", hidden)
     cells = np.concatenate([np.zeros(0), *fields])
     del fields
     if cells.size == 0:

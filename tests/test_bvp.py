@@ -718,6 +718,17 @@ class TestKnownRoot:
         a, b = (d, 0.0) if descending else (0.0, d)
         self._solve_on_threshold(r, R, a, b, H)
 
+    def test_snap_is_tried_where_a_secant_puts_0_within_root_tol(self):
+        # g(0) meets root_tol one ulp either side of H0.  Below, only the
+        # barrier bracket's secant puts 0 within root_tol of the root (so on
+        # 57 of 6000 seeded near-H0 draws); above, neither secant does
+        rings = (137.32376348033716, 1626.0679298311793, 1309.0332594811566, -179.71087145137182)
+        h0 = threshold_H0(validate_rings(RingPair(*rings)))
+        below, at, above = (solve_two_ring(*rings, float(H))
+                            for H in (np.nextafter(h0, 0.0), h0, np.nextafter(h0, np.inf)))
+        assert below.c == at.c == 0.0 and below.regime is at.regime is Regime.HYPERBOLIC_CAP
+        assert above.c > 1e-4 and above.regime is Regime.POSITIVE_C
+
     def test_g_zero_beyond_root_tol_takes_the_search(self, monkeypatch):
         # g(0) = 2e-9 at the cap: c = 0 is refused, and the bracketed search
         # runs as at any other H; the snap rule reuses that g(0)

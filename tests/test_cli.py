@@ -2,8 +2,6 @@ import json
 import math
 import os
 import stat
-import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -29,6 +27,7 @@ from lorentz_cmc.cli import (
     _emit,
     main,
 )
+from test_console import console
 
 
 def run(capsys, *argv):
@@ -77,17 +76,11 @@ class TestSolve:
 
     def test_overflowing_rise_solves_in_a_fresh_process(self):
         # H R = 1e150: rise is nan there, and with it every g, so this solve
-        # never returned; g now takes panels there
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        run = subprocess.run([sys.executable, "-m", "lorentz_cmc.cli", "solve", "--r", "1e-200",
-                              "--R", "1", "--a", "0", "--b", "0.5", "--H", "1e150"],
-                             env=env, capture_output=True, text=True, timeout=60)
+        # never returned; g is the light-cone limit there
+        run = console("solve", "--r", "1e-200", "--R", "1", "--a", "0", "--b", "0.5", "--H", "1e150")
         assert run.returncode == EXIT_OK
         assert "NaN" not in run.stdout
-        rec = last_record(run.stdout)
-        assert math.isfinite(rec["residual"]) and rec["residual"] <= 1e-9
+        assert math.isfinite(run.rec["residual"]) and run.rec["residual"] <= 1e-9
 
     def test_overflowing_flux_prints_strict_json(self, capsys):
         # c = 6.25e307, so 2 pi c overflows: "flux" was the token Infinity

@@ -1,9 +1,7 @@
 import cmath
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,6 +11,7 @@ from lorentz_cmc import elliptic
 from lorentz_cmc.elliptic import _carlson, _carlson_pair, rise
 from lorentz_cmc.profile import _closed_form, _height_at, _slope_raw
 from lorentz_cmc.quadrature import integrate
+from test_console import child_env
 
 EPS = sys.float_info.epsilon
 positive = st.floats(1e-10, 1e10)
@@ -368,8 +367,5 @@ class TestShootingMap:
 
 def test_import_leaves_scipy_out():
     # the library runs on numpy alone; scipy is a test dependency only
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = "import sys, lorentz_cmc; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=child_env()).returncode == 0

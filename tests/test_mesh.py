@@ -440,6 +440,7 @@ class TestLoadObj:
         ("v 1 2 3\nvn 0 0 1\nf 1 1 1\n# c\n\nf 1 1\nv 4 5 6\n", 6, "f 1 1"),
         ("v 1 2 3\r\n\tv 1 x 3\r\nf 1 1 1\r\n", 2, "v 1 x 3"),
         ("v 1 2 3\nf 1 1 1\nv 1 2 3\nf 1/1 0 1\n", 4, "f 1/1 0 1"),
+        ("v 1 2 3\r\nv\r\n", 2, "v"),  # a tag that CR follows is a record
     ])
     def test_bad_record_names_its_line(self, text, line, record):
         # numpy's row within one tag's records was reported: "row 3" for line 4

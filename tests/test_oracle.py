@@ -94,6 +94,15 @@ class TestGraphOracle:
         with pytest.raises(ValueError, match="min_radius"):
             patch_from_profile(curve_of(1.0, 3.0), xs, xs, min_radius=min_radius)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x1", "x2"])
+    def test_axes_must_be_finite(self, axis, value):
+        # a nan row was masked, and patch_to_csv dropped it: 8 points read back, not 9
+        axes = {"x1": np.linspace(-1.0, 1.0, 3), "x2": np.linspace(-1.0, 1.0, 3)}
+        axes[axis][1] = value
+        with pytest.raises(ValueError, match=f"^{axis} must be finite$"):
+            patch_from_profile(curve_of(1.0, 3.0), **axes)
+
     def test_graph_and_rotational_oracles_agree(self):
         curve = curve_of(1.0, 3.0)
         xs = np.linspace(-2.4, 2.4, 241)
@@ -358,6 +367,10 @@ class TestPatchCsvAgainstReference:
         (b"x1,x2,u\r\n1.0,2.0,3\x00\r\n", 2, b"3\x00"),
         (b"x1,x2,u\r\n1.0,2.0\r\n", 2, b"1.0,2.0"),
         (b"x1,x2,u\r\n1.0,2.0,3.0\r\n\n1.0,2.0,3.0,4.0", 4, b"1.0,2.0,3.0,4.0"),
+        # a line end inside quotes still ends a line
+        (b'x1,x2,u\n"1\n",2,3\n4,5,x\n', 4, b"x"),
+        (b'x1,x2,u\r\n"1\r\n",2,3\r\n4,5,x\r\n', 4, b"x"),
+        (b'x1,x2,u\n"1\n\n",2,3\n4,5\n', 5, b"4,5"),
     ])
     def test_bad_field_or_row_names_its_line(self, data, line, text):
         with pytest.raises(ValueError, match=f"at line {line}: {re.escape(repr(text))}$"):

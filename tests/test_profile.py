@@ -635,6 +635,15 @@ class TestFirstIntegralResidual:
         with pytest.raises(SpacelikeViolation, match="quad_tol/fd_step"):
             first_integral_residual(t, curve_of(1.0, 3.0))
 
+    def test_roundoff_floor_grows_away_from_the_anchor(self):
+        # 1 - |f'| = t^2 / 1e9 and quad_tol / fd_step = 1e-10: the floor
+        # 50 eps |t - 1| / fd_step decides, 3.3e-10 at t = 0.7, 5.6e-10 at 0.5
+        curve = curve_of(0.0, -math.sqrt(5e8), quad_tol=1e-15)
+        for t in (0.7, 1.0, 1.5):
+            assert math.isfinite(first_integral_residual(t, curve))
+        with pytest.raises(SpacelikeViolation, match="quad_tol/fd_step"):
+            first_integral_residual(0.5, curve)
+
     def test_tighter_quad_tol_clears_the_noise_bound(self):
         res = first_integral_residual(1e-2, curve_of(1.0, 3.0, quad_tol=1e-13))
         assert abs(res) < 1e-5

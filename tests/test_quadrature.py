@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +12,7 @@ from lorentz_cmc import QuadratureFailure, SurfaceParams, heights, profile_curve
 from lorentz_cmc.profile import _slope_raw
 from lorentz_cmc.quadrature import (PRESPLIT_RATIO, _BLOCK, _NODES, _WG_FULL, _WGK, integrate,
                                     panel_sums)
+from test_console import child_env
 
 
 def test_low_degree_polynomial_is_exact():
@@ -57,6 +57,10 @@ def test_subnormal_lower_bound_presplits_by_logs(lo, lo_type):
     cuts = quadrature._initial_cuts(lo, 1.0)
     assert lo < cuts[0] and cuts[-1] < 1.0 and all(np.diff(cuts) > 0.0)
     assert len(cuts) + 1 == math.ceil(-math.log10(lo))
+
+
+def test_wide_interval_presplits_at_each_decade():
+    assert quadrature._initial_cuts(1.0, 1e4) == pytest.approx([10.0, 100.0, 1e3], rel=1e-15)
 
 
 def test_agrees_with_scipy_on_oscillatory_integrand():
@@ -154,11 +158,8 @@ def test_heights_on_1e5_radii_are_bitwise_the_unblocked_rule():
     # in a single-threaded BLAS: the reference's one matmul over 1e5 panels
     # may be split across threads at a row that changes the last bits of
     # the rows before it (the library's blocks are too small to be split)
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-                   [str(here.parent / "src"), str(here)]
-                   + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = child_env(Path(__file__).resolve().parent, OPENBLAS_NUM_THREADS="1",
+                    OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     code = "import test_quadrature as t; t.check_heights_are_bitwise_the_unblocked_rule()"
     run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
                          capture_output=True, text=True)
