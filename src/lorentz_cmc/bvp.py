@@ -13,7 +13,10 @@ Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
 145-149): it keeps the newest iterate, the end across the root from it and
 the end dropped last, and steps by inverse quadratic interpolation through
 these three points where that interpolant is monotone on the bracket, by
-bisection otherwise.  Every iterate shrinks the bracket, so the search keeps
+bisection otherwise.  A bisection takes the midpoint in asinh(c / r) where
+g at an end is over half-way to its limit as c -> +-inf: g is flat there,
+and the end can lie decades beyond the root, which halving c would close
+one bit a step.  Every iterate shrinks the bracket, so the search keeps
 bisection's guarantee.  Each g is ``profile``'s scalar height: the cap or
 catenoid formula at c = 0 or H = 0; the light cones through the rings beyond
 ``rise``'s trust bound H R = 1e100 (the profile is within 2 sqrt(2) / H) or
@@ -123,17 +126,26 @@ def threshold_H0(rings: ValidatedRingPair):
     The rings and their mirror (a, b) -> (-a, -b) give the same bits; H0 = 0
     iff a = b or H0 rounds to 0 (below half the least subnormal).
     """
-    d = abs(rings.b - rings.a)
+    return _slope_and_threshold(rings.r, rings.R, abs(rings.b - rings.a))[1]
+
+
+def _slope_and_threshold(r, R, d):
+    """(slope bound, H0) of rings 0 < r < R whose heights differ by d >= 0.
+
+    The slope bound is ``ValidatedRingPair.slope_bound``, d / (R - r), and H0
+    is ``threshold_H0``, from floats: ``solve_c`` takes both for its rings in
+    ring units without validating them a second time.
+    """
     # lengths in units of 2**e ~ R: the squares no longer underflow for
     # rings far below 1, and a power-of-two scale changes no bit elsewhere
-    _, e = math.frexp(rings.R)
-    s, dr, sr = (math.ldexp(x, -e) for x in (d, rings.R - rings.r, rings.R + rings.r))
+    _, e = math.frexp(R)
+    s, dr, sr = (math.ldexp(x, -e) for x in (d, R - r, R + r))
     root = math.sqrt((dr * dr - s * s) * (sr * sr - s * s))
     # d scales the result by its own exponent, so a subnormal d keeps its bits;
     # the result rounds once, in solve_c's ring unit 2^min(0, e), then scales exactly
     m, e_d = math.frexp(d)
     e_u = min(0, e)
-    return math.ldexp(math.ldexp(2.0 * m / root, e_d - 2 * e + e_u), -e_u)
+    return d / (R - r), math.ldexp(math.ldexp(2.0 * m / root, e_d - 2 * e + e_u), -e_u)
 
 
 def classify(H, rings: ValidatedRingPair) -> Regime:
@@ -143,8 +155,8 @@ def classify(H, rings: ValidatedRingPair) -> Regime:
     (H >= 0) representative ``solve_c`` returns.  Consistency with solve_c
     is a tested property of the solver, not an assumption of this function.
     """
-    if H < 0.0:
-        raise ValueError(f"H must be >= 0 (canonicalize first), got {H}")
+    if not 0.0 <= H < math.inf:
+        raise ValueError(f"H must be finite and >= 0 (canonicalize first), got {H}")
     if H == 0.0:
         return Regime.PLANE if rings.a == rings.b else Regime.MAXIMAL_CATENOID
     h0 = threshold_H0(rings)
@@ -170,10 +182,15 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     search runs on lengths divided by u, a power of two, so rings scaled
     by 2^j (both R < 1/2) take the same steps to the bit.  It stops once
     f(R) meets b within root_tol and the next step (so also the bracket)
-    is within 1e-12 max(u, |c|), or when c cannot move by an ulp.  The root
-    snaps to exactly 0 (the regime split is discontinuous there in floating
-    point) when g(0) meets root_tol, tried where a secant of g puts 0
-    within root_tol of the root.
+    is within 1e-12 max(u, |c|), or when c cannot move by an ulp.  A step
+    that bisects takes the midpoint of the bracket in asinh(c / r) where g
+    at an end is over half-way from 0 to its limit (R - r) - (b - a) as
+    c -> -inf or -(R - r) - (b - a) as c -> inf, else in c; near the cap,
+    where |H - H0| dg/dH at c = 0 meets root_tol, always in c.  If the
+    bracket closes on a newest iterate beyond root_tol, its other end is
+    taken where it meets root_tol.  The root snaps to exactly 0 (the regime
+    split is discontinuous there in floating point) when g(0) meets
+    root_tol, tried where a secant of g puts 0 within root_tol of the root.
     ``diagnostics`` on the result counts the work done.
     """
     rings = problem.rings
@@ -182,7 +199,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     e_u = min(0, math.frexp(rings.R)[1])
     r, R, a, b = (math.ldexp(x, -e_u)
                   for x in (rings.r, rings.R, sign * rings.a, sign * rings.b))
-    work = ValidatedRingPair(r, R, a, b)
+    k, H0 = _slope_and_threshold(r, R, b - a)
     H = math.ldexp(problem.H, e_u)
     root_tol = max(problem.root_tol, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1])))
     n_g = n_interp = n_bisect = 0
@@ -194,14 +211,12 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
 
     # the plane (H = 0, a = b) and the cap (H = H0 > 0): c = 0 is the root,
     # a bracket of width 0, unless roundoff puts g(0) beyond root_tol
-    H0 = threshold_H0(work)
     g_zero = g(0.0) if H == H0 and (H > 0.0 or a == b) else None
     if g_zero is not None and abs(g_zero) <= root_tol:
         lo, hi, g_lo, g_hi = 0.0, 0.0, g_zero, g_zero
     else:
         # g is strictly decreasing; the barrier ends bound its root, so only
         # roundoff can give them the wrong sign
-        k = work.slope_bound
         m = k / math.sqrt((1.0 - k) * (1.0 + k))
         lo, hi = H * r * r - m * R, H * R * R - m * r
         # clamp into [-_C_MAX, _C_MAX]: a nan end (inf - inf) takes the outer
@@ -221,6 +236,17 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         # brackets the root, x3 is the end dropped last, and the next
         # iterate is c_hat + t (x2 - c_hat), the first at false position
         t, c_tol, interpolated = g_lo / (g_lo - g_hi), 0.0, True
+        # a bisection halves [c_hat, x2] in asinh(c / r) (c where |c| << r,
+        # log |c| beyond) where g at an end is over half-way from 0 to its
+        # limit (R - r) - d as c -> -inf or -(R - r) - d as c -> inf: g is
+        # flat there, and that end can lie decades beyond the root.  Near the
+        # cap, where |H - H0| times dg/dH at c = 0, (R^2 - r^2) /
+        # (p_r p_R (p_r + p_R)) with p_t = sqrt(1 + (H0 t)^2), meets root_tol
+        # (so c = 0 does to first order), every bisection halves c: there the
+        # snap rule decides the regime from where the halving ends
+        d, w = b - a, R - r
+        p_r, p_R = math.hypot(1.0, H0 * r), math.hypot(1.0, H0 * R)
+        near_cap = abs(H - H0) * (w / p_R) * ((R + r) / (p_r + p_R)) <= root_tol * p_r
         while True:
             # each iterate keeps 4 ulp (c_tol once root_tol is met) from both ends
             t_lim = max(c_tol, 4.0 * math.ulp(max(abs(c_hat), abs(x2)))) / abs(x2 - c_hat)
@@ -242,15 +268,28 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
             xi = (c_hat - x2) / (x3 - x2)
             phi = (g_hat - g2) / (g3 - g2)
             interpolated = 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi)
-            t = (g_hat / (g2 - g_hat) * g3 / (g2 - g3)
-                 + (x3 - c_hat) / (x2 - c_hat) * g_hat / (g3 - g_hat) * g2 / (g3 - g2)
-                 if interpolated else 0.5)
+            if interpolated:
+                t = (g_hat / (g2 - g_hat) * g3 / (g2 - g3)
+                     + (x3 - c_hat) / (x2 - c_hat) * g_hat / (g3 - g_hat) * g2 / (g3 - g2))
+            else:
+                t = 0.5
+                if not near_cap and w < max(abs(2.0 * g_hat + d), abs(2.0 * g2 + d)):
+                    mid = 0.5 * (math.asinh(c_hat / r) + math.asinh(x2 / r))
+                    if abs(mid) < 709.0:  # sinh stays finite; inf and nan fail
+                        t_mid = (r * math.sinh(mid) - c_hat) / (x2 - c_hat)
+                        if 0.0 < t_mid < 1.0:
+                            t = t_mid
             # |c| ~ 1e4 and |df/dc| ~ 1 already make c_tol * |c| worth 1e-8
             # in f(R), so c_tol only counts once root_tol is met
             met = abs(g_hat) <= root_tol
             c_tol = _C_TOL * max(1.0, abs(c_hat)) if met else 0.0
             if met and t * abs(x2 - c_hat) <= c_tol:
                 break  # the next step, and so the bracket, is within c_tol
+        # where roundoff makes g jump by more than root_tol between adjacent
+        # c, the bracket can close on a newest iterate beyond root_tol while
+        # its other end meets it
+        if abs(g_hat) > root_tol >= abs(g2):
+            c_hat, g_hat, x2, g2 = x2, g2, c_hat, g_hat
     width = abs(x2 - c_hat) if g_hat != 0.0 else 0.0
 
     # near H0 dg/dc can be 1e-10, so 0 may meet root_tol far from c_hat; the

@@ -363,8 +363,8 @@ def variational_residual(curve: ProfileCurve, t_window, n=1001) -> VariationalCh
     inside the window, or if the profile is flat (plane).
     """
     t1, t2 = float(t_window[0]), float(t_window[1])
-    if not (0.0 < t1 < t2):
-        raise ValueError(f"need 0 < t1 < t2, got ({t1}, {t2})")
+    if not (0.0 < t1 < t2 < math.inf):
+        raise ValueError(f"need 0 < t1 < t2 < inf, got ({t1}, {t2})")
     if n < 5:
         raise ValueError("need at least 5 samples")
 

@@ -88,10 +88,13 @@ def panel_sums(fn, los, his):
     evaluated ``_BLOCK`` panels at a time, one vectorized ``fn`` call per
     block.  Working memory is the result arrays plus one block's (15,
     _BLOCK) nodes and samples, whatever the batch size, and each panel's
-    sums are the same bits as in one unblocked pass.
+    sums are the same bits as in one unblocked pass.  Raises ValueError
+    unless every panel's ends and width are finite.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
+    if not np.isfinite(his - los).all():
+        raise ValueError("panel ends and widths must be finite")
     if los.size <= _BLOCK:  # one block, integrate's single panels among them
         k, g = _kronrod_gauss(fn, los, his)
     else:
@@ -143,9 +146,11 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL):
     QuadratureFailure if 10^4 subintervals do not suffice, or if every
     remaining subinterval has collapsed to roundoff width while the error
     estimate still exceeds the target.  Raises ValueError unless ``tol`` is
-    finite and positive.
+    finite and positive and both bounds are finite.
     """
     _require_positive("tol", tol)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bounds must be finite, got ({lo}, {hi})")
     if lo == hi:
         return 0.0
     sign = 1.0

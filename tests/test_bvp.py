@@ -613,8 +613,7 @@ class TestRingScale:
         assert failures == []
 
     def test_wide_radii_take_under_ten_integrals_on_average(self):
-        # 6.52 measured (2607 g over 400 solves, as before the conjugate-pair
-        # regime of rise ran in floats), deterministic
+        # 6.39 measured (2557 g over 400 solves), deterministic
         evals = [solve_two_ring(*case).diagnostics.g_evals for case in _wide_ring_pairs()]
         assert sum(evals) / len(evals) < 6.85
 
@@ -868,3 +867,28 @@ class TestRiseOverflow:
         root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1] - e_u)))
         assert sol.diagnostics.g_evals <= 200
         assert math.isfinite(sol.residual) and sol.residual <= math.ldexp(root_tol, e_u)
+
+    def test_seeded_extreme_draws_stop_within_100_g(self):
+        # radii 1e-8..1e12 with R/r up to 1e6, slopes up to 1 - 1e-12 and H R
+        # up to 1e300: every solve returns within root_tol or raises, in at
+        # most 100 g (84 here; halving c itself at every bisection took 106)
+        rng = np.random.default_rng(2032)
+        evals = []
+        for i in range(20000):
+            R = 10.0 ** rng.uniform(-8.0, 12.0)
+            r = R / 10.0 ** rng.uniform(0.005, 6.0)
+            k = 1.0 - 10.0 ** rng.uniform(-12.0, 0.0) if i % 2 else rng.uniform(0.0, 1.0)
+            d = k * (R - r)
+            a, b = (d, 0.0) if i % 3 == 0 else (0.0, d)
+            H = 10.0 ** rng.uniform(-10.0, 300.0) / R if i % 5 else 0.0
+            try:
+                sol = solve_two_ring(r, R, a, b, H)
+            except LorentzCMCError:
+                continue
+            e_u = min(0, math.frexp(R)[1])
+            root_tol = max(DEFAULT_ROOT_TOL,
+                           64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1] - e_u)))
+            assert sol.residual <= math.ldexp(root_tol, e_u)
+            evals.append(sol.diagnostics.g_evals)
+        assert len(evals) >= 19800
+        assert max(evals) <= 100

@@ -66,8 +66,10 @@ HOLED_PATCH_CSV = "5699f500a884436a4f320b90afa7cdee38d67e75fac4bfb9307f381d2f071
 # (c, residual, H0, regime, the four SolveDiagnostics fields, curve.quad_tol)
 # of the 360 light-cone grid solves, then the 400 wide ring pair solves;
 # re-pinned when rise's conjugate-pair regime moved to float arithmetic
-# (309 records moved, c by at most 3.7e-10 relative; CHANGES.md)
-SOLVER_RESULTS = "dab1fd12f34e27219b7a1ee680d1a5742cfff64ab3b9c43d2cda08285114ebb4"
+# (309 records moved, c by at most 3.7e-10 relative; CHANGES.md), and when
+# the search's bisections moved to asinh(c / r) where g is flat (265 records
+# moved, c by at most 3.0e-10 max(u, |c|), no regime; CHANGES.md)
+SOLVER_RESULTS = "df259bc332b1a0ff78680bf5371e1cf824dd9f29a157121c2bd87fa68339ed6d"
 
 
 def sha256(data):
@@ -114,12 +116,27 @@ def _solver_record(sol):
             sol.curve.quad_tol.hex())
 
 
-def test_solver_result_bits():
-    records = []
+def _solutions():
+    """The 360 light-cone grid solves, then the 400 wide ring pair solves."""
     for R, ratio, k, h in _light_cone_grid():
         r = R / ratio
         rings = validate_rings(RingPair(r=r, R=R, a=0.0, b=k * (R - r)))
-        records.append(_solver_record(solve_c(PlateauProblem(rings, h * threshold_H0(rings)))))
-    records += [_solver_record(solve_two_ring(*case)) for case in _wide_ring_pairs()]
+        yield solve_c(PlateauProblem(rings, h * threshold_H0(rings)))
+    for case in _wide_ring_pairs():
+        yield solve_two_ring(*case)
+
+
+def test_solver_result_bits():
+    records = [_solver_record(sol) for sol in _solutions()]
     assert len(records) == 760
     assert sha256("\n".join(map(repr, records)).encode()) == SOLVER_RESULTS
+
+
+def test_solver_work_counts():
+    # g evaluations over the same 760 solves, which repeat exactly: 6382 in
+    # all and at most 34 in one, against 8883 and 82 while every bisection
+    # halved c itself (steep, wide rings took decades of halvings)
+    evals = [sol.diagnostics.g_evals for sol in _solutions()]
+    assert len(evals) == 760
+    assert sum(evals) <= 6400
+    assert max(evals) <= 34
