@@ -7,8 +7,11 @@ c runs from +inf to -inf.  Any admissible target b therefore has exactly
 one root.  For b >= a it lies in a closed-form barrier bracket: with
 k = (b - a)/(R - r) and m = k/sqrt(1 - k^2), the slope is >= k on [r, R]
 at c = H r^2 - m R and <= k at c = H R^2 - m r, each end clamped to half
-the largest float so that the bracket's width is finite.  The search runs
-inside that bracket on the values of g(c) = f(R; H, c) - b alone, by
+the largest float so that the bracket's width is finite.  Where that
+bracket holds 0, g(0) = f(R; H, 0) - b comes first, in the cap's (or the
+plane's) closed form: within root_tol, c = 0 is the root; else 0 replaces
+the end that the sign of g(0) rules out.  The search runs inside the
+bracket on the values of g(c) = f(R; H, c) - b alone, by
 Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
 145-149): it keeps the newest iterate, the end across the root from it and
 the end dropped last, and steps by inverse quadratic interpolation through
@@ -84,8 +87,9 @@ class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
     ``g_evals`` counts evaluations of f(R; H, c), each in closed form: g(0)
-    at most once (on the plane or the cap, else by the snap rule), both
-    bracket ends, iterates; a plane or cap confirmed by g(0) takes 1.
+    at most once (first wherever the barrier bracket holds 0, else by the
+    snap rule), the bracket ends (0 in place of the one g(0) rules out),
+    iterates; a c = 0 confirmed by g(0) takes 1.
     ``interpolation_steps`` and ``bisection_fallbacks`` split the iterates
     after the bracket by how they were chosen (the false-position start
     counts as interpolation).
@@ -172,10 +176,11 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
 
     Descending data (b < a) is solved through the mirror (a, b) ->
     (-a, -b), and the curve is built with the mirrored (-H, -c).
-    The plane (H = 0, a = b) and the cap (H = H0 > 0) have c = 0 exactly:
-    there a g(0) within root_tol is the root, a bracket of width 0 (1 g, no
-    search); a g(0) beyond root_tol, and every other H, takes the barrier
-    bracket and the search below, whose snap rule reuses that g(0).
+    Wherever the barrier bracket holds 0 (the plane H = 0, a = b; the cap
+    H = H0 > 0; and every H near enough to H0), g(0) comes first: within
+    root_tol, c = 0 is the root, a bracket of width 0 (1 g, no search);
+    beyond it, 0 replaces the bracket end that its sign rules out (hi = 0
+    where g(0) < 0, lo = 0 where g(0) > 0), so c takes the sign of g(0).
     Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
     root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets only the
     returned curve's array-path heights, as g is closed form.  The
@@ -185,12 +190,11 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     is within 1e-12 max(u, |c|), or when c cannot move by an ulp.  A step
     that bisects takes the midpoint of the bracket in asinh(c / r) where g
     at an end is over half-way from 0 to its limit (R - r) - (b - a) as
-    c -> -inf or -(R - r) - (b - a) as c -> inf, else in c; near the cap,
-    where |H - H0| dg/dH at c = 0 meets root_tol, always in c.  If the
+    c -> -inf or -(R - r) - (b - a) as c -> inf, else in c.  If the
     bracket closes on a newest iterate beyond root_tol, its other end is
-    taken where it meets root_tol.  The root snaps to exactly 0 (the regime
-    split is discontinuous there in floating point) when g(0) meets
-    root_tol, tried where a secant of g puts 0 within root_tol of the root.
+    taken where it meets root_tol.  Where 0 lies outside the barrier
+    bracket, the root snaps to exactly 0 when g(0) meets root_tol, tried
+    where the final bracket's secant puts 0 within root_tol of the root.
     ``diagnostics`` on the result counts the work done.
     """
     rings = problem.rings
@@ -209,20 +213,26 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         n_g += 1
         return _height_at(R, H, c, (r, a)) - b
 
-    # the plane (H = 0, a = b) and the cap (H = H0 > 0): c = 0 is the root,
-    # a bracket of width 0, unless roundoff puts g(0) beyond root_tol
-    g_zero = g(0.0) if H == H0 and (H > 0.0 or a == b) else None
-    if g_zero is not None and abs(g_zero) <= root_tol:
-        lo, hi, g_lo, g_hi = 0.0, 0.0, g_zero, g_zero
-    else:
-        # g is strictly decreasing; the barrier ends bound its root, so only
-        # roundoff can give them the wrong sign
-        m = k / math.sqrt((1.0 - k) * (1.0 + k))
-        lo, hi = H * r * r - m * R, H * R * R - m * r
-        # clamp into [-_C_MAX, _C_MAX]: a nan end (inf - inf) takes the outer
-        # limit, and a root beyond the limits fails the sign check below
-        lo, hi = max(-_C_MAX, min(lo, _C_MAX)), min(_C_MAX, max(hi, -_C_MAX))
+    # g is strictly decreasing; the barrier ends bound its root, so only
+    # roundoff can give them the wrong sign
+    m = k / math.sqrt((1.0 - k) * (1.0 + k))
+    lo, hi = H * r * r - m * R, H * R * R - m * r
+    # clamp into [-_C_MAX, _C_MAX]: a nan end (inf - inf) takes the outer
+    # limit, and a root beyond the limits fails the sign check below
+    lo, hi = max(-_C_MAX, min(lo, _C_MAX)), min(_C_MAX, max(hi, -_C_MAX))
+    # where the bracket holds 0 (the plane, the cap, and H near H0), g(0)
+    # comes first, in closed form: within root_tol c = 0 is the root, a
+    # bracket of width 0; else 0 replaces the end its sign rules out, so
+    # the search cannot end on c of the wrong sign
+    g_zero = g(0.0) if lo <= 0.0 <= hi else None
+    if g_zero is None:
         g_lo, g_hi = g(lo), g(hi)
+    elif abs(g_zero) <= root_tol:
+        lo, hi, g_lo, g_hi = 0.0, 0.0, g_zero, g_zero
+    elif g_zero < 0.0:
+        hi, g_hi, g_lo = 0.0, g_zero, g(lo)
+    else:
+        lo, g_lo, g_hi = 0.0, g_zero, g(hi)
     if g_lo < -root_tol or g_hi > root_tol:
         raise RootBracketFailure(f"barrier bracket [{lo!r}, {hi!r}] gives f(R) - b = "
                                  f"[{g_lo:.3e}, {g_hi:.3e}], beyond root_tol {root_tol:.3e} "
@@ -239,14 +249,8 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         # a bisection halves [c_hat, x2] in asinh(c / r) (c where |c| << r,
         # log |c| beyond) where g at an end is over half-way from 0 to its
         # limit (R - r) - d as c -> -inf or -(R - r) - d as c -> inf: g is
-        # flat there, and that end can lie decades beyond the root.  Near the
-        # cap, where |H - H0| times dg/dH at c = 0, (R^2 - r^2) /
-        # (p_r p_R (p_r + p_R)) with p_t = sqrt(1 + (H0 t)^2), meets root_tol
-        # (so c = 0 does to first order), every bisection halves c: there the
-        # snap rule decides the regime from where the halving ends
+        # flat there, and that end can lie decades beyond the root
         d, w = b - a, R - r
-        p_r, p_R = math.hypot(1.0, H0 * r), math.hypot(1.0, H0 * R)
-        near_cap = abs(H - H0) * (w / p_R) * ((R + r) / (p_r + p_R)) <= root_tol * p_r
         while True:
             # each iterate keeps 4 ulp (c_tol once root_tol is met) from both ends
             t_lim = max(c_tol, 4.0 * math.ulp(max(abs(c_hat), abs(x2)))) / abs(x2 - c_hat)
@@ -273,7 +277,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
                      + (x3 - c_hat) / (x2 - c_hat) * g_hat / (g3 - g_hat) * g2 / (g3 - g2))
             else:
                 t = 0.5
-                if not near_cap and w < max(abs(2.0 * g_hat + d), abs(2.0 * g2 + d)):
+                if w < max(abs(2.0 * g_hat + d), abs(2.0 * g2 + d)):
                     mid = 0.5 * (math.asinh(c_hat / r) + math.asinh(x2 / r))
                     if abs(mid) < 709.0:  # sinh stays finite; inf and nan fail
                         t_mid = (r * math.sinh(mid) - c_hat) / (x2 - c_hat)
@@ -292,11 +296,11 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
             c_hat, g_hat, x2, g2 = x2, g2, c_hat, g_hat
     width = abs(x2 - c_hat) if g_hat != 0.0 else 0.0
 
-    # near H0 dg/dc can be 1e-10, so 0 may meet root_tol far from c_hat; the
-    # final bracket's secant can sink below roundoff, the barrier's cannot
-    if c_hat != 0.0 and (abs(c_hat * (g2 - g_hat)) <= root_tol * abs(x2 - c_hat)
-                         or abs(c_hat) * (g_lo - g_hi) <= root_tol * (hi - lo)):
-        g_zero = g(0.0) if g_zero is None else g_zero
+    # outside the barrier bracket g can still be flat to roundoff between
+    # the root and 0 (a slope that underflows): 0 is tried where the final
+    # bracket's secant puts it within root_tol of the root
+    if g_zero is None and abs(c_hat * (g2 - g_hat)) <= root_tol * abs(x2 - c_hat):
+        g_zero = g(0.0)
         if abs(g_zero) <= root_tol:
             c_hat, g_hat = 0.0, g_zero
 

@@ -548,13 +548,31 @@ class TestRingScale:
         with pytest.raises(RootBracketFailure, match="barrier bracket"):
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
 
-    def test_every_iterate_is_counted_once(self):
-        # both bracket ends, then one g per iterate; the
-        # false-position start counts as an interpolation step
-        for case in ((1.0, 2.0, 0.0, 0.5, 1.0), (1.0, 50.0, 0.0, 0.5, 20.0),
-                     (0.5, 4.0, 0.0, 1.0, 0.5)):
-            d = solve_two_ring(*case).diagnostics
-            assert d.g_evals == 2 + d.interpolation_steps + d.bisection_fallbacks
+    def test_every_iterate_is_counted_once(self, monkeypatch):
+        # both bracket ends (g(0) and the end it leaves, where the barrier
+        # bracket holds 0), then one g per iterate; the false-position start
+        # counts as an interpolation step
+        cs = []
+
+        def height_at(t, H, c, anchor):
+            cs.append(c)
+            return _height_at(t, H, c, anchor)
+
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at", height_at)
+        # all but the first clip the bracket at 0: below H0 g(0) < 0 sets
+        # hi = 0 and lo comes next, above H0 g(0) > 0 sets lo = 0
+        for case in ((1.0, 50.0, 0.0, 0.5, 20.0), (0.5, 4.0, 0.0, 1.0, 0.5),
+                     (1.0, 2.0, 0.0, 0.5, 1.0), (1.0, 2.0, 0.0, 0.5, 0.5 * H0_RINGS)):
+            cs.clear()
+            sol = solve_two_ring(*case)
+            d = sol.diagnostics
+            assert d.g_evals == len(cs) == 2 + d.interpolation_steps + d.bisection_fallbacks
+            rings = validate_rings(RingPair(*case[:4]))
+            lo, hi = _barrier_bracket(rings, case[4])
+            assert cs.count(0.0) == (lo <= 0.0 <= hi) == (cs[0] == 0.0)
+            if cs[0] == 0.0:
+                below = case[4] < threshold_H0(rings)
+                assert cs[1] == (lo if below else hi) and (sol.c < 0.0) == below
 
     def test_jump_in_g_raises_naming_root_tol(self, monkeypatch):
         # f(R) jumps from b + 0.5 to b - 0.5 at c = 0.1: the bracket closes
@@ -613,7 +631,7 @@ class TestRingScale:
         assert failures == []
 
     def test_wide_radii_take_under_ten_integrals_on_average(self):
-        # 6.39 measured (2557 g over 400 solves), deterministic
+        # 6.005 measured (2402 g over 400 solves), deterministic
         evals = [solve_two_ring(*case).diagnostics.g_evals for case in _wide_ring_pairs()]
         assert sum(evals) / len(evals) < 6.85
 
@@ -689,7 +707,7 @@ class TestKnownRoot:
         d = sol.diagnostics
         g_zero, root_tol = _g_zero_in_ring_units(r, R, a, b, H)
         if abs(g_zero) > root_tol:
-            assert d.g_evals >= 3  # g(0), then both barrier ends
+            assert d.g_evals >= 3  # g(0), the barrier end it leaves, an iterate
             return False
         # +0.0 in both orientations: SurfaceParams drops the sign of -0.0
         assert sol.c.hex() == "0x0.0p+0"
@@ -717,20 +735,66 @@ class TestKnownRoot:
         a, b = (d, 0.0) if descending else (0.0, d)
         self._solve_on_threshold(r, R, a, b, H)
 
-    def test_snap_is_tried_where_a_secant_puts_0_within_root_tol(self):
-        # g(0) meets root_tol one ulp either side of H0.  Below, only the
-        # barrier bracket's secant puts 0 within root_tol of the root (so on
-        # 57 of 6000 seeded near-H0 draws); above, neither secant does
+    def test_g_zero_within_root_tol_beside_H0_is_the_cap(self):
+        # g(0) meets root_tol one ulp either side of H0 (1.7e-13 here), and
+        # 0 lies in the barrier bracket, so g(0) comes first and c = 0 takes
+        # 1 g.  The search once took 47 g on each side: below, the barrier
+        # bracket's secant snapped it to 0; above, it ended on c = 9.0e-4
         rings = (137.32376348033716, 1626.0679298311793, 1309.0332594811566, -179.71087145137182)
         h0 = threshold_H0(validate_rings(RingPair(*rings)))
-        below, at, above = (solve_two_ring(*rings, float(H))
-                            for H in (np.nextafter(h0, 0.0), h0, np.nextafter(h0, np.inf)))
-        assert below.c == at.c == 0.0 and below.regime is at.regime is Regime.HYPERBOLIC_CAP
-        assert above.c > 1e-4 and above.regime is Regime.POSITIVE_C
+        for H in (np.nextafter(h0, 0.0), h0, np.nextafter(h0, np.inf)):
+            sol = solve_two_ring(*rings, float(H))
+            assert sol.c == 0.0 and sol.regime is Regime.HYPERBOLIC_CAP
+            assert (sol.diagnostics.g_evals, sol.diagnostics.final_bracket_width) == (1, 0.0)
+
+    def test_pinned_near_H0_solve_takes_the_cap(self):
+        # H = H0 (1 - 2.9e-9) at slope 1 - 4.7e-9: g is flat within roundoff
+        # about c = 0, and the search once ended on c = +1.75e-4, PositiveC,
+        # after 55 g
+        sol = solve_two_ring(89.51339664633244, 5411.281829489296, 3921.194576210495,
+                             -1400.5737388044347, 6.828014417560852)
+        assert sol.c == 0.0 and sol.regime is Regime.HYPERBOLIC_CAP
+        assert sol.diagnostics.g_evals == 1
+
+    def test_near_H0_probe(self):
+        # slopes 1 - 10^(-9..-2) and H within 1e-12..1e-4 relative of H0,
+        # both orientations: no regime of the wrong sign, and few g.  Before
+        # g(0) came first, these 300 draws took 6978 g (median 21, max 60),
+        # and 3 came back with c of the wrong sign
+        rng = np.random.default_rng(33)
+        evals = []
+        for i in range(300):
+            R = 10.0 ** rng.uniform(-3.0, 6.0)
+            r = R / 10.0 ** rng.uniform(0.01, 3.0)
+            d = (1.0 - 10.0 ** rng.uniform(-9.0, -2.0)) * (R - r)
+            a = rng.uniform(-1.0, 1.0) * R
+            rings = validate_rings(RingPair(r, R, a, a + d))
+            H = threshold_H0(rings) * (1.0 + rng.choice([-1.0, 1.0])
+                                       * 10.0 ** rng.uniform(-12.0, -4.0))
+            sol = solve_two_ring(r, R, *((a + d, a) if i % 2 else (a, a + d)), H)
+            assert sol.regime is classify(H, rings) or (
+                sol.regime is Regime.HYPERBOLIC_CAP and sol.c == 0.0)
+            evals.append(sol.diagnostics.g_evals)
+        assert sum(evals) == 1085  # deterministic
+        assert np.median(evals) <= 2 and max(evals) <= 40
+
+    def test_exact_root_far_above_H0_is_not_snapped(self):
+        # H = 1.1e151 H0 at slope 1 - 1.1e-10: the search ends on g = 0 at
+        # c = 4.2e148, and g(0) = 2.1e-10 also meets root_tol.  A secant
+        # across the barrier bracket [4.2e148, 3.7e158] put 0 within root_tol
+        # of that root and snapped it to the cap; the final bracket's does not
+        case = (1.794913332320913e-05, 1.6698176137721965, 1.6697996644305895, 0.0,
+                1.3099481989522283e+158)
+        sol = solve_two_ring(*case)
+        assert sol.regime is Regime.POSITIVE_C is classify(
+            case[4], validate_rings(RingPair(case[0], case[1], case[3], case[2])))
+        assert sol.c > 4e148 and sol.residual == 0.0
+        assert sol.diagnostics.g_evals == 4
 
     def test_g_zero_beyond_root_tol_takes_the_search(self, monkeypatch):
-        # g(0) = 2e-9 at the cap: c = 0 is refused, and the bracketed search
-        # runs as at any other H; the snap rule reuses that g(0)
+        # g(0) = 2e-9 at the cap: c = 0 is refused, 0 becomes the bracket's
+        # lower end, and the search runs as at any other H; g(0) is not
+        # taken again
         cs = []
 
         def height_at(t, H, c, anchor):
@@ -739,8 +803,8 @@ class TestKnownRoot:
 
         monkeypatch.setattr("lorentz_cmc.bvp._height_at", height_at)
         sol = solve_two_ring(1.0, 2.0, 0.0, 0.5, threshold_H0(RINGS))
-        assert sol.c != 0.0
-        assert cs.count(0.0) == 1
+        assert sol.c > 0.0
+        assert cs[0] == 0.0 and cs.count(0.0) == 1
         assert sol.diagnostics.g_evals == len(cs) > 3
         assert sol.residual <= DEFAULT_ROOT_TOL
 
