@@ -1,17 +1,19 @@
 """Two-ring Plateau problem: shoot on the first-integral constant.
 
-For fixed H >= 0 and anchor f(r) = a, the outer height f(R; H, c) is a
-strictly decreasing function of c (the slope formula is strictly decreasing
-in c at every radius) sweeping the open band (a - (R - r), a + (R - r)) as
-c runs from +inf to -inf.  Any admissible target b therefore has exactly
-one root.  For b >= a it lies in a closed-form barrier bracket: with
-k = (b - a)/(R - r) and m = k/sqrt(1 - k^2), the slope is >= k on [r, R]
-at c = H r^2 - m R and <= k at c = H R^2 - m r, each end clamped to half
-the largest float so that the bracket's width is finite.  Where that
-bracket holds 0, g(0) = f(R; H, 0) - b comes first, in the cap's (or the
-plane's) closed form: within root_tol, c = 0 is the root; else 0 replaces
-the end that the sign of g(0) rules out.  The search runs inside the
-bracket on the values of g(c) = f(R; H, c) - b alone, by
+The problem is invariant under vertical translation: the profile through
+(r, a) is a plus its rise from r, so only d = b - a matters.  For fixed
+H >= 0 the rise f(R; H, c) of the profile through (r, 0) is a strictly
+decreasing function of c (the slope formula is strictly decreasing in c at
+every radius) sweeping the open band (-(R - r), R - r) as c runs from +inf
+to -inf.  Any admissible d therefore has exactly one root.  For d >= 0 it
+lies in a closed-form barrier bracket: with k = d/(R - r) and
+m = k/sqrt(1 - k^2), the slope is >= k on [r, R] at c = H r^2 - m R and
+<= k at c = H R^2 - m r, each end clamped to half the largest float so
+that the bracket's width is finite.  Where that bracket holds 0, and only
+there, g(0) = f(R; H, 0) - d comes first, in the cap's (or the plane's)
+closed form: within root_tol, c = 0 is the root; else 0 replaces the end
+that the sign of g(0) rules out.  The search runs inside the bracket on
+the values of g(c) = f(R; H, c) - d alone, by
 Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
 145-149): it keeps the newest iterate, the end across the root from it and
 the end dropped last, and steps by inverse quadratic interpolation through
@@ -86,10 +88,10 @@ class PlateauProblem:
 class SolveDiagnostics:
     """Work done by one ``solve_c`` call.
 
-    ``g_evals`` counts evaluations of f(R; H, c), each in closed form: g(0)
-    at most once (first wherever the barrier bracket holds 0, else by the
-    snap rule), the bracket ends (0 in place of the one g(0) rules out),
-    iterates; a c = 0 confirmed by g(0) takes 1.
+    ``g_evals`` counts evaluations of the rise f(R; H, c), each in closed
+    form: g(0) first wherever the barrier bracket holds 0 and nowhere else,
+    the bracket ends (0 in place of the one g(0) rules out), iterates; a
+    c = 0 confirmed by g(0) takes 1.
     ``interpolation_steps`` and ``bisection_fallbacks`` split the iterates
     after the bracket by how they were chosen (the false-position start
     counts as interpolation).
@@ -128,28 +130,21 @@ def threshold_H0(rings: ValidatedRingPair):
         H0 = 2 d / sqrt(((R-r)^2 - d^2) ((R+r)^2 - d^2)),  d = |b - a|
 
     The rings and their mirror (a, b) -> (-a, -b) give the same bits; H0 = 0
-    iff a = b or H0 rounds to 0 (below half the least subnormal).
+    iff a = b or H0 rounds to 0 (below half the least subnormal), and
+    H0 = inf where it exceeds the largest float (small, steep rings).
     """
-    return _slope_and_threshold(rings.r, rings.R, abs(rings.b - rings.a))[1]
-
-
-def _slope_and_threshold(r, R, d):
-    """(slope bound, H0) of rings 0 < r < R whose heights differ by d >= 0.
-
-    The slope bound is ``ValidatedRingPair.slope_bound``, d / (R - r), and H0
-    is ``threshold_H0``, from floats: ``solve_c`` takes both for its rings in
-    ring units without validating them a second time.
-    """
+    r, R, d = rings.r, rings.R, abs(rings.b - rings.a)
     # lengths in units of 2**e ~ R: the squares no longer underflow for
     # rings far below 1, and a power-of-two scale changes no bit elsewhere
     _, e = math.frexp(R)
     s, dr, sr = (math.ldexp(x, -e) for x in (d, R - r, R + r))
     root = math.sqrt((dr * dr - s * s) * (sr * sr - s * s))
-    # d scales the result by its own exponent, so a subnormal d keeps its bits;
-    # the result rounds once, in solve_c's ring unit 2^min(0, e), then scales exactly
+    # d scales the result by its own exponent, so a subnormal d keeps its
+    # bits; the result rounds once, in solve_c's ring unit 2^min(0, e), then
+    # scales exactly, by a product, as ldexp raises where a product is inf
     m, e_d = math.frexp(d)
     e_u = min(0, e)
-    return d / (R - r), math.ldexp(math.ldexp(2.0 * m / root, e_d - 2 * e + e_u), -e_u)
+    return math.ldexp(2.0 * m / root, e_d - 2 * e + e_u) * 2.0 ** -e_u
 
 
 def classify(H, rings: ValidatedRingPair) -> Regime:
@@ -172,8 +167,9 @@ def classify(H, rings: ValidatedRingPair) -> Regime:
 
 
 def solve_c(problem: PlateauProblem) -> PlateauSolution:
-    """Find c with f(R; H, c) = b and package the solved profile.
+    """Find c whose profile rises by b - a from r to R; package the solved profile.
 
+    The shooting target is the rise d = |b - a| from the anchor (r, 0).
     Descending data (b < a) is solved through the mirror (a, b) ->
     (-a, -b), and the curve is built with the mirrored (-H, -c).
     Wherever the barrier bracket holds 0 (the plane H = 0, a = b; the cap
@@ -186,24 +182,25 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     returned curve's array-path heights, as g is closed form.  The
     search runs on lengths divided by u, a power of two, so rings scaled
     by 2^j (both R < 1/2) take the same steps to the bit.  It stops once
-    f(R) meets b within root_tol and the next step (so also the bracket)
+    the rise meets d within root_tol and the next step (so also the bracket)
     is within 1e-12 max(u, |c|), or when c cannot move by an ulp.  A step
     that bisects takes the midpoint of the bracket in asinh(c / r) where g
-    at an end is over half-way from 0 to its limit (R - r) - (b - a) as
-    c -> -inf or -(R - r) - (b - a) as c -> inf, else in c.  If the
-    bracket closes on a newest iterate beyond root_tol, its other end is
-    taken where it meets root_tol.  Where 0 lies outside the barrier
-    bracket, the root snaps to exactly 0 when g(0) meets root_tol, tried
-    where the final bracket's secant puts 0 within root_tol of the root.
+    at an end is over half-way from 0 to its limit (R - r) - d as
+    c -> -inf or -(R - r) - d as c -> inf, else in c.  If the bracket
+    closes on a newest iterate beyond root_tol, its other end is taken
+    where it meets root_tol.  ``residual`` is |g| at the returned c, in
+    the rings' units: the returned surface's rise from (r, 0) to R misses
+    b - a by it, and ``curve.height(R)``, a plus that rise, misses b by at
+    most the residual plus the roundings of b - a and of that sum.
     ``diagnostics`` on the result counts the work done.
     """
     rings = problem.rings
     sign = -1.0 if rings.b < rings.a else 1.0
-    # from here on lengths are in the ring unit u = 2^e_u and H in 1/u
+    # g shoots on the rise d = |b - a| from (r, 0): a ring height scaled into
+    # ring units can overflow, and a + rise rounds at ulp(a).  From here on
+    # lengths are in the ring unit u = 2^e_u and H in 1/u
     e_u = min(0, math.frexp(rings.R)[1])
-    r, R, a, b = (math.ldexp(x, -e_u)
-                  for x in (rings.r, rings.R, sign * rings.a, sign * rings.b))
-    k, H0 = _slope_and_threshold(r, R, b - a)
+    r, R, d = (math.ldexp(x, -e_u) for x in (rings.r, rings.R, abs(rings.b - rings.a)))
     H = math.ldexp(problem.H, e_u)
     root_tol = max(problem.root_tol, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1])))
     n_g = n_interp = n_bisect = 0
@@ -211,10 +208,11 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     def g(c):
         nonlocal n_g
         n_g += 1
-        return _height_at(R, H, c, (r, a)) - b
+        return _height_at(R, H, c, (r, 0.0)) - d
 
     # g is strictly decreasing; the barrier ends bound its root, so only
     # roundoff can give them the wrong sign
+    k = rings.slope_bound
     m = k / math.sqrt((1.0 - k) * (1.0 + k))
     lo, hi = H * r * r - m * R, H * R * R - m * r
     # clamp into [-_C_MAX, _C_MAX]: a nan end (inf - inf) takes the outer
@@ -223,16 +221,18 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     # where the bracket holds 0 (the plane, the cap, and H near H0), g(0)
     # comes first, in closed form: within root_tol c = 0 is the root, a
     # bracket of width 0; else 0 replaces the end its sign rules out, so
-    # the search cannot end on c of the wrong sign
-    g_zero = g(0.0) if lo <= 0.0 <= hi else None
-    if g_zero is None:
-        g_lo, g_hi = g(lo), g(hi)
-    elif abs(g_zero) <= root_tol:
-        lo, hi, g_lo, g_hi = 0.0, 0.0, g_zero, g_zero
-    elif g_zero < 0.0:
-        hi, g_hi, g_lo = 0.0, g_zero, g(lo)
+    # the search cannot end on c of the wrong sign.  Nowhere else is g(0)
+    # taken: outside the bracket 0 is not a root
+    if lo <= 0.0 <= hi:
+        g_lo = g_hi = g(0.0)
+        if abs(g_lo) <= root_tol:
+            lo = hi = 0.0
+        elif g_lo < 0.0:
+            hi, g_lo = 0.0, g(lo)
+        else:
+            lo, g_hi = 0.0, g(hi)
     else:
-        lo, g_lo, g_hi = 0.0, g_zero, g(hi)
+        g_lo, g_hi = g(lo), g(hi)
     if g_lo < -root_tol or g_hi > root_tol:
         raise RootBracketFailure(f"barrier bracket [{lo!r}, {hi!r}] gives f(R) - b = "
                                  f"[{g_lo:.3e}, {g_hi:.3e}], beyond root_tol {root_tol:.3e} "
@@ -250,7 +250,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         # log |c| beyond) where g at an end is over half-way from 0 to its
         # limit (R - r) - d as c -> -inf or -(R - r) - d as c -> inf: g is
         # flat there, and that end can lie decades beyond the root
-        d, w = b - a, R - r
+        w = R - r
         while True:
             # each iterate keeps 4 ulp (c_tol once root_tol is met) from both ends
             t_lim = max(c_tol, 4.0 * math.ulp(max(abs(c_hat), abs(x2)))) / abs(x2 - c_hat)
@@ -296,14 +296,6 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
             c_hat, g_hat, x2, g2 = x2, g2, c_hat, g_hat
     width = abs(x2 - c_hat) if g_hat != 0.0 else 0.0
 
-    # outside the barrier bracket g can still be flat to roundoff between
-    # the root and 0 (a slope that underflows): 0 is tried where the final
-    # bracket's secant puts it within root_tol of the root
-    if g_zero is None and abs(c_hat * (g2 - g_hat)) <= root_tol * abs(x2 - c_hat):
-        g_zero = g(0.0)
-        if abs(g_zero) <= root_tol:
-            c_hat, g_hat = 0.0, g_zero
-
     residual = math.ldexp(abs(g_hat), e_u)
     if abs(g_hat) > root_tol:
         raise LorentzCMCError(f"shooting residual {residual:.3e} exceeds root_tol "
@@ -315,7 +307,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
         curve=curve,
         c=curve.params.c,
         regime=curve.regime,
-        H0=math.ldexp(H0, -e_u),
+        H0=threshold_H0(rings),
         residual=residual,
         diagnostics=SolveDiagnostics(
             g_evals=n_g,

@@ -101,8 +101,9 @@ class Regime(enum.Enum):
     """Profile family of the canonical (H >= 0) parameters.
 
     Exactly one case holds for any (H, c); the c = 0 boundaries are decided
-    by exact floating comparison, relying on the solver's snap-to-zero rule
-    (see bvp.solve_c) rather than epsilon tests here.
+    by exact floating comparison, not by epsilon tests: the solver returns
+    c = 0 exactly where g(0) meets root_tol inside its barrier bracket
+    (see bvp.solve_c).
     """
 
     PLANE = "Plane"

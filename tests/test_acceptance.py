@@ -105,7 +105,7 @@ def test_criterion_3_solvability_gate():
 
 def test_criterion_4_threshold_trichotomy():
     """H0 for rings (1,2,0,0.5) matches the closed formula to 1e-9 and the
-    solved c changes sign across it as {negative, snapped zero, positive}."""
+    solved c changes sign across it as {negative, zero, positive}."""
     rings = validate_rings(RingPair(r=1.0, R=2.0, a=0.0, b=0.5))
     h0 = threshold_H0(rings)
     assert abs(h0 - 1.0 / math.sqrt(6.5625)) <= 1e-9

@@ -4,6 +4,7 @@ import signal
 import sys
 import time
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from lorentz_cmc import (
     classify_params,
     height,
     heights,
+    profile_curve,
     solve_c,
     solve_two_ring,
     threshold_H0,
@@ -39,7 +41,7 @@ H0_RINGS = 1.0 / math.sqrt(6.5625)  # hand-reduced threshold formula for RINGS
 
 
 def _f_at_R(H, c, rings):
-    """f(R; H, c) through f(r) = a, as solve_c's g(c) + b takes it."""
+    """f(R; H, c) through f(r) = a: a plus the rise that solve_c's g(c) + |b - a| is."""
     return _height_at(rings.R, H, c, (rings.r, rings.a))
 
 
@@ -121,6 +123,19 @@ class TestThreshold:
         if H0:
             assert (sol.regime, sol.diagnostics.g_evals) == (Regime.HYPERBOLIC_CAP, 1)
 
+    def test_threshold_beyond_the_floats_is_inf(self):
+        # small, steep rings: H0 ~ 1e309 raised OverflowError from threshold_H0,
+        # classify and solve_c alike; every finite H > 0 lies below it
+        rings = (4.412487191811404e-307, 2.896473841700921e-300, 2.2061343573961882e-303,
+                 2.8986795348068602e-300)
+        valid = validate_rings(RingPair(*rings))
+        assert _threshold_decimal(rings[0], rings[1], rings[3] - rings[2]) > sys.float_info.max
+        assert threshold_H0(valid) == math.inf
+        assert classify(1e300, valid) is Regime.NEGATIVE_C
+        for H in (0.0, 1.0, 1e300):
+            sol = solve_two_ring(*rings, H)
+            assert sol.H0 == math.inf and sol.regime is classify(H, valid)
+
     def test_cap_through_both_rings_has_curvature_H0(self):
         # the hyperbolic cap anchored at (r, a) with H = H0 hits (R, b)
         h0 = threshold_H0(RINGS)
@@ -162,8 +177,8 @@ class TestClassifyPredictive:
            h=st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0, 100.0]))
     def test_descending_rings_agree_with_their_mirror_and_the_solver(self, log_R, log_ratio,
                                                                      k, a, h):
-        # k and H keep g(0) beyond root_tol off the threshold, where the
-        # solver's snap to c = 0 would override classify
+        # k and H keep g(0) beyond root_tol off the threshold, where a g(0)
+        # within it would return the cap over classify's regime
         R = 10.0 ** log_R
         r = R / 10.0 ** log_ratio
         lo = a * R
@@ -334,17 +349,75 @@ class TestShootingMap:
     @given(log_R=st.floats(math.log10(0.5), 6.0), log_ratio=st.floats(0.01, 3.0),
            k=st.floats(0.0, 0.99), h=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 50.0),
            a=st.floats(-10.0, 10.0), descending=st.booleans())
+    # a cap whose residual dwarfs a and b - a: the miss of b exceeds
+    # residual + ulp(b - a) + ulp(b) by an ulp of the residual
+    @example(log_R=1.5, log_ratio=1.0, k=2.619087445799949e-185, h=11.0,
+             a=2.619087445799949e-185, descending=True)
     def test_height_at_R_misses_b_by_the_residual_to_the_bit(self, log_R, log_ratio, k, h, a,
                                                              descending):
-        # for R >= 1/2 the ring unit is 1, and the curve's height(R) is the
-        # solver's last f(R) in either orientation
+        # for R >= 1/2 the ring unit is 1, and the solved surface's rise from
+        # (r, 0) to R is the solver's last f(R) in either orientation; the
+        # curve's height(R) is a plus that rise, rounded once
         R = 10.0 ** log_R
         r = R / 10.0 ** log_ratio
         d = k * (R - r)
         H = h * threshold_H0(validate_rings(RingPair(r=r, R=R, a=0.0, b=d)))
         b = a - d if descending else a + d
         sol = solve_two_ring(r, R, a, b, H)
-        assert abs(sol.curve.height(R) - b) == sol.residual
+        rise = profile_curve(sol.curve.surface, (r, 0.0)).height(R)
+        assert abs(rise - (b - a)) == sol.residual
+        assert sol.curve.height(R) == a + rise
+
+
+def _large_anchor_draws(n=600, seed=34):
+    """Rings with R in 0.5..10, R/r in 10^(0.01..2), slopes up to 0.99 and
+    |a| in 1..1e12, at H/H0 in {0, 0.5, 1, 2, 10}, both orientations."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        R = rng.uniform(0.5, 10.0)
+        r = R / 10.0 ** rng.uniform(0.01, 2.0)
+        d = rng.uniform(0.0, 0.99) * (R - r)
+        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 12.0)
+        b = a - d if i % 2 else a + d
+        H = threshold_H0(validate_rings(RingPair(r, R, a, b))) * (0.0, 0.5, 1.0, 2.0, 10.0)[i % 5]
+        yield r, R, a, b, H
+
+
+class TestRiseAlone:
+    """g shoots on the rise |b - a| from height 0, so the size of the ring
+    heights costs the search no accuracy."""
+
+    def test_large_anchors_keep_the_exact_rise_within_root_tol(self):
+        # scipy's quad of the solved slope against b - a in exact rationals
+        # (3.8e-12 at worst here).  While g formed a + rise - b it rounded at
+        # ulp(a): 188 of these draws returned a c whose rise missed b - a by
+        # up to 5.4e-5 while reporting a residual within root_tol
+        for r, R, a, b, H in _large_anchor_draws():
+            sol = solve_two_ring(r, R, a, b, H)
+            p = sol.curve.surface
+            w = lambda t: p.H * t * t - p.c
+            rise, _ = scipy_quad(lambda t: w(t) / math.hypot(t, w(t)), r, R,
+                                 epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert abs(Fraction(rise) - (Fraction(b) - Fraction(a))) <= DEFAULT_ROOT_TOL
+
+    def test_ring_heights_near_the_largest_float_solve(self):
+        # scaling a = b = 1e308 into the ring unit 1/2 raised OverflowError
+        sol = solve_two_ring(0.25, 0.4, 1e308, 1e308, 1.0)
+        rings = validate_rings(RingPair(0.25, 0.4, 1e308, 1e308))
+        assert sol.regime is Regime.POSITIVE_C is classify(1.0, rings)
+        assert sol.residual <= 0.5 * DEFAULT_ROOT_TOL
+        assert sol.curve.height(0.4) == 1e308
+
+    def test_height_at_R_misses_b_by_the_rounding_of_b_minus_a(self):
+        # b - a = 1e10 + 3e-6 rounds by 8.1e-7: the rise meets the rounded
+        # difference to the bit, and the curve's height(R), a plus the rise,
+        # misses b by that rounding, not by the shooting
+        r, R, a, b = 1.0, 3e10, -1e10, 3e-6
+        sol = solve_two_ring(r, R, a, b, 0.0)
+        rise = profile_curve(sol.curve.surface, (r, 0.0)).height(R)
+        assert sol.residual == 0.0 and rise == b - a
+        assert sol.curve.height(R) == a + rise
+        assert math.ulp(b) < abs(sol.curve.height(R) - b) <= math.ulp(b - a)
 
 
 def _bisection_reference(problem, width=1e-12):
@@ -535,12 +608,16 @@ class TestRingScale:
         assert _f_at_R(H, hi, rings) - rings.b <= 0.0
 
     def test_bracket_end_with_noise_sign_is_the_root(self):
-        # b = 5e-324: the slope at lo = -5e-324 underflows, so g(lo) = -b
-        # has the wrong sign, within root_tol; lo is then snapped to 0
+        # b = 5e-324: the barrier bracket [-1e-323, -5e-324] excludes 0, and
+        # the catenoid's rise rounds to b at both ends, so the lower end is
+        # the root to the bit, in classify's regime.  A snap to c = 0 once
+        # took a third g and returned the plane, with residual 5e-324
         sol = solve_two_ring(0.5, 1.0, 0.0, 5e-324, 0.0)
-        assert sol.c == 0.0
-        assert sol.diagnostics.g_evals == 3  # both ends and the snap check
-        assert sol.residual == 5e-324
+        assert sol.c == -1e-323
+        assert sol.regime is Regime.MAXIMAL_CATENOID is classify(
+            0.0, validate_rings(RingPair(0.5, 1.0, 0.0, 5e-324)))
+        assert sol.diagnostics.g_evals == 2  # both ends
+        assert sol.residual == 0.0
 
     def test_wrong_sign_beyond_root_tol_raises(self, monkeypatch):
         # f(R) = 1 > b at both ends: the upper end is wrong by 0.5
@@ -582,6 +659,17 @@ class TestRingScale:
         with pytest.raises(LorentzCMCError, match="root_tol") as info:
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert not isinstance(info.value, RootBracketFailure)
+
+    def test_bracket_closing_beyond_root_tol_returns_its_other_end(self):
+        # H R ~ 8e48: f(R) jumps by about 5e-9 between adjacent c near the
+        # root, and the search closes on an iterate that misses root_tol
+        # (3.7e-9 here) by 5.3e-9, while its other end meets it
+        case = (2.1473495435683656, 203668.375360576, 91418.67683650606, 27045.364046883846,
+                4.08356741113264e+43)
+        sol = solve_two_ring(*case)
+        assert sol.regime is Regime.POSITIVE_C is classify(
+            case[4], validate_rings(RingPair(case[0], case[1], case[3], case[2])))
+        assert sol.residual <= 64.0 * math.ulp(2.0 ** 18)
 
     def test_root_within_root_tol_at_upper_end_needs_no_search(self, monkeypatch):
         # g > 0 on the bracket and g(hi) = 1e-12: the upper end is the root
@@ -688,13 +776,12 @@ class TestRingScale:
 
 
 def _g_zero_in_ring_units(r, R, a, b, H):
-    """solve_c's g(0) = f(R; H, 0) - b and root_tol, on the ascending
-    (mirrored if b < a) rings in their ring unit."""
-    sign = -1.0 if b < a else 1.0
+    """solve_c's g(0), the cap's rise from (r, 0) to R less |b - a|, and
+    root_tol, in the ring unit."""
     e_u = min(0, math.frexp(R)[1])
-    work = ValidatedRingPair(*(math.ldexp(x, -e_u) for x in (r, R, sign * a, sign * b)))
-    root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(work.R)[1])))
-    return _f_at_R(math.ldexp(H, e_u), 0.0, work) - work.b, root_tol
+    r, R, d = (math.ldexp(x, -e_u) for x in (r, R, abs(b - a)))
+    root_tol = max(DEFAULT_ROOT_TOL, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1])))
+    return _height_at(R, math.ldexp(H, e_u), 0.0, (r, 0.0)) - d, root_tol
 
 
 class TestKnownRoot:
@@ -760,7 +847,8 @@ class TestKnownRoot:
         # slopes 1 - 10^(-9..-2) and H within 1e-12..1e-4 relative of H0,
         # both orientations: no regime of the wrong sign, and few g.  Before
         # g(0) came first, these 300 draws took 6978 g (median 21, max 60),
-        # and 3 came back with c of the wrong sign
+        # and 3 came back with c of the wrong sign; while g formed a + rise - b
+        # in ring units, rounding at ulp(a), they took 1085 g
         rng = np.random.default_rng(33)
         evals = []
         for i in range(300):
@@ -775,14 +863,15 @@ class TestKnownRoot:
             assert sol.regime is classify(H, rings) or (
                 sol.regime is Regime.HYPERBOLIC_CAP and sol.c == 0.0)
             evals.append(sol.diagnostics.g_evals)
-        assert sum(evals) == 1085  # deterministic
+        assert sum(evals) == 1004  # deterministic
         assert np.median(evals) <= 2 and max(evals) <= 40
 
     def test_exact_root_far_above_H0_is_not_snapped(self):
         # H = 1.1e151 H0 at slope 1 - 1.1e-10: the search ends on g = 0 at
         # c = 4.2e148, and g(0) = 2.1e-10 also meets root_tol.  A secant
-        # across the barrier bracket [4.2e148, 3.7e158] put 0 within root_tol
-        # of that root and snapped it to the cap; the final bracket's does not
+        # across the barrier bracket [4.2e148, 3.7e158] once put 0 within
+        # root_tol of that root and snapped it to the cap; g(0) is now taken
+        # only inside the barrier bracket
         case = (1.794913332320913e-05, 1.6698176137721965, 1.6697996644305895, 0.0,
                 1.3099481989522283e+158)
         sol = solve_two_ring(*case)

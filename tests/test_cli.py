@@ -386,6 +386,16 @@ class TestFigures:
         assert fp0 == -1.0
         assert f0 > 0.0
 
+    @pytest.mark.parametrize("fig,radius", [(1, None), (2, None), (3, math.sqrt(3.0)),
+                                            (4, math.sqrt(3.0))])
+    def test_interior_minimum_radius(self, tmp_path, capsys, fig, radius):
+        # sqrt(c / H) where the convex profiles (H, c) = (1, 3) turn; the
+        # catenoid and the rising profile have no interior minimum
+        code, out, _ = run(capsys, "figure", str(fig), "--nt", "2", "--ntheta", "3",
+                           "--samples", "3", "--out-dir", str(tmp_path))
+        assert code == EXIT_OK
+        assert last_record(out)["interior_minimum_radius"] == radius
+
     def test_zero_rings_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "figure", "4", "--nt", "0",
                            "--out-dir", str(tmp_path))
@@ -528,6 +538,7 @@ class TestConfig:
         cfg.write_text("this is not a key value pair\n")
         code, _, err = run(capsys, "solve", "--config", str(cfg))
         assert code == EXIT_INTERNAL
+        assert json.loads(err)["message"] == "bad config line: 'this is not a key value pair'"
 
     @pytest.mark.parametrize("argv,line,flag", [
         (("solve",), "r=abc", "--r"),
@@ -720,6 +731,7 @@ class TestUsage:
     @pytest.mark.parametrize("command,choices", [
         ("verify", "--mode {nondivergence,divergence}"),
         ("mesh", "--t-spacing {uniform,log}"),
+        ("solve", "--root-tol ROOT_TOL   shooting residual tolerance"),
     ])
     def test_help_lists_choices(self, capsys, command, choices):
         with pytest.raises(SystemExit) as exc:

@@ -53,6 +53,9 @@ def figure4_256_shapes(tmp, run):
 
 RINGS = "--r 1 --R 2 --a 0 --b 0.5"
 H0 = repr(lc.threshold_H0(lc.validate_rings(lc.RingPair(1.0, 2.0, 0.0, 0.5))))
+# H0 of these is about 1e309, beyond the floats
+STEEP_TINY_RINGS = ("--r 4.412487191811404e-307 --R 2.896473841700921e-300 "
+                    "--a 2.2061343573961882e-303 --b 2.8986795348068602e-300")
 # row -> (argvs, the exit code of each, check(tmp, *runs) or None)
 ROWS = {
     "vertex_within_r_of_a": (
@@ -71,6 +74,13 @@ ROWS = {
     "cap_at_H0": ([f"classify {RINGS} --H 1", f"solve {RINGS} --H {H0}"], 0,
                   lambda tmp, c, s: repr(c.rec["H0"]) == H0
                   and s.rec["regime"] == "HyperbolicCap" and s.rec["c"] == 0),
+    "heights_near_the_largest_float": (
+        ["solve --r 0.25 --R 0.4 --a 1e308 --b 1e308 --H 1"], 0,
+        lambda tmp, s: s.rec["regime"] == "PositiveC" and s.rec["residual"] <= 5e-10),
+    "H0_beyond_the_floats": (
+        [f"{cmd} {STEEP_TINY_RINGS} --H 1" for cmd in ("classify", "solve")], 0,
+        lambda tmp, c, s: c.rec["H0"] is None is s.rec["H0"]
+        and c.rec["regime"] == "NegativeC" == s.rec["regime"]),
     "classify_mirror": ([f"classify {RINGS} --H 1", "classify --r 1 --R 2 --a 0.5 --b 0 --H 1"], 0,
                         lambda tmp, u, d: all(u.rec[k] == d.rec[k] for k in ("H0", "regime",
                                                                              "slope_bound"))

@@ -85,6 +85,13 @@ class TestExtremeArguments:
         assert rf == pytest.approx(math.pi / (2.0 * math.sqrt(y)), rel=1e-15)
         assert rd == elliprd(0.0, y, y) == math.inf
 
+    def test_top_above_the_band_shifts_into_it_from_above(self):
+        # the largest argument 2^1015 shifts down by 4^3 to 2^1009; the shift
+        # from the low end of the band would overshoot and R_D come out inf
+        rf, rd = _carlson(2.0 ** 1009, 2.0 ** 1008, 2.0 ** -1006)
+        assert _carlson(2.0 ** 1015, 2.0 ** 1014, 2.0 ** -1000) == (math.ldexp(rf, -3),
+                                                                   math.ldexp(rd, -9))
+
     # arguments in [2^-10, 2^10], scaled by 4^j past either end of the band
     # but not into the subnormals: R_F and R_D are homogeneous, and powers of
     # two round alike, so the results scale to the bit

@@ -416,6 +416,11 @@ class TestLoadObj:
                                       [7.0, 8.0, 9.25]]
             assert faces.tolist() == [[0, 1, 2], [0, 2, 1]]
 
+    def test_slash_in_a_vertex_record_rejected(self):
+        # only f records drop their /vt/vn suffixes: 1/2 is no coordinate
+        with pytest.raises(ValueError, match="bad OBJ v record at line 1"):
+            load_obj(b"v 1/2 3 4\n")
+
     @pytest.mark.parametrize("text", ["v 1 2\n", "v 1 2 3\nf 1 1\n", "f\n"])
     def test_short_record_rejected(self, text):
         with pytest.raises(ValueError):

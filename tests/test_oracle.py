@@ -355,6 +355,11 @@ class TestPatchCsvAgainstReference:
         with pytest.raises(ValueError):
             patch_from_csv(data)
 
+    def test_blank_lines_alone_are_an_empty_patch(self):
+        # no field at all reaches the float parser, which returns no values
+        with pytest.raises(ValueError, match="empty patch CSV"):
+            patch_from_csv(b"x1,x2,u\n\n\r\n")
+
     def test_cr_only_line_ends_raise_value_error(self):
         # the header's csv.reader raised _csv.Error, which is no ValueError
         with pytest.raises(ValueError, match="LF or CRLF"):
@@ -739,6 +744,12 @@ class TestVariational:
         curve = curve_of(-1.0, 3.0)  # canonical (1, -3), parity -1
         check = variational_residual(curve, (1.0, 2.0), n=801)
         assert check.kappa_mean == pytest.approx(2.0 * curve.first_integral, abs=1e-4)
+
+    def test_light_cone_window_raises(self):
+        # the cap's slope rounds to 1 near t = 1e8, so the differenced
+        # inverse slope is 1 and the Beltrami quantity divides by 0
+        with pytest.raises(SpacelikeViolation, match=r"\|g'\| <= 1"):
+            variational_residual(curve_of(1.0, 0.0), (1e8, 2e8), n=101)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

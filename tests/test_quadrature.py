@@ -84,6 +84,30 @@ def test_interior_pole_raises_instead_of_hanging(monkeypatch):
             integrate(lambda x: 1.0 / np.sqrt(np.abs(x)), -1.0, 1.0, tol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_is_refined_away(bad):
+    # the Kronrod rule samples the midpoint 0.5 of [0, 1] and no end of a
+    # panel: the panel holding the bad sample counts as unresolved until it
+    # is cut there, and contributes nothing
+    with np.errstate(invalid="ignore"):
+        assert integrate(lambda x: np.where(x == 0.5, bad, 1.0), 0.0, 1.0) == 1.0
+
+
+def test_non_finite_sample_at_roundoff_width_raises():
+    # a non-integrable pole at 0.5: panels beside it shrink to roundoff
+    # width while their estimate stays infinite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureFailure, match="non-finite integrand at roundoff-width panel"):
+            integrate(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
+
+
+def test_reversed_bounds_negate_the_integral():
+    assert integrate(lambda x: x, 1.0, 0.0) == -0.5
+    # a reversed panel has no midpoint strictly inside it, so an integrand
+    # that needs refinement needs the bounds put in order first
+    assert abs(integrate(lambda x: 1.0 / np.sqrt(x), 1.0, 0.0) + 2.0) <= 1e-10
+
+
 def test_panel_sums_matches_adaptive_on_smooth_segments():
     edges = np.linspace(0.2, 1.7, 31)
     fn = lambda x: np.cos(x) * x
