@@ -196,6 +196,14 @@ class TestClosedForms:
             assert type(got) is float and got == by_math
         assert np.array_equal(heights(curve, [t]), by_numpy)
 
+    def test_plane_keeps_a_negative_zero_anchor_height(self):
+        # the cap formula at H = 0 would give -0.0 + (t - r) * 0.0 = +0.0
+        # beyond the anchor, and a "0.0" in place of "-0.0" in an OBJ file
+        plane = profile_curve(SurfaceParams(0.0, 0.0), (1.0, -0.0))
+        for t in (0.5, 2.0):
+            assert math.copysign(1.0, height(t, plane)) == -1.0
+        assert np.signbit(heights(plane, [0.5, 2.0])).all()
+
     def test_hyperbolic_anchor_and_value(self):
         assert height(1.0, curve_of(1.0, 0.0)) == 0.0
         expected = math.sqrt(5.0) - math.sqrt(2.0)

@@ -30,6 +30,8 @@ def test_sine_to_tight_tolerance():
 
 def test_orientation_and_degenerate_bounds():
     assert integrate(np.cos, 1.0, 1.0) == 0.0
+    # an empty interval is never sampled, so the pole at 0 is never hit
+    assert integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 0.0) == 0.0
     fwd = integrate(np.exp, 0.0, 1.0, tol=1e-12)
     back = integrate(np.exp, 1.0, 0.0, tol=1e-12)
     assert abs(fwd - (math.e - 1.0)) < 1e-12
@@ -84,21 +86,40 @@ def test_interior_pole_raises_instead_of_hanging(monkeypatch):
             integrate(lambda x: 1.0 / np.sqrt(np.abs(x)), -1.0, 1.0, tol=1e-14)
 
 
+@pytest.mark.parametrize("at", [0.5, 0.5 + _NODES[0] * 0.5], ids=["gauss", "kronrod"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_sample_is_refined_away(bad):
-    # the Kronrod rule samples the midpoint 0.5 of [0, 1] and no end of a
-    # panel: the panel holding the bad sample counts as unresolved until it
-    # is cut there, and contributes nothing
-    with np.errstate(invalid="ignore"):
-        assert integrate(lambda x: np.where(x == 0.5, bad, 1.0), 0.0, 1.0) == 1.0
+def test_non_finite_sample_is_refined_away(bad, at):
+    # the Kronrod rule samples the midpoint 0.5 of [0, 1] (a Gauss node)
+    # and 0.5 + _NODES[0] / 2 (a node of zero Gauss weight), never an end
+    # of a panel: the panel holding the bad sample counts as unresolved
+    # until it is cut away from it, and contributes nothing, without a
+    # warning from the rule's own arithmetic (inf - inf, 0 * inf)
+    assert integrate(lambda x: np.where(x == at, bad, 1.0), 0.0, 1.0) == 1.0
 
 
 def test_non_finite_sample_at_roundoff_width_raises():
     # a non-integrable pole at 0.5: panels beside it shrink to roundoff
     # width while their estimate stays infinite
     with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(QuadratureFailure, match="non-finite integrand at roundoff-width panel"):
+        with pytest.raises(QuadratureFailure,
+                           match=r"roundoff-width panel \[0\.5, .*\] has error estimate inf"):
             integrate(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("p, c, lo, hi, tol", [
+    # integrable: the exact integral is 212.08, and the one huge sample at
+    # c lifts the 50 eps sum|panel| floor over the panel's own estimate
+    (-0.99, 201.91578631115027, -1.6556007276268616, 812.6299474274817, 1e-10),
+    # log-divergent: no finite value is right
+    (-1.0, 176.36866792832723, -0.5147376942988595, 353.25207355095336, 1.4193521072388574e-11),
+])
+def test_finite_estimate_at_roundoff_width_raises(p, c, lo, hi, tol):
+    # the spike sits 1e-20 past a float, inside a panel with no float in
+    # its interior; parking that panel returned 3586642.73 and 5684414.39
+    with np.errstate(divide="ignore"):
+        with pytest.raises(QuadratureFailure,
+                           match=rf"roundoff-width panel \[{c}, .*\] has error estimate \d"):
+            integrate(lambda x: np.abs((x - c) - 1e-20) ** p, lo, hi, tol=tol)
 
 
 def test_reversed_bounds_negate_the_integral():
