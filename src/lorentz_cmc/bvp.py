@@ -9,11 +9,10 @@ to -inf.  Any admissible d therefore has exactly one root.  For d >= 0 it
 lies in a closed-form barrier bracket: with k = d/(R - r) and
 m = k/sqrt(1 - k^2), the slope is >= k on [r, R] at c = H r^2 - m R and
 <= k at c = H R^2 - m r, each end clamped to half the largest float so
-that the bracket's width is finite.  Where that bracket holds 0, and only
-there, g(0) = f(R; H, 0) - d comes first, in the cap's (or the plane's)
-closed form: within root_tol, c = 0 is the root; else 0 replaces the end
-that the sign of g(0) rules out.  The search runs inside the bracket on
-the values of g(c) = f(R; H, c) - d alone, by
+that the bracket's width is finite.  Where it holds 0, and only there,
+g(0) = f(R; H, 0) - d comes first, in closed form: within root_tol, c = 0
+is the root; else 0 replaces the end that the sign of g(0) rules out.
+The search runs inside the bracket on g(c) = f(R; H, c) - d alone, by
 Chandrupatla's hybrid (T. R. Chandrupatla, Adv. Eng. Softw. 28 (1997)
 145-149): it keeps the newest iterate, the end across the root from it and
 the end dropped last, and steps by inverse quadratic interpolation through
@@ -31,10 +30,10 @@ and the tolerances scale with the rings.
 
 The threshold H0 is the mean curvature of the hyperbolic cap through both
 rings; for rising boundary data it splits the solutions three ways:
-H < H0 gives c < 0 (profile rises monotonically), H = H0 gives the cap
-itself (c = 0), H > H0 gives c > 0 (convex profile dipping below the
-boundary planes once sqrt(c/H) falls inside (r, R)).  Descending data is
-the reflection x3 -> -x3, which flips H and keeps H0 and the regime.
+H < H0 gives c < 0 (profile rises monotonically), H > H0 gives c > 0
+(convex profile dipping below the boundary planes once sqrt(c/H) falls
+inside (r, R)), and H = H0, or any H with |g(0)| <= root_tol, the cap.
+Descending data is the mirror x3 -> -x3: it flips H, keeps H0 and regime.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import Regime, SurfaceParams, ValidatedRingPair, _require_positive
+from .core import Regime, SurfaceParams, ValidatedRingPair, _require_positive, classify_params
 from .errors import RootBracketFailure, LorentzCMCError
 from .profile import DEFAULT_QUAD_TOL, ProfileCurve, _height_at, profile_curve
 
@@ -147,23 +146,52 @@ def threshold_H0(rings: ValidatedRingPair):
     return math.ldexp(2.0 * m / root, e_d - 2 * e + e_u) * 2.0 ** -e_u
 
 
-def classify(H, rings: ValidatedRingPair) -> Regime:
-    """Predict the solution regime from (H, H0) without solving.
+def _bracket(rings: ValidatedRingPair, H, root_tol):
+    """The prelude of solve_c, which classify runs too: the clipped bracket.
 
-    Rings in either orientation give the same regime, that of the canonical
-    (H >= 0) representative ``solve_c`` returns.  Consistency with solve_c
-    is a tested property of the solver, not an assumption of this function.
+    Returns (e_u, r, R, d, H, root_tol, lo, hi, g0): lengths in the ring unit
+    u = 2^e_u, H in 1/u, root_tol floored, and g0 = g(0) where the barrier
+    bracket holds 0 (m r / R^2 <= H <= m R / r^2, about H0), else None.
+    After the clip 0 is never strictly inside [lo, hi]: lo + hi has c's sign.
+    """
+    # g shoots on the rise d = |b - a| from (r, 0): a ring height scaled into
+    # ring units can overflow, and a + rise rounds at ulp(a)
+    e_u = min(0, math.frexp(rings.R)[1])
+    r, R, d = (math.ldexp(x, -e_u) for x in (rings.r, rings.R, abs(rings.b - rings.a)))
+    H = math.ldexp(H, e_u)
+    root_tol = max(root_tol, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1])))
+    # g is strictly decreasing; the barrier ends bound its root, so only
+    # roundoff can give them the wrong sign
+    k = rings.slope_bound
+    m = k / math.sqrt((1.0 - k) * (1.0 + k))
+    lo, hi = H * r * r - m * R, H * R * R - m * r
+    # clamp into [-_C_MAX, _C_MAX]: a nan end (inf - inf) takes the outer
+    # limit, and a root beyond the limits fails solve_c's sign check
+    lo, hi = max(-_C_MAX, min(lo, _C_MAX)), min(_C_MAX, max(hi, -_C_MAX))
+    g0 = None
+    if lo <= 0.0 <= hi:
+        g0 = _height_at(R, H, 0.0, (r, 0.0)) - d
+        if abs(g0) <= root_tol:
+            lo = hi = 0.0
+        elif g0 < 0.0:
+            hi = 0.0
+        else:
+            lo = 0.0
+    return e_u, r, R, d, H, root_tol, lo, hi, g0
+
+
+def classify(H, rings: ValidatedRingPair) -> Regime:
+    """The regime ``solve_two_ring`` returns at the default root_tol, without solving.
+
+    The sign of c is that of solve_c's clipped bracket (``_bracket``) at
+    ``DEFAULT_ROOT_TOL``: c = 0 where g(0) meets it, else the sign of g(0)
+    or of the whole bracket.  Rings in either orientation give the regime
+    of the canonical (H >= 0) representative.
     """
     if not 0.0 <= H < math.inf:
         raise ValueError(f"H must be finite and >= 0 (canonicalize first), got {H}")
-    if H == 0.0:
-        return Regime.PLANE if rings.a == rings.b else Regime.MAXIMAL_CATENOID
-    h0 = threshold_H0(rings)
-    if H < h0:
-        return Regime.NEGATIVE_C
-    if H == h0:
-        return Regime.HYPERBOLIC_CAP
-    return Regime.POSITIVE_C
+    *_, lo, hi, _ = _bracket(rings, H, DEFAULT_ROOT_TOL)
+    return classify_params(SurfaceParams(H, lo + hi))
 
 
 def solve_c(problem: PlateauProblem) -> PlateauSolution:
@@ -172,11 +200,8 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     The shooting target is the rise d = |b - a| from the anchor (r, 0).
     Descending data (b < a) is solved through the mirror (a, b) ->
     (-a, -b), and the curve is built with the mirrored (-H, -c).
-    Wherever the barrier bracket holds 0 (the plane H = 0, a = b; the cap
-    H = H0 > 0; and every H near enough to H0), g(0) comes first: within
-    root_tol, c = 0 is the root, a bracket of width 0 (1 g, no search);
-    beyond it, 0 replaces the bracket end that its sign rules out (hi = 0
-    where g(0) < 0, lo = 0 where g(0) > 0), so c takes the sign of g(0).
+    Wherever the barrier bracket holds 0, g(0) comes first (``_bracket``):
+    c = 0 within root_tol (1 g, no search), else c takes the sign of g(0).
     Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
     root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets only the
     returned curve's array-path heights, as g is closed form.  The
@@ -196,43 +221,17 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     """
     rings = problem.rings
     sign = -1.0 if rings.b < rings.a else 1.0
-    # g shoots on the rise d = |b - a| from (r, 0): a ring height scaled into
-    # ring units can overflow, and a + rise rounds at ulp(a).  From here on
-    # lengths are in the ring unit u = 2^e_u and H in 1/u
-    e_u = min(0, math.frexp(rings.R)[1])
-    r, R, d = (math.ldexp(x, -e_u) for x in (rings.r, rings.R, abs(rings.b - rings.a)))
-    H = math.ldexp(problem.H, e_u)
-    root_tol = max(problem.root_tol, 64.0 * math.ulp(math.ldexp(1.0, math.frexp(R)[1])))
-    n_g = n_interp = n_bisect = 0
+    e_u, r, R, d, H, root_tol, lo, hi, g0 = _bracket(rings, problem.H, problem.root_tol)
+    n_g, n_interp, n_bisect = int(g0 is not None), 0, 0
 
     def g(c):
         nonlocal n_g
         n_g += 1
         return _height_at(R, H, c, (r, 0.0)) - d
 
-    # g is strictly decreasing; the barrier ends bound its root, so only
-    # roundoff can give them the wrong sign
-    k = rings.slope_bound
-    m = k / math.sqrt((1.0 - k) * (1.0 + k))
-    lo, hi = H * r * r - m * R, H * R * R - m * r
-    # clamp into [-_C_MAX, _C_MAX]: a nan end (inf - inf) takes the outer
-    # limit, and a root beyond the limits fails the sign check below
-    lo, hi = max(-_C_MAX, min(lo, _C_MAX)), min(_C_MAX, max(hi, -_C_MAX))
-    # where the bracket holds 0 (the plane, the cap, and H near H0), g(0)
-    # comes first, in closed form: within root_tol c = 0 is the root, a
-    # bracket of width 0; else 0 replaces the end its sign rules out, so
-    # the search cannot end on c of the wrong sign.  Nowhere else is g(0)
-    # taken: outside the bracket 0 is not a root
-    if lo <= 0.0 <= hi:
-        g_lo = g_hi = g(0.0)
-        if abs(g_lo) <= root_tol:
-            lo = hi = 0.0
-        elif g_lo < 0.0:
-            hi, g_lo = 0.0, g(lo)
-        else:
-            lo, g_hi = 0.0, g(hi)
-    else:
-        g_lo, g_hi = g(lo), g(hi)
+    # 0 is an end only where g(0) was taken
+    g_lo = g0 if lo == 0.0 else g(lo)
+    g_hi = g0 if hi == 0.0 else g(hi)
     if g_lo < -root_tol or g_hi > root_tol:
         raise RootBracketFailure(f"barrier bracket [{lo!r}, {hi!r}] gives f(R) - b = "
                                  f"[{g_lo:.3e}, {g_hi:.3e}], beyond root_tol {root_tol:.3e} "

@@ -103,7 +103,7 @@ class Regime(enum.Enum):
     Exactly one case holds for any (H, c); the c = 0 boundaries are decided
     by exact floating comparison, not by epsilon tests: the solver returns
     c = 0 exactly where g(0) meets root_tol inside its barrier bracket
-    (see bvp.solve_c).
+    (see bvp.solve_c), and bvp.classify names the regime by that same rule.
     """
 
     PLANE = "Plane"

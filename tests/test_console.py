@@ -81,6 +81,10 @@ ROWS = {
         [f"{cmd} {STEEP_TINY_RINGS} --H 1" for cmd in ("classify", "solve")], 0,
         lambda tmp, c, s: c.rec["H0"] is None is s.rec["H0"]
         and c.rec["regime"] == "NegativeC" == s.rec["regime"]),
+    # a rise of 1e-12: g(0) meets root_tol at H = 1.5 H0, so both name the cap
+    "cap_on_a_tiny_rise": (
+        [f"{cmd} --r 1 --R 2 --a 0 --b 1e-12 --H 1e-12" for cmd in ("classify", "solve")], 0,
+        lambda tmp, c, s: c.rec["regime"] == "HyperbolicCap" == s.rec["regime"]),
     "classify_mirror": ([f"classify {RINGS} --H 1", "classify --r 1 --R 2 --a 0.5 --b 0 --H 1"], 0,
                         lambda tmp, u, d: all(u.rec[k] == d.rec[k] for k in ("H0", "regime",
                                                                              "slope_bound"))
