@@ -3,9 +3,12 @@
 Meshes are annulus grids of n_t rings by n_theta spokes with the theta
 seam closed by index wraparound (no duplicated seam column), quads split
 into triangles along a fixed diagonal, wound counterclockwise as seen from
-+x3.  A window starting at t = 0 replaces the innermost ring with a single
-apex vertex at the axis height ``singularity_report(curve).cone_vertex_height``
-and fans triangles to it.
++x3.  The spoke angles 2 pi j / n_theta come from one first-octant table,
+so the grid's reflections (y -> -y; x -> -x for even n_theta; x <-> y
+when 4 divides n_theta) map spokes onto spokes with the same coordinate
+bits, up to sign.  A window starting at t = 0 replaces the innermost ring
+with a single apex vertex at the axis height
+``singularity_report(curve).cone_vertex_height`` and fans triangles to it.
 
 Exports: Wavefront OBJ (ASCII, v/f records only) and RFC-4180 CSV profile
 polylines with columns t, f, f_prime, first_integral_residual.  Both are
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -58,6 +62,7 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if t_lo < 0.0 or not t_lo < t_hi < math.inf:
         raise ValueError(f"need 0 <= t_lo < t_hi < inf, got ({t_lo}, {t_hi})")
+    n_t, n_theta = operator.index(n_t), operator.index(n_theta)
     if n_t < 2:
         raise ValueError("need at least 2 rings")
     if n_theta < 3:
@@ -76,8 +81,7 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
     ring_ts = ts[1:] if apex else ts
     ring_hs = heights(curve, ring_ts)
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    cos_t, sin_t = _spoke_table(n_theta)
 
     n_rings = ring_ts.size
     ring_grid = np.empty((n_rings, n_theta, 3))
@@ -114,6 +118,28 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
         n_theta=n_theta,
         singular_vertex=singular_vertex,
     )
+
+
+def _spoke_table(n):
+    """(cos, sin) of the n spoke angles 2 pi j / n, each within 2e-16.
+
+    With 8j = o n + r (0 <= r < n), spoke j lies r / n of the way through
+    octant o, and its (cos, sin) is (c, s) of the first-octant angle
+    k pi / 4n, k = r in even octants and n - r in odd ones (counted back
+    from the octant's end), swapped in octants 1, 2, 5, 6 and negated in
+    cos for octants 2-5 and in sin for 4-7.  Mirrored spokes share k, so
+    the table is exactly invariant under y -> -y, x -> -x (even n) and
+    x <-> y (4 | n, with cos == sin on the diagonal k = n); it holds no -0.0.
+    """
+    octant, r = np.divmod(8 * np.arange(n), n)
+    k = np.where(octant % 2 == 1, n - r, r)
+    angle = (k / n) * (math.pi / 4)
+    c = np.cos(angle)
+    s = np.where(k == n, c, np.sin(angle))
+    swap = (octant + 1) // 2 % 2 == 1
+    cos_t = np.where(swap, s, c) * (1 - 2 * ((octant + 2) // 4 % 2))
+    sin_t = np.where(swap, c, s) * (1 - 2 * (octant // 4))
+    return cos_t + 0.0, sin_t + 0.0  # + 0.0 turns a negated 0.0 back to 0.0
 
 
 def export_obj(mesh: SurfaceMesh) -> bytes:
@@ -166,14 +192,15 @@ def _obj_block(data, start, stop):
     if buf[-1] != ord("\n"):  # the last line of the data
         ends = np.append(ends, stop)
     starts = np.concatenate(([start], ends[:-1]))
-    # each line's first byte after its indentation, one byte of indentation a pass
+    # each line's first byte after its indentation: for an indented line, the
+    # next byte of the block that is not a space or tab (the block end if none)
     heads, kinds = starts.copy(), buf[starts]
     indented = np.flatnonzero((kinds == 32) | (kinds == 9))
-    while indented.size:
-        heads[indented] += 1
-        indented = indented[heads[indented] < stop]
-        kinds[indented] = buf[heads[indented]]
-        indented = indented[(kinds[indented] == 32) | (kinds[indented] == 9)]
+    if indented.size:
+        block = buf[start:]
+        solid = np.flatnonzero((block != 32) & (block != 9)) + start
+        heads[indented] = np.append(solid, stop)[np.searchsorted(solid, starts[indented])]
+        kinds[indented] = buf[np.minimum(heads[indented], stop - 1)]
     # each line's kind: its tag byte if that is v or f and whitespace or the end follows, else 0
     tagged = np.flatnonzero((kinds == ord("v")) | (kinds == ord("f")))
     after = heads[tagged] + 1

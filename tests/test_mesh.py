@@ -102,6 +102,37 @@ class TestSampling:
             sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), 4, 2)
         with pytest.raises(ValueError, match="unknown spacing 'cubic'"):
             sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), 4, 8, spacing="cubic")
+        # counts are integers: a float count raises TypeError, even a whole one
+        for bad in (64.0, math.nan, math.inf, 3.5):
+            with pytest.raises(TypeError):
+                sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), bad, 8)
+            with pytest.raises(TypeError):
+                sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), 4, bad)
+        mesh = sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), np.int64(4), np.int64(8))
+        assert mesh.vertices.shape == (32, 3) and mesh.n_theta == 8
+        with pytest.raises(ValueError, match="need at least 3 spokes"):
+            sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), 4, True)
+
+    @pytest.mark.parametrize("n", [*range(3, 131), 256, 1024])
+    def test_spoke_table_is_exactly_symmetric(self, n):
+        cos_t, sin_t = mesh_module._spoke_table(n)
+        j = np.arange(n)
+        assert np.array_equal(cos_t[-j % n], cos_t) and np.array_equal(sin_t[-j % n], -sin_t)
+        if n % 2 == 0:
+            assert np.array_equal(cos_t[(n // 2 - j) % n], -cos_t)
+            assert np.array_equal(sin_t[(n // 2 - j) % n], sin_t)
+        if n % 4 == 0:
+            assert np.array_equal(cos_t[(n // 4 - j) % n], sin_t)
+            assert np.array_equal(sin_t[(n // 4 - j) % n], cos_t)
+        if n % 8 == 0:  # the spokes at pi/4, 3 pi/4, 5 pi/4, 7 pi/4
+            diagonal = np.arange(1, 8, 2) * n // 8
+            assert np.array_equal(np.abs(cos_t[diagonal]), np.abs(sin_t[diagonal]))
+        assert not np.any(np.signbit(cos_t) & (cos_t == 0.0))
+        assert not np.any(np.signbit(sin_t) & (sin_t == 0.0))
+        if np.finfo(np.longdouble).eps < 1e-18:
+            theta = 2 * np.arccos(np.longdouble(-1)) * j / n
+            assert np.max(np.abs(cos_t - np.cos(theta))) <= 2e-16
+            assert np.max(np.abs(sin_t - np.sin(theta))) <= 2e-16
 
     def test_face_orientation_counterclockwise_from_above(self):
         mesh = sample_surface(curve_of(0.0, 0.0), (1.0, 2.0), 3, 8)
@@ -610,14 +641,16 @@ class TestSerialisersAgainstReference:
                 assert np.array_equal(bits(g) if g.dtype == float else g,
                                       bits(w) if w.dtype == float else w)
 
+    @pytest.mark.parametrize("deep", [0, 100_000], ids=["shallow", "deep"])
     @pytest.mark.parametrize("block", [1, 16, _BLOCK])
-    def test_every_line_indented_parses_like_reference(self, monkeypatch, block):
-        # line starts advance over spaces and tabs in place, one byte a pass;
-        # the last line is blank and has no line end
+    def test_every_line_indented_parses_like_reference(self, monkeypatch, block, deep):
+        # each indented line's start moves to the block's next byte that is
+        # not a space or tab, in one search, also where every sixth line is
+        # indented by ``deep`` bytes; the last line is blank and has no line end
         monkeypatch.setattr(text_module, "_BLOCK", block)
         lines = ["v 1 2 3", "# c", "vn 0 0 1", "f 1/1 2//2 1/2/3", "", "v -0.0 nan inf",
                  "vt 0 0", "f 2 1 2 2", "v 4e-3\t5 6", "f\t1 1 1\r", "v7 8 9"]
-        indents = [" ", "\t", " \t ", "\t \t\t", "  \t  \t", "\t\t"]
+        indents = [" \t" * (deep // 2) or " ", "\t", " \t ", "\t \t\t", "  \t  \t", "\t\t"]
         text = "\n".join(indents[k % len(indents)] + line
                          for k, line in enumerate(lines * 3)) + "\n \t\t "
         for data in (text, text.encode("ascii")):
@@ -744,6 +777,14 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_figure4_mesh_shares_mirrored_coordinates(figure4_mesh):
+    # each of the 255 rings holds 129 distinct x, y values (0 and +-64
+    # magnitudes: c and s of the 33 first-octant angles), 0 shared with the
+    # apex; the spoke table from linspace angles gave 88,988
+    xy = np.ascontiguousarray(figure4_mesh.vertices[:, :2])
+    assert np.unique(xy.view(np.int64)).size <= 255 * 129 + 1
 
 
 class TestMemoryBounds:
