@@ -216,8 +216,7 @@ def cmd_solve(p):
         "regime": sol.regime.value,
         "H0": sol.H0,
         "residual": sol.residual,
-        "flux": flux_closed_form(p["r"], SurfaceParams(curve.mean_curvature,
-                                                       curve.first_integral)).flux,
+        "flux": flux_closed_form(p["r"], curve.surface).flux,
         "limit_slope": report.limit_slope,
         "singularity": report.kind.value,
         "cone_vertex_height": report.cone_vertex_height,

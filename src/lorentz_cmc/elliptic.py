@@ -9,9 +9,11 @@ For a conjugate pair (4Hc > 1) they are w, conj(w) and a real z; each
 duplication step adds a real lambda, so the pair stays conjugate and z
 real, and ``_carlson_pair`` runs the sequence on (Re w, Im w, z), taking
 one root of the pair and one real root per step.  Both close on one R_F/R_D
-series.  Arguments whose largest leaves [2^-600, 2^1010) are first scaled
-by a power of 4, which R_F and R_D (homogeneous of degrees -1/2 and -3/2)
-give back exactly.
+series.  The loops run unscaled, on the arguments ``rise`` builds in the
+region ``profile._height_at`` sends it (k = H R <= 1e100, |g| = |c| / R <=
+k + 2^27): positive, with the largest in [2^-600, 2^1010), the band where
+neither the sums of the arguments overflow nor the tail's products of roots
+underflow.
 """
 
 import math
@@ -23,29 +25,9 @@ __all__ = ["rise"]
 # fraction of their mean (Carlson's bound for R_D, tighter than R_F's)
 _TOL = (sys.float_info.epsilon / 4.0) ** (1.0 / 6.0)
 # a step cuts the spread by 4 and the mean stays above max / ln(max/min)^2,
-# so 40 steps converge for every float64 triple with at most one zero
+# so 40 steps converge for every triple in the band (module docstring)
 _MAX_STEPS = 40
 _RHO_MIN = 2.0 ** -511
-# the band [2^_E_LOW, 2^_E_HIGH) of the largest argument in which the
-# sequence runs unscaled: above it 3 max|x - y| / _TOL and the sums of the
-# arguments overflow, and below it the tail's products of roots underflow
-_E_LOW, _E_HIGH = -600, 1010
-_LOW, _HIGH = 2.0 ** _E_LOW, 2.0 ** _E_HIGH
-
-
-def _shift(top):
-    """The least |j| with 4^j top in [_LOW, _HIGH), for a finite top > 0 outside it."""
-    e = math.frexp(top)[1]  # top in [2^(e-1), 2^e)
-    return (_E_HIGH - e) // 2 if top >= _HIGH else (_E_LOW + 2 - e) // 2
-
-
-def _unshift(rf, rd, j):
-    """R_F and R_D at 4^-j times the arguments they were taken at."""
-    try:
-        rd = math.ldexp(rd, 3 * j)
-    except OverflowError:  # beyond the floats: R_D at tiny arguments
-        rd = math.inf
-    return math.ldexp(rf, j), rd
 
 
 def _series(scale, tail, a_f, xy_f, z_f, a_d, xy_d, z_d):
@@ -64,22 +46,14 @@ def _series(scale, tail, a_f, xy_f, z_f, a_d, xy_d, z_d):
 
 
 def _carlson(x, y, z):
-    """Carlson's R_F and R_D at non-negative (x, y, z) from one duplication sequence:
+    """Carlson's R_F and R_D at (x, y, z) from one duplication sequence:
 
         R_F = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)),
-        R_D = 3/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)^3).
+        R_D = 3/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z)^3),
 
-    Infinite where the integrals diverge: two arguments zero, or z = 0 for R_D.
+    for x, y >= 0 and z > 0 with the largest in [2^-600, 2^1010), which
+    holds every triple ``rise`` builds (module docstring).
     """
-    if (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
-        return math.inf, math.inf
-    if z == 0.0:  # R_D diverges; R_F is symmetric
-        return _carlson(z, x, y)[0], math.inf
-    top = max(x, y, z)
-    if not _LOW <= top < _HIGH and top < math.inf:  # a nan fails both tests
-        j = _shift(top)
-        return _unshift(*_carlson(math.ldexp(x, 2 * j), math.ldexp(y, 2 * j),
-                                  math.ldexp(z, 2 * j)), j)
     x0, y0, z0 = x, y, z
     spread = 3.0 * max(abs(x - y), abs(y - z), abs(z - x)) / _TOL
     scale, tail = 1.0, 0.0
@@ -119,11 +93,6 @@ def _carlson_pair(re, im, z):
     |sqrt(w) + sqrt(z)|^2 / 4.  The series' deviations X and Y = conj(X)
     enter through |X|^2 and Z = -2 Re X.
     """
-    top = max(abs(re), abs(im), z)
-    if not _LOW <= top < _HIGH and top < math.inf:  # a nan fails both tests
-        j = _shift(top)
-        return _unshift(*_carlson_pair(math.ldexp(re, 2 * j), math.ldexp(im, 2 * j),
-                                       math.ldexp(z, 2 * j)), j)
     re0, im0, z0 = re, im, z
     spread = 3.0 * max(2.0 * abs(im), math.hypot(re - z, im)) / _TOL
     scale, tail = 1.0, 0.0
@@ -163,7 +132,10 @@ def rise(H, c, r, R):
     k^-2 is formed, so k^2 may underflow (it then drops out, exact to
     float64).  rho is raised to 2^-511, where rho^2 leaves the normal floats,
     which moves the rise by under 2^-511 R and keeps U23 > 0 where g^2
-    underflows.
+    underflows.  Taken for k <= 1e100 and |g| <= k + 2^27, the region
+    ``profile._height_at`` sends here: there U13 >= 1/2 (real roots),
+    |U12|^2 >= rho / 4 (a pair) and every U <= 2 (2k + 2^27 + 1) / d, so the
+    largest argument of R_F and R_D lies in [2^-514, 2^773).
     """
     rho, k, g = max(r / R, _RHO_MIN), H * R, c / R
     kg = k * g

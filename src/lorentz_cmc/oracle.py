@@ -324,8 +324,7 @@ def mean_curvature_rotational(t, curve: ProfileCurve, fd_step=None):
     """
     t = _radius(t, "curvature")
     fd_step = _fd_step(t, fd_step)
-    s = curve.slope(t)
-    up, down = curve.slope(t + fd_step), curve.slope(t - fd_step)
+    down, s, up = curve.slopes([t - fd_step, t, t + fd_step]).tolist()
     if up == down and abs(up) == 1.0:
         raise SpacelikeViolation(f"f' is {up} at t={t} +- {fd_step}: f'' cannot be differenced")
     f2 = (up - down) / (2.0 * fd_step)

@@ -132,16 +132,15 @@ def slope(t, params: SurfaceParams):
 
 
 def slope_extremum_radius(params: SurfaceParams):
-    """Radius sqrt(|c| / H) where the slope is stationary, or None.
+    """Radius sqrt(|c| / |H|) where the slope is stationary, or None.
 
     For c > 0 the slope vanishes there and the profile has its unique
     minimum; for c < 0 the (positive) slope has its unique minimum there.
     Defined only for H != 0 and c != 0.
     """
-    p, _ = canonicalize(params)
-    if p.H == 0.0 or p.c == 0.0:
+    if params.H == 0.0 or params.c == 0.0:
         return None
-    return math.sqrt(abs(p.c) / p.H)
+    return math.sqrt(abs(params.c) / abs(params.H))
 
 
 @dataclass(frozen=True)
@@ -312,7 +311,7 @@ def heights(curve: ProfileCurve, ts):
     p, r = curve.surface, curve.anchor_radius
     closed = _closed_form(ts, p.H, p.c, (r, curve.anchor_height))
     if closed is not None:
-        return np.asarray(closed, dtype=float)
+        return np.asarray(closed)  # a 0-d array where numpy gave a scalar
 
     fn = lambda s: _slope_raw(s, p.H, p.c)
     # the segment edges: the distinct radii and the anchor, appended last
@@ -390,8 +389,7 @@ def asymptotic_slope(params: SurfaceParams):
     (maximal profiles grow only logarithmically).  Analytic case split,
     with no quadrature.
     """
-    p, _ = canonicalize(params)
-    return 1.0 if p.H > 0.0 else 0.0
+    return 0.0 if params.H == 0.0 else 1.0
 
 
 def first_integral_residual(t, curve: ProfileCurve, fd_step=None):

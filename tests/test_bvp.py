@@ -310,6 +310,14 @@ class TestSolve:
             assert abs(height(R, sol.curve) - b) <= 1e-9
             assert abs(sol.curve.mean_curvature) == pytest.approx(H, abs=0.0)
 
+    def test_an_iterate_with_g_exactly_zero_ends_the_search(self):
+        # the sixth iterate gives g = 0.0 and the search stops there, bracket
+        # width 0; carrying on took 13 g to another c whose g is 0.0 too
+        sol = solve_two_ring(56.63905716370957, 1006.9640981941631, -218.69896522379955,
+                             731.6102406430838, 0.7252714392781253)
+        d = sol.diagnostics
+        assert (sol.residual, d.g_evals, d.final_bracket_width) == (0.0, 8, 0.0)
+
     def test_problem_requires_validated_rings_and_canonical_H(self):
         with pytest.raises(TypeError):
             PlateauProblem(rings=RingPair(1.0, 2.0, 0.0, 0.5), H=1.0)

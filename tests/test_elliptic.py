@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import elliprd, elliprf
 
-from lorentz_cmc import elliptic
+from lorentz_cmc import elliptic, profile
 from lorentz_cmc.elliptic import _carlson, _carlson_pair, rise
 from lorentz_cmc.profile import _closed_form, _height_at, _slope_raw
 from lorentz_cmc.quadrature import integrate
@@ -54,60 +54,6 @@ class TestAgainstScipy:
         _agrees(_carlson(0.0, y, z), (elliprf(0.0, y, z), elliprd(0.0, y, z)))
 
 
-class TestDegenerateArguments:
-    # the duplication loop once spun forever where all arguments vanish
-    @pytest.mark.parametrize("args", [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 2.0, 0.0)])
-    def test_two_zeros_diverge(self, args):
-        assert _carlson(*args) == (math.inf, math.inf)
-
-    def test_zero_last_argument(self):
-        rf, rd = _carlson(1.0, 2.0, 0.0)
-        assert rd == math.inf
-        assert rf == pytest.approx(elliprf(1.0, 2.0, 0.0), rel=1e-14)
-
-
-class TestExtremeArguments:
-    """Outside [2^-600, 2^1010) the arguments are scaled by a power of 4 first."""
-
-    def test_near_overflow(self):
-        # unscaled, 3 max|x - y| / _TOL overflowed and R_F came out 0.0
-        args = (0.0, 7.105985812848409e+307, 9.682241877680611e+307)
-        rf, rd = _carlson(*args)
-        assert rf == pytest.approx(elliprf(*args), rel=1e-14)
-        # R_D is about 1e-462, below the floats (scipy's elliprd gives nan)
-        assert rd == 0.0
-
-    def test_all_subnormal(self):
-        # unscaled, a product of roots underflowed: ZeroDivisionError
-        y = 5e-324
-        rf, rd = _carlson(0.0, y, y)
-        # R_F(0, y, y) = pi / (2 sqrt(y)); scipy's elliprf gives inf here
-        assert rf == pytest.approx(math.pi / (2.0 * math.sqrt(y)), rel=1e-15)
-        assert rd == elliprd(0.0, y, y) == math.inf
-
-    def test_top_above_the_band_shifts_into_it_from_above(self):
-        # the largest argument 2^1015 shifts down by 4^3 to 2^1009; the shift
-        # from the low end of the band would overshoot and R_D come out inf
-        rf, rd = _carlson(2.0 ** 1009, 2.0 ** 1008, 2.0 ** -1006)
-        assert _carlson(2.0 ** 1015, 2.0 ** 1014, 2.0 ** -1000) == (math.ldexp(rf, -3),
-                                                                   math.ldexp(rd, -9))
-
-    # arguments in [2^-10, 2^10], scaled by 4^j past either end of the band
-    # but not into the subnormals: R_F and R_D are homogeneous, and powers of
-    # two round alike, so the results scale to the bit
-    @settings(max_examples=200, deadline=None)
-    @given(x=st.floats(2.0 ** -10, 2.0 ** 10), y=st.floats(0.0, 2.0 ** 10),
-           z=st.floats(2.0 ** -10, 2.0 ** 10), pair=st.booleans(),
-           j=st.one_of(st.integers(-330, -306), st.integers(500, 506)))
-    def test_scaling_is_exact(self, x, y, z, pair, j):
-        carlson = _carlson_pair if pair else _carlson
-        rf, rd = carlson(x, y, z)
-        got_rf, got_rd = carlson(*(math.ldexp(v, 2 * j) for v in (x, y, z)))
-        assert got_rf == math.ldexp(rf, -j)
-        if j < 0:  # R_D scaled up stays below 2^1024; scaled down it underflows
-            assert got_rd == math.ldexp(rd, -3 * j)
-
-
 # cmath.sqrt divides its argument by 8 first, so on [2^-1022, 2^-1019) its
 # real part can be an ulp off math.sqrt, the correctly rounded root
 _SQRT_WINDOW = (sys.float_info.min, 8.0 * sys.float_info.min)
@@ -121,14 +67,10 @@ def _real_axis_sqrt(z):
 
 
 def _complex_carlson(x, y, z):
-    """R_F and R_D by ``_carlson``'s duplication in complex arithmetic, unscaled,
+    """R_F and R_D by ``_carlson``'s duplication in complex arithmetic,
     as the library took both regimes before the conjugate pair ran in floats."""
     x, y, z = complex(x), complex(y), complex(z)
     x0, y0, z0 = x, y, z
-    if (x0 == 0) + (y0 == 0) + (z0 == 0) > 1:
-        return complex(math.inf), complex(math.inf)
-    if z0 == 0:
-        return _complex_carlson(z0, x0, y0)[0], complex(math.inf)
     spread = 3.0 * max(abs(x - y), abs(y - z), abs(z - x)) / elliptic._TOL
     scale, tail = 1.0, 0.0
     for _ in range(elliptic._MAX_STEPS):
@@ -157,17 +99,10 @@ def _complex_carlson(x, y, z):
     return rf, rd
 
 
-def _in_band(*args):
-    """Whether ``_carlson`` takes these arguments unscaled."""
-    top = max(abs(v) for v in args)
-    return elliptic._LOW <= top < elliptic._HIGH or not math.isfinite(top)
-
-
 def _complex_rise(H, c, r, R):
     """``rise`` with every root taken in complex arithmetic, as the
-    conjugate-pair regime once took them; None where ``_carlson`` scales."""
-    value = _complex_rise_and_terms(H, c, r, R)
-    return None if value is None else value[0]
+    conjugate-pair regime once took them."""
+    return _complex_rise_and_terms(H, c, r, R)[0]
 
 
 def _complex_rise_and_terms(H, c, r, R):
@@ -181,18 +116,15 @@ def _complex_rise_and_terms(H, c, r, R):
     d = (1.0 - rho) * (1.0 + rho)
     u12, u13, u23 = ((x2 * y3 + rho * y2 * x3) / d, (x3 * y2 + rho * y3 * x2) / d,
                      (rho * x2 * x3 + y2 * y3) / d)
-    args = (u12 * u12, u13 * u13, u23 * u23)
-    if not _in_band(*args):
-        return None
-    rf, rd = _complex_carlson(*args)
+    rf, rd = _complex_carlson(u12 * u12, u13 * u13, u23 * u23)
     terms = abs(k * g * g * rd / 3.0) + abs(k * rho / u23) + abs(g * rf)
     return R * (k * (g * g * rd / 3.0 + rho / u23) - g * rf).real, R * terms
 
 
-# up to 1e300, and inf: where the arguments' sum overflows, the complex
-# path's imaginary parts (inf * 0) turn nan and the float path's do not exist
-_nonnegative = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e300, math.inf]),
-                         st.floats(0.0, 1e300))
+# the band [2^-600, 2^1010) that holds every argument ``rise`` builds
+_BAND = (2.0 ** -600, 2.0 ** 1010)
+_in_band = st.one_of(st.sampled_from([_BAND[0], 1e-180, 1.0, 1e300, math.nextafter(_BAND[1], 0.0)]),
+                     st.floats(*_BAND, exclude_max=True))
 
 
 class TestRealArithmetic:
@@ -218,24 +150,12 @@ class TestRealArithmetic:
         assert cmath.sqrt(complex(x)).real == math.nextafter(math.sqrt(x), 0.0)
 
     @settings(max_examples=500, deadline=None)
-    @given(x=_nonnegative, y=_nonnegative, z=_nonnegative)
-    @example(0.0, 0.0, 1.0)
-    @example(0.0, 2.0, 0.0)
-    @example(1.0, 2.0, 0.0)
-    @example(0.0, 1e-300, 1e300)
-    @example(1e-180, 5e-324, 5e-324)
+    @given(x=_in_band, y=_in_band, z=_in_band)
+    @example(2.0 ** -600, 2.0 ** -600, 2.0 ** -600)
+    @example(2.0 ** -600, 1e300, math.nextafter(2.0 ** 1010, 0.0))
     def test_carlson_floats_match_complex(self, x, y, z):
-        # outside the band _carlson scales first (TestExtremeArguments); in it,
-        # all but subnormal arguments underflow a divisor: both raise alike
-        assume(_in_band(x, y, z))
-
-        def outcome(carlson):
-            try:
-                return [repr(v.real) for v in carlson(x, y, z)]
-            except ZeroDivisionError:
-                return "ZeroDivisionError"
-
-        assert outcome(_carlson) == outcome(_complex_carlson)
+        assert ([repr(v) for v in _carlson(x, y, z)]
+                == [repr(v.real) for v in _complex_carlson(x, y, z)])
 
     @settings(max_examples=300, deadline=None)
     @given(log_R=st.floats(-300.0, 300.0), log_ratio=st.floats(1e-3, 200.0),
@@ -246,9 +166,7 @@ class TestRealArithmetic:
         c = u / (4.0 * H) if u > 0.0 else -(10.0 ** log_c)
         r = R / 10.0 ** log_ratio
         assume(r > 0.0 and 4.0 * (H * R) * (c / R) <= 1.0)
-        want = _complex_rise(H, c, r, R)
-        assume(want is not None)
-        assert repr(rise(H, c, r, R)) == repr(want)
+        assert repr(rise(H, c, r, R)) == repr(_complex_rise(H, c, r, R))
 
     @pytest.mark.parametrize("H,c,r,R", [(1.0, 0.25, 0.5, 1.0), (0.5, 0.5, 1e-4, 2.0),
                                          (2.0 ** -40, 2.0 ** 38, 1.0, 2.0 ** 30),
@@ -296,6 +214,62 @@ class TestConjugatePair:
                                          (1.0, 3.0, 1.0, math.nan)])
     def test_nan_discriminant_gives_nan(self, H, c, r, R):
         assert math.isnan(rise(H, c, r, R))
+
+
+class TestDomain:
+    """``profile._height_at`` sends ``rise`` only k = H R <= ``_RISE_TRUSTED``
+    and |g| = |c| / R <= k + ``_CONE_MARGIN``, and there every argument
+    ``rise`` builds is in the band the duplication loops take unscaled.
+
+    R is a power of two, so k, g and rho are exact.  The draws reach the
+    region's edges: k up to ``_RISE_TRUSTED`` itself, |g| up to k + 2^27 of
+    either sign and near the double root 1 / (4k), rho = r / R at 2^-511
+    (and t = 0) and at 1 - 2^-53, where d = 1 - rho^2 is smallest.
+    """
+
+    @staticmethod
+    def _record(monkeypatch, calls):
+        """Have ``_carlson`` and ``_carlson_pair`` append (name, arguments) to ``calls``."""
+        for name in ("_carlson", "_carlson_pair"):
+            def recorded(*args, name=name, carlson=getattr(elliptic, name)):
+                calls.append((name, args))
+                return carlson(*args)
+            monkeypatch.setattr(elliptic, name, recorded)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(e=st.integers(-60, 60),
+           log_k=st.one_of(st.just(math.inf), st.floats(-300.0, 100.0)),
+           g_at=st.sampled_from(["edge", "uniform", "double root"]),
+           u=st.one_of(st.sampled_from([-1.0, 1.0, 0.5]), st.floats(-1.0, 1.0)),
+           sign=st.sampled_from([-1.0, 1.0]),
+           rho=st.one_of(st.sampled_from([0.0, 2.0 ** -511, 1.0 - 2.0 ** -53, 0.5]),
+                         st.floats(0.0, 1.0, exclude_max=True)))
+    @example(e=0, log_k=math.inf, g_at="edge", u=1.0, sign=1.0, rho=1.0 - 2.0 ** -53)
+    @example(e=0, log_k=math.inf, g_at="edge", u=1.0, sign=-1.0, rho=1.0 - 2.0 ** -53)
+    @example(e=0, log_k=-20.0, g_at="edge", u=1.0, sign=1.0, rho=2.0 ** -511)
+    @example(e=0, log_k=math.inf, g_at="double root", u=1e-16, sign=1.0, rho=0.0)
+    @example(e=-28, log_k=-1.0, g_at="uniform", u=5e-324, sign=1.0, rho=0.0)  # c = 0: the cap
+    def test_rise_builds_arguments_in_the_band(self, e, log_k, g_at, u, sign, rho):
+        trusted = profile._RISE_TRUSTED
+        R = math.ldexp(1.0, e)
+        k = min(10.0 ** log_k, trusted)
+        g = {"edge": sign * (k + profile._CONE_MARGIN),
+             "uniform": u * (k + profile._CONE_MARGIN),
+             "double root": (1.0 + u * 2.0 ** -40) / (4.0 * k)}[g_at]
+        H, c = k / R, g * R
+        in_region = (c != 0.0 and H * R <= trusted
+                     and abs(c) - H * R * R <= profile._CONE_MARGIN * R)
+        calls = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._record(monkeypatch, calls)
+            _height_at(rho * R, H, c, (R, 0.0))  # t = 0 where rho = 0
+        assert len(calls) == in_region
+        for name, args in calls:
+            assert all(math.isfinite(v) for v in args)
+            # the real regime's three arguments, the pair's z, are positive
+            assert all(v > 0.0 for v in (args if name == "_carlson" else args[2:]))
+            top = max(abs(v) for v in args)
+            assert _BAND[0] <= top < _BAND[1]
 
 
 # (H, c) from two unit draws u, v, by the regime the closed form must cover

@@ -99,6 +99,9 @@ class TestSlope:
         # h vanishes exactly where H t^2 = c
         assert slope(math.sqrt(3.0), SurfaceParams(1.0, 3.0)) == pytest.approx(0.0, abs=1e-15)
         assert slope_extremum_radius(SurfaceParams(1.0, 3.0)) == pytest.approx(math.sqrt(3.0))
+        # the mirror (-H, -c) has its extremum at the same radius, to the bit
+        assert (slope_extremum_radius(SurfaceParams(-0.7, -3.1))
+                == slope_extremum_radius(SurfaceParams(0.7, 3.1)))
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(NonPositiveRadius):
@@ -269,6 +272,12 @@ class TestHeight:
             for ts in ([0.0], [2.0, -0.0]):
                 with pytest.raises(NonPositiveRadius):
                     heights(curve_of(H, c), ts)
+
+    @pytest.mark.parametrize("H,c", [(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (2.0, -1.0)])
+    def test_heights_at_one_radius_is_a_0d_array_in_every_regime(self, H, c):
+        # numpy arithmetic on the catenoid's and the cap's 0-d radius gives a scalar
+        got = heights(curve_of(H, c), 2.0)
+        assert type(got) is np.ndarray and got.shape == ()
 
     def test_exhausted_budget_raises(self, monkeypatch):
         from lorentz_cmc import QuadratureFailure
@@ -600,6 +609,7 @@ class TestAsymptotics:
         assert asymptotic_slope(SurfaceParams(1.0, 3.0)) == 1.0
         assert asymptotic_slope(SurfaceParams(0.0, 3.0)) == 0.0
         assert asymptotic_slope(SurfaceParams(2.0, -5.0)) == 1.0
+        assert asymptotic_slope(SurfaceParams(-2.0, 5.0)) == 1.0
 
     def test_large_radius_estimate_positive_H(self):
         # f(T)/T at a large radius approaches the limit at O(1/T)
