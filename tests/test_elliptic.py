@@ -271,6 +271,46 @@ class TestDomain:
             top = max(abs(v) for v in args)
             assert _BAND[0] <= top < _BAND[1]
 
+    def _top_argument(self, H, c, r, R):
+        """The largest |argument| of the one R_F/R_D call ``rise(H, c, r, R)`` makes."""
+        calls = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._record(monkeypatch, calls)
+            rise(H, c, r, R)
+        (_, args), = calls
+        return max(abs(v) for v in args)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_region_corner_stays_below_2_773(self, sign):
+        # k at the cap, |g| at the cone margin, rho = 1 - 2^-53 (d smallest):
+        # the bound ``rise``'s docstring states, 2^237 inside the band
+        k = profile._RISE_TRUSTED
+        top = self._top_argument(k, sign * (k + profile._CONE_MARGIN), 1.0 - 2.0 ** -53, 1.0)
+        assert 2.0 ** -514 <= top < 2.0 ** 773
+
+    def test_past_the_cap_the_corner_leaves_the_band(self):
+        # the band holds because of ``_RISE_TRUSTED``: at k = 1e140 the same
+        # real-root corner overflows its arguments
+        k = 1e140
+        top = self._top_argument(k, -(k + profile._CONE_MARGIN), 1.0 - 2.0 ** -53, 1.0)
+        assert not top < _BAND[1]
+
+    # inside the band the loops are homogeneous to the bit (powers of two
+    # round alike): R_F scales by 2^-j and R_D by 8^-j when every argument
+    # is scaled by 4^j, for any j that keeps the arguments in the band
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(2.0 ** -10, 2.0 ** 10),
+           y=st.one_of(st.just(0.0), st.floats(2.0 ** -10, 2.0 ** 10)),
+           z=st.floats(2.0 ** -10, 2.0 ** 10), pair=st.booleans(),
+           j=st.one_of(st.sampled_from([-295, 499]), st.integers(-295, 499)))
+    def test_scaling_is_exact(self, x, y, z, pair, j):
+        carlson = _carlson_pair if pair else _carlson
+        rf, rd = carlson(x, y, z)
+        got_rf, got_rd = carlson(*(math.ldexp(v, 2 * j) for v in (x, y, z)))
+        assert got_rf == math.ldexp(rf, -j)
+        if j <= 0:  # scaled up, R_D falls toward the subnormals and rounds there
+            assert got_rd == math.ldexp(rd, -3 * j)
+
 
 # (H, c) from two unit draws u, v, by the regime the closed form must cover
 _REGIMES = {
