@@ -17,17 +17,18 @@ bit-stable for identical inputs.
 
 from __future__ import annotations
 
-import io
 import math
 import operator
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import BadField, format_records, read_blocks, text_bytes
+from ._text import BadField, format_records, parse_floats, parse_ints, read_blocks, text_bytes
 from .errors import NonPositiveRadius
 from .profile import ProfileCurve, _default_step, _residuals, heights, singularity_report
+
+# Bytes of a block searched for token bounds at a time (``_obj_tokens``).
+_SPAN = 1 << 16
 
 __all__ = [
     "SurfaceMesh",
@@ -146,90 +147,215 @@ def export_obj(mesh: SurfaceMesh) -> bytes:
     """Serialize as ASCII Wavefront OBJ with v and f records only.
 
     Floats are written with shortest round-trip repr, so identical meshes
-    serialize to identical bytes.  The records are formatted in row blocks
-    (``format_records``), the 1-based face indices made a block at a time:
-    the memory used is the output plus one block.
+    serialize to identical bytes.  Faces must be an (n, 3) integer array of
+    indices into the vertices (or empty), so that ``load_obj`` reads back
+    what was written; ValueError otherwise, naming the first bad face.  The
+    records are formatted in row blocks (``format_records``), the 1-based
+    face indices made a block at a time: the memory used is the output plus
+    one block.
     """
     v = np.asarray(mesh.vertices, dtype=float)
     f = np.asarray(mesh.faces)
+    if f.size == 0:
+        f = f.reshape(0, 3)
+    elif f.ndim != 2 or f.shape[1] != 3:
+        raise ValueError(f"faces must have shape (n, 3), got {f.shape}")
+    elif f.dtype.kind not in "iu":
+        raise ValueError(f"faces must be integer vertex indices, got {f.dtype}: "
+                         f"face 0 is {f[0].tolist()}")
+    elif f.min() < 0 or f.max() >= len(v):
+        k = int(np.argmax(((f < 0) | (f >= len(v))).any(axis=1)))
+        raise ValueError(f"face {k} {f[k].tolist()} has a vertex index outside "
+                         f"[0, {len(v)})")
+    f = f.astype(np.int64, copy=False)  # so that adding 1 cannot wrap
     return format_records("", ("v %s %s %s\n", len(v), v.__getitem__),
                           ("f %d %d %d\n", len(f), lambda rows: f[rows] + 1))
 
 
-def _obj_parse(text, tag, dtype):
-    """Entries 1-3 of ``tag`` records (tag as column 0), (count, 3); None if one fails."""
-    if tag == "f" and b"/" in text:
-        text = re.sub(rb"/\S*", b"", text)
+def _blank(sep, a, b):
+    """Mark the bytes of the sorted, disjoint spans ``a[k]:b[k]`` as whitespace."""
+    step = np.zeros(sep.size + 1, dtype=np.int8)
+    step[a] = 1
+    step[b] -= 1
+    sep |= np.cumsum(step[:-1], dtype=np.int8).view(bool)
+
+
+def _obj_tokens(data, start, raw, lines, heads, ends, faces):
+    """``(bounds, whole)`` of the v/f records of the block ``raw`` at
+    ``start`` in ``data`` (``lines`` lines), their tags at ``heads`` and
+    their lines ending at ``ends`` (block offsets; ``faces`` marks the f
+    records): ``bounds`` (records, 8) holds the start and end offset in
+    ``data`` of each record's tag and entries 1-3, and ``whole`` whether it
+    has them.
+
+    Entries are the tokens after the tag: runs of bytes other than latin-1
+    whitespace (9-13, 28-32, 0x85 and 0xA0, what numpy's text reader splits
+    on), up to the line's first '#'.  In an f record, each run of bytes
+    other than ASCII whitespace is first cut at its first '/'.  A record
+    also fails on a CR before its '#' that does not end its line.  The bytes
+    cut off are marked as whitespace, and the bytes where whitespace starts
+    and stops bound every token of the block; the offsets are int32 where
+    ``data`` allows, made ``_SPAN`` bytes at a time.
+    """
+    padded = np.ones(raw.size + 2, dtype=bool)  # whitespace around the block ends its tokens
+    sep = padded[1:-1]
+    np.less_equal(raw, 32, out=sep)
+    spare = np.empty(raw.size + 1, dtype=bool)  # one buffer for the two masks below
+    # bytes below 28 are line ends (one per line but an unterminated last
+    # line), other whitespace, or controls that are no whitespace (0-8, 14-27)
+    low = np.less(raw, 28, out=spare[:-1])
+    if np.count_nonzero(low) > lines - (raw[-1] != ord("\n")):
+        low = np.flatnonzero(low)
+        sep[low[(raw[low] < 9) | (raw[low] > 13)]] = False
+    del low
+    if raw.max() >= 0x80:
+        sep |= raw == 0x85
+        sep |= raw == 0xA0
+    stop = start + raw.size
+    if faces.any() and data.find(b"/", start, stop) >= 0:
+        # from a '/' to the next ASCII whitespace (or the block end)
+        slashes = np.flatnonzero(raw == ord("/"))
+        ascii_space = np.flatnonzero((raw == 32) | (np.subtract(raw, 9, dtype=np.uint8) < 5))
+        stops = np.append(ascii_space, raw.size)[np.searchsorted(ascii_space, slashes)]
+        # the slashes of f records: a record holds those past its tag, up to its line end
+        record = np.searchsorted(heads, slashes, "right") - 1
+        keep = (record >= 0) & (slashes < ends[record]) & faces[record]
+        keep[1:] &= stops[1:] != stops[:-1]  # the first slash of each run
+        _blank(sep, slashes[keep], stops[keep])
+    cut = ends
+    if data.find(b"#", start, stop) >= 0:
+        hashes = np.flatnonzero(raw == ord("#"))
+        hashes = np.append(hashes[~sep[hashes]], raw.size)  # those not cut off
+        cut = np.minimum(hashes[np.searchsorted(hashes, heads)], ends)
+        commented = cut < ends
+        _blank(sep, cut[commented], ends[commented])
+    whole = np.ones(heads.size, dtype=bool)
+    if data.find(b"\r", start, stop) >= 0:
+        # a CR that ends no line: LF does not follow it and the data goes on
+        returns = np.flatnonzero(raw[:-1] == ord("\r"))
+        returns = np.append(returns[raw[returns + 1] != ord("\n")], raw.size)
+        whole = returns[np.searchsorted(returns, heads)] >= cut
+    changes = np.not_equal(padded[1:], padded[:-1], out=spare)
+    del padded, sep
+    bounds = np.empty(np.count_nonzero(changes), dtype=np.int32 if len(data) < 1 << 31 else np.int64)
+    done = 0
+    for lo in range(0, changes.size, _SPAN):
+        found = np.flatnonzero(changes[lo:lo + _SPAN])
+        found += start + lo
+        bounds[done:done + found.size] = found
+        done += found.size
+    del changes, spare
+    heads, ends = heads + start, ends + start
+    if (bounds.size == 8 * heads.size and np.array_equal(bounds[::8], heads)
+            and np.all(bounds[6::8] < ends)):
+        # each record has 4 tokens and no other line has any
+        return bounds.reshape(-1, 8), whole
+    tags = 2 * np.searchsorted(bounds[::2], heads)
+    whole &= tags + 7 < bounds.size
+    bounds = bounds[np.minimum(tags[:, None] + np.arange(8), bounds.size - 1)]
+    whole &= bounds[:, 6] < ends
+    return bounds, whole
+
+
+def _line(data, at):
+    """The line of ``data`` from ``at`` to its end, stripped."""
+    return data[at:data.find(b"\n", at) + 1 or len(data)].strip()
+
+
+def _obj_rows(data, bounds, whole, tag, parse):
+    """``parse`` of entries 1-3 of the ``tag`` records (``bounds`` and
+    ``whole`` as ``_obj_tokens`` gives them), (count, 3), or (0,) if there
+    are none; BadField names the first record that is not whole or has an
+    entry that ``parse`` rejects."""
+    if not len(bounds):
+        return np.zeros(0, dtype=np.int64 if tag == "f" else np.float64)
+    count = len(bounds) if whole.all() else int(np.argmin(whole))
+    firsts, lasts = bounds[:count, 2::2], bounds[:count, 3::2]
     try:
-        return np.loadtxt(io.BytesIO(text), dtype=dtype, usecols=(1, 2, 3), ndmin=2)
-    except ValueError:
-        return None
+        rows = parse(data, firsts, lasts)
+    except BadField as exc:
+        count = int(np.searchsorted(firsts[:, 0], exc.args[0], "right")) - 1
+    else:
+        if count == len(bounds):
+            return rows
+    raise BadField(int(bounds[count, 0]), f"bad OBJ {tag} record", _line(data, bounds[count, 0]))
 
 
-def _obj_rows(data, starts, ends, kinds, tag, dtype):
-    """Entries 1-3 of the ``tag`` lines (``starts`` to ``ends``) of ``data``, (count, 3)
-    or (0,): each run of them is a slice, joined for one ``loadtxt``."""
-    lines = np.concatenate(([False], kinds == ord(tag), [False]))
-    edges = np.flatnonzero(np.diff(lines))
-    if edges.size == 0:
-        return np.zeros(0, dtype=dtype)
-    text = b"".join([data[a:b] for a, b in zip(starts[edges[::2]], ends[edges[1::2] - 1])])
-    rows = _obj_parse(text, tag, dtype)
-    if rows is None or rows.shape[0] != np.count_nonzero(lines):
-        # loadtxt reads line by line: name the first record that fails alone
-        for line in np.flatnonzero(lines[1:-1]):
-            record = data[starts[line]:ends[line]]
-            alone = _obj_parse(record, tag, dtype)
-            if alone is None or alone.shape[0] != 1:
-                raise BadField(starts[line], f"bad OBJ {tag} record", record.strip())
-    return rows
+def _records(rows, *arrays):
+    """``arrays`` at the rows where ``rows`` is true, a slice of them (no
+    copy) if those rows are adjacent, as the writer's f records are."""
+    at = np.flatnonzero(rows)
+    if at.size and at[-1] - at[0] + 1 == at.size:
+        at = slice(at[0], at[-1] + 1)
+    return [a[at] for a in arrays]
 
 
 def _obj_block(data, start, stop):
-    """(vertices, faces) rows of the v/f records of ``data[start:stop]``, whole OBJ lines."""
-    buf = np.frombuffer(data, dtype=np.uint8, count=stop)
-    ends = np.flatnonzero(buf[start:] == ord("\n")) + (start + 1)
-    if buf[-1] != ord("\n"):  # the last line of the data
-        ends = np.append(ends, stop)
-    starts = np.concatenate(([start], ends[:-1]))
+    """(vertices, faces) rows of the v/f records of ``data[start:stop]``,
+    whole OBJ lines: ``_obj_tokens`` bounds each record's entries 1-3, which
+    ``_text.parse_ints`` reads in f records and ``_text.parse_floats`` in v
+    records."""
+    raw = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+    ends = np.flatnonzero(raw == ord("\n")) + 1
+    if raw[-1] != ord("\n"):  # the last line of the data
+        ends = np.append(ends, raw.size)
     # each line's first byte after its indentation: for an indented line, the
     # next byte of the block that is not a space or tab (the block end if none)
-    heads, kinds = starts.copy(), buf[starts]
+    heads = np.concatenate(([0], ends[:-1]))
+    kinds = raw[heads]
     indented = np.flatnonzero((kinds == 32) | (kinds == 9))
     if indented.size:
-        block = buf[start:]
-        solid = np.flatnonzero((block != 32) & (block != 9)) + start
-        heads[indented] = np.append(solid, stop)[np.searchsorted(solid, starts[indented])]
-        kinds[indented] = buf[np.minimum(heads[indented], stop - 1)]
-    # each line's kind: its tag byte if that is v or f and whitespace or the end follows, else 0
-    tagged = np.flatnonzero((kinds == ord("v")) | (kinds == ord("f")))
-    after = heads[tagged] + 1
-    second = buf[np.minimum(after, stop - 1)]
-    kinds[tagged[(second != 32) & (second != 9) & (second != 13) & (second != 10)
-                 & (after < stop)]] = 0
-    faces = _obj_rows(data, starts, ends, kinds, "f", np.int64) - 1
-    if faces.size and faces.min() < 0:
-        line = np.flatnonzero(kinds == ord("f"))[np.argmax(faces.min(axis=1) < 0)]
-        raise BadField(starts[line], "OBJ f record index below 1",
-                       data[starts[line]:ends[line]].strip())
-    return _obj_rows(data, starts, ends, kinds, "v", np.float64), faces
+        solid = np.flatnonzero((raw != 32) & (raw != 9))
+        heads[indented] = np.append(solid, raw.size)[np.searchsorted(solid, heads[indented])]
+        kinds[indented] = raw[np.minimum(heads[indented], raw.size - 1)]
+    # the v and f records: lines whose tag byte is v or f, followed by whitespace or the end
+    records = np.flatnonzero((kinds == ord("v")) | (kinds == ord("f")))
+    after = heads[records] + 1
+    second = raw[np.minimum(after, raw.size - 1)]
+    records = records[(second == 32) | (second == 9) | (second == 13) | (second == 10)
+                      | (after == raw.size)]
+    faces, lines = kinds[records] == ord("f"), ends.size
+    heads, ends = heads[records], ends[records]
+    del kinds, records, after, second
+    bounds, whole = _obj_tokens(data, start, raw, lines, heads, ends, faces)
+    del heads, ends
+    f_bounds, f_whole = _records(faces, bounds, whole)
+    rows = _obj_rows(data, f_bounds, f_whole, "f", parse_ints)
+    if rows.size and rows.min() < 1:
+        at = int(f_bounds[np.argmax(rows.min(axis=1) < 1), 0])
+        raise BadField(at, "OBJ f record index below 1", _line(data, at))
+    rows -= 1
+    vertices = _obj_rows(data, *_records(~faces, bounds, whole), "v",
+                         lambda text, a, b: parse_floats(text, a.ravel(), b.ravel()).reshape(-1, 3))
+    return [vertices, rows]
+
+
+def _joined(arrays, dtype):
+    """The arrays that are not empty end to end, or (0,) if none is."""
+    return np.concatenate([a for a in arrays if a.size] or [np.zeros(0, dtype)])
 
 
 def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
     """Parse v/f records (first three entries; face entries >= 1, up to any '/')
     from OBJ bytes or text (a str is read as its UTF-8 bytes; one leading
     UTF-8 byte-order mark is skipped); returns (vertices, faces), each (0,)
-    if absent.
+    if absent.  Records are read as numpy's text reader read them: entries
+    split at latin-1 whitespace up to a '#', v entries as Python's
+    ``float`` spells them without '_', f entries as an optional sign and
+    ASCII digits within int64.
     A bad record raises ValueError naming its 1-based line and its text, and
     a face index beyond the number of v records raises it naming the index.
 
     The bytes are parsed in place in blocks of ``_text._BLOCK`` cut at the
-    next line end (``_text.read_blocks``), keeping only each block's rows:
-    the memory used beyond the input is the arrays returned plus one block.
+    next line end (``_text.read_blocks``, ``_obj_block``), keeping only each
+    block's rows, and the vertex rows are joined and freed before the face
+    rows: the memory used beyond the input is the arrays returned plus the
+    larger of one block and the face rows.
     """
     blocks = read_blocks(*text_bytes(data), _obj_block)
-    vertices, faces = (np.concatenate([b[k] for b in blocks if b[k].size] or [np.zeros(0, dtype)])
-                       for k, dtype in enumerate((np.float64, np.int64)))
+    faces = [block.pop() for block in blocks]
+    vertices = _joined([block.pop() for block in blocks], np.float64)
+    faces = _joined(faces, np.int64)
     if faces.size and faces.max() >= len(vertices):
         raise ValueError(f"OBJ f record index {faces.max() + 1} is beyond the "
                          f"{len(vertices)} v records")

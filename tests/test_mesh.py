@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lorentz_cmc._text as text_module
 import lorentz_cmc.mesh as mesh_module
@@ -28,7 +29,7 @@ from lorentz_cmc import (
     sample_surface,
     singularity_report,
 )
-from lorentz_cmc._text import _BLOCK, _ROWS
+from lorentz_cmc._text import _BLOCK, _ROWS, BadField, read_blocks, text_bytes
 
 
 def curve_of(H, c, r=1.0, a=0.0):
@@ -165,6 +166,34 @@ class TestObjExport:
         a = export_obj(sample_surface(curve, (1.0, 3.0), 6, 9))
         b = export_obj(sample_surface(curve, (1.0, 3.0), 6, 9))
         assert a == b
+
+    @pytest.mark.parametrize("faces,match", [
+        # written as "f 1 2 8" and "f 1 0 3", which load_obj refuses
+        ([[0, 1, 7]], r"^face 0 \[0, 1, 7\] has a vertex index outside \[0, 3\)$"),
+        ([[0, 1, 2], [0, -1, 2]], r"^face 1 \[0, -1, 2\] has a vertex index outside"),
+        # raised TypeError: %d format: a real number is required, not str
+        ([[0.0, 1.0, 2.0]], r"integer vertex indices, got float64: face 0 is \[0.0, 1.0, 2.0\]$"),
+        ([[True, False, True]], r"integer vertex indices, got bool"),
+        ([[0, 1]], r"shape \(n, 3\), got \(1, 2\)$"),
+        ([0, 1, 2], r"shape \(n, 3\), got \(3,\)$"),
+    ])
+    def test_faces_load_obj_would_refuse_are_rejected(self, faces, match):
+        mesh = SurfaceMesh(vertices=np.zeros((3, 3)), faces=np.array(faces),
+                           ring_radii=np.zeros(0), n_theta=3)
+        with pytest.raises(ValueError, match=match):
+            export_obj(mesh)
+
+    @pytest.mark.parametrize("faces", [np.array([[0, 255, 254]], dtype=np.uint8),
+                                       np.array([[0, 255, 1]], dtype=np.uint16),
+                                       np.array([[2, 1, 0]], dtype=np.uint64),
+                                       np.zeros(0), np.zeros((0, 3), dtype=np.int64)])
+    def test_integer_and_empty_faces_read_back(self, faces):
+        # uint8 index 255 plus 1 wrapped to 0, written as "f 1 0 ..."
+        mesh = SurfaceMesh(vertices=np.arange(900.0).reshape(300, 3), faces=faces,
+                           ring_radii=np.zeros(0), n_theta=3)
+        vertices, read = load_obj(export_obj(mesh))
+        assert np.array_equal(vertices, mesh.vertices)
+        assert read.tolist() == (faces.tolist() if faces.size else [])
 
 
 def _minkowski(a, b):
@@ -532,6 +561,52 @@ class TestLoadObj:
         assert_same_outcome(arrays_or_message(text), arrays_or_message(text.encode("utf-8")))
 
 
+def test_most_negative_face_index_rejected():
+    # minus 1 it wrapped to the largest int64, which passed for an index >= 1
+    with pytest.raises(ValueError, match="index below 1 at line 2"):
+        load_obj("v 1 2 3\nf 1 1 -9223372036854775808\n")
+
+
+class TestParseInts:
+    # numpy's text reader on one int64 field: an optional sign, then ASCII
+    # digits only, in range
+    @pytest.mark.parametrize("field", [
+        b"+5", b"05", b"-0", b"5", b"12345678", b"99999999", b"00000000", b"123456789",
+        b"-12345678", b"000000000000000000000001", b"9223372036854775807",
+        b"-9223372036854775808", b"5.0", b"1e3", b"5_0", b"0x10", b"9223372036854775808",
+        b"-9223372036854775809", b"\xef5", b"+", b"-", b"+-1", b"--1", b"5-", b"\xb2", b":", b"/",
+        b"5\x00", b"\x005", b"1:", b"0/", b"\xd9\xa3"])
+    @pytest.mark.parametrize("lead", [0, 8], ids=["first_word", "later"])
+    def test_grammar_like_loadtxt(self, field, lead):
+        # a field ending in the text's first 8 bytes has no word of its own
+        text = b"x" * lead + field + b" 7"
+        try:
+            want = int(np.loadtxt(io.BytesIO(field), dtype=np.int64))
+        except ValueError:
+            with pytest.raises(BadField) as exc:
+                text_module.parse_ints(text, [lead], [lead + len(field)])
+            assert exc.value.args == (lead, "field is not an integer", field)
+        else:
+            got = text_module.parse_ints(text, [lead], [lead + len(field)])
+            assert got.dtype == np.int64 and got.tolist() == [want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 3)), min_size=1, max_size=40))
+    def test_numbers_read_back(self, numbers):
+        # every width from 1 to 8 bytes (and past it), with leading zeros
+        fields = [b"0" * zeros + str(n).encode() for n, zeros in numbers]
+        text = b"f " + b" ".join(fields)
+        ends = np.cumsum([len(f) + 1 for f in fields]) + 1
+        got = text_module.parse_ints(text, ends - [len(f) for f in fields], ends)
+        assert got.tolist() == [n for n, _ in numbers]
+
+    def test_first_bad_field_is_named(self):
+        text = b"f 1 2 x3 4 5.0"
+        with pytest.raises(BadField) as exc:
+            text_module.parse_ints(text, np.array([[2, 4], [6, 9]]), np.array([[3, 5], [8, 10]]))
+        assert exc.value.args == (6, "field is not an integer", b"x3")
+
+
 def reference_export_obj(mesh):
     """The writer export_obj replaced: one repr per coordinate."""
     coords = np.asarray(mesh.vertices, dtype=float).ravel().tolist()
@@ -555,6 +630,77 @@ def reference_load_obj(data):
     faces = np.array([p.split("/", 1)[0] for p in tokens["f"]], dtype=np.int64) - 1
     return (vertices.reshape(-1, 3) if vertices.size else vertices,
             faces.reshape(-1, 3) if faces.size else faces)
+
+
+def _loadtxt_obj_parse(text, tag, dtype):
+    """Entries 1-3 of ``tag`` records (tag as column 0), (count, 3); None if one fails."""
+    if tag == "f" and b"/" in text:
+        text = re.sub(rb"/\S*", b"", text)
+    try:
+        return np.loadtxt(io.BytesIO(text), dtype=dtype, usecols=(1, 2, 3), ndmin=2)
+    except ValueError:
+        return None
+
+
+def _loadtxt_obj_rows(data, starts, ends, kinds, tag, dtype):
+    """Entries 1-3 of the ``tag`` lines (``starts`` to ``ends``) of ``data``, (count, 3)
+    or (0,): each run of them is a slice, joined for one ``loadtxt``."""
+    lines = np.concatenate(([False], kinds == ord(tag), [False]))
+    edges = np.flatnonzero(np.diff(lines))
+    if edges.size == 0:
+        return np.zeros(0, dtype=dtype)
+    text = b"".join([data[a:b] for a, b in zip(starts[edges[::2]], ends[edges[1::2] - 1])])
+    rows = _loadtxt_obj_parse(text, tag, dtype)
+    if rows is None or rows.shape[0] != np.count_nonzero(lines):
+        # loadtxt reads line by line: name the first record that fails alone
+        for line in np.flatnonzero(lines[1:-1]):
+            record = data[starts[line]:ends[line]]
+            alone = _loadtxt_obj_parse(record, tag, dtype)
+            if alone is None or alone.shape[0] != 1:
+                raise BadField(starts[line], f"bad OBJ {tag} record", record.strip())
+    return rows
+
+
+def _loadtxt_obj_block(data, start, stop):
+    """(vertices, faces) rows of the v/f records of ``data[start:stop]``, whole OBJ lines."""
+    buf = np.frombuffer(data, dtype=np.uint8, count=stop)
+    ends = np.flatnonzero(buf[start:] == ord("\n")) + (start + 1)
+    if buf[-1] != ord("\n"):  # the last line of the data
+        ends = np.append(ends, stop)
+    starts = np.concatenate(([start], ends[:-1]))
+    # each line's first byte after its indentation: for an indented line, the
+    # next byte of the block that is not a space or tab (the block end if none)
+    heads, kinds = starts.copy(), buf[starts]
+    indented = np.flatnonzero((kinds == 32) | (kinds == 9))
+    if indented.size:
+        block = buf[start:]
+        solid = np.flatnonzero((block != 32) & (block != 9)) + start
+        heads[indented] = np.append(solid, stop)[np.searchsorted(solid, starts[indented])]
+        kinds[indented] = buf[np.minimum(heads[indented], stop - 1)]
+    # each line's kind: its tag byte if that is v or f and whitespace or the end follows, else 0
+    tagged = np.flatnonzero((kinds == ord("v")) | (kinds == ord("f")))
+    after = heads[tagged] + 1
+    second = buf[np.minimum(after, stop - 1)]
+    kinds[tagged[(second != 32) & (second != 9) & (second != 13) & (second != 10)
+                 & (after < stop)]] = 0
+    faces = _loadtxt_obj_rows(data, starts, ends, kinds, "f", np.int64) - 1
+    if faces.size and faces.min() < 0:
+        line = np.flatnonzero(kinds == ord("f"))[np.argmax(faces.min(axis=1) < 0)]
+        raise BadField(starts[line], "OBJ f record index below 1",
+                       data[starts[line]:ends[line]].strip())
+    return _loadtxt_obj_rows(data, starts, ends, kinds, "v", np.float64), faces
+
+
+def loadtxt_load_obj(data):
+    """The reader load_obj replaced next: numpy's text reader on each block's
+    runs of v and f lines, one record at a time to name a bad one."""
+    blocks = read_blocks(*text_bytes(data), _loadtxt_obj_block)
+    vertices, faces = (np.concatenate([b[k] for b in blocks if b[k].size] or [np.zeros(0, dtype)])
+                       for k, dtype in enumerate((np.float64, np.int64)))
+    if faces.size and faces.max() >= len(vertices):
+        raise ValueError(f"OBJ f record index {faces.max() + 1} is beyond the "
+                         f"{len(vertices)} v records")
+    return vertices, faces
 
 
 def reference_profile_csv(curve, ts):
@@ -747,6 +893,77 @@ class TestBlockSeams:
             load_obj(multi_block_obj + tail)
 
 
+# Pieces of OBJ lines that numpy's text reader reads in different ways,
+# each list's first ``OBJ_PLAIN`` (line ends: 3) those of a record it
+# accepts: every byte it splits on (ASCII whitespace, then latin-1's other
+# whitespace, then CR and LF), float and int64 spellings it accepts or
+# rejects, '#' and '/' in and between entries, and line ends.
+OBJ_SPACES = [b" ", b"\t", b"\x0b", b"\x0c", b"  ", b" \t", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+              b"\x85", b"\xa0", b"\r", b"\r\n", b"\n"]
+OBJ_FLOATS = [b"1", b"-2.5", b"3.25", b"nan", b"-NaN", b"Infinity", b"-inf", b"-0", b".5", b"5.",
+              b"1e400", b"1e-400", b"4.9e-324", b"0.1000000000000000055511", b"1_0", b"0x1",
+              b"\xb2", b"\xe9", b"\x00", b"3\x00", b"\x01", b"\x1b", b"1\x1b", b"1/2", b"2#", b"#3",
+              b"x", b"1e"]
+OBJ_INTS = [b"1", b"2", b"3", b"+1", b"01", b"000000002", b"1/2", b"2//3", b"3/", b"1/#",
+            b"1\x85/2", b"2/\x1c3", b"9223372036854775807", b"12345678", b"-0", b"-1", b"0",
+            b"1.5", b"1e0", b"5_0", b"0x1", b"9223372036854775808", b"/2", b"/#2", b"2#",
+            b"\xef3", b"\x00", b"2\x00", b"\x01", b"3\x0e"]
+OBJ_ENDS = [b"\n", b"\r\n", b"\n\n", b"\r", b"\r\r\n", b"\n \t\n"]
+OBJ_PLAIN = 12
+OBJ_TAGS = [b"v", b"f", b"vn", b"vt", b"#", b"", b"o", b"v\x0b", b"f\x85"]
+
+
+@st.composite
+def obj_lines(draw):
+    """OBJ-like bytes: v and f records and other lines built from the pieces
+    above, some indented, with or without a BOM and a final line end.  About
+    one line in five has one odd piece: a space, entry or line end from a
+    whole list, a count of entries from 0 to 5, or a comment."""
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        tag = draw(st.sampled_from(OBJ_TAGS[:2] * 6 + OBJ_TAGS))
+        ints = tag.startswith(b"f")
+        odd = draw(st.sampled_from([None] * 4 + ["space", "entry", "count", "end", "comment"]))
+        count = draw(st.integers(0, 5) if odd == "count" else st.sampled_from([3, 3, 3, 4]))
+        at = draw(st.integers(0, max(count - 1, 0)))
+        spaces = OBJ_SPACES[:6 if ints else OBJ_PLAIN]  # a '/' cuts runs past latin-1 spaces
+        entries = OBJ_INTS if ints else OBJ_FLOATS
+        line = draw(st.sampled_from([b"", b"", b" ", b"\t", b" \t "])) + tag
+        for k in range(count):
+            line += draw(st.sampled_from(OBJ_SPACES if (odd, k) == ("space", at) else spaces))
+            line += draw(st.sampled_from(entries if (odd, k) == ("entry", at) else
+                                         entries[:OBJ_PLAIN]))
+        if odd == "comment":
+            line += draw(st.sampled_from([b" # c", b"#", b" #\r x", b"\r#"]))
+        lines.append(line + draw(st.sampled_from(OBJ_ENDS if odd == "end" else OBJ_ENDS[:3])))
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + b"".join(lines)
+    return data.rstrip(b"\n") if draw(st.booleans()) else data
+
+
+def outcome(load, data):
+    try:
+        return load(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLoadObjAgainstLoadtxt:
+    @settings(max_examples=400, deadline=None)
+    @given(obj_lines(), st.sampled_from([16, 64, _BLOCK]))
+    # a control that is no whitespace inside an entry, a CR inside a record,
+    # a '#' inside the run a '/' cuts off, latin-1 spaces before that '/'
+    @example(b"v 1 2 3\x00\nv 4\x0e5 6 7\n", _BLOCK)
+    @example(b"v 1 2 3\nf 1 1 1\x1b\n", _BLOCK)
+    @example(b"v 1 2 3\r4\n", _BLOCK)
+    @example(b"v 1 2 3\nf 1/#x 1 1 # c\n", 16)
+    @example(b"v 1 2 3\nf 1\x1c1/2 1 1\n", 16)
+    @example(b"v\xa01\x852 3\x1f\r\nf\t1 1 1", 64)
+    def test_parses_like_loadtxt(self, data, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(text_module, "_BLOCK", block)
+            assert_same_outcome(outcome(load_obj, data), outcome(loadtxt_load_obj, data))
+
+
 @pytest.fixture(scope="module")
 def figure4_mesh():
     """The mesh of ``lorentz-cmc figure 4 --nt 256 --ntheta 256``."""
@@ -787,10 +1004,24 @@ def test_figure4_mesh_shares_mirrored_coordinates(figure4_mesh):
     assert np.unique(xy.view(np.int64)).size <= 255 * 129 + 1
 
 
+def test_load_obj_does_without_numpy_text_reader(figure4_mesh, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
+
+    data = export_obj(figure4_mesh)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    vertices, faces = load_obj(data)
+    assert vertices.shape == (65281, 3) and faces.shape == (130304, 3)
+    assert np.array_equal(bits(vertices), bits(figure4_mesh.vertices))
+    assert np.array_equal(faces, figure4_mesh.faces)
+
+
 class TestMemoryBounds:
     # the 6.5 MB OBJ of this mesh once took 38 MB to write and 27 MB to
     # read, and its Euler count 12.5 MB; the OBJ bounds are the measured
-    # peaks (8.05 MB and 9.39 MB) plus about 10%
+    # peaks (8.05 MB and 9.39 MB) plus about 10%.  Read without numpy's text
+    # reader, and with the vertex rows joined and freed before the face
+    # rows, the OBJ peaks at 8.29 MB
     def test_export_obj(self, figure4_mesh):
         assert traced_peak(export_obj, figure4_mesh) <= 8.9e6
 
