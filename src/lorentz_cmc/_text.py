@@ -182,6 +182,15 @@ def _distinct_floats(text, starts, ends, width):
     return values[inverse]
 
 
+def _nul_in_a_field(text, starts, ends):
+    """Whether a NUL byte lies inside one of the fields (in text order)."""
+    at = text.find(b"\0", starts[0], ends[-1])
+    if at < 0:
+        return False
+    nul = at + np.flatnonzero(np.frombuffer(text, np.uint8, ends[-1] - at, at) == 0)
+    return bool((nul < ends[np.searchsorted(starts, nul, side="right") - 1]).any())
+
+
 def parse_floats(text: bytes, starts, ends) -> np.ndarray:
     """The float of each field ``text[starts[k]:ends[k]]`` (fields in text
     order), as ``_field_float`` reads it; a field that does not parse raises
@@ -194,15 +203,16 @@ def parse_floats(text: bytes, starts, ends) -> np.ndarray:
     ``float``) or, where it may differ from numpy's text reader
     (``_SPECIAL``), by ``_field_float``.  Correctness does not rest on the
     key: every field's words are compared with those of its text.  On a
-    mismatch, on a text that does not parse, or with a NUL byte among the
-    fields or a field longer than ``_WORDS`` words, every field is parsed
-    one at a time, and the first that does not parse is named.
+    mismatch, on a text that does not parse, or with a NUL byte inside a
+    field (the words' zero padding would hide it) or a field longer than
+    ``_WORDS`` words, every field is parsed one at a time, and the first
+    that does not parse is named.
     """
     starts, ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
     if not starts.size:
         return np.zeros(0)
     width = max(1, -(-int((ends - starts).max()) // 8))
-    if width <= _WORDS and text.find(b"\0", starts[0], ends[-1]) < 0:
+    if width <= _WORDS and not _nul_in_a_field(text, starts, ends):
         values = _distinct_floats(text, starts, ends, width)
         if values is not None:
             return values

@@ -39,7 +39,6 @@ from .profile import (
     singularity_report,
     slope_extremum_radius,
 )
-from .quadrature import DEFAULT_QUAD_TOL
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -203,7 +202,7 @@ def _emit(record, human=False, stream=None):
 # outside the table), and returns the record to print.
 def cmd_solve(p):
     sol = solve_two_ring(p["r"], p["R"], p["a"], p["b"], p["H"],
-                         root_tol=p["root_tol"], quad_tol=p["quad_tol"])
+                         root_tol=p["root_tol"])
     curve = sol.curve
     report = singularity_report(curve)
     star = slope_extremum_radius(curve.params)
@@ -335,7 +334,6 @@ _GRID = [("nt", _count(2), 64), ("ntheta", _count(3), 64)]
 # with dashes for underscores, the flag.
 _COMMANDS = {
     "solve": (cmd_solve, "solve the two-ring problem for c", _RINGS + [
-        ("quad_tol", _positive, DEFAULT_QUAD_TOL, "absolute quadrature tolerance"),
         ("root_tol", _positive, DEFAULT_ROOT_TOL, "shooting residual tolerance"),
     ]),
     "classify": (cmd_classify, "predict the regime without solving", _RINGS),

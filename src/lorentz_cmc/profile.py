@@ -206,20 +206,21 @@ def profile_curve(params: SurfaceParams, anchor, quad_tol=DEFAULT_QUAD_TOL) -> P
 
 
 def _asinh_ratio(t, c):
-    """asinh(t / |c|): ``math`` for a float ``t >= 0``, numpy for an array of t > 0.
+    """asinh(t / |c|) by ``math``, at a float ``t >= 0`` or at each distinct
+    value of an array of t > 0, so an array's values are the bits a float's
+    would be (a patch's radii repeat up to eightfold).
 
     t/|c| overflows for subnormal c; there asinh(x) = log(2x) to float64,
     taken as log 2 + log t - log|c|.
     """
-    if not isinstance(t, np.ndarray):
-        x = t / abs(c)
-        if math.isfinite(x):
-            return math.asinh(x)
-        return math.log(2.0) + math.log(t) - math.log(abs(c))
-    with np.errstate(over="ignore"):
-        x = t / abs(c)
-    # np.where keeps arcsinh's bits wherever x is finite
-    return np.where(np.isinf(x), math.log(2.0) + np.log(t) - math.log(abs(c)), np.arcsinh(x))
+    if isinstance(t, np.ndarray):
+        keys, inverse = np.unique(t.ravel(), return_inverse=True)
+        return np.array([_asinh_ratio(x, c) for x in keys.tolist()],
+                        dtype=float)[inverse].reshape(t.shape)
+    x = t / abs(c)
+    if math.isfinite(x):
+        return math.asinh(x)
+    return math.log(2.0) + math.log(t) - math.log(abs(c))
 
 
 def _closed_form(t, H, c, anchor):
@@ -228,8 +229,8 @@ def _closed_form(t, H, c, anchor):
 
     The catenoid integrates f' = -c / sqrt(t^2 + c^2) to
     f(t) = a - c (arcsinh(t/|c|) - arcsinh(r/|c|)), falling for c > 0 and
-    rising for c < 0, odd in c; a float ``t`` takes ``math.asinh``, an
-    array numpy's ``arcsinh``, which differ by at most 2 ulp.  The cap is
+    rising for c < 0, odd in c; a float ``t`` and each value of an array
+    take ``math.asinh``, so the two give the same bits.  The cap is
     f(t) = a + (sqrt(1 + H^2 t^2) - sqrt(1 + H^2 r^2)) / H.  For H > 0 it
     lies on the hyperbolic plane <x - p, x - p> = -1/H^2 centered at
     p = (0, 0, a - sqrt(1 + H^2 r^2) / H); H < 0 gives the mirrored cap,
@@ -292,7 +293,7 @@ def _height_at(t, H, c, anchor):
 
 
 def heights(curve: ProfileCurve, ts):
-    """Heights at an array of radii t > 0: closed forms as ``height``, else quadrature.
+    """Heights at an array of radii t > 0: closed forms, the bits of ``height``, else quadrature.
 
     Both branches evaluate the as-built (H, c): every operation on the way is
     odd under (H, c, a) -> (-H, -c, -a), so a mirrored curve gives exactly

@@ -59,18 +59,24 @@ _WG = np.array([
     0.417959183673469388,
 ])
 
-# Full 15-node layout: negative nodes, zero, positive nodes.
+# Full 15-node layout: negative nodes, zero, positive nodes; the Gauss-7
+# nodes are rows 1, 3, ..., 13.
 _NODES = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
-_WG_FULL = np.zeros(15)
-_WG_FULL[1::2] = np.concatenate([_WG, _WG[2::-1]])
+_WG7 = np.concatenate([_WG, _WG[2::-1]])
 
 # Panels per block in ``panel_sums``: one block's (15, _BLOCK) float arrays
-# (240 KiB each, up to twice that in the last block) stay in L2.  A multiple
-# of the BLAS gemv kernels' row stride (4), so a panel lands in a kernel's
-# tail rows in a block exactly when it does in one unblocked call, and its
-# sums come out the same bits.
+# (240 KiB each) stay in L2.
 _BLOCK = 2048
+
+
+def _node_order_sum(rows):
+    """The sum of ``rows`` (at least two), one elementwise add per row in
+    row order: the same bits for a panel whatever else is in the batch."""
+    total = rows[0] + rows[1]
+    for row in rows[2:]:
+        total += row
+    return total
 
 
 def _kronrod_gauss(fn, los, his):
@@ -81,8 +87,8 @@ def _kronrod_gauss(fn, los, his):
     # an infinite sample makes 0 * inf at a Kronrod-only node and inf - inf
     # in |K - G|: nan marks the panel unresolved, no warning
     with np.errstate(invalid="ignore"):
-        k = half * (_WGK @ ys)
-        return k, np.abs(k - half * (_WG_FULL @ ys))
+        k = half * _node_order_sum(_WGK[:, None] * ys)
+        return k, np.abs(k - half * _node_order_sum(_WG7[:, None] * ys[1::2]))
 
 
 def panel_sums(fn, los, his):
@@ -91,12 +97,12 @@ def panel_sums(fn, los, his):
     ``los`` and ``his`` are equal-length 1-d arrays of panel endpoints.
     This is the non-adaptive building block: one 15-point rule per panel,
     evaluated ``_BLOCK`` panels at a time, one vectorized ``fn`` call per
-    block; the last block takes the remainder, so it holds up to
-    ``2 _BLOCK`` panels.  Working memory is the result arrays plus one
-    block's (15, block) nodes and samples, at most 480 KiB each, whatever
-    the batch size, and each panel's sums are the same bits as in one
-    unblocked pass.  Raises ValueError unless every panel's ends and width
-    are finite.
+    block.  Each panel's weighted samples are summed in node order, one
+    elementwise IEEE operation at a time, so its sums are the same bits
+    in any batch and any block, and no BLAS kernel takes part.  Working
+    memory is the result arrays plus one block's (15, block) nodes and
+    samples, at most 240 KiB each, whatever the batch size.  Raises
+    ValueError unless every panel's ends and width are finite.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
@@ -104,19 +110,9 @@ def panel_sums(fn, los, his):
         raise ValueError("panel ends and widths must be finite")
     n = los.size
     k, e = np.empty(n), np.empty(n)
-    cuts = [*range(0, max(n - _BLOCK, 1), _BLOCK), n]
-    for s, t in zip(cuts[:-1], cuts[1:]):
-        k[s:t], e[s:t] = _kronrod_gauss(fn, los[s:t], his[s:t])
-    return k, e
-
-
-def _panel(fn, lo, hi):
-    k, e = panel_sums(fn, np.array([lo]), np.array([hi]))
-    k, e = float(k[0]), float(e[0])
-    if not (math.isfinite(k) and math.isfinite(e)):
-        # non-finite sample inside the panel: contribute nothing, flag the
-        # panel as unresolved so refinement keeps narrowing around it
-        return 0.0, math.inf
+    for s in range(0, n, _BLOCK):
+        k[s:s + _BLOCK], e[s:s + _BLOCK] = _kronrod_gauss(fn, los[s:s + _BLOCK],
+                                                          his[s:s + _BLOCK])
     return k, e
 
 
@@ -125,8 +121,10 @@ def _initial_cuts(lo, hi):
     # estimates are informative; where hi / lo overflows, cut by logs instead.
     span = float(hi) / float(lo) if lo > 0.0 else 0.0  # inf, not a numpy warning
     if math.isinf(span):
-        n = math.ceil(math.log10(hi) - math.log10(lo))
-        return list(np.logspace(math.log10(lo), math.log10(hi), n + 1)[1:-1])
+        log_lo, log_hi = math.log10(lo), math.log10(hi)
+        n = math.ceil(log_hi - log_lo)
+        step = (log_hi - log_lo) / n
+        return [10.0 ** (log_lo + k * step) for k in range(1, n)]
     if span > PRESPLIT_RATIO:
         n = math.ceil(math.log10(span))
         ratio = span ** (1.0 / n)
@@ -144,11 +142,14 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL):
     tolerance finer than the roundoff of the accumulated magnitude is
     unattainable in float64, so the request is floored there.  Raises
     QuadratureFailure if 10^4 subintervals do not suffice, or as soon as a
-    panel that must be bisected has no float strictly inside it (roundoff
-    width), whatever its estimate.  Mass within an ulp of a float is
-    invisible to this and to any sampling rule: a spike that narrow is
-    neither seen nor reported.  Raises ValueError unless ``tol`` is finite
-    and positive and both bounds are finite.
+    bisection makes a panel with no float strictly inside it (roundoff
+    width), whatever that panel's estimate: its 15 nodes round to its two
+    ends, so K15 and G7 may agree exactly on a spike they cannot resolve.
+    The interval given, or a piece of its pre-split, may be of roundoff
+    width; it raises only if it has to be bisected.  Mass within an ulp of
+    a float is invisible to this and to any sampling rule: a spike that
+    narrow is neither seen nor reported.  Raises ValueError unless ``tol``
+    is finite and positive and both bounds are finite.
     """
     _require_positive("tol", tol)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -166,11 +167,18 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL):
     abs_value = 0.0
     err_open = 0.0  # panels with finite estimates
     n_unresolved = 0  # panels whose estimate is infinite
-    n_panels = 0
 
-    def push(a, b):
+    def panels(los, his):
+        """(a, b, k, e) of each panel, in one ``panel_sums`` call."""
+        ks, es = panel_sums(fn, np.array(los), np.array(his))
+        return [(a, b, k, e) if math.isfinite(k) and math.isfinite(e)
+                # non-finite sample inside the panel: contribute nothing, flag
+                # the panel as unresolved so refinement keeps narrowing around it
+                else (a, b, 0.0, math.inf)
+                for a, b, k, e in zip(los, his, ks.tolist(), es.tolist())]
+
+    def push(a, b, k, e):
         nonlocal value, abs_value, err_open, n_unresolved
-        k, e = _panel(fn, a, b)
         heapq.heappush(heap, (-e, next(tie), a, b, k, e))
         value += k
         abs_value += abs(k)
@@ -179,9 +187,9 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL):
         else:
             err_open += e
 
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        push(a, b)
-        n_panels += 1
+    for panel in panels(cuts[:-1], cuts[1:]):
+        push(*panel)
+    n_panels = len(cuts) - 1
 
     while n_unresolved or err_open > max(tol, _ROUNDOFF * abs_value):
         if n_panels >= _PANEL_BUDGET:
@@ -191,18 +199,20 @@ def integrate(fn, lo, hi, tol=DEFAULT_QUAD_TOL):
             )
         _, _, a, b, k, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        if not (a < m < b):
-            raise QuadratureFailure(
-                f"roundoff-width panel [{a}, {b}] has error estimate {e:.3e}"
-            )
+        children = panels([a, m], [m, b])
+        for u, v, _, child_e in children:
+            if not (u < 0.5 * (u + v) < v):
+                raise QuadratureFailure(
+                    f"roundoff-width panel [{u}, {v}] has error estimate {child_e:.3e}"
+                )
         value -= k
         abs_value -= abs(k)
         if math.isinf(e):
             n_unresolved -= 1
         else:
             err_open -= e
-        push(a, m)
-        push(m, b)
+        for child in children:
+            push(*child)
         n_panels += 1
 
     return sign * value

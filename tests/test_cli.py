@@ -74,6 +74,23 @@ class TestSolve:
         assert rec["flux"] == pytest.approx(2.0 * math.pi * rec["c"], abs=1e-9)
         assert rec["flux"] == 2.0 * math.pi * rec["c_oriented"]
 
+    def test_each_solve_parameter_changes_its_record(self, capsys):
+        # a parameter that changes no output byte is not declared (solve
+        # took --quad-tol, which no field it prints depends on)
+        base = {"r": "1", "R": "2", "a": "0", "b": "0.5", "H": "1", "root_tol": "1e-9"}
+        other = {"r": "0.9", "R": "2.5", "a": "0.1", "b": "0.6", "H": "1.5", "root_tol": "1"}
+        assert {name for name, *_ in cli_module._COMMANDS["solve"][2]} == set(base)
+
+        def record(values):
+            code, out, _ = run(capsys, "solve", *(f"--{k.replace('_', '-')}={v}"
+                                                  for k, v in values.items()))
+            assert code == EXIT_OK
+            return last_record(out)
+
+        want = record(base)
+        for name in base:
+            assert record(dict(base, **{name: other[name]})) != want, name
+
     def test_overflowing_rise_solves_in_a_fresh_process(self):
         # H R = 1e150: rise is nan there, and with it every g, so this solve
         # never returned; g is the light-cone limit there
@@ -580,9 +597,9 @@ class TestConfig:
         assert typo.split("=")[0] in err and out == ""
 
     def test_one_config_serves_solve_and_classify(self, tmp_path, capsys):
-        # quad_tol and root_tol are solve parameters; classify ignores them
+        # root_tol is a solve parameter; classify ignores it
         cfg = tmp_path / "rings.cfg"
-        cfg.write_text("r=1\nR=2\na=0\nb=0.5\nH=1\nquad_tol=1e-11\nroot_tol=1e-10\n")
+        cfg.write_text("r=1\nR=2\na=0\nb=0.5\nH=1\nroot_tol=1e-10\n")
         for command in ("solve", "classify"):
             code, out, _ = run(capsys, command, "--config", str(cfg))
             assert code == EXIT_OK
@@ -595,7 +612,7 @@ class TestDumpConfigRoundTrip:
 
     CASES = {
         "solve": (["--r", "1", "--R", "2", "--a", "0.5", "--b", "0", "--H", "1"],
-                  {"quad_tol", "root_tol"}),
+                  {"root_tol"}),
         "classify": (["--r", "1", "--R", "2", "--a", "0", "--b", "0.5", "--H", "0.2"],
                      set()),
         "flux": (["--r", "2", "--H", "1", "--c", "3"], set()),
@@ -669,6 +686,7 @@ class TestEnvTolerance:
 
     @pytest.mark.parametrize("flag", ["--quad-tol", "--root-tol"])
     def test_nan_tolerance_flag_is_usage_error(self, capsys, flag):
+        # solve no longer declares --quad-tol: it exits 64 as an unknown flag
         code, _, err = run(capsys, "solve", "--r", "1", "--R", "2",
                            "--a", "0", "--b", "0.5", "--H", "1", flag, "nan")
         assert code == EXIT_USAGE

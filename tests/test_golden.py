@@ -6,10 +6,13 @@ bytes, so a rewrite of a serialiser or sampler that changes one byte fails
 here.  The solver hash pins every bit of ``solve_c``'s results on the
 light-cone grid and the wide ring pairs of ``test_bvp``, so a rewrite of
 the shooting loop that moves one root, residual or work count fails here.
-They were recorded with numpy 2.4 on x86-64 Linux: a platform whose
-libm or numpy SIMD kernels round sin/cos differently can shift the last
-digit of a coordinate.  Change a hash only for a deliberate change of
-format or of results, and record it in CHANGES.md.
+They were recorded with numpy 2.4 and glibc on x86-64 Linux, and hold
+with any BLAS kernel and with numpy's dispatched SIMD features disabled
+(``test_dispatch``): the panel sums take no BLAS and the catenoid's heights
+take ``math.asinh``.  A platform whose libm, or whose numpy sin/cos,
+rounds differently can still shift the last digit of a coordinate.
+Change a hash only for a deliberate change of format or of results, and
+record it in CHANGES.md.
 """
 
 import hashlib
@@ -30,12 +33,17 @@ from test_bvp import _light_cone_grid, _wide_ring_pairs
 # kept all of them).  Figures 2 and 4, with every OBJ and CSV of theirs that
 # starts at the axis, were re-pinned when the apex and the t = 0 row came to
 # be singularity_report's cone_vertex_height: only that v line and that row
-# moved, by 1 ulp (figure 2) and 2 ulp (figure 4).
+# moved, by 1 ulp (figure 2) and 2 ulp (figure 4).  All four, every OBJ
+# but figure 2's at 5 x 7, MULTI_BLOCK_CSV, LOG_MESH_OBJ and
+# HOLED_PATCH_CSV were re-pinned when the Kronrod sums came to run in node
+# order and the catenoid's array heights to take math.asinh: f and z moved
+# by at most 8.9e-16, the residual column by at most 7.5e-9, and t,
+# f_prime, x, y and faces kept every bit (CHANGES.md lists each case).
 FIGURE_CSV = {
-    1: "b657ed7c77b10d24e1a874390d7d3a346d6a35e8f59dac2a424fd58583a1b30b",
-    2: "04a95c156a6abcf0942b220aae3ba82a2f8d02b9c01010fb2ee3db3e851601d8",
-    3: "32a1dae763ff1f7cca40ad0114869e55fb374eaf19744261545b21df02767d90",
-    4: "1787a95aec5db8f6cef2ae1d638d8686b75041d7b26fc44dc18c5ff780df535b",
+    1: "4b0472d3d2ba1ae0dc96276f502b3680fa16f6a5160b4093153cb07e8f0b5f87",
+    2: "b7a4f93df48bae593f737fb9b6740abe82e9feb46a9dd54234d6036b664d07c9",
+    3: "8b00d4ee9f811b355dfd5e8bf7da995ff3d2b0ad804db66c7e0f970f6fd68e4a",
+    4: "5b8f638c56ad7ddddd922c7bad92ee3dc2d133b3da64d860c80d1664d823f33f",
 }
 
 # (figure id, size flags) -> sha256 of figure<id>_surface.obj.  These and
@@ -46,28 +54,28 @@ FIGURE_CSV = {
 # about 1e-16 t at the cardinal spokes became 0.0, and z and faces kept
 # every bit
 FIGURE_OBJ = {
-    (1, ()): "af4fcd55b67d13e3779715f951e7d4d00b0b6bd1bc4440f85b2447a7b3a1cd69",
-    (2, ()): "f5aeef1eadf25245cf3efe91ca26e2d5074e90013d05f419201c7ac88255af42",
-    (3, ()): "830d50a451dc6de954811e0da716d14d66230b64157ab71c3e655c57f03e0cef",
-    (4, ()): "ec0a32eaaa55e0b9c64d121595b042be6a9659040f3ce476b2585a82524c2c4a",
+    (1, ()): "a84afac64650d4c4e4cf2d4995f5a2680c5d9f9027ff0e1df362c15381d74cf2",
+    (2, ()): "ddf269ee860253c852e45fff5bf5272359407107fc526c0c44e1ad2b02d01de9",
+    (3, ()): "fa8df448d4fc58e2f49b3afc43ea20026f73ba3febcc3b4afe75b9e15123097a",
+    (4, ()): "0b60393b91b75e9b918752a192c541ee3ab8198ef4ba3e42366a6f030e941df0",
     (1, ("--nt", "5", "--ntheta", "7")):
-        "a6ab18802c500ce392c5d9957f4912a1fe321d2ae6076bd4dc528bc6c479d909",
+        "2fc5f897b552050c1be626282667ca4413c8004e2f706524675f1585328cdd63",
     (2, ("--nt", "5", "--ntheta", "7")):
         "14387751fc41ed7b687ac4ebf5faa52073e6bed4ef8d433af9f572d4625d43f8",
     (3, ("--nt", "5", "--ntheta", "7")):
-        "e6b56367c50eaf8d745b34cc5a1affd89ad1dac18d5b8a38eaf79b7a6efa3180",
+        "efc13ad7946488c1faca380e038dd25d800cbf849e078a95d6e63f40fddc8880",
     (4, ("--nt", "5", "--ntheta", "7")):
-        "6bb0ead7a59a786bd1ed0e36eb719e8a79e7dddc0127f9c62760c9db73f280f1",
+        "defab2305ed6ed681dccb7196337989402c030dcc311b82f5cc004c22a67f4b4",
     # 65281 v and 130560 f records: many writer and reader blocks
     (4, ("--nt", "256", "--ntheta", "256")):
-        "4aaa09c4c8b5124624b9f32e389b28a43e00f1a63dd78404a8412f4e6d88c16f",
+        "9dc0094b30718159643415bb8757c6b6501df8da1549524a112b490969b8ca71",
 }
 
 # figure4_profile.csv at --samples 12293 (three writer blocks and five rows)
-MULTI_BLOCK_CSV = "2c10b3c2777102a10fef411f4dd0b9488979e528edb9ff09865205d786ee4af3"
+MULTI_BLOCK_CSV = "56c88d0676efd2ae67461d8207738db527a5d52c998b9898852be8e237c34faa"
 
-LOG_MESH_OBJ = "a1ff0403967b175f4e9e5d37ecc6c1835b66d9a79e5a69fa499c24da95a0db88"
-HOLED_PATCH_CSV = "5699f500a884436a4f320b90afa7cdee38d67e75fac4bfb9307f381d2f0715ce"
+LOG_MESH_OBJ = "ff2e30b92cdb42165106993dbb901ff9914880616dbf82b5e5997c11773dc150"
+HOLED_PATCH_CSV = "fbb26c66999d6e8ba1d10c9507411c10f55df8e2ba6cbbad8ddf700f94d3267b"
 
 # (c, residual, H0, regime, the four SolveDiagnostics fields, curve.quad_tol)
 # of the 360 light-cone grid solves, then the 400 wide ring pair solves;

@@ -53,6 +53,23 @@ class TestSampling:
         expected_h = np.repeat(curve.heights(mesh.ring_radii), 12)
         assert np.max(np.abs(mesh.vertices[:, 2] - expected_h)) < 1e-12
 
+    @pytest.mark.parametrize("t_range,n_t", [((0.0, 7.0), 64), ((0.5, 4.0), 9),
+                                             ((1e-3, 1e5), 257), ((2.0, 2.5), 2)])
+    def test_ring_radii_are_numpy_linspace_and_geomspace_bit_for_bit(self, t_range, n_t):
+        # log-spaced radii, and the mesh bytes they feed, follow numpy's SIMD
+        # dispatch of geomspace (README); a rewrite of either grid moves them
+        curve = curve_of(0.0, 3.0)
+        for spacing, grid in (("uniform", np.linspace), ("log", np.geomspace)):
+            if spacing == "log" and t_range[0] == 0.0:
+                continue
+            ts = grid(*t_range, n_t)
+            mesh = sample_surface(curve, t_range, n_t, 5, spacing=spacing)
+            apex = int(t_range[0] == 0.0)
+            ring_ts = ts[apex:]
+            assert mesh.ring_radii.tobytes() == ring_ts.tobytes()
+            # spoke 0 lies on the x axis: x is the radius itself
+            assert mesh.vertices[apex::5, 0].tobytes() == ring_ts.tobytes()
+
     def test_seam_is_shared_not_duplicated(self):
         mesh = sample_surface(curve_of(1.0, 0.0), (1.0, 2.0), 5, 7)
         assert mesh.vertices.shape[0] == 5 * 7
@@ -522,6 +539,24 @@ class TestLoadObj:
             load_obj(text)
         del lines[77]
         assert load_obj("\n".join(lines))[0].shape == (40, 3)
+
+    def test_nul_in_a_comment_keeps_the_distinct_text_parse(self, monkeypatch):
+        # a NUL anywhere between the first and last field sent the whole
+        # block through _one_by_one, about 1 us a field
+        def refuse(*args):
+            raise AssertionError("parsed one field at a time")
+
+        monkeypatch.setattr(text_module, "_one_by_one", refuse)
+        verts, faces = load_obj(b"v 1 2 3\n# \0\nv 4 5 6\nf 1 2 1\n")
+        assert verts.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert faces.tolist() == [[0, 1, 0]]
+
+    @pytest.mark.parametrize("field", [b"5\0", b"\x005", b"5\x006"])
+    def test_nul_in_a_vertex_field_names_its_line(self, field):
+        # zero-padded words would read 5\0 as 5
+        record = b"v 4 " + field + b" 6"
+        with pytest.raises(ValueError, match=re.escape(f"at line 3: {record!r}") + "$"):
+            load_obj(b"v 1 2 3\n# \0\n" + record + b"\nf 1 2 1\n")
 
     def test_empty_input(self):
         for data in (b"", "", "# nothing but a comment\n\n"):

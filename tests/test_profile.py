@@ -171,8 +171,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("anchor", [(1.0, 0.0), (1.5, 0.25), (1e-3, -3.0), (1e5, 1e3)])
     def test_maximal_scalar_t_agrees_with_array_t(self, anchor):
-        # a float t takes math.asinh, an array numpy's arcsinh: they differ
-        # by up to 2 ulp, and the result by a few ulp of its terms' size
+        # a float t and each value of an array take math.asinh: the same bits
         r, a = anchor
         ts = np.geomspace(1e-8, 1e8, 81)
         cs = np.concatenate((np.geomspace(1e-12, 1e12, 49),
@@ -182,22 +181,37 @@ class TestClosedForms:
             for c in np.concatenate((cs, -cs)).tolist():
                 array = profile._closed_form(ts, 0.0, c, anchor)
                 asinh_array = profile._asinh_ratio(ts, c)
-                asinh_r = profile._asinh_ratio(r, c)
-                for t, want, asinh_want in zip(ts.tolist(), array, asinh_array):
-                    got = profile._closed_form(t, 0.0, c, anchor)
-                    asinh_t = profile._asinh_ratio(t, c)
-                    assert abs(asinh_t - asinh_want) <= 2.0 * math.ulp(asinh_t)
-                    assert abs(got - want) <= 4.0 * math.ulp(abs(a) + abs(c) * (asinh_t + asinh_r))
+                scalar = [profile._closed_form(t, 0.0, c, anchor) for t in ts.tolist()]
+                asinh_scalar = [profile._asinh_ratio(t, c) for t in ts.tolist()]
+                assert array.tobytes() == np.array(scalar).tobytes()
+                assert asinh_array.tobytes() == np.array(asinh_scalar).tobytes()
 
-    def test_maximal_takes_math_for_a_height_and_numpy_for_heights(self):
+    def test_maximal_takes_math_for_a_height_and_for_heights(self):
         t, c, (r, a) = 3.0, 1.7, (1.0, 0.25)
         by_math = a - c * (math.asinh(t / c) - math.asinh(r / c))
-        by_numpy = a - c * (np.arcsinh(np.array([t]) / c) - math.asinh(r / c))
         curve = profile_curve(SurfaceParams(0.0, c), (r, a))
         for scalar in (t, np.float64(t)):
             got = height(scalar, curve)
             assert type(got) is float and got == by_math
-        assert np.array_equal(heights(curve, [t]), by_numpy)
+        assert heights(curve, [t]).tobytes() == np.array([by_math]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["plane", "catenoid", "cap"]),
+           log_k=st.floats(-320.0, 12.0), sign=st.sampled_from([-1.0, 1.0]),
+           log_r=st.floats(-8.0, 8.0), a=st.floats(-1e3, 1e3),
+           log_ts=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=20))
+    def test_closed_forms_give_heights_the_bits_of_height(self, family, log_k, sign, log_r, a,
+                                                         log_ts):
+        # plane, maximal catenoid (subnormal c included) and cap: the array
+        # path and the scalar path agree to the bit, and so do the mirrors
+        k = sign * max(10.0 ** log_k, 5e-324)
+        H, c = {"plane": (0.0, 0.0), "catenoid": (0.0, k), "cap": (k, 0.0)}[family]
+        ts = 10.0 ** np.array(log_ts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for curve in (curve_of(H, c, 10.0 ** log_r, a), curve_of(-H, -c, 10.0 ** log_r, -a)):
+                want = np.array([height(t, curve) for t in ts.tolist()])
+                assert heights(curve, ts).tobytes() == want.tobytes()
 
     def test_plane_keeps_a_negative_zero_anchor_height(self):
         # the cap formula at H = 0 would give -0.0 + (t - r) * 0.0 = +0.0

@@ -1,8 +1,6 @@
 import math
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +8,8 @@ from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import QuadratureFailure, SurfaceParams, heights, profile_curve, quadrature
 from lorentz_cmc.profile import _slope_raw
-from lorentz_cmc.quadrature import (PRESPLIT_RATIO, _BLOCK, _NODES, _WG_FULL, _WGK, integrate,
+from lorentz_cmc.quadrature import (PRESPLIT_RATIO, _BLOCK, _NODES, _WG7, _WGK, integrate,
                                     panel_sums)
-from test_console import child_env
 
 
 def test_low_degree_polynomial_is_exact():
@@ -122,6 +119,17 @@ def test_finite_estimate_at_roundoff_width_raises(p, c, lo, hi, tol):
             integrate(lambda x: np.abs((x - c) - 1e-20) ** p, lo, hi, tol=tol)
 
 
+def test_a_given_roundoff_width_interval_integrates():
+    # only a bisection's children are checked for a float strictly inside
+    x = 201.91578631115027
+    y = math.nextafter(x, math.inf)
+    assert integrate(lambda s: np.full(s.shape, 3.0), x, y) == pytest.approx(3.0 * (y - x))
+    # an infinite sample leaves it unresolved: bisecting it makes a child
+    # of no width
+    with pytest.raises(QuadratureFailure, match=rf"roundoff-width panel \[{x}, "):
+        integrate(lambda s: np.where(s == x, np.inf, 1.0), x, y)
+
+
 def test_reversed_bounds_negate_the_integral():
     assert integrate(lambda x: x, 1.0, 0.0) == -0.5
     # a reversed panel has no midpoint strictly inside it, so an integrand
@@ -140,17 +148,27 @@ def test_panel_sums_matches_adaptive_on_smooth_segments():
 
 
 def reference_panel_sums(fn, los, his):
-    """The 15-point rule on every panel at once, unblocked: one (15, N) pass."""
+    """The 15-point rule one panel at a time, in Python floats: each panel's
+    weighted samples summed in node order (Gauss-7 on nodes 1, 3, ..., 13)."""
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
     ys = fn(mid[None, :] + _NODES[:, None] * half[None, :])
-    k = half * (_WGK @ ys)
-    g = half * (_WG_FULL @ ys)
-    return k, np.abs(k - g)
+    wk, wg = _WGK.tolist(), _WG7.tolist()
+    ks, es = [], []
+    for h, y in zip(half.tolist(), ys.T.tolist()):
+        k = wk[0] * y[0]
+        for w, v in zip(wk[1:], y[1:]):
+            k += w * v
+        g = wg[0] * y[1]
+        for w, v in zip(wg[1:], y[3::2]):
+            g += w * v
+        ks.append(h * k)
+        es.append(abs(h * k - h * g))
+    return np.array(ks, dtype=float), np.array(es, dtype=float)
 
 
-# a last block of 2 or 3 panels is where BLAS sums rows in another order
-@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3,
+# a batch of one panel, and the first and last blocks of several sizes
+@pytest.mark.parametrize("n", [0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3,
                                3 * _BLOCK + 5])
 def test_blocked_panel_sums_are_bitwise_the_unblocked_rule(n):
     rng = np.random.default_rng(n)
@@ -163,6 +181,20 @@ def test_blocked_panel_sums_are_bitwise_the_unblocked_rule(n):
         for a, b in zip(got, want):
             assert a.shape == (n,)
             assert a.tobytes() == b.tobytes()
+
+
+def test_a_panel_alone_sums_to_the_bits_it_has_in_a_batch():
+    # a BLAS gemv (and numpy's np.sum) adds a lone panel's 15 rows in
+    # another order than a batch's: with gemv, 393 of these 600 panels
+    # moved; the node-order sum is one order for both
+    rng = np.random.default_rng(6000)
+    los = rng.uniform(-10.0, 10.0, 600)
+    his = los + np.exp(rng.uniform(-20.0, 3.0, 600))
+    fn = lambda x: np.sin(3.0 * x) / (1.0 + x * x) + 1e3 * np.exp(-x * x)
+    batch = panel_sums(fn, los, his)
+    for i in range(los.size):
+        alone = panel_sums(fn, los[i:i + 1], his[i:i + 1])
+        assert [a.tobytes() for a in alone] == [b[i:i + 1].tobytes() for b in batch]
 
 
 def _log_uniform_curves():
@@ -188,27 +220,18 @@ def _reference_heights(H, c, anchor, ts):
     return anchor[1] + F[np.searchsorted(edges, ts)]
 
 
-def check_heights_are_bitwise_the_unblocked_rule():
-    # 1e5 log-uniform radii over six decades: about 50 blocks; the mirrored
-    # curve (-H, -c, -a) must give exactly the negated heights
-    for H, c, (r, a), ts in _log_uniform_curves():
-        want = _reference_heights(H, c, (r, a), ts)
-        got = heights(profile_curve(SurfaceParams(H, c), (r, a)), ts)
-        mirrored = heights(profile_curve(SurfaceParams(-H, -c), (r, -a)), ts)
-        assert got.tobytes() == want.tobytes()
-        assert np.negative(mirrored).tobytes() == want.tobytes()
-
-
 def test_heights_on_1e5_radii_are_bitwise_the_unblocked_rule():
-    # in a single-threaded BLAS: the reference's one matmul over 1e5 panels
-    # may be split across threads at a row that changes the last bits of
-    # the rows before it (the library's blocks are too small to be split)
-    env = child_env(Path(__file__).resolve().parent, OPENBLAS_NUM_THREADS="1",
-                    OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    code = "import test_quadrature as t; t.check_heights_are_bitwise_the_unblocked_rule()"
-    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    # 1e5 log-uniform radii over six decades: about 50 blocks; the mirrored
+    # curve (-H, -c, -a) must give exactly the negated heights, with no
+    # floating-point warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H, c, (r, a), ts in _log_uniform_curves():
+            want = _reference_heights(H, c, (r, a), ts)
+            got = heights(profile_curve(SurfaceParams(H, c), (r, a)), ts)
+            mirrored = heights(profile_curve(SurfaceParams(-H, -c), (r, -a)), ts)
+            assert got.tobytes() == want.tobytes()
+            assert np.negative(mirrored).tobytes() == want.tobytes()
 
 
 def test_heights_peak_memory_is_one_block_beyond_the_results():
