@@ -57,8 +57,15 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
 
     ``t_range = (t_lo, t_hi)`` with 0 <= t_lo < t_hi; t_lo = 0 produces an
     apex vertex at the axis instead of a degenerate ring (flagged in
-    ``singular_vertex``).  ``spacing`` is "uniform" or "log" in t; theta is
-    always uniform.
+    ``singular_vertex``): vertex 0, fanned to the first ring by faces
+    ``[:n_theta]``.  ``spacing`` is "uniform" or "log" in t; theta is
+    always uniform.  ``vertices`` and ``faces`` are allocated once, and the
+    rings and quads written in place through reshaped views of them.
+
+    A fan triangle is spacelike only while the chord slope from the apex to
+    the first ring stays below cos(pi / n_theta), so a conical apex whose
+    slope tends to +-1 writes faces that are not spacelike (Gram determinant
+    <= 0): figure 1 writes its fan, figure 4 its fan and first quad band.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if t_lo < 0.0 or not t_lo < t_hi < math.inf:
@@ -78,47 +85,32 @@ def sample_surface(curve: ProfileCurve, t_range, n_t, n_theta,
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
 
-    apex = ts[0] == 0.0
-    ring_ts = ts[1:] if apex else ts
-    ring_hs = heights(curve, ring_ts)
-
-    cos_t, sin_t = _spoke_table(n_theta)
-
+    apex = int(ts[0] == 0.0)  # 1 if vertex 0 is the apex
+    ring_ts = ts[apex:]
     n_rings = ring_ts.size
-    ring_grid = np.empty((n_rings, n_theta, 3))
-    ring_grid[:, :, 0] = ring_ts[:, None] * cos_t[None, :]
-    ring_grid[:, :, 1] = ring_ts[:, None] * sin_t[None, :]
-    ring_grid[:, :, 2] = ring_hs[:, None]
+    cos_t, sin_t = _spoke_table(n_theta)
+    vertices = np.empty((apex + n_rings * n_theta, 3))
+    rings = vertices[apex:].reshape(n_rings, n_theta, 3)
+    np.multiply.outer(ring_ts, cos_t, out=rings[:, :, 0])
+    np.multiply.outer(ring_ts, sin_t, out=rings[:, :, 1])
+    rings[:, :, 2] = heights(curve, ring_ts)[:, None]
 
-    singular_vertex = None
-    if apex:
-        vertex0 = np.array([[0.0, 0.0, singularity_report(curve).cone_vertex_height]])
-        vertices = np.vstack([vertex0, ring_grid.reshape(-1, 3)])
-        offset = 1
-        singular_vertex = 0
-    else:
-        vertices = ring_grid.reshape(-1, 3)
-        offset = 0
-
-    # quad (i, j) joins rings i, i+1 and spokes j, j+1 (mod n_theta)
+    # quad (i, j) joins rings i, i+1 and spokes j, j+1 (mod n_theta) in two
+    # triangles, its 6 corners the ring's first vertex plus one row of ``spoke``
     j = np.arange(n_theta, dtype=np.int64)
     j_next = (j + 1) % n_theta
-    ring = offset + n_theta * np.arange(n_rings - 1, dtype=np.int64)[:, None]
-    v00, v01 = ring + j, ring + j_next
-    v10, v11 = v00 + n_theta, v01 + n_theta
-    faces = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    spoke = np.stack([j, j + n_theta, j_next + n_theta, j, j_next + n_theta, j_next], axis=-1)
+    faces = np.empty((apex * n_theta + 2 * (n_rings - 1) * n_theta, 3), dtype=np.int64)
+    quads = faces[apex * n_theta:].reshape(n_rings - 1, n_theta, 6)
+    np.add((apex + n_theta * np.arange(n_rings - 1, dtype=np.int64))[:, None, None], spoke,
+           out=quads)
     if apex:
+        vertices[0] = (0.0, 0.0, singularity_report(curve).cone_vertex_height)
         # fan from the apex to the first ring, wound so normals lean +x3
-        fan = np.stack([np.zeros_like(j), 1 + j, 1 + j_next], axis=-1)
-        faces = np.concatenate([fan, faces])
+        faces[:n_theta] = np.stack([np.zeros_like(j), 1 + j, 1 + j_next], axis=-1)
 
-    return SurfaceMesh(
-        vertices=vertices,
-        faces=faces,
-        ring_radii=ring_ts,
-        n_theta=n_theta,
-        singular_vertex=singular_vertex,
-    )
+    return SurfaceMesh(vertices=vertices, faces=faces, ring_radii=ring_ts, n_theta=n_theta,
+                       singular_vertex=0 if apex else None)
 
 
 def _spoke_table(n):
