@@ -15,10 +15,13 @@ import re
 
 import numpy as np
 
+from ._parallel import _each
+
 # Rows formatted per block by ``format_records``.
 _ROWS = 4096
-# Bytes of text handed to a reader's block parser at a time, cut at the next line end.
-_BLOCK = 1 << 20
+# Bytes of text handed to a reader's block parser at a time, cut at the next
+# line end; one block in flight per thread, and a 128^2 OBJ makes six.
+_BLOCK = 1 << 18
 # Fields longer than this many 8-byte words are parsed one at a time.
 _WORDS = 8
 # _MASKS[k] keeps the first k bytes of a word.
@@ -48,23 +51,31 @@ def text_bytes(data):
 def read_blocks(data, start, parse, what="", hidden=()):
     """``[parse(data, a, b), ...]`` over the blocks ``a:b`` of ``data[start:]``,
     each ending at the first line end ``_BLOCK`` bytes or more past its start
-    (the last at the end of the data), so the memory used is one block's.
+    (the last at the end of the data).  All bounds are cut first; the blocks
+    are then parsed on every CPU the process may run on (``_parallel._each``),
+    so ``parse`` is called from several threads at once and the working
+    memory is one block's per thread.
 
-    A ``BadField(offset, why, text)`` raised by ``parse`` becomes the
-    ValueError ``"{what}{why} at line {n}: {text!r}"``, n the 1-based line
-    of ``offset``, also counting each line end that ``data`` no longer
-    holds at an offset in ``hidden`` (sorted) up to ``offset``.
+    The first ``BadField(offset, why, text)`` in text order that ``parse``
+    raises becomes the ValueError ``"{what}{why} at line {n}: {text!r}"``,
+    n the 1-based line of ``offset``, also counting each line end that
+    ``data`` no longer holds at an offset in ``hidden`` (sorted) up to
+    ``offset``.
     """
-    parts = []
-    while start < len(data):
-        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
-        try:
-            parts.append(parse(data, start, stop))
-        except BadField as exc:
-            at, why, text = exc.args
-            line = data.count(b"\n", 0, at) + 1 + bisect.bisect_right(hidden, at)
-            raise ValueError(f"{what}{why} at line {line}: {text!r}") from None
-        start = stop
+    bounds = [start]
+    while bounds[-1] < len(data):
+        bounds.append(data.find(b"\n", bounds[-1] + _BLOCK) + 1 or len(data))
+    parts = [None] * (len(bounds) - 1)
+
+    def block(i):
+        parts[i] = parse(data, bounds[i], bounds[i + 1])
+
+    try:
+        _each(block, len(parts))
+    except BadField as exc:
+        at, why, text = exc.args
+        line = data.count(b"\n", 0, at) + 1 + bisect.bisect_right(hidden, at)
+        raise ValueError(f"{what}{why} at line {line}: {text!r}") from None
     return parts
 
 

@@ -193,9 +193,11 @@ def patch_from_csv(data) -> GraphPatch:
     its 1-based line and its text.
 
     The body is parsed in blocks of ``_text._BLOCK`` bytes cut at the next
-    line end (``_text.read_blocks``), and each distinct field text of a
-    block is converted once (``_text.parse_floats``): a 257^2 lattice has
-    257 distinct texts per axis column.
+    line end (``_text.read_blocks``), on every CPU the process may run on,
+    and each distinct field text of a block is converted once
+    (``_text.parse_floats``): a 257^2 lattice has 257 distinct texts per
+    axis column.  The patch is the same bits for any CPU count, and a bad
+    field in several blocks is named in the first.
     """
     data, start = text_bytes(data)
     body = data.find(b"\n", start) + 1 or len(data)

@@ -304,9 +304,10 @@ def heights(curve: ProfileCurve, ts):
     adaptively to that tolerance.  A cumulative sum zeroed at the anchor
     gives every height, so dense grids cost one pass over the integrand.
     Per-point accuracy is at the curve's quad_tol scale, as is the gap from
-    ``height``.  Memory is O(N) for N radii plus one fixed block of panels,
-    and the heights do not depend on the block size.  The axis limit f(0+)
-    is ``singularity_report(curve).cone_vertex_height``.
+    ``height``.  Memory is O(N) for N radii plus one fixed block of panels
+    per thread (``panel_sums`` shares its blocks among the CPUs), and the
+    heights depend neither on the block size nor on the number of CPUs.
+    The axis limit f(0+) is ``singularity_report(curve).cone_vertex_height``.
     """
     ts = _radii(ts, "heights")
     p, r = curve.surface, curve.anchor_radius

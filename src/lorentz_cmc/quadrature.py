@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from ._parallel import _each
 from .core import _require_positive
 from .errors import QuadratureFailure
 
@@ -66,7 +67,7 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG7 = np.concatenate([_WG, _WG[2::-1]])
 
 # Panels per block in ``panel_sums``: one block's (15, _BLOCK) float arrays
-# (240 KiB each) stay in L2.
+# (240 KiB each) stay in L2; each thread works on one block at a time.
 _BLOCK = 2048
 
 
@@ -97,22 +98,28 @@ def panel_sums(fn, los, his):
     ``los`` and ``his`` are equal-length 1-d arrays of panel endpoints.
     This is the non-adaptive building block: one 15-point rule per panel,
     evaluated ``_BLOCK`` panels at a time, one vectorized ``fn`` call per
-    block.  Each panel's weighted samples are summed in node order, one
+    block, the blocks shared by every CPU the process may run on
+    (``_parallel._each``), so ``fn`` is called from several threads at
+    once.  Each panel's weighted samples are summed in node order, one
     elementwise IEEE operation at a time, so its sums are the same bits
-    in any batch and any block, and no BLAS kernel takes part.  Working
-    memory is the result arrays plus one block's (15, block) nodes and
-    samples, at most 240 KiB each, whatever the batch size.  Raises
-    ValueError unless every panel's ends and width are finite.
+    in any batch, any block and on any thread, and no BLAS kernel takes
+    part.  Working memory is the result arrays plus, per thread, one
+    block's (15, block) nodes and samples, at most 240 KiB each, whatever
+    the batch size.  An exception ``fn`` raises is that of the first
+    block that raised, as in a serial loop.  Raises ValueError unless
+    every panel's ends and width are finite.
     """
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     if not np.isfinite(his - los).all():
         raise ValueError("panel ends and widths must be finite")
-    n = los.size
-    k, e = np.empty(n), np.empty(n)
-    for s in range(0, n, _BLOCK):
-        k[s:s + _BLOCK], e[s:s + _BLOCK] = _kronrod_gauss(fn, los[s:s + _BLOCK],
-                                                          his[s:s + _BLOCK])
+    k, e = np.empty(los.size), np.empty(los.size)
+
+    def block(i):
+        at = slice(i * _BLOCK, (i + 1) * _BLOCK)
+        k[at], e[at] = _kronrod_gauss(fn, los[at], his[at])
+
+    _each(block, -(-los.size // _BLOCK))
     return k, e
 
 

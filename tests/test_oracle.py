@@ -236,16 +236,17 @@ def loadtxt_patch_from_csv(data):
 
 
 def several_blocks_csv():
-    """A patch CSV over two and a half reader blocks: 224^2 rows, u spelled
-    every accepted way, padded and quoted fields, blank LF and CRLF lines,
-    and no final newline."""
+    """A patch CSV over two and a half reader blocks: n^2 rows of about 56
+    bytes each, u spelled every accepted way, padded and quoted fields, blank
+    LF and CRLF lines, and no final newline."""
     rng = np.random.default_rng(29)
-    axis = [repr(v) for v in np.linspace(-3.0, 3.0, 224).tolist()]
+    n = round(math.sqrt(2.5 * _BLOCK / 56))
+    axis = [repr(v) for v in np.linspace(-3.0, 3.0, n).tolist()]
     spellings = ["Infinity", "-inf", "nan", "1e400", "-0", ".5", "1e-320", " 2.5\t", "\t-7 ",
                  '"3.25"', "0.1000000000000000055511151231257827"] + axis[:40]
-    u = rng.choice(spellings, size=224 * 224).tolist()
+    u = rng.choice(spellings, size=n * n).tolist()
     ends = rng.choice(["\r\n", "\n", "\n\n", "\r\n\r\n"], p=[0.6, 0.3, 0.05, 0.05],
-                      size=224 * 224).tolist()
+                      size=n * n).tolist()
     rows = (f"{a},{b},{c}{e}" for (a, b), c, e in zip(
         ((a, b) for a in axis for b in axis), u, ends))
     return ("x1,x2,u\r\n" + "".join(rows)).rstrip().encode()
