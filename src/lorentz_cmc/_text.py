@@ -19,6 +19,10 @@ from ._parallel import _each
 
 # Rows formatted per block by ``format_records``.
 _ROWS = 4096
+# A float's sign bit, the other bits, and the largest of those that are not a nan.
+_SIGN = np.int64(-1 << 63)
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+_INF = np.int64(0x7FF0_0000_0000_0000)
 # Bytes of text handed to a reader's block parser at a time, cut at the next
 # line end; one block in flight per thread, and a 128^2 OBJ makes six.
 _BLOCK = 1 << 18
@@ -80,23 +84,48 @@ def read_blocks(data, start, parse, what="", hidden=()):
 
 
 def distinct_reprs(values):
-    """``(texts, inverse)``: the shortest round-trip ``repr`` of each distinct
-    value, as an object array, and the index into it of every value, flattened.
+    """``(texts, inverse)``: the shortest round-trip ``repr`` of the values,
+    ASCII-encoded, as an object array of bytes, and the index into it of
+    every value, flattened.
 
-    Values are keyed by their int64 bit pattern, so -0.0 and 0.0 keep their
-    own text, and ``repr`` runs once per key.
+    Values are keyed by their int64 bit pattern with the sign bit cleared (a
+    nan keeps its own bits: its text has no sign), and ``repr`` runs once per
+    key.  The text of a negative value is ``b"-"`` and that of its
+    magnitude, as ``repr`` spells every signed float but nan.  Counts over
+    the keys of the negative values find the magnitudes that occur
+    negative: one that occurs with both signs gets its negative text
+    appended to the table, and ``repr`` spells one that occurs only
+    negative from its negative value, so the table holds one text per
+    distinct signed value (a twin for each magnitude of an all-negative
+    patch would take ``patch_to_csv`` 1.9 MB past its memory bound).
     """
     bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object), inverse
+    keys = bits & _MAGNITUDE
+    # a nan keeps its bits: with the sign bit set it occurs only negative, and reads "nan"
+    np.copyto(keys, bits, where=keys > _INF)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    neg = bits < 0
+    at = inverse[neg]
+    negatives = np.bincount(at, minlength=keys.size)
+    alone = negatives == np.bincount(inverse, minlength=keys.size)
+    keys[alone] |= _SIGN
+    texts = [repr(v).encode() for v in keys.view(np.float64).tolist()]
+    twins = np.flatnonzero((negatives > 0) & ~alone)
+    # the index of each value's text: a twin's after every magnitude's
+    slot = np.arange(keys.size, dtype=inverse.dtype)
+    slot[twins] = np.arange(keys.size, keys.size + twins.size)
+    inverse[neg] = slot[at]
+    texts += [b"-" + texts[k] for k in twins.tolist()]
+    return np.array(texts, dtype=object), inverse
 
 
 def float_reprs(values) -> np.ndarray:
-    """Shortest round-trip ``repr`` of every value, flattened, as an object
-    array; ``repr`` runs once per distinct value (``distinct_reprs``).
-    Surface rings repeat one height per spoke and mirrored spokes share
-    their x and y bits, so figure 4's mesh at 256^2 has 32,897 distinct
-    values among its 195,843 coordinates (16.8%).
+    """Shortest round-trip ``repr`` of every value, ASCII-encoded and
+    flattened, as an object array of bytes; ``repr`` runs once per distinct
+    magnitude (``distinct_reprs``).  Surface rings repeat one height per
+    spoke and mirrored spokes share their x and y bits up to sign, so
+    figure 4's mesh at 256^2 has 16,577 distinct magnitudes among its
+    195,843 coordinates (8.5%).
     """
     texts, inverse = distinct_reprs(values)
     return texts[inverse]
@@ -106,21 +135,23 @@ def format_records(header: str, *sections) -> bytes:
     """ASCII bytes of ``header``, then of ``template % tuple(row)`` for each of
     the ``n_rows`` rows of each ``(template, n_rows, cells)`` section, where
     ``cells(rows)`` returns the array of the rows in the slice ``rows``; float
-    cells as ``float_reprs`` text, integer cells as ints, object cells (text)
-    as they are.
+    cells as ``float_reprs`` text, integer cells as ints, object cells as
+    they are (ASCII bytes, such as ``distinct_reprs`` texts).
 
-    Rows go ``_ROWS`` at a time (``cells``, ``float_reprs``, one ``%`` pass,
-    ``encode``) into one buffer that is returned without a copy, so the
-    memory used is the output plus one block.
+    Each template is encoded once per section; rows then go ``_ROWS`` at a
+    time (``cells``, ``float_reprs``, one bytes ``%`` pass) into one buffer
+    that is returned without a copy, so the memory used is the output plus
+    one block.
     """
     out = io.BytesIO()
     out.write(header.encode("ascii"))
     for template, n_rows, cells in sections:
+        template = template.encode("ascii")
         for start in range(0, n_rows, _ROWS):
             block = np.asarray(cells(slice(start, start + _ROWS)))
             as_is = block.dtype.kind in "iuO"
             texts = block.ravel().tolist() if as_is else float_reprs(block).tolist()
-            out.write((template * len(block) % tuple(texts)).encode("ascii"))
+            out.write(template * len(block) % tuple(texts))
     return out.getvalue()
 
 

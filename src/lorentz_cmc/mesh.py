@@ -138,13 +138,14 @@ def _spoke_table(n):
 def export_obj(mesh: SurfaceMesh) -> bytes:
     """Serialize as ASCII Wavefront OBJ with v and f records only.
 
-    Floats are written with shortest round-trip repr, so identical meshes
-    serialize to identical bytes.  Faces must be an (n, 3) integer array of
-    indices into the vertices (or empty), so that ``load_obj`` reads back
-    what was written; ValueError otherwise, naming the first bad face.  The
-    records are formatted in row blocks (``format_records``), the 1-based
-    face indices made a block at a time: the memory used is the output plus
-    one block.
+    Floats are written with shortest round-trip repr, run once per distinct
+    magnitude of a row block (mirrored spokes share their bits up to sign),
+    so identical meshes serialize to identical bytes.  Faces must be an
+    (n, 3) integer array of indices into the vertices (or empty), so that
+    ``load_obj`` reads back what was written; ValueError otherwise, naming
+    the first bad face.  The records are formatted straight to bytes in row
+    blocks (``format_records``), the 1-based face indices made a block at a
+    time: the memory used is the output plus one block.
     """
     v = np.asarray(mesh.vertices, dtype=float)
     f = np.asarray(mesh.faces)

@@ -106,10 +106,11 @@ def patch_from_profile(curve: ProfileCurve, x1, x2, min_radius=None) -> GraphPat
 def patch_to_csv(patch: GraphPatch) -> bytes:
     """Serialize a patch as RFC-4180 CSV with header x1,x2,u (row-major).
 
-    ``repr`` runs once per axis value and once per distinct height over the
-    whole patch (a lattice symmetric about the axis repeats each height up
-    to 8 times); the rows' text cells are then picked from those texts and
-    formatted a block at a time (``format_records``).
+    ``repr`` runs once per distinct axis magnitude and once per distinct
+    height magnitude over the whole patch (a lattice symmetric about the
+    axis repeats each height up to 8 times); the rows' text cells, ASCII
+    bytes, are then picked from those texts and formatted a block at a time
+    (``format_records``).
     """
     flat = np.flatnonzero(patch.mask)
     u, k = distinct_reprs(np.asarray(patch.values, dtype=float).ravel()[flat])

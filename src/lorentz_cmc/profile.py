@@ -299,9 +299,11 @@ def heights(curve: ProfileCurve, ts):
     odd under (H, c, a) -> (-H, -c, -a), so a mirrored curve gives exactly
     the negated heights.  Quadrature regimes cut [min, max] at the sorted
     radii and the anchor into segments, each integrated by one Kronrod
-    panel; a segment whose panel misses quad_tol / segments, or that spans
+    panel; a segment whose panel misses both quad_tol / segments and the
+    roundoff floor 50 eps |panel| (``integrate``'s own stop rule, so a
+    panel within either is what ``integrate`` would return), or that spans
     more than three decades (where ``integrate`` pre-splits), is integrated
-    adaptively to that tolerance.  A cumulative sum zeroed at the anchor
+    adaptively to quad_tol / segments.  A cumulative sum zeroed at the anchor
     gives every height, so dense grids cost one pass over the integrand.
     Per-point accuracy is at the curve's quad_tol scale, as is the gap from
     ``height``.  Memory is O(N) for N radii plus one fixed block of panels
@@ -322,8 +324,12 @@ def heights(curve: ProfileCurve, ts):
     seg_tol = curve.quad_tol / max(len(vals), 1)
     with np.errstate(over="ignore"):  # subnormal t
         wide = edges[1:] / edges[:-1] > PRESPLIT_RATIO
-    # a nan estimate fails "<=" and goes to integrate too
-    for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
+    # integrate's stop rule on its first panel, which is this one: a segment
+    # that meets it would come back as the same bits (a nan estimate fails
+    # "<=" and goes to integrate; a zero seg_tol makes integrate raise)
+    done = (errs <= seg_tol) | ((seg_tol > 0.0) & np.isfinite(vals)
+                                & (errs <= _ROUNDOFF * np.abs(vals)))
+    for i in np.nonzero(~done | wide)[0]:
         vals[i] = integrate(fn, edges[i], edges[i + 1], tol=seg_tol)
     # antiderivative at every edge, zeroed at the anchor
     F = np.concatenate([[0.0], np.cumsum(vals)])

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import io
 import math
@@ -29,7 +30,8 @@ from lorentz_cmc import (
     sample_surface,
     singularity_report,
 )
-from lorentz_cmc._text import _BLOCK, _ROWS, BadField, read_blocks, text_bytes
+from lorentz_cmc._text import (_BLOCK, _ROWS, BadField, distinct_reprs, format_records,
+                               read_blocks, text_bytes)
 
 
 def curve_of(H, c, r=1.0, a=0.0):
@@ -351,7 +353,8 @@ class TestObjCurvature:
 
 
 def _ring_flux(data, n_theta, ring, H):
-    """Flux of the surface of OBJ bytes (an annulus mesh) through one ring.
+    """Flux of the surface of OBJ bytes through one ring: of an annulus
+    mesh, or of a mesh with an apex, which then stands for ring 0.
 
     Along each ring edge e from p to the next spoke, the outward unit
     conormal is the mean of two unit vectors normal to e: the ring's
@@ -360,7 +363,10 @@ def _ring_flux(data, n_theta, ring, H):
     The flux is the sum of <nu, e3> |e| = -nu_3 |e| plus H times twice the
     area of the ring's (x, y) polygon (README, flux orientation): 2 pi c.
     """
-    grid = load_obj(data)[0].reshape(-1, n_theta, 3)
+    v = load_obj(data)[0]
+    if len(v) % n_theta:
+        v = np.concatenate([np.repeat(v[:1], n_theta, axis=0), v[1:]])
+    grid = v.reshape(-1, n_theta, 3)
     p = grid[ring]
     e = np.roll(p, -1, axis=0) - p
     ee = _minkowski(e, e)
@@ -377,16 +383,28 @@ def _ring_flux(data, n_theta, ring, H):
 
 def _check_obj_flux(H, c, t_range, spacing, mesh_H=None):
     """The flux read off the written OBJ bytes of (``mesh_H`` or H, c) as a
-    surface of mean curvature H tends to 2 pi c at O(h^2): n + 1 rings by n
-    spokes, through ring n / 2, which lies at the window's midpoint (its
-    geometric mean for log spacing) for every n."""
+    surface of mean curvature H tends to 2 pi c at O(h^2) through every
+    interior ring: n + 1 rings (an apex and n rings if t_range starts at 0)
+    by n spokes for n = 32, 64, 128, ring k of the coarsest at the radius
+    of ring 2k and 4k of the finer ones.  Ring n / 2, at the window's
+    midpoint (its geometric mean for log spacing), gains a factor 3.5-4.5
+    at each halving of h.  On every ring, with e_k(h) the error on ring k,
+    max_k |e_k(2h) - 4 e_k(h)| <= 0.1 max_k |e_k(2h)|, as the h^2 term
+    cancels (at most 0.084 on these meshes; 0.5 for a first-order error,
+    0.22 on the finer pair for the mesh of H + 0.001 on (1, 3))."""
     errs = []
     for n in (32, 64, 128):
         mesh = sample_surface(curve_of(H if mesh_H is None else mesh_H, c), t_range, n + 1, n,
                               spacing=spacing)
-        errs.append(abs(_ring_flux(export_obj(mesh), n, n // 2, H) - 2.0 * math.pi * c))
-    assert 3.5 <= errs[0] / errs[1] <= 4.5 and 3.5 <= errs[1] / errs[2] <= 4.5, errs
-    assert errs[2] <= 0.06, errs
+        data = export_obj(mesh)
+        errs.append(np.array([_ring_flux(data, n, k * n // 32, H) for k in range(1, 32)])
+                    - 2.0 * math.pi * c)
+    mid = [abs(e[15]) for e in errs]
+    assert 3.5 <= mid[0] / mid[1] <= 4.5 and 3.5 <= mid[1] / mid[2] <= 4.5, mid
+    assert mid[2] <= 0.06, mid
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.abs(coarse - 4.0 * fine).max() <= 0.1 * np.abs(coarse).max(), (coarse, fine)
+    assert np.abs(errs[2]).max() <= 0.3, errs[2]
 
 
 class TestObjFlux:
@@ -403,10 +421,17 @@ class TestObjFlux:
         # 0.0341, 0.00848, 0.00212 on the catenoid (0, 1); ratios 4.00-4.14
         _check_obj_flux(H, c, t_range, spacing)
 
+    @pytest.mark.parametrize("H,c,t_range", [(0.1, -0.25, (0.0, 4.0)), (2.0, 0.0, (0.0, 2.0))])
+    def test_apex_mesh_flux_converges_to_2_pi_c(self, H, c, t_range):
+        # figure 2 and the cap through their apex, whose faces are all
+        # spacelike (TestNonSpacelikeFaces); ring 1 borders the apex fan
+        _check_obj_flux(H, c, t_range, "uniform")
+
     @pytest.mark.parametrize("spacing", ["uniform", "log"])
     def test_plane_carries_no_flux(self, spacing):
-        mesh = sample_surface(curve_of(0.0, 0.0, a=0.25), (0.5, 3.0), 33, 32, spacing=spacing)
-        assert _ring_flux(export_obj(mesh), 32, 16, 0.0) == 0.0
+        data = export_obj(sample_surface(curve_of(0.0, 0.0, a=0.25), (0.5, 3.0), 33, 32,
+                                         spacing=spacing))
+        assert [_ring_flux(data, 32, ring, 0.0) for ring in range(1, 32)] == [0.0] * 31
 
     def test_mesh_of_another_H_fails(self):
         # the mesh of (1.01, 3) as if H were 1: errors 0.865, 0.510, 0.422
@@ -746,6 +771,31 @@ def reference_export_obj(mesh):
     v = ("v %r %r %r\n" * len(mesh.vertices)) % tuple(coords)
     f = ("f %d %d %d\n" * len(mesh.faces)) % tuple(indices)
     return (v + f).encode("ascii")
+
+
+def str_distinct_reprs(values):
+    """The ``distinct_reprs`` the bytes writer replaced: one str ``repr`` per
+    distinct int64 bit pattern, so x and -x each ran ``repr``."""
+    bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object), inverse
+
+
+def str_format_records(header, *sections):
+    """The ``format_records`` the bytes writer replaced: each block's records
+    formatted as str through ``str_distinct_reprs``, then encoded."""
+    out = io.BytesIO()
+    out.write(header.encode("ascii"))
+    for template, n_rows, cells in sections:
+        for start in range(0, n_rows, _ROWS):
+            block = np.asarray(cells(slice(start, start + _ROWS)))
+            if block.dtype.kind in "iuO":
+                texts = block.ravel().tolist()
+            else:
+                texts, inverse = str_distinct_reprs(block)
+                texts = texts[inverse].tolist()
+            out.write((template * len(block) % tuple(texts)).encode("ascii"))
+    return out.getvalue()
 
 
 def reference_load_obj(data):
@@ -1096,6 +1146,71 @@ class TestLoadObjAgainstLoadtxt:
             assert_same_outcome(outcome(load_obj, data), outcome(loadtxt_load_obj, data))
 
 
+def _from_bits(word):
+    """The float of the 64-bit pattern ``word``, as a 1-element array."""
+    return np.array([word], dtype=np.uint64).view(np.float64)
+
+
+# Groups of values for the writers: +-0.0 and +-inf, a nan of either sign
+# bit and any payload, a subnormal of either sign, a float with its
+# negation, and the (cos, sin) spoke table of n spokes.
+WRITER_GROUPS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]).map(lambda v: np.array([v])),
+    st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(
+        lambda sp: _from_bits(sp[0] << 63 | 0x7FF0_0000_0000_0000 | sp[1])),
+    st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(
+        lambda sm: _from_bits(sm[0] << 63 | sm[1])),
+    st.floats(allow_nan=False).map(lambda x: np.array([x, -x])),
+    st.integers(3, 64).map(lambda n: np.concatenate(mesh_module._spoke_table(n))),
+)
+
+
+@st.composite
+def writer_values(draw):
+    """The values of a few ``WRITER_GROUPS`` draws, shuffled."""
+    groups = draw(st.lists(WRITER_GROUPS, max_size=30))
+    values = np.concatenate(groups or [np.zeros(0)])
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(values)
+
+
+class TestWriterAgainstStrReference:
+    @settings(max_examples=300, deadline=None)
+    @given(writer_values(), st.sampled_from([1, 7, _ROWS]))
+    def test_bytes_match_str_reference(self, values, rows_per_block):
+        texts, inverse = distinct_reprs(values)
+        want, want_inverse = str_distinct_reprs(values)
+        # one text per distinct signed value, each value's text as before
+        assert len(texts) == len(want)
+        assert texts[inverse].tolist() == [t.encode() for t in want[want_inverse].tolist()]
+        # float cells, int cells and table texts picked as patch_to_csv picks them
+        rows = values[:values.size // 3 * 3].reshape(-1, 3)
+        ints = np.arange(rows.size).reshape(-1, 3) - 7
+        pairs, want_pairs = (k[:k.size // 2 * 2].reshape(-1, 2) for k in (inverse, want_inverse))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(text_module, "_ROWS", rows_per_block)
+            got = format_records("h\r\n", ("v %s %s %s\n", len(rows), rows.__getitem__),
+                                 ("f %d %d %d\n", len(ints), ints.__getitem__),
+                                 ("%s,%s\r\n", len(pairs), lambda r: texts[pairs[r]]))
+            ref = str_format_records("h\r\n", ("v %s %s %s\n", len(rows), rows.__getitem__),
+                                     ("f %d %d %d\n", len(ints), ints.__getitem__),
+                                     ("%s,%s\r\n", len(pairs), lambda r: want[want_pairs[r]]))
+        assert got == ref
+
+
+def test_figure4_writes_one_repr_per_magnitude(figure4_mesh, monkeypatch):
+    # 195,843 coordinates, 32,897 distinct values, 16,577 distinct
+    # magnitudes; keyed on signed bits, export_obj ran repr 32,957 times
+    # over its 4096-row blocks
+    calls = []
+    monkeypatch.setattr(text_module, "repr", lambda v: calls.append(v) or builtins.repr(v),
+                        raising=False)
+    texts, _ = distinct_reprs(figure4_mesh.vertices)
+    assert (len(calls), len(texts)) == (16_577, 32_897)
+    calls.clear()
+    assert export_obj(figure4_mesh) == reference_export_obj(figure4_mesh)
+    assert len(calls) == 16_637
+
+
 @pytest.fixture(scope="module")
 def figure4_mesh():
     """The mesh of ``lorentz-cmc figure 4 --nt 256 --ntheta 256``."""
@@ -1174,8 +1289,16 @@ class TestMemoryBounds:
     def test_patch_to_csv(self, off_centre_patch):
         # the 3.7 MB CSV with one repr per distinct height of the whole patch;
         # measured peak 8.43 MB (7.47 MB when each 4096-row block took its own
-        # reprs) plus about 10%
+        # reprs) plus about 10%; 7.89 MB with bytes texts, and 9.89 MB when
+        # every magnitude's negative text was made whether used or not
         assert traced_peak(patch_to_csv, off_centre_patch) <= 9.3e6
+
+    def test_patch_to_csv_of_negative_heights(self, off_centre_patch):
+        # each height's magnitude occurs only negative: its text takes the
+        # minus sign in place (measured peak 7.61 MB), where appending a
+        # negative twin to every magnitude's text peaked at 9.52 MB
+        patch = dataclasses.replace(off_centre_patch, values=off_centre_patch.values - 10.0)
+        assert traced_peak(patch_to_csv, patch) <= 9.3e6
 
     def test_patch_from_csv(self, off_centre_patch):
         # numpy's text reader on the whole body peaked at 8.67 MB; one block

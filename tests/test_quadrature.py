@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from lorentz_cmc import QuadratureFailure, SurfaceParams, heights, profile_curve, quadrature
+from lorentz_cmc import (QuadratureFailure, SurfaceParams, heights, profile, profile_curve,
+                         quadrature)
 from lorentz_cmc.profile import _slope_raw
 from lorentz_cmc.quadrature import (PRESPLIT_RATIO, _BLOCK, _NODES, _WG7, _WGK, integrate,
                                     panel_sums)
@@ -206,9 +207,10 @@ def _log_uniform_curves():
         yield H, c, (r, a), ts
 
 
-def _reference_heights(H, c, anchor, ts):
-    """Anchor-zeroed cumulative sums of unblocked panels over the sorted radii."""
-    curve = profile_curve(SurfaceParams(H, c), anchor)
+def _reference_heights(H, c, anchor, ts, quad_tol=quadrature.DEFAULT_QUAD_TOL):
+    """Anchor-zeroed cumulative sums of unblocked panels over the sorted radii,
+    every segment whose panel misses seg_tol (or that is wide) integrated."""
+    curve = profile_curve(SurfaceParams(H, c), anchor, quad_tol=quad_tol)
     edges = np.unique(np.append(ts, anchor[0]))
     vals, errs = reference_panel_sums(lambda s: _slope_raw(s, H, c), edges[:-1], edges[1:])
     seg_tol = curve.quad_tol / vals.size
@@ -232,6 +234,47 @@ def test_heights_on_1e5_radii_are_bitwise_the_unblocked_rule():
             mirrored = heights(profile_curve(SurfaceParams(-H, -c), (r, -a)), ts)
             assert got.tobytes() == want.tobytes()
             assert np.negative(mirrored).tobytes() == want.tobytes()
+
+
+# (H, c, anchor) of the profile_eval draw (seed 1) whose 1e5 radii, about
+# 34.5 * 10^U(-3, 3), sent the most segments to integrate: 452, each of
+# them accepted on its first panel by integrate's roundoff floor
+_HEAVIEST = (-0.05204485526405397, -3.412048270750136, (0.8114525396932905, 0.9220897933424266))
+
+
+def test_first_panel_accepts_skip_integrate(monkeypatch):
+    H, c, anchor = _HEAVIEST
+    ts = 34.5 * 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, 100_000)
+    real, reference_calls, calls = integrate, [], []
+    monkeypatch.setitem(globals(), "integrate",
+                        lambda *args, **kw: reference_calls.append(args) or real(*args, **kw))
+    want = _reference_heights(H, c, anchor, ts)
+    monkeypatch.setattr(profile, "integrate",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    for curve, sign in ((profile_curve(SurfaceParams(H, c), anchor), 1.0),
+                        (profile_curve(SurfaceParams(-H, -c), (anchor[0], -anchor[1])), -1.0)):
+        assert (sign * heights(curve, ts)).tobytes() == want.tobytes()
+    assert len(reference_calls) == 436 and calls == []
+
+
+@pytest.mark.parametrize("quad_tol", [1e-10, 1e-16, 1e-300])
+def test_segments_that_bisect_or_are_wide_still_integrate(quad_tol):
+    # a tight quad_tol leaves the roundoff floor as the stop rule: some
+    # segments are first-panel accepts and others still bisect.  integrate
+    # pre-splits a segment over more than three decades even where its
+    # panel meets the stop rule, as [1e-6, 1e-2] and [1e5, 1e9] do on (1, 3)
+    cases = [(H, c, anchor, ts[:2000]) for H, c, anchor, ts in _log_uniform_curves()]
+    cases.append((1.0, 3.0, (1.0, 0.0), np.array([1e-6, 1e-2, 1e5, 1e9])))
+    for H, c, anchor, ts in cases:
+        got = heights(profile_curve(SurfaceParams(H, c), anchor, quad_tol=quad_tol), ts)
+        assert got.tobytes() == _reference_heights(H, c, anchor, ts, quad_tol).tobytes()
+
+
+def test_zero_segment_tolerance_still_raises():
+    # quad_tol / segments underflows to 0.0: integrate refuses that tolerance
+    curve = profile_curve(SurfaceParams(1.0, 3.0), (1.0, 0.0), quad_tol=5e-324)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        heights(curve, np.geomspace(0.5, 4.0, 100))
 
 
 def test_heights_peak_memory_is_one_block_beyond_the_results():
