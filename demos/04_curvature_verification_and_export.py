@@ -1,9 +1,11 @@
 """Independent verification and export.
 
-Everything upstream trusts the slope formula; this script closes the loop
-by re-deriving the mean curvature from sampled data alone (graph stencils,
-rotational finite differences, and the variational Beltrami constant), then
-exports a mesh and a profile polyline.
+Everything upstream trusts the slope formula; this script checks it by
+re-deriving the mean curvature: by graph stencils on sampled heights alone,
+by rotational finite differences (f' from the slope formula, f'' differenced
+from it), and by the variational Beltrami constant from sampled heights (the
+slope formula gives only the sign of f'), then exports a mesh and a profile
+polyline.
 """
 
 import math

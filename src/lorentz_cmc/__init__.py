@@ -4,7 +4,7 @@ Lorentz-Minkowski 3-space.
 Construct, classify, and verify the rotational profiles f(t; H, c) defined
 by the conserved quantity H t^2 - t f'/sqrt(1 - f'^2) = c, solve the
 two-ring Plateau boundary value problem by shooting on c, compute boundary
-fluxes, re-derive curvature from sampled surfaces as an independent check,
+fluxes, re-derive curvature from sampled surfaces and profiles as a check,
 and export meshes and profile polylines.
 
 The package exports each public module's ``__all__``, declared there once.

@@ -56,9 +56,9 @@ def read_blocks(data, start, parse, what="", hidden=()):
     """``[parse(data, a, b), ...]`` over the blocks ``a:b`` of ``data[start:]``,
     each ending at the first line end ``_BLOCK`` bytes or more past its start
     (the last at the end of the data).  All bounds are cut first; the blocks
-    are then parsed on every CPU the process may run on (``_parallel._each``),
-    so ``parse`` is called from several threads at once and the working
-    memory is one block's per thread.
+    are then parsed on the calling thread and one helper (``_parallel._each``),
+    so ``parse`` is called from two threads at once and the working memory
+    is one block's per thread.
 
     The first ``BadField(offset, why, text)`` in text order that ``parse``
     raises becomes the ValueError ``"{what}{why} at line {n}: {text!r}"``,

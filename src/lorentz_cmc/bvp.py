@@ -280,6 +280,8 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
                     mid = 0.5 * (math.asinh(c_hat / r) + math.asinh(x2 / r))
                     if abs(mid) < 709.0:  # sinh stays finite; inf and nan fail
                         t_mid = (r * math.sinh(mid) - c_hat) / (x2 - c_hat)
+                        # where |c| >> r asinh resolves c to tens of ulps, so
+                        # on a bracket that narrow t_mid can leave (0, 1)
                         if 0.0 < t_mid < 1.0:
                             t = t_mid
             # |c| ~ 1e4 and |df/dc| ~ 1 already make c_tol * |c| worth 1e-8

@@ -340,11 +340,12 @@ def load_obj(data) -> tuple[np.ndarray, np.ndarray]:
     a face index beyond the number of v records raises it naming the index.
 
     The bytes are parsed in place in blocks of ``_text._BLOCK`` cut at the
-    next line end (``_text.read_blocks``, ``_obj_block``), on every CPU the
-    process may run on, keeping only each block's rows, and the vertex rows
-    are joined and freed before the face rows: the memory used beyond the
-    input is the arrays returned plus the larger of one block per thread
-    and the face rows.  The arrays are the same bits for any CPU count.
+    next line end (``_text.read_blocks``, ``_obj_block``), on the calling
+    thread and one helper, keeping only each block's rows, and the vertex
+    rows are joined and freed before the face rows: the memory used beyond
+    the input is the arrays returned plus the larger of two blocks' work
+    and the face rows.  The arrays are the same bits whichever thread parses a
+    block.
     """
     blocks = read_blocks(*text_bytes(data), _obj_block)
     faces = [block.pop() for block in blocks]

@@ -1,12 +1,14 @@
-"""Independent curvature verification on sampled surfaces.
+"""Curvature verification on sampled surfaces.
 
-Nothing here evaluates the profile slope formula to compute curvature:
-the mean curvature is re-derived from sampled heights by finite
-differences, either on a Cartesian graph patch (the quasilinear graph
-equation and its divergence form) or along the rotational profile.  A
-third check confirms the conserved Beltrami quantity of the area-volume
-functional, recovering the first-integral constant from inverse-profile
-samples alone.
+The graph checks re-derive the mean curvature from sampled heights alone,
+by finite differences on a Cartesian graph patch (the quasilinear graph
+equation and its divergence form).  The rotational check is only partly
+independent of the profile slope formula: it takes f' from it
+(``curve.slopes``) and sqrt(1 - f'^2) from the curve's (H, c), and
+differences only f''.  A third check confirms the conserved Beltrami
+quantity of the area-volume functional, recovering the first-integral
+constant from inverse-profile height samples; of the slope formula it reads
+only the signs of f', for its monotonicity test and the window's sign.
 """
 
 from __future__ import annotations
@@ -194,11 +196,11 @@ def patch_from_csv(data) -> GraphPatch:
     its 1-based line and its text.
 
     The body is parsed in blocks of ``_text._BLOCK`` bytes cut at the next
-    line end (``_text.read_blocks``), on every CPU the process may run on,
+    line end (``_text.read_blocks``), on the calling thread and one helper,
     and each distinct field text of a block is converted once
     (``_text.parse_floats``): a 257^2 lattice has 257 distinct texts per
-    axis column.  The patch is the same bits for any CPU count, and a bad
-    field in several blocks is named in the first.
+    axis column.  The patch is the same bits whichever thread parses a
+    block, and a bad field in several blocks is named in the first.
     """
     data, start = text_bytes(data)
     body = data.find(b"\n", start) + 1 or len(data)
@@ -357,8 +359,8 @@ def variational_residual(curve: ProfileCurve, t_window, n=1001) -> VariationalCh
 
     and equals 2c identically along the profile.  g is sampled from the
     evaluated heights and g' estimated by (non-uniform) central
-    differences, so the recovered kappa is independent of the slope
-    formula; its deviation from the mean shrinks as O(n^-2).
+    differences, so the recovered kappa reads the slope formula only
+    through sigma; its deviation from the mean shrinks as O(n^-2).
 
     Raises NotMonotone if the n sampled f' (the window's ends among them)
     vanish or change sign, as for canonical H > 0, c > 0 once sqrt(c/H) is

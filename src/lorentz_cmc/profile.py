@@ -307,8 +307,9 @@ def heights(curve: ProfileCurve, ts):
     gives every height, so dense grids cost one pass over the integrand.
     Per-point accuracy is at the curve's quad_tol scale, as is the gap from
     ``height``.  Memory is O(N) for N radii plus one fixed block of panels
-    per thread (``panel_sums`` shares its blocks among the CPUs), and the
-    heights depend neither on the block size nor on the number of CPUs.
+    per thread (``panel_sums`` shares its blocks between the calling thread
+    and one helper), and the heights depend neither on the block size nor
+    on the thread that runs a block.
     The axis limit f(0+) is ``singularity_report(curve).cone_vertex_height``.
     """
     ts = _radii(ts, "heights")

@@ -98,8 +98,8 @@ def panel_sums(fn, los, his):
     ``los`` and ``his`` are equal-length 1-d arrays of panel endpoints.
     This is the non-adaptive building block: one 15-point rule per panel,
     evaluated ``_BLOCK`` panels at a time, one vectorized ``fn`` call per
-    block, the blocks shared by every CPU the process may run on
-    (``_parallel._each``), so ``fn`` is called from several threads at
+    block, the blocks shared by the calling thread and one helper
+    (``_parallel._each``), so ``fn`` is called from two threads at
     once.  Each panel's weighted samples are summed in node order, one
     elementwise IEEE operation at a time, so its sums are the same bits
     in any batch, any block and on any thread, and no BLAS kernel takes

@@ -681,6 +681,30 @@ class TestRingScale:
             solve_two_ring(1.0, 2.0, 0.0, 0.5, 1.0)
         assert not isinstance(info.value, RootBracketFailure)
 
+    @pytest.mark.parametrize("H", [1e20, 1e100])
+    def test_jump_far_from_zero_still_halves_the_bracket(self, monkeypatch, H):
+        # f(R) jumps from b + 0.5 to b - 0.5 at c = 2 H, so g is flat at both
+        # ends and every step bisects in asinh(c / r).  Near 2 H asinh
+        # resolves c only to tens of ulps: on a bracket that narrow the asinh
+        # midpoint maps back outside it (t_mid -1.0, 3.0 and 19.25 at
+        # H = 1e100) and the step is the plain midpoint, 53 g in all.
+        # Stepping to the clamped end instead moved c by 4 ulps at a time
+        # and took 59 and 68 g
+        lo, hi = _barrier_bracket(RINGS, H)
+        jump, cs = 2.0 * H, []
+
+        def height_at(t, H, c, anchor):
+            cs.append(c)
+            return 0.5 + (0.5 if c < jump else -0.5)
+
+        monkeypatch.setattr("lorentz_cmc.bvp._height_at", height_at)
+        with pytest.raises(LorentzCMCError, match="root_tol"):
+            solve_two_ring(1.0, 2.0, 0.0, 0.5, H)
+        assert cs[:2] == [lo, hi] and lo < jump < hi
+        # both ends, then one g per halving down to 8 ulps, and two to spare
+        assert len(cs) <= 2 + math.ceil(math.log2((hi - lo) / (8.0 * math.ulp(jump)))) + 2
+        assert abs(cs[-1] - jump) <= 8.0 * math.ulp(jump)
+
     def test_bracket_closing_beyond_root_tol_returns_its_other_end(self):
         # H R ~ 8e48: f(R) jumps by about 5e-9 between adjacent c near the
         # root, and the search closes on an iterate that misses root_tol

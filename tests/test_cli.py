@@ -413,6 +413,16 @@ class TestFigures:
         assert code == EXIT_OK
         assert last_record(out)["interior_minimum_radius"] == radius
 
+    @pytest.mark.parametrize("t_range", [(0.5, 1.5), (2.0, 4.0), (0.0, math.sqrt(3.0))])
+    def test_no_interior_minimum_outside_the_window(self, monkeypatch, tmp_path, capsys, t_range):
+        # figure 4's profile turns at sqrt(3), past these windows or at an end
+        monkeypatch.setitem(cli_module._FIGURES, 4, {**cli_module._FIGURES[4], "t_range": t_range})
+        code, out, _ = run(capsys, "figure", "4", "--nt", "2", "--ntheta", "3",
+                           "--samples", "3", "--out-dir", str(tmp_path))
+        assert code == EXIT_OK
+        assert last_record(out)["t_range"] == list(t_range)
+        assert last_record(out)["interior_minimum_radius"] is None
+
     def test_zero_rings_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "figure", "4", "--nt", "0",
                            "--out-dir", str(tmp_path))

@@ -1,11 +1,13 @@
-"""Blocks run on every CPU keep their bits and their first error.
+"""Blocks run on the calling thread and one helper keep their bits and their
+first error.
 
 ``panel_sums`` and the two readers (``load_obj``, ``patch_from_csv``) hand
-their blocks to ``_parallel._each``.  Here the CPU count and the block sizes
-are forced, and every output must keep its bytes; a bad field or a raising
-integrand in two blocks must name the first in text order, as one thread
-would; the caller's numpy ``errstate`` must hold in the helpers; and no
-helper thread may outlive a call.
+their blocks to ``_parallel._each``.  Here the block sizes are forced, and
+every output must keep the bytes of one block per call, which runs on the
+calling thread alone; a bad field or a raising integrand in two blocks must
+name the first in text order, as one thread would; the caller's numpy
+``errstate`` must hold in the helper; no call may run on a third thread; and
+no helper thread may outlive a call.
 """
 
 import hashlib
@@ -14,17 +16,17 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-import lorentz_cmc._parallel as parallel_module
 import lorentz_cmc._text as text_module
 import lorentz_cmc.mesh as mesh_module
 import lorentz_cmc.oracle as oracle_module
 import lorentz_cmc.quadrature as quadrature_module
 from lorentz_cmc import SurfaceParams, heights, load_obj, patch_from_csv, profile_curve
-from lorentz_cmc._parallel import _cpus, _each
+from lorentz_cmc._parallel import _each
 from lorentz_cmc.mesh import export_obj, sample_surface
 from lorentz_cmc.profile import _slope_raw
 from lorentz_cmc.quadrature import panel_sums
@@ -34,6 +36,9 @@ from test_oracle import SEVERAL_BLOCKS_CSV
 
 # long enough for a helper thread to reach a block on a loaded host
 WAIT = 10.0
+
+# larger than any panel batch or text this module builds
+ONE_BLOCK = 1 << 40
 
 
 def outputs():
@@ -56,45 +61,34 @@ def outputs():
 
 
 @pytest.fixture(scope="module")
-def default_outputs():
-    return outputs()
-
-
-def use_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(parallel_module, "_cpus", lambda: cpus)
+def serial_outputs():
+    """``outputs()`` with block sizes past every input: one block per call,
+    which ``_each`` runs on the calling thread with no helper."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature_module, "_BLOCK", ONE_BLOCK)
+        patch.setattr(text_module, "_BLOCK", ONE_BLOCK)
+        return outputs()
 
 
 @pytest.mark.parametrize("blocks", [None, (97, 4099)], ids=["default_blocks", "small_blocks"])
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_same_bytes_for_any_cpu_count_and_block_size(monkeypatch, default_outputs, cpus, blocks):
-    use_cpus(monkeypatch, cpus)
+def test_same_bytes_for_any_block_size(monkeypatch, serial_outputs, blocks):
     if blocks:
         monkeypatch.setattr(quadrature_module, "_BLOCK", blocks[0])
         monkeypatch.setattr(text_module, "_BLOCK", blocks[1])
-    assert outputs() == default_outputs
+    assert outputs() == serial_outputs
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity here")
-def test_one_pinned_cpu_gives_the_default_bytes(default_outputs):
+def test_one_pinned_cpu_gives_the_serial_bytes(serial_outputs):
+    # the helper thread shares the one CPU with the caller
     code = ("import json, os\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "import test_parallel\n"
-            "assert test_parallel._cpus() == 1\n"
             "print(json.dumps(test_parallel.outputs()))\n")
     run = subprocess.run([sys.executable, "-c", code], env=child_env(ROOT / "tests"),
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-4000:]
-    assert json.loads(run.stdout) == default_outputs
-
-
-def test_cpu_count_without_affinity(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert _cpus() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert _cpus() == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _cpus() == 1
+    assert json.loads(run.stdout) == serial_outputs
 
 
 def held_until_a_later_block_raises(parse, early, waited):
@@ -124,20 +118,15 @@ class TestFirstErrorInTextOrder:
     CSV = b"x1,x2,u\n" + b"".join(b"%d,0,%s\n" % (k, b"x" if k == 2 else b"y" if k == 5 else b"1")
                                   for k in range(8))
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_obj_names_the_earlier_block(self, monkeypatch, cpus):
-        use_cpus(monkeypatch, cpus)
+    def test_obj_names_the_earlier_block(self):
         with pytest.raises(ValueError, match=r"at line 3: b'v 0 x 0'$"):
             load_obj(self.OBJ)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_csv_names_the_earlier_block(self, monkeypatch, cpus):
-        use_cpus(monkeypatch, cpus)
+    def test_csv_names_the_earlier_block(self):
         with pytest.raises(ValueError, match=r"at line 4: b'x'$"):
             patch_from_csv(self.CSV)
 
     def test_obj_names_the_earlier_block_when_the_later_raises_first(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
         waited = []
         monkeypatch.setattr(mesh_module, "_obj_block",
                             held_until_a_later_block_raises(mesh_module._obj_block, b"x", waited))
@@ -146,7 +135,6 @@ class TestFirstErrorInTextOrder:
         assert waited == [True]
 
     def test_csv_names_the_earlier_block_when_the_later_raises_first(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
         waited = []
         monkeypatch.setattr(oracle_module, "_csv_block",
                             held_until_a_later_block_raises(oracle_module._csv_block, b"x", waited))
@@ -162,7 +150,6 @@ class TestHelpers:
 
     def test_panel_sums_raises_the_first_block_error(self, monkeypatch):
         # block 1 waits until block 3 has raised, so the later error comes first
-        use_cpus(monkeypatch, 2)
         raised, waited = threading.Event(), []
 
         def fn(x):
@@ -179,9 +166,8 @@ class TestHelpers:
             panel_sums(fn, los, los + 1.0)
         assert waited == [True]
 
-    def test_helpers_run_in_the_callers_errstate(self, monkeypatch):
-        # the calling thread's block waits until a helper's block has overflowed
-        use_cpus(monkeypatch, 2)
+    def test_helpers_run_in_the_callers_errstate(self):
+        # the calling thread's block waits until the helper's block has overflowed
         on_helper = threading.Event()
 
         def fn(x):
@@ -197,8 +183,7 @@ class TestHelpers:
         assert on_helper.is_set()
 
     @pytest.mark.parametrize("fail", [None, 0, 17, 99])
-    def test_no_thread_outlives_a_call(self, monkeypatch, fail):
-        use_cpus(monkeypatch, 3)
+    def test_no_thread_outlives_a_call(self, fail):
         before, ran = threading.enumerate(), []
 
         def func(i):
@@ -215,9 +200,8 @@ class TestHelpers:
             assert set(range(fail)) <= set(ran)
         assert threading.enumerate() == before
 
-    def test_every_index_runs_once_under_contention(self, monkeypatch):
-        # more threads than CPUs, switching as often as the interpreter allows
-        use_cpus(monkeypatch, 8)
+    def test_every_index_runs_once_under_contention(self):
+        # the two threads switch as often as the interpreter allows
         ran, interval = [], sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -226,15 +210,42 @@ class TestHelpers:
             sys.setswitchinterval(interval)
         assert sorted(ran) == list(range(20_000))
 
-    def test_no_index_is_taken_after_a_raise(self, monkeypatch):
-        use_cpus(monkeypatch, 1)
-        ran = []
+    def test_no_index_is_taken_after_a_raise(self):
+        # every helper call raises, and a call on the caller returns only once
+        # the helper has ended: neither thread may then take another index
+        caller, before = threading.current_thread(), set(threading.enumerate())
+        taken, on_helper, ended = [], [], []
 
         def func(i):
-            if i == 17:
+            taken.append(i)
+            if threading.current_thread() is not caller:
+                on_helper.append(i)
                 raise KeyError(i)
-            ran.append(i)
+            for helper in set(threading.enumerate()) - before:
+                helper.join(WAIT)
+                ended.append(not helper.is_alive())
 
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as raised:
             _each(func, 100)
-        assert ran == list(range(17))
+        assert all(ended)
+        assert sorted(taken) in ([0], [0, 1])
+        assert raised.value.args == tuple(on_helper)
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_calls_run_on_the_caller_and_at_most_one_helper(self, n):
+        # the first two calls of several meet, so both threads must take part,
+        # and every call sleeps, so a third thread would find indices left
+        meet, threads = threading.Barrier(2, timeout=WAIT), []
+
+        def func(i):
+            threads.append(threading.current_thread())
+            if n > 1 and i < 2:
+                meet.wait()
+            time.sleep(1e-3)
+
+        _each(func, n)
+        assert len(threads) == n
+        if n == 1:
+            assert threads == [threading.current_thread()]
+        else:
+            assert len(set(threads)) == 2

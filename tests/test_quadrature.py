@@ -131,6 +131,17 @@ def test_a_given_roundoff_width_interval_integrates():
         integrate(lambda s: np.where(s == x, np.inf, 1.0), x, y)
 
 
+def test_a_child_whose_midpoint_rounds_to_its_upper_end_raises():
+    # [1 + eps, 1 + 3 eps] is cut at 1 + 2 eps exactly; the first child's
+    # midpoint (2 + 3 eps) / 2 rounds to even, up to the child's upper end,
+    # so no float lies strictly inside though the lower end is below it
+    eps = 2.0 ** -52
+    lo, m, hi = 1.0 + eps, 1.0 + 2.0 * eps, 1.0 + 3.0 * eps
+    assert 0.5 * (lo + hi) == m and lo < 0.5 * (lo + m) == m
+    with pytest.raises(QuadratureFailure, match=rf"roundoff-width panel \[{lo}, {m}\] "):
+        integrate(lambda s: np.where(s == m, np.inf, 1.0), lo, hi)
+
+
 def test_reversed_bounds_negate_the_integral():
     assert integrate(lambda x: x, 1.0, 0.0) == -0.5
     # a reversed panel has no midpoint strictly inside it, so an integrand

@@ -6,7 +6,7 @@ function that is renamed, moved or no longer bound where the tracer looks
 breaks the harness, so this test loads the tracer from its file, as the
 harness does, and checks its bindings against the package.  The tracer's
 span stack is not thread-safe, so it also checks that no traced function
-runs on the helper threads that blocked work is shared with.
+runs on the helper thread that blocked work is shared with.
 """
 
 import importlib.util
@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import lorentz_cmc._parallel as parallel
 import lorentz_cmc.mesh as mesh
 import lorentz_cmc.oracle as oracle
 import lorentz_cmc.profile as profile
@@ -63,10 +62,9 @@ def test_traced_readers_keep_their_names(tracer_module):
     assert {"mesh.load_obj", "oracle.patch_from_csv"} <= set(tracer_module.TRACED)
 
 
-def test_no_traced_function_runs_on_a_helper_thread(tracer_module, monkeypatch):
+def test_no_traced_function_runs_on_a_helper_thread(tracer_module):
     # the tracer keeps one span stack, so a span opened on a helper thread
     # would be nested under whatever the calling thread had open
-    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
     curve = profile_curve(SurfaceParams(1.0, 3.0), (1.0, 0.0))
     ts = 10.0 ** np.random.default_rng(5).uniform(-3.0, 3.0, 100_000)
     obj = mesh.export_obj(mesh.sample_surface(curve, (0.0, 4.0), 128, 128))
