@@ -21,7 +21,7 @@ bisection otherwise.  A bisection takes the midpoint in asinh(c / r) where
 g at an end is over half-way to its limit as c -> +-inf: g is flat there,
 and the end can lie decades beyond the root, which halving c would close
 one bit a step.  Every iterate shrinks the bracket, so the search keeps
-bisection's guarantee.  Each g is ``profile``'s scalar height: the cap or
+bisection's guarantee.  Each g is ``core``'s scalar height: the cap or
 catenoid formula at c = 0 or H = 0; the light cones through the rings beyond
 ``rise``'s trust bound H R = 1e100 (the profile is within 2 sqrt(2) / H) or
 where |c| dwarfs H R^2 and R (within float64); else Carlson's R_F and R_D
@@ -42,9 +42,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import Regime, SurfaceParams, ValidatedRingPair, _require_positive, classify_params
+from .core import (DEFAULT_QUAD_TOL, ProfileCurve, Regime, SurfaceParams, ValidatedRingPair,
+                   _height_at, _require_positive, classify_params, profile_curve)
 from .errors import RootBracketFailure, LorentzCMCError
-from .profile import DEFAULT_QUAD_TOL, ProfileCurve, _height_at, profile_curve
 
 __all__ = [
     "DEFAULT_ROOT_TOL",

@@ -24,21 +24,7 @@ import stat
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bvp import DEFAULT_ROOT_TOL, classify, solve_two_ring, threshold_H0
-from .core import RingPair, SurfaceParams, validate_rings
-from .errors import DegenerateRadii, NotSpacelikeSolvable
-from .flux import flux_closed_form, flux_numeric
-from .mesh import euler_characteristic, export_obj, export_profile_csv, sample_surface
-from .oracle import mean_curvature_graph, patch_from_csv, patch_from_profile
-from .profile import (
-    asymptotic_slope,
-    profile_curve,
-    singularity_report,
-    slope_extremum_radius,
-)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -162,7 +148,7 @@ def _resolve(args):
         elif default is _REQUIRED:
             missing.append(name)
         else:
-            params[name] = default
+            params[name] = default() if callable(default) else default
     if missing:
         raise _UsageError(f"missing required parameters: {', '.join(missing)}")
     return params
@@ -199,8 +185,14 @@ def _emit(record, human=False, stream=None):
 
 
 # Each cmd_* takes the resolved parameters, plus figure's id (the one argument
-# outside the table), and returns the record to print.
+# outside the table), and returns the record to print.  It imports the
+# library modules it runs, so importing cli loads none of them and a
+# command loads none it does not use: solve, classify and flux no numpy.
 def cmd_solve(p):
+    from .bvp import solve_two_ring
+    from .core import asymptotic_slope, singularity_report, slope_extremum_radius
+    from .flux import flux_closed_form
+
     sol = solve_two_ring(p["r"], p["R"], p["a"], p["b"], p["H"],
                          root_tol=p["root_tol"])
     curve = sol.curve
@@ -225,6 +217,9 @@ def cmd_solve(p):
 
 
 def cmd_classify(p):
+    from .bvp import classify, threshold_H0
+    from .core import RingPair, validate_rings
+
     rings = validate_rings(RingPair(r=p["r"], R=p["R"], a=p["a"], b=p["b"]))
     return {
         "event": "classification",
@@ -236,6 +231,9 @@ def cmd_classify(p):
 
 
 def cmd_flux(p):
+    from .core import SurfaceParams, profile_curve
+    from .flux import flux_closed_form, flux_numeric
+
     params = SurfaceParams(p["H"], p["c"])
     closed = flux_closed_form(p["r"], params)
     curve = profile_curve(params, (p["r"], 0.0))
@@ -252,6 +250,11 @@ def cmd_flux(p):
 
 
 def cmd_verify(p):
+    import numpy as np
+
+    from .core import SurfaceParams, profile_curve
+    from .oracle import mean_curvature_graph, patch_from_csv, patch_from_profile
+
     if p["csv"]:
         patch = patch_from_csv(Path(p["csv"]).read_bytes())
         source = p["csv"]
@@ -277,6 +280,9 @@ def cmd_verify(p):
 
 
 def cmd_mesh(p):
+    from .core import SurfaceParams, profile_curve
+    from .mesh import euler_characteristic, export_obj, sample_surface
+
     curve = profile_curve(SurfaceParams(p["H"], p["c"]), (p["anchor_r"], p["anchor_a"]))
     mesh = sample_surface(curve, (p["t0"], p["t1"]), p["nt"], p["ntheta"],
                           spacing=p["t_spacing"])
@@ -292,6 +298,11 @@ def cmd_mesh(p):
 
 
 def cmd_figure(p):
+    import numpy as np
+
+    from .core import SurfaceParams, profile_curve, slope_extremum_radius
+    from .mesh import export_obj, export_profile_csv, sample_surface
+
     spec = _FIGURES[p["id"]]
     curve = profile_curve(SurfaceParams(spec["H"], spec["c"]), spec["anchor"])
     t_lo, t_hi = spec["t_range"]
@@ -323,6 +334,12 @@ def cmd_figure(p):
 # Default of a parameter that has to be given.
 _REQUIRED = object()
 
+
+def _default_root_tol():
+    from .bvp import DEFAULT_ROOT_TOL
+    return DEFAULT_ROOT_TOL
+
+
 _RINGS = [(name, _number, _REQUIRED) for name in ("r", "R", "a", "b", "H")]
 _SURFACE = [("H", _number, _REQUIRED), ("c", _number, _REQUIRED)]
 _ANCHOR = [("anchor_r", _number, 1.0), ("anchor_a", _number, 0.0)]
@@ -331,10 +348,12 @@ _GRID = [("nt", _count(2), 64), ("ntheta", _count(3), 64)]
 
 # The one declaration of every settable parameter: subcommand -> (function,
 # help, [(name, converter, default[, help])]).  A name is the config key and,
-# with dashes for underscores, the flag.
+# with dashes for underscores, the flag.  A default that is a function is
+# called when the command resolves its parameters, so that a library
+# constant loads its module only then.
 _COMMANDS = {
     "solve": (cmd_solve, "solve the two-ring problem for c", _RINGS + [
-        ("root_tol", _positive, DEFAULT_ROOT_TOL, "shooting residual tolerance"),
+        ("root_tol", _positive, _default_root_tol, "shooting residual tolerance"),
     ]),
     "classify": (cmd_classify, "predict the regime without solving", _RINGS),
     "flux": (cmd_flux, "flux of the circle of radius r", [("r", _number, _REQUIRED), *_SURFACE]),
@@ -390,6 +409,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        from .errors import DegenerateRadii, NotSpacelikeSolvable
+
         _emit({"event": "error", "type": type(exc).__name__, "message": str(exc)},
               args.human, stream=sys.stderr)
         if isinstance(exc, (DegenerateRadii, NotSpacelikeSolvable)):

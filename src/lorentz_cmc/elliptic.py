@@ -10,7 +10,7 @@ duplication step adds a real lambda, so the pair stays conjugate and z
 real, and ``_carlson_pair`` runs the sequence on (Re w, Im w, z), taking
 one root of the pair and one real root per step.  Both close on one R_F/R_D
 series.  The loops run unscaled, on the arguments ``rise`` builds in the
-region ``profile._height_at`` sends it (k = H R <= 1e100, |g| = |c| / R <=
+region ``core._height_at`` sends it (k = H R <= 1e100, |g| = |c| / R <=
 k + 2^27): positive, with the largest in [2^-600, 2^1010), the band where
 neither the sums of the arguments overflow nor the tail's products of roots
 underflow.
@@ -133,7 +133,7 @@ def rise(H, c, r, R):
     float64).  rho is raised to 2^-511, where rho^2 leaves the normal floats,
     which moves the rise by under 2^-511 R and keeps U23 > 0 where g^2
     underflows.  Taken for k <= 1e100 and |g| <= k + 2^27, the region
-    ``profile._height_at`` sends here: there U13 >= 1/2 (real roots),
+    ``core._height_at`` sends here: there U13 >= 1/2 (real roots),
     |U12|^2 >= rho / 4 (a pair) and every U <= 2 (2k + 2^27 + 1) / d, so the
     largest argument of R_F and R_D lies in [2^-514, 2^773).
     """

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import SurfaceParams
-from .profile import ProfileCurve, _radius
+from .core import ProfileCurve, SurfaceParams, _radius
 
 __all__ = ["FluxResult", "flux_closed_form", "flux_numeric"]
 

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import BadField, format_records, parse_floats, parse_ints, read_blocks, text_bytes
+from .core import ProfileCurve, singularity_report
 from .errors import NonPositiveRadius
-from .profile import ProfileCurve, _default_step, _residuals, heights, singularity_report
+from .profile import _default_step, _residuals, heights
 
 # Bytes of a block searched for token bounds at a time (``_obj_tokens``).
 _SPAN = 1 << 16

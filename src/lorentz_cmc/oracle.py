@@ -22,9 +22,9 @@ import numpy as np
 
 from ._text import (BadField, distinct_reprs, float_reprs, format_records, parse_floats,
                     read_blocks, text_bytes)
-from .core import _require_positive
+from .core import ProfileCurve, _radius, _require_positive
 from .errors import NotMonotone, SpacelikeViolation
-from .profile import ProfileCurve, _fd_step, _radius, heights
+from .profile import _fd_step, heights
 
 __all__ = [
     "CurvatureReport",

@@ -19,12 +19,11 @@ import math
 import numpy as np
 
 from ._parallel import _each
-from .core import _require_positive
+from .core import DEFAULT_QUAD_TOL, _require_positive
 from .errors import QuadratureFailure
 
-__all__ = ["DEFAULT_QUAD_TOL", "integrate", "panel_sums"]
+__all__ = ["integrate", "panel_sums"]
 
-DEFAULT_QUAD_TOL = 1e-10
 _PANEL_BUDGET = 10_000  # subintervals ``integrate`` may use before it gives up
 # ``integrate`` splits an interval geometrically when hi / lo exceeds this
 PRESPLIT_RATIO = 1e3

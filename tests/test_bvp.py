@@ -33,7 +33,7 @@ from lorentz_cmc import (
     validate_rings,
 )
 from lorentz_cmc.bvp import DEFAULT_ROOT_TOL
-from lorentz_cmc.profile import DEFAULT_QUAD_TOL, _height_at
+from lorentz_cmc.core import DEFAULT_QUAD_TOL, _height_at
 
 
 RINGS = validate_rings(RingPair(r=1.0, R=2.0, a=0.0, b=0.5))

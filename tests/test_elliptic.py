@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import elliprd, elliprf
 
-from lorentz_cmc import elliptic, profile
+from lorentz_cmc import core, elliptic
 from lorentz_cmc.elliptic import _carlson, _carlson_pair, rise
-from lorentz_cmc.profile import _closed_form, _height_at, _slope_raw
+from lorentz_cmc.core import _closed_form, _height_at
+from lorentz_cmc.profile import _slope_raw
 from lorentz_cmc.quadrature import integrate
 from test_console import child_env
 
@@ -217,7 +218,7 @@ class TestConjugatePair:
 
 
 class TestDomain:
-    """``profile._height_at`` sends ``rise`` only k = H R <= ``_RISE_TRUSTED``
+    """``core._height_at`` sends ``rise`` only k = H R <= ``_RISE_TRUSTED``
     and |g| = |c| / R <= k + ``_CONE_MARGIN``, and there every argument
     ``rise`` builds is in the band the duplication loops take unscaled.
 
@@ -250,15 +251,15 @@ class TestDomain:
     @example(e=0, log_k=math.inf, g_at="double root", u=1e-16, sign=1.0, rho=0.0)
     @example(e=-28, log_k=-1.0, g_at="uniform", u=5e-324, sign=1.0, rho=0.0)  # c = 0: the cap
     def test_rise_builds_arguments_in_the_band(self, e, log_k, g_at, u, sign, rho):
-        trusted = profile._RISE_TRUSTED
+        trusted = core._RISE_TRUSTED
         R = math.ldexp(1.0, e)
         k = min(10.0 ** log_k, trusted)
-        g = {"edge": sign * (k + profile._CONE_MARGIN),
-             "uniform": u * (k + profile._CONE_MARGIN),
+        g = {"edge": sign * (k + core._CONE_MARGIN),
+             "uniform": u * (k + core._CONE_MARGIN),
              "double root": (1.0 + u * 2.0 ** -40) / (4.0 * k)}[g_at]
         H, c = k / R, g * R
         in_region = (c != 0.0 and H * R <= trusted
-                     and abs(c) - H * R * R <= profile._CONE_MARGIN * R)
+                     and abs(c) - H * R * R <= core._CONE_MARGIN * R)
         calls = []
         with pytest.MonkeyPatch.context() as monkeypatch:
             self._record(monkeypatch, calls)
@@ -284,15 +285,15 @@ class TestDomain:
     def test_the_region_corner_stays_below_2_773(self, sign):
         # k at the cap, |g| at the cone margin, rho = 1 - 2^-53 (d smallest):
         # the bound ``rise``'s docstring states, 2^237 inside the band
-        k = profile._RISE_TRUSTED
-        top = self._top_argument(k, sign * (k + profile._CONE_MARGIN), 1.0 - 2.0 ** -53, 1.0)
+        k = core._RISE_TRUSTED
+        top = self._top_argument(k, sign * (k + core._CONE_MARGIN), 1.0 - 2.0 ** -53, 1.0)
         assert 2.0 ** -514 <= top < 2.0 ** 773
 
     def test_past_the_cap_the_corner_leaves_the_band(self):
         # the band holds because of ``_RISE_TRUSTED``: at k = 1e140 the same
         # real-root corner overflows its arguments
         k = 1e140
-        top = self._top_argument(k, -(k + profile._CONE_MARGIN), 1.0 - 2.0 ** -53, 1.0)
+        top = self._top_argument(k, -(k + core._CONE_MARGIN), 1.0 - 2.0 ** -53, 1.0)
         assert not top < _BAND[1]
 
     # inside the band the loops are homogeneous to the bit (powers of two

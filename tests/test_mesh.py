@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lorentz_cmc._text as text_module
+import lorentz_cmc.core as core_module
 import lorentz_cmc.mesh as mesh_module
 import lorentz_cmc.profile as profile_module
 from lorentz_cmc import (
@@ -1395,8 +1396,7 @@ class TestProfileCsvResidualColumn:
             return wrapped
 
         monkeypatch.setattr(mesh_module, "heights", counting_heights)
-        monkeypatch.setattr(profile_module, "height",
-                            counting("height", profile_module.height))
+        monkeypatch.setattr(core_module, "height", counting("height", core_module.height))
         monkeypatch.setattr(profile_module, "first_integral_residual",
                             counting("residual", profile_module.first_integral_residual))
         ts = np.linspace(0.0, 4.0, 257)

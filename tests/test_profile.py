@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (
@@ -18,6 +18,7 @@ from lorentz_cmc import (
     SpacelikeViolation,
     SurfaceParams,
     asymptotic_slope,
+    core,
     export_obj,
     export_profile_csv,
     first_integral_residual,
@@ -48,9 +49,13 @@ def curve_of(H, c, r=1.0, a=0.0, **kw):
     return profile_curve(SurfaceParams(H, c), (r, a), **kw)
 
 
+@contextlib.contextmanager
 def quadrature_only():
-    """Context in which every regime, closed-form ones too, takes the quadrature branch."""
-    return mock.patch.object(profile, "_closed_form", lambda *args: None)
+    """Context in which every regime, closed-form ones too, takes ``rise`` at
+    one radius and the quadrature branch at an array of radii."""
+    with mock.patch.object(core, "_closed_form", lambda *args: None), \
+            mock.patch.object(profile, "_closed_forms", lambda *args: None):
+        yield
 
 
 @contextlib.contextmanager
@@ -147,14 +152,14 @@ class TestSlope:
 
 class TestClosedForms:
     def test_maximal_anchor(self):
-        assert profile._closed_form(1.0, 0.0, 3.0, (1.0, 0.0)) == 0.0
+        assert core._closed_form(1.0, 0.0, 3.0, (1.0, 0.0)) == 0.0
 
     def test_maximal_value_and_oddness_in_c(self):
         # oracle: integral of -c / sqrt(s^2 + c^2) from 1 to 3
         expected = -3.0 * (math.asinh(1.0) - math.asinh(1.0 / 3.0))
         assert expected == pytest.approx(-1.6617703103468537, abs=1e-12)
         for c, want in ((3.0, expected), (-3.0, -expected)):
-            assert profile._closed_form(3.0, 0.0, c, (1.0, 0.0)) == pytest.approx(want, abs=1e-14)
+            assert core._closed_form(3.0, 0.0, c, (1.0, 0.0)) == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("c", [2.225073858507203e-309, -2.225073858507203e-309, 5e-324])
     @pytest.mark.parametrize("t", [2.0, np.array([1e-300, 0.5, 2.0, 7.0])])
@@ -162,7 +167,8 @@ class TestClosedForms:
         # t/|c| overflows; asinh(x) - asinh(y) there is log(x/y) = log(t/r)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = profile._closed_form(t, 0.0, c, (1.5, 0.0))
+            closed_form = profile._closed_forms if isinstance(t, np.ndarray) else core._closed_form
+            got = closed_form(t, 0.0, c, (1.5, 0.0))
             height_got = heights(profile_curve(SurfaceParams(0.0, c), (1.5, 0.0)), t)
         expected = -c * np.log(np.asarray(t) / 1.5)
         assert np.all(np.isfinite(got))
@@ -179,12 +185,20 @@ class TestClosedForms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for c in np.concatenate((cs, -cs)).tolist():
-                array = profile._closed_form(ts, 0.0, c, anchor)
-                asinh_array = profile._asinh_ratio(ts, c)
-                scalar = [profile._closed_form(t, 0.0, c, anchor) for t in ts.tolist()]
-                asinh_scalar = [profile._asinh_ratio(t, c) for t in ts.tolist()]
+                array = profile._closed_forms(ts, 0.0, c, anchor)
+                scalar = [core._closed_form(t, 0.0, c, anchor) for t in ts.tolist()]
                 assert array.tobytes() == np.array(scalar).tobytes()
-                assert asinh_array.tobytes() == np.array(asinh_scalar).tobytes()
+
+    @pytest.mark.parametrize("anchor", [(1.0, 0.0), (1.5, 0.25), (1e-3, -3.0), (1e5, 1e3)])
+    def test_cap_scalar_t_agrees_with_array_t(self, anchor):
+        # a float t takes abs(complex(1, H t)), an array np.hypot: both are
+        # libm's hypot, so the same bits
+        ts = np.geomspace(1e-8, 1e8, 81)
+        for H in np.concatenate((np.geomspace(1e-12, 1e12, 49), [5e-324, 1e300])).tolist():
+            for h in (H, -H):
+                array = profile._closed_forms(ts, h, 0.0, anchor)
+                scalar = [core._closed_form(t, h, 0.0, anchor) for t in ts.tolist()]
+                assert array.tobytes() == np.array(scalar).tobytes(), h
 
     def test_maximal_takes_math_for_a_height_and_for_heights(self):
         t, c, (r, a) = 3.0, 1.7, (1.0, 0.25)
@@ -616,6 +630,53 @@ class TestOverflowingSlope:
         curve = curve_of(393.9452001822913, -1.276006988426895e-06, r=r)
         vertex = singularity_report(curve).cone_vertex_height
         assert math.isfinite(vertex) and abs(vertex + r) <= 1e-14 * r
+
+
+# (a, b) on which math.hypot, correctly rounded, is an ulp away from the
+# platform libm's hypot (glibc here), which np.hypot and abs of a complex
+# both call; the slope w / hypot(t, w) at t = a, w = b moves with it
+HYPOT_PINS = [(0.01207653626838816, 0.022336254617906868),
+              (36.29296996624467, 106.2828387083431),
+              (0.019233700780719586, 0.020169033268874814)]
+# H on which math.hypot(1, H) moves the cap's height at t = 1 from r = 2
+CAP_PINS = [0.2189826115517852, 0.2219964282935994, 0.8008193398082896]
+# 0, or 10^[-300, 300] of either sign: H t^2 - c overflows on many draws
+magnitudes = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e,
+                                               st.sampled_from([-1.0, 1.0]),
+                                               st.floats(-300.0, 300.0)))
+
+
+class TestLibmHypot:
+    """The scalar slope and cap take ``math`` and abs of a complex, which is
+    libm's hypot, as np.hypot is: the bits of the array formulas."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(t=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), H=magnitudes, c=magnitudes)
+    @example(t=1e300, H=1e300, c=0.0)  # w overflows: the sign
+    @example(t=1e300, H=-1e300, c=1e300)
+    @example(t=1.5e308, H=0.0, c=-1.5e308)  # w is finite and hypot(t, w) overflows: +0.0
+    @example(t=1.5e308, H=0.0, c=1.5e308)  # -0.0
+    def test_slope_is_the_array_formula_to_the_bit(self, t, H, c):
+        with np.errstate(over="ignore"):  # np.hypot warns where it overflows
+            want = float(profile._slope_raw(t, H, c))
+        assert repr(slope(t, SurfaceParams(H, c))) == repr(want)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(a=st.floats(-1e300, 1e300), b=st.floats(-1e300, 1e300))
+    def test_complex_abs_is_numpy_hypot_to_the_bit(self, a, b):
+        assert repr(abs(complex(a, b))) == repr(float(np.hypot(a, b)))
+
+    @pytest.mark.parametrize("t,w", HYPOT_PINS)
+    def test_slope_is_not_math_hypot(self, t, w):
+        assert math.hypot(t, w) != np.hypot(t, w) == abs(complex(t, w))
+        assert slope(t, SurfaceParams(0.0, -w)) == w / np.hypot(t, w) != w / math.hypot(t, w)
+
+    @pytest.mark.parametrize("H", CAP_PINS)
+    def test_cap_is_not_math_hypot(self, H):
+        assert math.hypot(1.0, H) != np.hypot(1.0, H) == abs(complex(1.0, H))
+        by_math = (1.0 - 2.0) * (H * 3.0 / (math.hypot(1.0, H) + math.hypot(1.0, 2.0 * H)))
+        got = height(1.0, curve_of(H, 0.0, r=2.0))
+        assert got == heights(curve_of(H, 0.0, r=2.0), [1.0])[0] != by_math
 
 
 class TestAsymptotics:
