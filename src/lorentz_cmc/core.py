@@ -56,8 +56,8 @@ __all__ = [
     "slope_extremum_radius",
 ]
 
-# absolute error target of a curve's array heights (``profile.heights``)
-# and of ``quadrature.integrate``
+# a curve's array heights' absolute error target, shared among their Kronrod
+# panels (``profile.heights``); the default tol of ``quadrature.integrate``
 DEFAULT_QUAD_TOL = 1e-10
 
 

@@ -61,12 +61,12 @@ class GraphPatch:
 
     @property
     def spacing(self):
-        hx = np.diff(self.x1)
-        hy = np.diff(self.x2)
+        hx, hy = np.diff(self.x1), np.diff(self.x2)
         if hx.size == 0 or hy.size == 0:
             raise ValueError("patch needs at least 2 points per axis")
-        if not (np.allclose(hx, hx[0], rtol=1e-9) and np.allclose(hy, hy[0], rtol=1e-9)):
-            raise ValueError("grid spacing must be uniform along each axis")
+        if not all(np.isfinite(h).all() and np.allclose(h, h[0], 1e-9, math.ulp(4.0) * abs(x).max())
+                   for x, h in ((self.x1, hx), (self.x2, hy))):  # math.ulp(4.0) is 4 eps
+            raise ValueError("grid spacing must be finite and uniform to 1e-9 |h| + 4 eps max|x|")
         return float(hx[0]), float(hy[0])
 
 

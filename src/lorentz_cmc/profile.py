@@ -11,12 +11,13 @@ through an anchor point f(r) = a is simply
 
     f(t) = a + integral_r^t h(s) ds.
 
-Three families integrate in closed form (plane, maximal catenoid with
-H = 0, hyperbolic cap with c = 0); the rest takes Kronrod panels at an
-array of radii.  The slope formula is evaluated with hypot, which keeps it
-exact through the conical limit h -> -sign(c) as t -> 0; where H t^2 - c
-overflows the slope is its sign, its float64 value up to t ~ 1e300.  The
-Kronrod panels form lo + hi, so heights need radii below about 0.9e308.
+Three families have closed forms (plane, maximal catenoid with H = 0,
+hyperbolic cap with c = 0); the rest takes Kronrod panels at an array of
+radii, and ``height``'s engine where a panel cannot be trusted.  The
+slope formula is evaluated with hypot, which keeps it exact through the
+conical limit h -> -sign(c) as t -> 0; where H t^2 - c overflows the slope
+is its sign, its float64 value up to t ~ 1e300.  The Kronrod panels form
+lo + hi, so heights need radii below about 0.9e308.
 
 The profile at one radius (``ProfileCurve``, ``height``, the scalar
 ``slope``, the axis and asymptotic reports) lives in ``core``, which
@@ -35,9 +36,9 @@ import numpy as np
 from .core import (DEFAULT_QUAD_TOL, ProfileCurve, SingularityKind, SingularityReport,
                    asymptotic_slope, height, profile_curve, singularity_report, slope,
                    slope_extremum_radius)
-from .core import _closed_form, _radius, _require_positive
+from .core import _closed_form, _height_at, _radius, _require_positive
 from .errors import NonPositiveRadius, SpacelikeViolation
-from .quadrature import _ROUNDOFF, PRESPLIT_RATIO, integrate, panel_sums
+from .quadrature import _ROUNDOFF, PRESPLIT_RATIO, panel_sums
 
 __all__ = ["first_integral_residual", "heights"]
 
@@ -72,8 +73,8 @@ def _residuals(curve, t, step, near):
 
     ``near`` holds the heights at t + step, then at t - step, and
     s = (f(t + step) - f(t - step)) / (2 step).  A height at t is off by up
-    to the largest of quad_tol, the floor 50 eps sum|panel| that
-    ``integrate`` puts on it (sum|panel| <= |t - r| as |f'| < 1) and its
+    to the largest of quad_tol, the floor 50 eps sum|panel| of the panels
+    ``heights`` trusts (sum|panel| <= |t - r| as |f'| < 1) and its
     roundoff eps |f|, so s is known only to that bound over step; where
     |s| >= 1 - bound / step it may have crossed the light cone and the
     residual is nan.
@@ -124,17 +125,18 @@ def _closed_forms(ts, H, c, anchor):
 
 
 def heights(curve: ProfileCurve, ts):
-    """Heights at an array of radii t > 0: closed forms, the bits of ``height``, else quadrature.
+    """Heights at an array of radii t > 0: closed forms, the bits of ``height``, else panels.
 
     Both branches evaluate the as-built (H, c): every operation on the way is
     odd under (H, c, a) -> (-H, -c, -a), so a mirrored curve gives exactly
     the negated heights.  Quadrature regimes cut [min, max] at the sorted
-    radii and the anchor into segments, each integrated by one Kronrod
-    panel; a segment whose panel misses both quad_tol / segments and the
-    roundoff floor 50 eps |panel| (``integrate``'s own stop rule, so a
-    panel within either is what ``integrate`` would return), or that spans
-    more than three decades (where ``integrate`` pre-splits), is integrated
-    adaptively to quad_tol / segments.  A cumulative sum zeroed at the anchor
+    radii and the anchor into segments, each summed by one Kronrod
+    panel.  A panel is trusted where it meets max(quad_tol / segments,
+    50 eps |panel|), spans at most three decades and, within 64 w of a
+    slope turn (k, w), is at most 16 w wide: the conical turn (|c|, |c|)
+    and, where 4 H c > 1, the kink (sqrt(c / H), 1 / (2 H)), of the
+    canonical (H, c).  Every other segment takes ``height``'s engine, so
+    nothing raises QuadratureFailure.  A cumulative sum zeroed at the anchor
     gives every height, so dense grids cost one pass over the integrand.
     Per-point accuracy is at the curve's quad_tol scale, as is the gap from
     ``height``.  Memory is O(N) for N radii plus one fixed block of panels
@@ -149,20 +151,21 @@ def heights(curve: ProfileCurve, ts):
     if closed is not None:
         return np.asarray(closed)  # a 0-d array where numpy gave a scalar
 
-    fn = lambda s: _slope_raw(s, p.H, p.c)
     # the segment edges: the distinct radii and the anchor, appended last
     edges, inverse = np.unique(np.append(ts, r), return_inverse=True)
-    vals, errs = panel_sums(fn, edges[:-1], edges[1:])
-    seg_tol = curve.quad_tol / max(len(vals), 1)
-    with np.errstate(over="ignore"):  # subnormal t
-        wide = edges[1:] / edges[:-1] > PRESPLIT_RATIO
-    # integrate's stop rule on its first panel, which is this one: a segment
-    # that meets it would come back as the same bits (a nan estimate fails
-    # "<=" and goes to integrate; a zero seg_tol makes integrate raise)
-    done = (errs <= seg_tol) | ((seg_tol > 0.0) & np.isfinite(vals)
-                                & (errs <= _ROUNDOFF * np.abs(vals)))
-    for i in np.nonzero(~done | wide)[0]:
-        vals[i] = integrate(fn, edges[i], edges[i + 1], tol=seg_tol)
+    los, his = edges[:-1], edges[1:]
+    vals, errs = panel_sums(lambda s: _slope_raw(s, p.H, p.c), los, his)
+    H, c = curve.params.H, curve.params.c
+    turns = [(abs(c), abs(c))]
+    if 4.0 * H * c > 1.0:
+        turns.append((math.sqrt(c) / math.sqrt(H), 0.5 / H))
+    with np.errstate(over="ignore"):  # subnormal t; a nan estimate fails "<="
+        bad = ~(errs <= np.maximum(curve.quad_tol / max(vals.size, 1), _ROUNDOFF * np.abs(vals)))
+        bad |= his / los > PRESPLIT_RATIO
+    for k, w in turns:
+        bad |= (los <= k + 64.0 * w) & (his >= k - 64.0 * w) & (his - los > 16.0 * w)
+    for i in np.nonzero(bad)[0].tolist():
+        vals[i] = _height_at(float(his[i]), p.H, p.c, (float(los[i]), 0.0))
     # antiderivative at every edge, zeroed at the anchor
     F = np.concatenate([[0.0], np.cumsum(vals)])
     out = curve.anchor_height + (F[inverse[:-1]] - F[inverse[-1]])

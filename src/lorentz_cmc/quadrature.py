@@ -1,10 +1,10 @@
-"""Globally adaptive Gauss-Kronrod quadrature on finite intervals.
+"""Gauss-Kronrod panels and globally adaptive quadrature on finite intervals.
 
-A 7-point Gauss rule embedded in a 15-point Kronrod rule gives a value and
-an error estimate from the same 15 evaluations; the subinterval with the
-largest estimate is bisected until the estimates sum below the requested
-absolute tolerance.  All nodes are interior, so integrands only need to be
-defined on the open interval (endpoint limits are never sampled).
+A 7-point Gauss rule embedded in a 15-point Kronrod rule gives a value and an
+error estimate from 15 evaluations.  ``panel_sums`` takes one panel per
+interval; ``integrate``, public but no longer called by the library, bisects
+the worst subinterval until the estimates sum below an absolute tolerance.
+All nodes are interior: integrands need only be defined on the open interval.
 
 Integrands must be vectorized: called with a numpy array, returning an
 array of the same shape.

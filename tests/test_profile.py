@@ -36,6 +36,8 @@ from lorentz_cmc import (
     solve_two_ring,
 )
 
+from test_quadrature import heights_taken
+
 EPS = np.finfo(float).eps
 
 params_st = st.builds(
@@ -60,13 +62,14 @@ def quadrature_only():
 
 @contextlib.contextmanager
 def without_the_array_engine():
-    """Context in which ``heights``, ``integrate`` and ``panel_sums`` raise."""
+    """Context in which ``heights``, ``panel_sums`` and ``integrate`` raise."""
     def entered(*args, **kwargs):
         raise AssertionError("the scalar path entered the array engine")
 
     with contextlib.ExitStack() as stack:
-        for name in ("heights", "integrate", "panel_sums"):
-            stack.enter_context(mock.patch.object(profile, name, entered))
+        for module, name in ((profile, "heights"), (profile, "panel_sums"),
+                             (quadrature, "integrate")):
+            stack.enter_context(mock.patch.object(module, name, entered))
         yield
 
 
@@ -307,12 +310,17 @@ class TestHeight:
         got = heights(curve_of(H, c), 2.0)
         assert type(got) is np.ndarray and got.shape == ()
 
-    def test_exhausted_budget_raises(self, monkeypatch):
-        from lorentz_cmc import QuadratureFailure
-
+    def test_integrate_budget_plays_no_part(self, monkeypatch):
+        # this segment's panel misses quad_tol = 1e-14 and once went to
+        # integrate, which raised QuadratureFailure on a 2-panel budget;
+        # now it takes height's engine, within the oracle bound
+        curve = curve_of(1.0, 3.0, quad_tol=1e-14)
+        want = heights(curve, [100.0])
         monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 2)
-        with pytest.raises(QuadratureFailure):
-            heights(curve_of(1.0, 3.0, quad_tol=1e-14), [100.0])
+        got = heights(curve, [100.0])
+        assert got.tobytes() == want.tobytes()
+        want = _oracle_height(1.0, 3.0, 1.0, 100.0)
+        assert abs(got[0] - want) <= _oracle_bound(curve.quad_tol, 1.0, 100.0, want)
 
     def test_heights_matches_pointwise_height(self):
         curve = curve_of(1.0, 3.0)
@@ -451,7 +459,8 @@ def _axis_heights(curve):
 class TestScalarHeight:
     """``height`` and the axis height take the closed form, ``rise`` or its
     light-cone limit (the solver's f(R)), never panels; the mesh apex and the
-    CSV axis row are the report's axis height, and ``heights`` takes panels."""
+    CSV axis row are the report's axis height, and ``heights`` takes panels
+    where it can trust them."""
 
     @staticmethod
     def _quad_height(H, c, r, t):
@@ -491,10 +500,12 @@ class TestScalarHeight:
         assert _axis_heights(mirror) == (-apex, -row, -vertex)
 
     def test_height_where_panels_are_fooled(self):
-        # heights([t]) reads 2693.284 here
+        # one panel over [r, t] reads 2693.284 here; heights takes the kink's
+        # segment from height's engine too
         H, c, r, t = 480766.63753108203, 79791704.04781835, 7.401424170715437, 2700.685496770858
         want = self._quad_height(H, c, r, t)
         assert abs(height(t, curve_of(H, c, r=r)) - want) <= 1e-12 * abs(want)
+        assert abs(heights(curve_of(H, c, r=r), [t])[0] - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("H,c,want", [(1.0, 1e130, -1.0), (1.0, 1e160, -1.0),
                                           (1.0, -1e160, 1.0), (1e160, 1.0, 1.0),
@@ -583,6 +594,129 @@ class TestScalarHeight:
         vertex = singularity_report(curve).cone_vertex_height
         assert abs(heights(curve, [t])[0] - vertex) <= 2.0 * curve.quad_tol
         assert abs(height(t, curve) - vertex) <= 1e-15
+
+
+def _turn_cuts(H, c):
+    """Each slope turn (k, w) of the canonical (H, c), the conical (|c|, |c|)
+    and where 4 H c > 1 the kink (sqrt(c / H), 1 / (2 H)), as the cuts k and
+    k +- w 4^j for j = 0..11."""
+    H, c = (-H, -c) if H < 0.0 else (H, c)
+    turns = [(abs(c), abs(c))] + ([(math.sqrt(c / H), 0.5 / H)] if 4.0 * H * c > 1.0 else [])
+    return {k + sign * w * 4.0 ** j for k, w in turns for sign in (-1.0, 1.0)
+            for j in range(12)} | {k for k, _ in turns}
+
+
+def _oracle_height(H, c, r, t):
+    """f(t) through (r, 0) by scipy's quad, independent of ``heights`` and
+    ``_height_at``: split at every decade and at ``_turn_cuts``."""
+    lo, hi = sorted((r, t))
+    decades = {10.0 ** n for n in range(math.ceil(math.log10(lo)), math.floor(math.log10(hi)) + 1)}
+    cuts = [lo] + sorted(x for x in _turn_cuts(H, c) | decades if lo < x < hi) + [hi]
+
+    def fn(s):
+        w = H * s * s - c
+        return w / math.hypot(s, w)
+
+    # full_output: quad's notice that roundoff caps a nearly constant piece
+    # short of epsrel is no warning; an oracle that is off fails the test
+    total = math.fsum(scipy_quad(fn, u, v, epsabs=1e-15, epsrel=1.2e-14, limit=200,
+                                 full_output=1)[0] for u, v in zip(cuts, cuts[1:]))
+    return total if t > r else -total
+
+
+def _oracle_bound(quad_tol, r, t, f):
+    """The heights' bound against the oracle: 2 quad_tol + 64 eps max(t, r, |f|)."""
+    return 2.0 * quad_tol + 64.0 * EPS * max(t, r, abs(f))
+
+
+@st.composite
+def turn_cases(draw):
+    """(H, c, r, ts): H k log-uniform in 1..1e8, r in 1e-3..1e3, the kink
+    k = sqrt(c / H) in r 10^+-2 and 1 to 5 radii in r 10^+-2."""
+    r = 10.0 ** draw(st.floats(-3.0, 3.0))
+    k = r * 10.0 ** draw(st.floats(-2.0, 2.0))
+    H = 10.0 ** draw(st.floats(0.0, 8.0)) / k
+    ts = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+    return H, H * k * k, r, [r * 10.0 ** x for x in ts]
+
+
+@st.composite
+def wide_cases(draw):
+    """(H, c, r, ts): H in 1e-3..1e3, c of either sign in 1e-3..1e3, r in
+    1e-3..1e3, all log-uniform, and two radii in r 10^+-5."""
+    H, c, r = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    ts = draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2))
+    return H, draw(st.sampled_from([-1.0, 1.0])) * c, r, [r * 10.0 ** x for x in ts]
+
+
+class TestHeightsOracle:
+    """``heights`` against scipy's quad split at the slope turns, in both
+    orientations, within 2 quad_tol + 64 eps max(t, r, |f|)."""
+
+    @staticmethod
+    def _misses(H, c, r, ts, slack=0.0):
+        """(t, got, want) of each radius where either orientation misses the bound."""
+        wants = [_oracle_height(H, c, r, t) for t in ts]
+        out = []
+        for sign in (1.0, -1.0):
+            curve = curve_of(sign * H, sign * c, r=r)
+            for t, got, want in zip(ts, heights(curve, ts).tolist(), wants):
+                bound = _oracle_bound(curve.quad_tol, r, t, want) + slack * abs(t - r)
+                if not abs(got - sign * want) <= bound:
+                    out.append((t, got, sign * want))
+        return out
+
+    # one panel over [r, t] read 213.09599722048125 here, 1.70 (0.8%) high
+    @settings(max_examples=300, deadline=None)
+    @example(case=(7239003.048083176, 360958616.5675055, 6.2108058679110565,
+                   [219.30680308839396]))
+    @given(case=turn_cases())
+    def test_turns(self, case):
+        assert self._misses(*case) == []
+
+    # without the three-decade rule a panel over five decades reads
+    # 662873.9115558475 here, 24 times the bound high
+    @settings(max_examples=300, deadline=None)
+    @example(case=(343.9038524507239, 0.002695773807268733, 10.76672828781602,
+                   [662884.6782841397]))
+    @given(case=wide_cases())
+    def test_wide_segments(self, case):
+        assert self._misses(*case, slack=1e-14) == []
+
+    def test_underflowing_segment_tolerance(self):
+        # quad_tol / segments underflows to 0 (integrate raised ValueError on
+        # that tolerance): every segment keeps its panel only within the
+        # roundoff floor, and the heights stay finite and within the bound
+        ts = np.geomspace(0.5, 4.0, 100)
+        curve = curve_of(1.0, 3.0, quad_tol=5e-324)
+        for t, got in zip(ts.tolist(), heights(curve, ts).tolist()):
+            want = _oracle_height(1.0, 3.0, 1.0, t)
+            assert abs(got - want) <= _oracle_bound(curve.quad_tol, 1.0, t, want)
+
+    # (H, c, radii, the segments taken by _height_at) through (1, 0), one
+    # per arm of the turn rule
+    @pytest.mark.parametrize("H,c,ts,taken", [
+        # the plane with its closed form patched away: no turn, only the
+        # segment over more than three decades
+        (0.0, 0.0, [0.5, 2.0, 3000.0], [(2.0, 3000.0)]),
+        # H c < 0: the conical turn (0.01, 0.01) alone; [1, 2] lies beyond 0.65
+        (1.0, -0.01, [0.3, 0.5, 2.0], [(0.3, 0.5), (0.5, 1.0)]),
+        # 4 H c = 1: no kink; the conical turn (0.25, 0.25) takes what is wider than 4
+        (1.0, 0.25, [2.0, 8.0, 20.0], [(2.0, 8.0), (8.0, 20.0)]),
+        # 4 H c = 16: the kink (0.5, 0.125) takes [1, 3.5], the conical turn (1, 1) [3.5, 40]
+        (4.0, 1.0, [0.75, 3.5, 40.0], [(1.0, 3.5), (3.5, 40.0)]),
+        # the mirror picks the same segments
+        (-4.0, -1.0, [0.75, 3.5, 40.0], [(1.0, 3.5), (3.5, 40.0)]),
+    ])
+    def test_each_arm_of_the_turn_rule(self, H, c, ts, taken):
+        with quadrature_only(), heights_taken() as calls:
+            got = heights(curve_of(H, c), ts)
+            mirrored = heights(curve_of(-H, -c), ts)
+        assert calls == taken + taken
+        assert (0.0 - mirrored).tobytes() == (got + 0.0).tobytes()  # a zero is +0.0 in both
+        for t, f in zip(ts, got.tolist()):
+            want = _oracle_height(H, c, 1.0, t)
+            assert abs(f - want) <= _oracle_bound(core.DEFAULT_QUAD_TOL, 1.0, t, want)
 
 
 class TestOverflowingSlope:

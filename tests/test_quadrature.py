@@ -1,6 +1,8 @@
+import contextlib
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.integrate import quad as scipy_quad
 
 from lorentz_cmc import (QuadratureFailure, SurfaceParams, heights, profile, profile_curve,
                          quadrature)
+from lorentz_cmc.core import _height_at
 from lorentz_cmc.profile import _slope_raw
 from lorentz_cmc.quadrature import (PRESPLIT_RATIO, _BLOCK, _NODES, _WG7, _WGK, integrate,
                                     panel_sums)
@@ -218,19 +221,55 @@ def _log_uniform_curves():
         yield H, c, (r, a), ts
 
 
-def _reference_heights(H, c, anchor, ts, quad_tol=quadrature.DEFAULT_QUAD_TOL):
+def _untrusted(H, c, quad_tol, los, his, vals, errs):
+    """Indices of the segments whose panel ``heights`` may not keep, one at a
+    time: it misses max(quad_tol / segments, 50 eps |panel|), spans more than
+    three decades, or is wider than 16 w within 64 w of a slope turn (k, w)
+    of the canonical (H, c): the conical (|c|, |c|), and where 4 H c > 1 the
+    kink (sqrt(c / H), 1 / (2 H))."""
+    H, c = (-H, -c) if H < 0.0 else (H, c)
+    turns = [(abs(c), abs(c))] + ([(math.sqrt(c / H), 0.5 / H)] if 4.0 * H * c > 1.0 else [])
+    tol = quad_tol / len(vals)
+    return [i for i, (lo, hi, v, e) in enumerate(zip(los.tolist(), his.tolist(), vals.tolist(),
+                                                     errs.tolist()))
+            if not e <= max(tol, 50.0 * np.finfo(float).eps * abs(v))
+            or hi / lo > PRESPLIT_RATIO
+            or any(lo <= k + 64.0 * w and hi >= k - 64.0 * w and hi - lo > 16.0 * w
+                   for k, w in turns)]
+
+
+def _reference_heights(H, c, anchor, ts, quad_tol=quadrature.DEFAULT_QUAD_TOL, taken=None):
     """Anchor-zeroed cumulative sums of unblocked panels over the sorted radii,
-    every segment whose panel misses seg_tol (or that is wide) integrated."""
-    curve = profile_curve(SurfaceParams(H, c), anchor, quad_tol=quad_tol)
+    every segment in ``_untrusted`` taken by ``_height_at`` (and appended to
+    ``taken`` as (lo, hi), when given)."""
     edges = np.unique(np.append(ts, anchor[0]))
-    vals, errs = reference_panel_sums(lambda s: _slope_raw(s, H, c), edges[:-1], edges[1:])
-    seg_tol = curve.quad_tol / vals.size
-    wide = edges[1:] / edges[:-1] > PRESPLIT_RATIO
-    for i in np.nonzero(~(errs <= seg_tol) | wide)[0]:
-        vals[i] = integrate(lambda s: _slope_raw(s, H, c), edges[i], edges[i + 1], tol=seg_tol)
+    los, his = edges[:-1], edges[1:]
+    vals, errs = reference_panel_sums(lambda s: _slope_raw(s, H, c), los, his)
+    for i in _untrusted(H, c, quad_tol, los, his, vals, errs):
+        vals[i] = _height_at(float(his[i]), H, c, (float(los[i]), 0.0))
+        if taken is not None:
+            taken.append((float(los[i]), float(his[i])))
     F = np.concatenate([[0.0], np.cumsum(vals)])
     F -= F[np.searchsorted(edges, anchor[0])]
     return anchor[1] + F[np.searchsorted(edges, ts)]
+
+
+@contextlib.contextmanager
+def heights_taken():
+    """Context yielding the (lo, hi) of each segment ``heights`` gives to
+    ``_height_at``, in which ``integrate`` raises."""
+    taken = []
+
+    def recorded(t, H, c, anchor):
+        taken.append((anchor[0], t))
+        return _height_at(t, H, c, anchor)
+
+    def entered(*args, **kwargs):
+        raise AssertionError("heights called integrate")
+
+    with mock.patch.object(profile, "_height_at", recorded), \
+            mock.patch.object(quadrature, "integrate", entered):
+        yield taken
 
 
 def test_heights_on_1e5_radii_are_bitwise_the_unblocked_rule():
@@ -248,44 +287,43 @@ def test_heights_on_1e5_radii_are_bitwise_the_unblocked_rule():
 
 
 # (H, c, anchor) of the profile_eval draw (seed 1) whose 1e5 radii, about
-# 34.5 * 10^U(-3, 3), sent the most segments to integrate: 452, each of
-# them accepted on its first panel by integrate's roundoff floor
+# 34.5 * 10^U(-3, 3), have the most panels that miss quad_tol / segments:
+# 436, each within the roundoff floor 50 eps |panel|, which keeps it
 _HEAVIEST = (-0.05204485526405397, -3.412048270750136, (0.8114525396932905, 0.9220897933424266))
 
 
-def test_first_panel_accepts_skip_integrate(monkeypatch):
+def test_roundoff_floor_accepts_keep_their_panel():
     H, c, anchor = _HEAVIEST
     ts = 34.5 * 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, 100_000)
-    real, reference_calls, calls = integrate, [], []
-    monkeypatch.setitem(globals(), "integrate",
-                        lambda *args, **kw: reference_calls.append(args) or real(*args, **kw))
-    want = _reference_heights(H, c, anchor, ts)
-    monkeypatch.setattr(profile, "integrate",
-                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    edges = np.unique(np.append(ts, anchor[0]))
+    vals, errs = reference_panel_sums(lambda s: _slope_raw(s, H, c), edges[:-1], edges[1:])
+    floor = errs <= 50.0 * np.finfo(float).eps * np.abs(vals)
+    assert np.count_nonzero(floor & ~(errs <= quadrature.DEFAULT_QUAD_TOL / vals.size)) == 436
+    want_taken = []
+    want = _reference_heights(H, c, anchor, ts, taken=want_taken)
     for curve, sign in ((profile_curve(SurfaceParams(H, c), anchor), 1.0),
                         (profile_curve(SurfaceParams(-H, -c), (anchor[0], -anchor[1])), -1.0)):
-        assert (sign * heights(curve, ts)).tobytes() == want.tobytes()
-    assert len(reference_calls) == 436 and calls == []
+        with heights_taken() as taken:
+            assert (sign * heights(curve, ts)).tobytes() == want.tobytes()
+        assert taken == want_taken == []
 
 
-@pytest.mark.parametrize("quad_tol", [1e-10, 1e-16, 1e-300])
-def test_segments_that_bisect_or_are_wide_still_integrate(quad_tol):
+@pytest.mark.parametrize("quad_tol", [1e-10, 1e-16, 1e-300, 5e-324])
+def test_untrusted_segments_take_height_at(quad_tol):
     # a tight quad_tol leaves the roundoff floor as the stop rule: some
-    # segments are first-panel accepts and others still bisect.  integrate
-    # pre-splits a segment over more than three decades even where its
-    # panel meets the stop rule, as [1e-6, 1e-2] and [1e5, 1e9] do on (1, 3)
+    # segments keep their panel and the others take _height_at, as every
+    # segment over more than three decades does, such as [1e-6, 1e-2] and
+    # [1e5, 1e9] on (1, 3); at 5e-324 quad_tol / segments underflows to 0
     cases = [(H, c, anchor, ts[:2000]) for H, c, anchor, ts in _log_uniform_curves()]
     cases.append((1.0, 3.0, (1.0, 0.0), np.array([1e-6, 1e-2, 1e5, 1e9])))
     for H, c, anchor, ts in cases:
-        got = heights(profile_curve(SurfaceParams(H, c), anchor, quad_tol=quad_tol), ts)
-        assert got.tobytes() == _reference_heights(H, c, anchor, ts, quad_tol).tobytes()
-
-
-def test_zero_segment_tolerance_still_raises():
-    # quad_tol / segments underflows to 0.0: integrate refuses that tolerance
-    curve = profile_curve(SurfaceParams(1.0, 3.0), (1.0, 0.0), quad_tol=5e-324)
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        heights(curve, np.geomspace(0.5, 4.0, 100))
+        want_taken = []
+        want = _reference_heights(H, c, anchor, ts, quad_tol, want_taken)
+        with heights_taken() as taken:
+            got = heights(profile_curve(SurfaceParams(H, c), anchor, quad_tol=quad_tol), ts)
+        assert got.tobytes() == want.tobytes()
+        assert taken == want_taken
+    assert {(1e-6, 1e-2), (1e5, 1e9)} <= set(taken)
 
 
 def test_heights_peak_memory_is_one_block_beyond_the_results():
