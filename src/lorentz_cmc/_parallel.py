@@ -30,15 +30,14 @@ def _each(func, n):
             except BaseException as exc:
                 errors[i] = exc
 
-    helpers = []
+    helper = None
+    if n > 1:
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        helper.start()
     try:
-        if n > 1:
-            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-            helper.start()
-            helpers.append(helper)
         work()
     finally:
-        for helper in helpers:
+        if helper is not None:
             helper.join()
     if errors:
         raise errors[min(errors)]

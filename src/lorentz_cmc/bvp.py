@@ -70,7 +70,6 @@ class PlateauProblem:
     rings: ValidatedRingPair
     H: float
     root_tol: float = DEFAULT_ROOT_TOL
-    quad_tol: float = DEFAULT_QUAD_TOL
 
     def __post_init__(self):
         if not isinstance(self.rings, ValidatedRingPair):
@@ -80,7 +79,6 @@ class PlateauProblem:
                 f"H must be finite and >= 0 (canonicalize first), got {self.H}"
             )
         _require_positive("root_tol", self.root_tol)
-        _require_positive("quad_tol", self.quad_tol)
 
 
 @dataclass(frozen=True)
@@ -203,8 +201,9 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     Wherever the barrier bracket holds 0, g(0) comes first (``_bracket``):
     c = 0 within root_tol (1 g, no search), else c takes the sign of g(0).
     Tolerances are in the ring unit u = min(1, 2^e), R in [2^(e-1), 2^e):
-    root_tol * u is floored at 64 ulp(2^e), and quad_tol * u sets only the
-    returned curve's array-path heights, as g is closed form.  The
+    root_tol * u is floored at 64 ulp(2^e).  The returned curve's quad_tol,
+    which sets only its array-path heights (g is closed form), is
+    DEFAULT_QUAD_TOL * u; ``dataclasses.replace`` gives it another.  The
     search runs on lengths divided by u, a power of two, so rings scaled
     by 2^j (both R < 1/2) take the same steps to the bit.  It stops once
     the rise meets d within root_tol and the next step (so also the bracket)
@@ -303,7 +302,7 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
                               f"{math.ldexp(root_tol, e_u):.3e} (scaled to the rings): f(R) "
                               "moves by more than root_tol between adjacent floats c")
     curve = profile_curve(SurfaceParams(sign * problem.H, sign * math.ldexp(c_hat, e_u)),
-                          (rings.r, rings.a), quad_tol=math.ldexp(problem.quad_tol, e_u))
+                          (rings.r, rings.a), quad_tol=math.ldexp(DEFAULT_QUAD_TOL, e_u))
     return PlateauSolution(
         curve=curve,
         c=curve.params.c,
@@ -319,9 +318,6 @@ def solve_c(problem: PlateauProblem) -> PlateauSolution:
     )
 
 
-def solve_two_ring(r, R, a, b, H, root_tol=DEFAULT_ROOT_TOL,
-                   quad_tol=DEFAULT_QUAD_TOL) -> PlateauSolution:
+def solve_two_ring(r, R, a, b, H, root_tol=DEFAULT_ROOT_TOL) -> PlateauSolution:
     """Validate raw ring data and solve in one call."""
-    problem = PlateauProblem(rings=ValidatedRingPair(r, R, a, b), H=H, root_tol=root_tol,
-                             quad_tol=quad_tol)
-    return solve_c(problem)
+    return solve_c(PlateauProblem(rings=ValidatedRingPair(r, R, a, b), H=H, root_tol=root_tol))

@@ -263,7 +263,11 @@ def cmd_verify(p):
             raise _UsageError("missing required parameters: H and c (or csv)")
         curve = profile_curve(SurfaceParams(p["H"], p["c"]),
                               (p["anchor_r"], p["anchor_a"]))
-        n = int(round(2 * p["extent"] / p["grid_step"])) + 1
+        steps = 2 * p["extent"] / p["grid_step"]
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise _UsageError(f"--extent {p['extent']!r} and --grid-step {p['grid_step']!r} give "
+                              f"{steps + 1!r} lattice points per axis; need a finite number >= 2")
+        n = round(steps) + 1
         xs = np.linspace(-p["extent"], p["extent"], n)
         patch = patch_from_profile(curve, xs, xs, min_radius=p["min_radius"])
         source = f"profile(H={p['H']}, c={p['c']})"

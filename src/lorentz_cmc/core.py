@@ -305,8 +305,9 @@ def _closed_form(t, H, c, anchor):
     f(t) = a + (sqrt(1 + H^2 t^2) - sqrt(1 + H^2 r^2)) / H.  For H > 0 it
     lies on the hyperbolic plane <x - p, x - p> = -1/H^2 centered at
     p = (0, 0, a - sqrt(1 + H^2 r^2) / H); H < 0 gives the mirrored cap,
-    exactly the negated heights of (-H, -a).  ``profile._closed_forms``
-    gives these bits at an array of radii.
+    exactly the negated heights of (-H, -a).  ``height`` takes this at one
+    radius and ``profile.heights`` at each distinct radius of an array, so
+    the two give the same bits.
     """
     if H and c:
         return None
@@ -316,7 +317,8 @@ def _closed_form(t, H, c, anchor):
     if H:
         # difference-of-roots form, stable for t near r; no square is formed,
         # so nothing overflows below H t ~ 1e308, and every factor is odd in
-        # H; abs of a complex is libm's hypot, as np.hypot is
+        # H; the t term takes abs of a complex, which is libm's hypot, and the
+        # r term the correctly rounded math.hypot: they can differ by an ulp
         return a + (t - r) * (H * (t + r) / (abs(complex(1.0, H * t)) + math.hypot(1.0, H * r)))
     return a
 

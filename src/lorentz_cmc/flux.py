@@ -46,9 +46,13 @@ def flux_closed_form(r, params: SurfaceParams) -> FluxResult:
 
 
 def flux_numeric(r, curve: ProfileCurve) -> FluxResult:
-    """Flux evaluated from the solved profile.
+    """The two line-integral terms at radius r, from the curve's (H, c).
 
-    Both integrands are constant along the circle by rotational symmetry,
+    It takes no heights: the conormal density comes from the conservation
+    law, so ``flux`` is the float sum of the area term 2 pi H r^2 and the
+    conormal term -2 pi (H r^2 - c), and its gap from ``flux_closed_form``
+    (the CLI's closed_numeric_gap) measures only that sum's roundoff.  Both
+    integrands are constant along the circle by rotational symmetry,
     so each pointwise value is multiplied by the circumference.  The
     conormal density -f'/sqrt(1 - f'^2) is -(H r^2 - c)/r, finite where f'
     rounds to +-1.  Below r ~ |c| / 1.8e308, where that quotient overflows,

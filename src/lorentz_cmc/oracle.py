@@ -45,7 +45,8 @@ class GraphPatch:
 
     ``values[i, j]`` is u(x1[i], x2[j]); ``mask[i, j]`` marks points whose
     value is meaningful (patches with holes, e.g. around the axis puncture,
-    mask the hole out).  Spacing must be uniform along each axis.
+    mask the hole out).  Spacing must be uniform and nonzero along each
+    axis; an axis may increase or decrease.
     """
 
     x1: np.ndarray
@@ -64,9 +65,11 @@ class GraphPatch:
         hx, hy = np.diff(self.x1), np.diff(self.x2)
         if hx.size == 0 or hy.size == 0:
             raise ValueError("patch needs at least 2 points per axis")
-        if not all(np.isfinite(h).all() and np.allclose(h, h[0], 1e-9, math.ulp(4.0) * abs(x).max())
+        if not all(np.isfinite(h).all() and abs(np.sign(h).sum()) == h.size
+                   and np.allclose(h, h[0], 1e-9, math.ulp(4.0) * abs(x).max())
                    for x, h in ((self.x1, hx), (self.x2, hy))):  # math.ulp(4.0) is 4 eps
-            raise ValueError("grid spacing must be finite and uniform to 1e-9 |h| + 4 eps max|x|")
+            raise ValueError("grid spacing must be finite, nonzero, of one sign and uniform "
+                             "to 1e-9 |h| + 4 eps max|x|")
         return float(hx[0]), float(hy[0])
 
 

@@ -12,8 +12,9 @@ through an anchor point f(r) = a is simply
     f(t) = a + integral_r^t h(s) ds.
 
 Three families have closed forms (plane, maximal catenoid with H = 0,
-hyperbolic cap with c = 0); the rest takes Kronrod panels at an array of
-radii, and ``height``'s engine where a panel cannot be trusted.  The
+hyperbolic cap with c = 0), which ``heights`` takes from ``height``'s
+engine at each distinct radius; the rest takes Kronrod panels at an array
+of radii, and ``height``'s engine where a panel cannot be trusted.  The
 slope formula is evaluated with hypot, which keeps it exact through the
 conical limit h -> -sign(c) as t -> 0; where H t^2 - c overflows the slope
 is its sign, its float64 value up to t ~ 1e300.  The Kronrod panels form
@@ -21,9 +22,8 @@ lo + hi, so heights need radii below about 0.9e308.
 
 The profile at one radius (``ProfileCurve``, ``height``, the scalar
 ``slope``, the axis and asymptotic reports) lives in ``core``, which
-imports no numpy; this module re-exports it and loads numpy and
-``quadrature``.  ``mesh``, ``oracle`` and ``first_integral_residual``
-build on ``heights``.
+imports no numpy; this module loads numpy and ``quadrature``.  ``mesh``,
+``oracle`` and ``first_integral_residual`` build on ``heights``.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ import math
 
 import numpy as np
 
-# the profile at one radius, re-exported from where it lives
-from .core import (DEFAULT_QUAD_TOL, ProfileCurve, SingularityKind, SingularityReport,
-                   asymptotic_slope, height, profile_curve, singularity_report, slope,
-                   slope_extremum_radius)
-from .core import _closed_form, _height_at, _radius, _require_positive
+from . import core  # core._closed_form is read at each call, so a test may replace it
+# height and singularity_report are bound here for tracers that look them up in this module
+from .core import ProfileCurve, _height_at, _radius, _require_positive, height, singularity_report
 from .errors import NonPositiveRadius, SpacelikeViolation
 from .quadrature import _ROUNDOFF, PRESPLIT_RATIO, panel_sums
 
@@ -105,54 +103,37 @@ def _slope_raw(ts, H, c):
         return np.where(huge, np.sign(w), w / np.hypot(ts, w))
 
 
-def _closed_forms(ts, H, c, anchor):
-    """``core._closed_form`` at an array of radii, to its bits; None where it is None.
-
-    The catenoid takes the float formula once per distinct radius, for its
-    ``math.asinh`` (a patch's radii repeat up to eightfold); the cap takes
-    np.hypot, which is libm's hypot, as the float formula's is.
-    """
-    if H and c:
-        return None
-    r, a = anchor
-    if c:
-        keys, inverse = np.unique(ts.ravel(), return_inverse=True)
-        return np.array([_closed_form(t, H, c, anchor) for t in keys.tolist()],
-                        dtype=float)[inverse].reshape(ts.shape)
-    if H:
-        return a + (ts - r) * (H * (ts + r) / (np.hypot(1.0, H * ts) + math.hypot(1.0, H * r)))
-    return np.full(ts.shape, a)
-
-
 def heights(curve: ProfileCurve, ts):
-    """Heights at an array of radii t > 0: closed forms, the bits of ``height``, else panels.
+    """Heights at an array of radii t > 0: ``height``'s closed form, else panels.
 
-    Both branches evaluate the as-built (H, c): every operation on the way is
-    odd under (H, c, a) -> (-H, -c, -a), so a mirrored curve gives exactly
-    the negated heights.  Quadrature regimes cut [min, max] at the sorted
-    radii and the anchor into segments, each summed by one Kronrod
-    panel.  A panel is trusted where it meets max(quad_tol / segments,
-    50 eps |panel|), spans at most three decades and, within 64 w of a
-    slope turn (k, w), is at most 16 w wide: the conical turn (|c|, |c|)
-    and, where 4 H c > 1, the kink (sqrt(c / H), 1 / (2 H)), of the
-    canonical (H, c).  Every other segment takes ``height``'s engine, so
+    The plane, the maximal catenoid and the hyperbolic cap take
+    ``core._closed_form`` at each distinct radius, as ``height`` does: its
+    bits.  Other regimes evaluate the as-built (H, c), every operation odd
+    under (H, c, a) -> (-H, -c, -a), so a mirrored curve gives exactly the
+    negated heights.  The sorted radii and the anchor cut [min, max] into
+    segments of one Kronrod panel each, trusted where it meets
+    max(quad_tol / segments, 50 eps |panel|), spans at most three decades
+    and is at most 16 w wide within 64 w of a slope turn (k, w) of the
+    canonical (H, c), the conical (|c|, |c|) and, where 4 H c > 1, the kink
+    (sqrt(c / H), 1 / (2 H)), and at most 16 d wide a distance d beyond
+    that of the kink.  Every other segment takes ``height``'s engine, so
     nothing raises QuadratureFailure.  A cumulative sum zeroed at the anchor
-    gives every height, so dense grids cost one pass over the integrand.
-    Per-point accuracy is at the curve's quad_tol scale, as is the gap from
-    ``height``.  Memory is O(N) for N radii plus one fixed block of panels
-    per thread (``panel_sums`` shares its blocks between the calling thread
-    and one helper), and the heights depend neither on the block size nor
-    on the thread that runs a block.
+    gives every height, so dense grids cost one pass over the integrand;
+    the error, and the gap from ``height``, are at the curve's quad_tol
+    scale.  Memory is O(N) for N radii plus one block of panels per thread
+    (``panel_sums`` shares its blocks between the calling thread and one
+    helper); the heights depend neither on the block size nor on the thread.
     The axis limit f(0+) is ``singularity_report(curve).cone_vertex_height``.
     """
     ts = _radii(ts, "heights")
-    p, r = curve.surface, curve.anchor_radius
-    closed = _closed_forms(ts, p.H, p.c, (r, curve.anchor_height))
-    if closed is not None:
-        return np.asarray(closed)  # a 0-d array where numpy gave a scalar
-
+    p, r, a = curve.surface, curve.anchor_radius, curve.anchor_height
     # the segment edges: the distinct radii and the anchor, appended last
     edges, inverse = np.unique(np.append(ts, r), return_inverse=True)
+    if core._closed_form(r, p.H, p.c, (r, a)) is not None:
+        closed_form, H, c, anchor = core._closed_form, p.H, p.c, (r, a)  # locals for the loop
+        at = [closed_form(t, H, c, anchor) for t in edges.tolist()]
+        return np.array(at, dtype=float)[inverse[:-1]].reshape(ts.shape)
+
     los, his = edges[:-1], edges[1:]
     vals, errs = panel_sums(lambda s: _slope_raw(s, p.H, p.c), los, his)
     H, c = curve.params.H, curve.params.c
@@ -164,11 +145,18 @@ def heights(curve: ProfileCurve, ts):
         bad |= his / los > PRESPLIT_RATIO
     for k, w in turns:
         bad |= (los <= k + 64.0 * w) & (his >= k - 64.0 * w) & (his - los > 16.0 * w)
+    if len(turns) == 2:
+        # at a distance d beyond 64 w of the kink, 1 - |f'| is about
+        # w^2 / (2 d^2): a tail worth w^2 / (2 d) that no node of a panel
+        # over more than 16 d sees, nor its error estimate
+        k, w = turns[1]
+        d = np.maximum(los - k, k - his)
+        bad |= (d > 64.0 * w) & (his - los > 16.0 * d)
     for i in np.nonzero(bad)[0].tolist():
         vals[i] = _height_at(float(his[i]), p.H, p.c, (float(los[i]), 0.0))
     # antiderivative at every edge, zeroed at the anchor
     F = np.concatenate([[0.0], np.cumsum(vals)])
-    out = curve.anchor_height + (F[inverse[:-1]] - F[inverse[-1]])
+    out = a + (F[inverse[:-1]] - F[inverse[-1]])
     return out.reshape(ts.shape)
 
 

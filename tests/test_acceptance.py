@@ -17,13 +17,13 @@ from lorentz_cmc import (
     NotSpacelikeSolvable,
     RingPair,
     SurfaceParams,
+    core,
     flux_closed_form,
     flux_numeric,
     height,
     heights,
     mean_curvature_graph,
     mean_curvature_rotational,
-    profile,
     profile_curve,
     slope,
     solve_two_ring,
@@ -46,7 +46,7 @@ def test_criterion_1_closed_form_agreement():
     for H, c in [(0.0, 3.0), (0.0, -3.0), (1.0, 0.0), (0.5, 0.0)]:
         curve = curve_of(H, c)
         closed = heights(curve, ts)
-        with mock.patch.object(profile, "_closed_forms", lambda *args: None):
+        with mock.patch.object(core, "_closed_form", lambda *args: None):
             quad = heights(curve, ts)
         worst = max(worst, float(np.max(np.abs(quad - closed))))
     assert worst <= 1e-8

@@ -304,6 +304,16 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert flag in err and out == ""
 
+    # a lattice of inf points raised a bare OverflowError, one of 1 point a
+    # ValueError: both exited 1
+    @pytest.mark.parametrize("extent,grid_step", [("1e200", "1e-200"), ("1e308", "1e-300"),
+                                                  ("1", "10"), ("1", "4")])
+    def test_unbuildable_lattice_is_usage_error(self, capsys, extent, grid_step):
+        code, out, err = run(capsys, "verify", "--H", "1", "--c", "3", "--extent", extent,
+                             "--grid-step", grid_step)
+        assert code == EXIT_USAGE and out == ""
+        assert "--extent" in err and "--grid-step" in err and "points per axis" in err
+
     @pytest.mark.parametrize("grid_step", ["0.25", "0.3"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_min_radius_is_usage_error(self, tmp_path, capsys, grid_step, value):

@@ -21,8 +21,8 @@ RINGS = lc.validate_rings(lc.RingPair(1.0, 2.0, 0.0, 0.5))
 # float in a list, is a numeric argument (a count is an int, and a float
 # count raises TypeError)
 ROWS = {
-    "PlateauProblem": dict(rings=RINGS, H=1.0, root_tol=1e-9, quad_tol=1e-10),
-    "solve_two_ring": dict(r=1.0, R=2.0, a=0.0, b=0.5, H=1.0, root_tol=1e-9, quad_tol=1e-10),
+    "PlateauProblem": dict(rings=RINGS, H=1.0, root_tol=1e-9),
+    "solve_two_ring": dict(r=1.0, R=2.0, a=0.0, b=0.5, H=1.0, root_tol=1e-9),
     "classify": dict(H=1.0, rings=RINGS),
     "SurfaceParams": dict(H=1.0, c=3.0),
     "RingPair": dict(r=1.0, R=2.0, a=0.0, b=0.5),

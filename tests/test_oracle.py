@@ -147,10 +147,11 @@ class TestGraphOracle:
             mean_curvature_graph(line)
 
     # steps of 1e-9 and 2e-9 passed the default atol=1e-8 of np.allclose
-    # as one uniform step of 1e-9; an axis that is not finite stays refused
+    # as one uniform step of 1e-9; an axis that is not finite stays refused;
+    # a constant axis passed as a step of 0, and the curvature divided by it
     @pytest.mark.parametrize("xs", [[0.0, 0.1, 0.3], [0.0, 1e-9, 3e-9, 4e-9],
                                     [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0],
-                                    [0.0, math.nan, 2.0]])
+                                    [0.0, math.nan, 2.0], np.ones(5)])
     def test_nonuniform_grid_rejected(self, xs):
         patch = patch_from_function(lambda X1, X2: np.zeros(X1.shape), np.array(xs), np.array(xs))
         with pytest.raises(ValueError, match="grid spacing must be "):
@@ -158,9 +159,10 @@ class TestGraphOracle:
         with pytest.raises(ValueError, match="grid spacing must be "):
             mean_curvature_graph(patch)
 
-    # steps spread by 1.1e-16 against an allowance of 4.4e-16, and by 0
+    # steps spread by 1.1e-16 against an allowance of 4.4e-16, and by 0; a
+    # decreasing axis has a negative step
     @pytest.mark.parametrize("xs", [np.linspace(0.5, 0.5 + 1e-6, 257),
-                                    np.linspace(1e6, 1e6 + 1.0, 257)])
+                                    np.linspace(1e6, 1e6 + 1.0, 257), np.linspace(1.0, 0.0, 5)])
     def test_rounded_uniform_grid_accepted(self, xs):
         patch = patch_from_function(lambda X1, X2: X1 * 0.0, xs, xs)
         assert patch.spacing == (xs[1] - xs[0], xs[1] - xs[0])

@@ -226,7 +226,8 @@ def _untrusted(H, c, quad_tol, los, his, vals, errs):
     time: it misses max(quad_tol / segments, 50 eps |panel|), spans more than
     three decades, or is wider than 16 w within 64 w of a slope turn (k, w)
     of the canonical (H, c): the conical (|c|, |c|), and where 4 H c > 1 the
-    kink (sqrt(c / H), 1 / (2 H))."""
+    kink (sqrt(c / H), 1 / (2 H)); or lies a distance d beyond 64 w of the
+    kink and is wider than 16 d."""
     H, c = (-H, -c) if H < 0.0 else (H, c)
     turns = [(abs(c), abs(c))] + ([(math.sqrt(c / H), 0.5 / H)] if 4.0 * H * c > 1.0 else [])
     tol = quad_tol / len(vals)
@@ -235,7 +236,9 @@ def _untrusted(H, c, quad_tol, los, his, vals, errs):
             if not e <= max(tol, 50.0 * np.finfo(float).eps * abs(v))
             or hi / lo > PRESPLIT_RATIO
             or any(lo <= k + 64.0 * w and hi >= k - 64.0 * w and hi - lo > 16.0 * w
-                   for k, w in turns)]
+                   for k, w in turns)
+            or any(max(lo - k, k - hi) > 64.0 * w and hi - lo > 16.0 * max(lo - k, k - hi)
+                   for k, w in turns[1:])]
 
 
 def _reference_heights(H, c, anchor, ts, quad_tol=quadrature.DEFAULT_QUAD_TOL, taken=None):
